@@ -5,7 +5,8 @@ package pio
 // and reports headline metrics via b.ReportMetric, so `go test -bench=.`
 // prints the series the paper plots. Absolute numbers are simulated time;
 // the shapes (who wins, by what factor) are the reproduction target —
-// see EXPERIMENTS.md for the paper-vs-measured record.
+// see "Running the figure benchmarks" in README.md for the commands and
+// PAPER.md for the paper's headline factors.
 
 import (
 	"strconv"

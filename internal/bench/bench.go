@@ -7,7 +7,8 @@
 // runs 5-10M operations per experiment. The simulator is fast but the
 // experiments here default to a proportional scale-down (see Scale) that
 // preserves N/M (and thus the buffered height η) and the op-to-data
-// ratios. EXPERIMENTS.md records per-figure parameters.
+// ratios. README.md ("Running the figure benchmarks") lists the commands
+// and the flags that override the scale.
 package bench
 
 import (

@@ -14,7 +14,6 @@
 package bufferpool
 
 import (
-	"container/list"
 	"fmt"
 
 	"repro/internal/pagefile"
@@ -53,7 +52,9 @@ type frame struct {
 	data  []byte
 	dirty bool
 	pins  int
-	elem  *list.Element
+	// LRU ring links (see Pool.lru). The list is intrusive so a recycled
+	// frame brings its own links: a miss at capacity allocates nothing.
+	prev, next *frame
 }
 
 // Pool is an LRU page cache over one pagefile. Not safe for concurrent
@@ -65,7 +66,7 @@ type Pool struct {
 	policy   Policy
 
 	frames map[pagefile.PageID]*frame
-	lru    *list.List // front = most recently used
+	lru    frame // ring sentinel: lru.next = most, lru.prev = least recently used
 	stats  Stats
 }
 
@@ -74,13 +75,40 @@ func New(pf *pagefile.PageFile, capacity int, policy Policy) (*Pool, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("bufferpool: capacity must be >= 1, got %d", capacity)
 	}
-	return &Pool{
+	p := &Pool{
 		pf:       pf,
 		capacity: capacity,
 		policy:   policy,
 		frames:   make(map[pagefile.PageID]*frame, capacity),
-		lru:      list.New(),
-	}, nil
+	}
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	return p, nil
+}
+
+// unlink takes fr out of the LRU ring.
+func (p *Pool) unlink(fr *frame) {
+	fr.prev.next, fr.next.prev = fr.next, fr.prev
+	fr.prev, fr.next = nil, nil
+}
+
+// pushFront links a detached frame in as the most recently used.
+func (p *Pool) pushFront(fr *frame) {
+	fr.prev, fr.next = &p.lru, p.lru.next
+	fr.prev.next, fr.next.prev = fr, fr
+}
+
+// touch marks a resident frame most recently used.
+func (p *Pool) touch(fr *frame) {
+	p.unlink(fr)
+	p.pushFront(fr)
+}
+
+// install makes a detached frame the resident, most recently used copy of
+// page id.
+func (p *Pool) install(fr *frame, id pagefile.PageID) {
+	fr.id = id
+	p.frames[id] = fr
+	p.pushFront(fr)
 }
 
 // Capacity returns the pool size in pages.
@@ -95,7 +123,7 @@ func (p *Pool) Resize(at vtime.Ticks, capacity int) (vtime.Ticks, error) {
 	p.capacity = capacity
 	var err error
 	for len(p.frames) > p.capacity {
-		at, err = p.evictOne(at)
+		_, at, err = p.evictOne(at)
 		if err != nil {
 			return at, err
 		}
@@ -113,10 +141,10 @@ func (p *Pool) ResetStats() { p.stats = Stats{} }
 func (p *Pool) PageSize() int { return p.pf.PageSize() }
 
 // evictOne removes the least recently used unpinned frame, writing it back
-// if dirty. It fails if every frame is pinned.
-func (p *Pool) evictOne(at vtime.Ticks) (vtime.Ticks, error) {
-	for e := p.lru.Back(); e != nil; e = e.Prev() {
-		fr := e.Value.(*frame)
+// if dirty, and returns it detached and clean for the caller to refill or
+// drop. It fails if every frame is pinned.
+func (p *Pool) evictOne(at vtime.Ticks) (*frame, vtime.Ticks, error) {
+	for fr := p.lru.prev; fr != &p.lru; fr = fr.prev {
 		if fr.pins > 0 {
 			continue
 		}
@@ -124,54 +152,60 @@ func (p *Pool) evictOne(at vtime.Ticks) (vtime.Ticks, error) {
 			var err error
 			at, err = p.pf.WritePage(at, fr.id, fr.data)
 			if err != nil {
-				return at, err
+				return nil, at, err
 			}
+			fr.dirty = false
 			p.stats.DirtyWrites++
 		}
-		p.lru.Remove(e)
+		p.unlink(fr)
 		delete(p.frames, fr.id)
 		p.stats.Evictions++
-		return at, nil
+		return fr, at, nil
 	}
-	return at, fmt.Errorf("bufferpool: all %d frames pinned", len(p.frames))
+	return nil, at, fmt.Errorf("bufferpool: all %d frames pinned", len(p.frames))
 }
 
-// ensureRoom makes space for one more frame.
-func (p *Pool) ensureRoom(at vtime.Ticks) (vtime.Ticks, error) {
+// freeFrame makes space for one more page and returns a detached frame to
+// hold it: at capacity the evicted victim's own frame and buffer, whose
+// old contents the caller overwrites; below capacity a new one.
+func (p *Pool) freeFrame(at vtime.Ticks) (*frame, vtime.Ticks, error) {
+	var fr *frame
 	var err error
 	for len(p.frames) >= p.capacity {
-		at, err = p.evictOne(at)
+		fr, at, err = p.evictOne(at)
 		if err != nil {
-			return at, err
+			return nil, at, err
 		}
 	}
-	return at, nil
+	if fr == nil {
+		fr = &frame{data: make([]byte, p.pf.PageSize())}
+	}
+	return fr, at, nil
 }
 
 // Get returns the page contents, reading from the device on a miss. The
-// returned slice aliases the frame; callers must not retain it across
-// further pool calls unless they pinned the page.
+// returned slice aliases the frame, and a later miss refills an evicted
+// frame in place: unless the page is pinned, the slice is valid only until
+// the next pool call, after which it may hold another page's bytes.
 func (p *Pool) Get(at vtime.Ticks, id pagefile.PageID) ([]byte, vtime.Ticks, error) {
 	p.stats.LogicalReads++
 	if fr, ok := p.frames[id]; ok {
 		p.stats.Hits++
-		p.lru.MoveToFront(fr.elem)
+		p.touch(fr)
 		return fr.data, at, nil
 	}
 	p.stats.Misses++
-	var err error
-	at, err = p.ensureRoom(at)
+	fr, at, err := p.freeFrame(at)
 	if err != nil {
 		return nil, at, err
 	}
-	buf := make([]byte, p.pf.PageSize())
-	at, err = p.pf.ReadPage(at, id, buf)
+	// The frame stays detached until the fill succeeds, so a failed read
+	// leaves no half-filled page resident.
+	at, err = p.pf.ReadPage(at, id, fr.data)
 	if err != nil {
 		return nil, at, err
 	}
-	fr := &frame{id: id, data: buf}
-	fr.elem = p.lru.PushFront(fr)
-	p.frames[id] = fr
+	p.install(fr, id)
 	return fr.data, at, nil
 }
 
@@ -191,15 +225,13 @@ func (p *Pool) Put(at vtime.Ticks, id pagefile.PageID, data []byte) (vtime.Ticks
 	fr, ok := p.frames[id]
 	if !ok {
 		var err error
-		at, err = p.ensureRoom(at)
+		fr, at, err = p.freeFrame(at)
 		if err != nil {
 			return at, err
 		}
-		fr = &frame{id: id, data: make([]byte, len(data))}
-		fr.elem = p.lru.PushFront(fr)
-		p.frames[id] = fr
+		p.install(fr, id)
 	} else {
-		p.lru.MoveToFront(fr.elem)
+		p.touch(fr)
 	}
 	copy(fr.data, data)
 	if p.policy == WriteThrough {
@@ -228,17 +260,16 @@ func (p *Pool) InsertClean(id pagefile.PageID, data []byte) {
 	if fr, ok := p.frames[id]; ok {
 		copy(fr.data, data)
 		fr.dirty = false
-		p.lru.MoveToFront(fr.elem)
+		p.touch(fr)
 		return
 	}
 	for len(p.frames) >= p.capacity {
 		evicted := false
-		for e := p.lru.Back(); e != nil; e = e.Prev() {
-			fr := e.Value.(*frame)
+		for fr := p.lru.prev; fr != &p.lru; fr = fr.prev {
 			if fr.pins > 0 || fr.dirty {
 				continue
 			}
-			p.lru.Remove(e)
+			p.unlink(fr)
 			delete(p.frames, fr.id)
 			p.stats.Evictions++
 			evicted = true
@@ -248,9 +279,7 @@ func (p *Pool) InsertClean(id pagefile.PageID, data []byte) {
 			return // nothing evictable; skip caching
 		}
 	}
-	fr := &frame{id: id, data: append([]byte(nil), data...)}
-	fr.elem = p.lru.PushFront(fr)
-	p.frames[id] = fr
+	p.install(&frame{data: append([]byte(nil), data...)}, id)
 }
 
 // Invalidate drops a page from the cache without writing it back (used
@@ -258,7 +287,7 @@ func (p *Pool) InsertClean(id pagefile.PageID, data []byte) {
 // pool).
 func (p *Pool) Invalidate(id pagefile.PageID) {
 	if fr, ok := p.frames[id]; ok {
-		p.lru.Remove(fr.elem)
+		p.unlink(fr)
 		delete(p.frames, id)
 	}
 }
@@ -287,8 +316,7 @@ func (p *Pool) Unpin(id pagefile.PageID) error {
 // each, matching a conventional buffer manager's cleaner).
 func (p *Pool) Flush(at vtime.Ticks) (vtime.Ticks, error) {
 	var err error
-	for e := p.lru.Back(); e != nil; e = e.Prev() {
-		fr := e.Value.(*frame)
+	for fr := p.lru.prev; fr != &p.lru; fr = fr.prev {
 		if !fr.dirty {
 			continue
 		}

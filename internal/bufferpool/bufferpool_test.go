@@ -2,6 +2,7 @@ package bufferpool
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/flashsim"
@@ -12,8 +13,16 @@ import (
 
 func newPoolT(t *testing.T, capacity int, policy Policy) (*Pool, *pagefile.PageFile) {
 	t.Helper()
-	dev := flashsim.MustDevice(flashsim.F120())
-	f, err := ssdio.NewSpace(dev).Create("bp", 1<<20)
+	p, pf, _ := newPoolSpaceT(t, capacity, policy)
+	return p, pf
+}
+
+// newPoolSpaceT also returns the ssdio space, for tests that install a
+// fault injector under the pool.
+func newPoolSpaceT(t *testing.T, capacity int, policy Policy) (*Pool, *pagefile.PageFile, *ssdio.Space) {
+	t.Helper()
+	space := ssdio.NewSpace(flashsim.MustDevice(flashsim.F120()))
+	f, err := space.Create("bp", 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +34,7 @@ func newPoolT(t *testing.T, capacity int, policy Policy) (*Pool, *pagefile.PageF
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, pf
+	return p, pf, space
 }
 
 func fillPage(b byte) []byte { return bytes.Repeat([]byte{b}, 4096) }
@@ -256,5 +265,88 @@ func TestResize(t *testing.T) {
 	}
 	if _, err = p.Resize(at, 0); err == nil {
 		t.Fatal("resize to 0 accepted")
+	}
+}
+
+// failOp is an ssdio.Injector failing every request of one direction.
+type failOp struct{ op flashsim.Op }
+
+var errInjected = errors.New("injected device fault")
+
+func (f failOp) Decide(_, _ string, _ vtime.Ticks, reqs []ssdio.Req) ssdio.FaultDecision {
+	if reqs[0].Op == f.op {
+		return ssdio.FaultDecision{Err: errInjected}
+	}
+	return ssdio.FaultDecision{}
+}
+
+// TestFailedFillLeavesNoFrame covers the miss path that refills the
+// evicted victim's frame in place: a fill that fails must not leave the
+// half-filled frame resident under either page id, a pinned frame must
+// never be the one refilled, and a dirty victim is written back before its
+// buffer is reused.
+func TestFailedFillLeavesNoFrame(t *testing.T) {
+	p, pf, space := newPoolSpaceT(t, 2, WriteBack)
+	a, b, c := pf.Alloc(), pf.Alloc(), pf.Alloc()
+	for id, fill := range map[pagefile.PageID]byte{a: 0xA, b: 0xB, c: 0xC} {
+		if err := pf.WritePageNoCost(id, fillPage(fill)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// a is the least recently used frame but pinned, so b is the victim.
+	pinned, at, err := p.Get(0, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Pin(a); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = p.Put(at, b, fillPage(0xBB)); err != nil { // dirty
+		t.Fatal(err)
+	}
+
+	// The victim's write-back fails: nothing may change.
+	space.SetInjector(failOp{flashsim.Write})
+	if _, at, err = p.Get(at, c); !errors.Is(err, errInjected) {
+		t.Fatalf("Get with failing write-back: err = %v", err)
+	}
+	if !p.Contains(b) || p.Contains(c) || p.DirtyCount() != 1 || p.Len() != 2 {
+		t.Fatalf("failed write-back disturbed the pool: b=%v c=%v dirty=%d len=%d",
+			p.Contains(b), p.Contains(c), p.DirtyCount(), p.Len())
+	}
+
+	// The write-back succeeds, the fill fails: b is evicted (and durable),
+	// c is not resident, and the frame is gone rather than half-filled.
+	space.SetInjector(failOp{flashsim.Read})
+	if _, at, err = p.Get(at, c); !errors.Is(err, errInjected) {
+		t.Fatalf("Get with failing fill: err = %v", err)
+	}
+	if p.Contains(b) || p.Contains(c) || !p.Contains(a) || p.Len() != 1 {
+		t.Fatalf("after failed fill: a=%v b=%v c=%v len=%d, want only a resident",
+			p.Contains(a), p.Contains(b), p.Contains(c), p.Len())
+	}
+	if s := p.Stats(); s.DirtyWrites != 1 || s.Evictions != 1 || s.Misses != 3 {
+		t.Fatalf("stats after failed fill: %+v", s)
+	}
+
+	space.SetInjector(nil)
+	for _, want := range []struct {
+		id   pagefile.PageID
+		fill byte
+	}{{c, 0xC}, {b, 0xBB}, {c, 0xC}} {
+		var data []byte
+		if data, at, err = p.Get(at, want.id); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, fillPage(want.fill)) {
+			t.Fatalf("page %d reads %#x.., want %#x", want.id, data[0], want.fill)
+		}
+		if p.Len() > p.Capacity() {
+			t.Fatalf("Len %d > capacity %d", p.Len(), p.Capacity())
+		}
+		// Every miss above recycled a frame; none of them was the pinned one.
+		if !p.Contains(a) || !bytes.Equal(pinned, fillPage(0xA)) {
+			t.Fatal("pinned frame was evicted or overwritten")
+		}
 	}
 }

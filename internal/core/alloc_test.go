@@ -1,0 +1,140 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/bufferpool"
+	"repro/internal/flashsim"
+	"repro/internal/kv"
+	"repro/internal/pagefile"
+	"repro/internal/vtime"
+)
+
+// The allocation gate. A point search reads encoded pages in place, so on
+// a height-3, L = 4 tree it allocates nothing, whether the pool misses on
+// both internal levels every time (the benchmark's read_point regime) or
+// holds them (mixed_hot).
+
+// allocCfg reaches height 3 with a few thousand records: a 512 B page
+// holds 30 separators or 29 entries.
+func allocCfg(frames int) Config {
+	return Config{PageSize: 512, LeafSegs: 4, OPQPages: 1, BufferBytes: frames * 512}
+}
+
+func allocRecs(n int) []kv.Record {
+	recs := make([]kv.Record, n)
+	for i := range recs {
+		recs[i] = kv.Record{Key: kv.Key(i*8 + 3), Value: kv.Value(i)}
+	}
+	return recs
+}
+
+// searchAllocs returns the allocations per call of search, over keys that
+// stride the n loaded records and the gaps between them; every answer is
+// checked.
+func searchAllocs(t *testing.T, n int, search func(vtime.Ticks, kv.Key) (kv.Value, bool, vtime.Ticks, error)) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	var at vtime.Ticks
+	var i int
+	var failure string
+	allocs := testing.AllocsPerRun(500, func() {
+		i = (i + 7919) % (2 * n)
+		k := kv.Key(i/2*8 + 3 + i%2) // odd i: the key after a record, absent
+		v, found, done, err := search(at, k)
+		if err != nil || found != (i%2 == 0) || found && v != kv.Value(i/2) {
+			failure = fmt.Sprintf("Search(%d) = %d, %v, %v", k, v, found, err)
+		}
+		at = done
+	})
+	if failure != "" {
+		t.Fatal(failure)
+	}
+	return allocs
+}
+
+func TestSearchAllocs(t *testing.T) {
+	const n = 4000
+	for _, tc := range []struct {
+		name          string
+		frames        int
+		missesPerCall int64
+	}{
+		{"pool of one frame", 1, 2},
+		{"pool holds the internal level", 64, 0},
+	} {
+		t.Run("Tree/"+tc.name, func(t *testing.T) {
+			tr := newTestTree(t, allocCfg(tc.frames))
+			if err := tr.BulkLoad(allocRecs(n)); err != nil {
+				t.Fatal(err)
+			}
+			if tr.Height() != 3 {
+				t.Fatalf("height %d, want 3", tr.Height())
+			}
+			searchAllocs(t, n, tr.Search) // warm the pool
+			before := tr.Pool().Stats()
+			allocs := searchAllocs(t, n, tr.Search)
+			after := tr.Pool().Stats()
+			// AllocsPerRun makes one warm-up call on top of its 500.
+			if got := after.Misses - before.Misses; got != 501*tc.missesPerCall {
+				t.Fatalf("%d pool misses in 501 searches, want %d per search", got, tc.missesPerCall)
+			}
+			if allocs > 1 {
+				t.Fatalf("Tree.Search allocates %.2f objects per call, want <= 1", allocs)
+			}
+		})
+		t.Run("Forest/"+tc.name, func(t *testing.T) {
+			// BufferBytes is the forest's global budget, split over 2 shards.
+			fr := newTestForest(t, 2, allocCfg(2*tc.frames), nil)
+			if err := fr.BulkLoad(allocRecs(2 * n)); err != nil {
+				t.Fatal(err)
+			}
+			if h := fr.Height(); h != 3 {
+				t.Fatalf("height %d, want 3", h)
+			}
+			searchAllocs(t, 2*n, fr.Search)
+			if allocs := searchAllocs(t, 2*n, fr.Search); allocs > 1 {
+				t.Fatalf("Forest.Search allocates %.2f objects per call, want <= 1", allocs)
+			}
+		})
+	}
+}
+
+// TestMissPathAllocs gates the two layers under the search: a pool miss at
+// capacity refills the evicted frame, and a single-request submission is
+// served without request or result slices.
+func TestMissPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	tr := newTestTree(t, allocCfg(1))
+	pool, err := bufferpool.New(tr.pf, 1, bufferpool.WriteThrough)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := [2]pagefile.PageID{tr.pf.Alloc(), tr.pf.Alloc()}
+	var at vtime.Ticks
+	var i int
+	if allocs := testing.AllocsPerRun(500, func() {
+		i++
+		if _, at, err = pool.Get(at, ids[i%2]); err != nil {
+			panic(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Pool.Get missing at capacity allocates %.2f objects per call, want 0", allocs)
+	}
+	if s := pool.Stats(); s.Hits != 0 || s.Evictions != s.Misses-1 {
+		t.Fatalf("pool did not miss and evict on every Get: %+v", s)
+	}
+
+	dev := flashsim.MustDevice(flashsim.P300())
+	if allocs := testing.AllocsPerRun(500, func() {
+		i++
+		at = dev.SubmitOne(at, flashsim.Request{Op: flashsim.Op(i % 2), Offset: int64(i%64) * 4096, Size: 4096}).Done
+	}); allocs != 0 {
+		t.Fatalf("Device.SubmitOne allocates %.2f objects per call, want 0", allocs)
+	}
+}

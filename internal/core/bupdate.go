@@ -123,16 +123,21 @@ func (t *Tree) readInternalBatch(at vtime.Ticks, ids []pagefile.PageID) (map[pag
 	return out, at, nil
 }
 
-// readLeafBatch reads whole leaves (segments [0, lastLS]) via psync. Each
-// leaf is one multi-page request, so a psync batch of leaves exercises
-// both channel-level (many requests) and package-level (large requests)
+// readLeafBatch reads whole leaves (segments [0, lastLS]) via psync and
+// returns views over the buffers it read them into. Each leaf is one
+// multi-page request, so a psync batch of leaves exercises both
+// channel-level (many requests) and package-level (large requests)
 // parallelism at once.
-func (t *Tree) readLeafBatch(at vtime.Ticks, ids []pagefile.PageID) (map[pagefile.PageID]*leafNode, vtime.Ticks, error) {
-	out := make(map[pagefile.PageID]*leafNode, len(ids))
+//
+// The views outlive the pool calls made here, so none is over a pool
+// frame, which the next miss may refill with another page: a single-page
+// leaf that hits is copied out of its frame.
+func (t *Tree) readLeafBatch(at vtime.Ticks, ids []pagefile.PageID) (map[pagefile.PageID]leafView, vtime.Ticks, error) {
+	out := make(map[pagefile.PageID]leafView, len(ids))
 	uniq := ids[:0:0]
 	for _, id := range ids {
 		if _, ok := out[id]; !ok {
-			out[id] = nil
+			out[id] = leafView{}
 			uniq = append(uniq, id)
 		}
 	}
@@ -148,7 +153,7 @@ func (t *Tree) readLeafBatch(at vtime.Ticks, ids []pagefile.PageID) (map[pagefil
 					return nil, at2, err
 				}
 				at = at2
-				l, err := decodeLeaf(id, data, t.cfg.PageSize, 1)
+				l, err := viewLeaf(id, append([]byte(nil), data...), t.cfg.PageSize, 1)
 				if err != nil {
 					return nil, at, err
 				}
@@ -171,7 +176,7 @@ func (t *Tree) readLeafBatch(at vtime.Ticks, ids []pagefile.PageID) (map[pagefil
 			}
 		}
 		for i, id := range missIDs {
-			l, err := decodeLeaf(id, missBufs[i], t.cfg.PageSize, 1)
+			l, err := viewLeaf(id, missBufs[i], t.cfg.PageSize, 1)
 			if err != nil {
 				return nil, at, err
 			}
@@ -204,7 +209,7 @@ func (t *Tree) readLeafBatch(at vtime.Ticks, ids []pagefile.PageID) (map[pagefil
 			return nil, at, err
 		}
 		for j, id := range chunk {
-			l, err := t.decodePartialLeaf(id, bufs[j], upto[j]+1)
+			l, err := viewLeaf(id, bufs[j], t.cfg.PageSize, t.cfg.LeafSegs)
 			if err != nil {
 				return nil, at, err
 			}
@@ -386,7 +391,8 @@ func (t *Tree) RangeSearch(at vtime.Ticks, lo, hi kv.Key) ([]kv.Record, vtime.Ti
 	}
 	var recs []kv.Record
 	for _, id := range frontier {
-		for _, r := range leaves[id].liveRecords() {
+		// A range needs the leaf's live set, so this path still decodes.
+		for _, r := range leaves[id].decode().liveRecords() {
 			if r.Key >= lo && r.Key < hi {
 				recs = append(recs, r)
 			}

@@ -114,6 +114,51 @@ func (n *internalNode) childIndex(k kv.Key) int {
 	return lo
 }
 
+// internalView reads an encoded internal node in place: the search side's
+// counterpart of internalNode, which the flush side decodes because it
+// mutates. A view aliases the page it was made from and is valid only as
+// long as those bytes are — for a buffer-pool frame, until the next pool
+// call (see bufferpool.Pool.Get).
+type internalView struct {
+	page  []byte
+	count int // separator keys; count+1 children follow them
+}
+
+// viewInternal validates page exactly as decodeInternal does.
+func viewInternal(id pagefile.PageID, page []byte) (internalView, error) {
+	if page[0] != kindInternal {
+		return internalView{}, fmt.Errorf("core: page %d is not an internal node (kind %d)", id, page[0])
+	}
+	count := int(binary.LittleEndian.Uint16(page[2:]))
+	if count > maxInternalKeys(len(page)) {
+		return internalView{}, fmt.Errorf("core: corrupt internal %d: count %d", id, count)
+	}
+	return internalView{page: page, count: count}, nil
+}
+
+func (v internalView) key(i int) kv.Key {
+	return binary.LittleEndian.Uint64(v.page[internalHeaderSize+8*i:])
+}
+
+// child returns child pointer i, 0 <= i <= count.
+func (v internalView) child(i int) pagefile.PageID {
+	return pagefile.PageID(binary.LittleEndian.Uint64(v.page[internalHeaderSize+8*(v.count+i):]))
+}
+
+// childIndex is internalNode.childIndex over the encoded separators.
+func (v internalView) childIndex(k kv.Key) int {
+	lo, hi := 0, v.count
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if k < v.key(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
 // leafNode is the in-memory form of an asymmetric PIO B-tree leaf: L
 // segments of one page each holding an append-only log of OPQ-style
 // entries. entries[:sorted] is the key-sorted base region produced by the
@@ -315,28 +360,94 @@ func (l *leafNode) appendEntries(entries []kv.Entry) {
 	l.entries = append(l.entries, entries...)
 }
 
+// leafView reads an encoded leaf in place from its first segments — the
+// run [0, upto] a search reads, upto being the LSMap's last LS. The unread
+// segments are treated as empty, which is safe because appends fill
+// segments in order. Like internalView it aliases its buffer.
+type leafView struct {
+	id       pagefile.PageID
+	buf      []byte // the viewed segments, one page each
+	pageSize int
+	segs     int // L, for decode
+	total    int // entries in the viewed segments
+	sorted   int
+	next     pagefile.PageID
+}
+
+// viewLeaf validates the segments in buf exactly as decodeLeaf validates a
+// whole leaf whose remaining segments are empty: each segment's kind and
+// count up to the first non-full one, then sorted against the total.
+func viewLeaf(id pagefile.PageID, buf []byte, pageSize, segs int) (leafView, error) {
+	n := len(buf) / pageSize
+	if n < 1 || n > segs || len(buf) != n*pageSize {
+		return leafView{}, fmt.Errorf("core: leaf %d: buffer %d bytes, want 1..%d pages of %d", id, len(buf), segs, pageSize)
+	}
+	v := leafView{id: id, buf: buf, pageSize: pageSize, segs: segs}
+	for s := 0; s < n; s++ {
+		page := buf[s*pageSize:]
+		if page[0] != kindLeafSeg {
+			return leafView{}, fmt.Errorf("core: leaf %d seg %d: bad kind %d", id, s, page[0])
+		}
+		cnt := int(binary.LittleEndian.Uint16(page[2:]))
+		if cnt > segCap(pageSize) {
+			return leafView{}, fmt.Errorf("core: leaf %d seg %d: count %d", id, s, cnt)
+		}
+		if s == 0 {
+			v.sorted = int(binary.LittleEndian.Uint32(page[4:]))
+			v.next = pagefile.PageID(binary.LittleEndian.Uint64(page[8:]))
+		}
+		v.total += cnt
+		if cnt < segCap(pageSize) {
+			break // later segments are empty
+		}
+	}
+	if v.sorted > v.total {
+		return leafView{}, fmt.Errorf("core: leaf %d: sorted %d > entries %d", id, v.sorted, v.total)
+	}
+	return v, nil
+}
+
+// entryAt returns the encoded bytes of entry i: segments before the last
+// non-empty one are full, so entry i sits in segment i/segCap.
+func (v leafView) entryAt(i int) []byte {
+	c := segCap(v.pageSize)
+	return v.buf[(i/c)*v.pageSize+segHeaderSize+(i%c)*kv.EntrySize:]
+}
+
+func (v leafView) keyAt(i int) kv.Key { return binary.LittleEndian.Uint64(v.entryAt(i)) }
+
 // lookup returns the newest entry for key k and whether any entry exists:
 // the appended tail is scanned newest-first, then the sorted base region.
-func (l *leafNode) lookup(k kv.Key) (kv.Entry, bool) {
-	for i := len(l.entries) - 1; i >= l.sorted; i-- {
-		if l.entries[i].Rec.Key == k {
-			return l.entries[i], true
+func (v leafView) lookup(k kv.Key) (kv.Entry, bool) {
+	for i := v.total - 1; i >= v.sorted; i-- {
+		if v.keyAt(i) == k {
+			return kv.GetEntry(v.entryAt(i)), true
 		}
 	}
 	// Binary search the base region; take the last of an equal-key run.
-	lo, hi := 0, l.sorted
+	lo, hi := 0, v.sorted
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if l.entries[mid].Rec.Key <= k {
+		if v.keyAt(mid) <= k {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo > 0 && l.entries[lo-1].Rec.Key == k {
-		return l.entries[lo-1], true
+	if lo > 0 && v.keyAt(lo-1) == k {
+		return kv.GetEntry(v.entryAt(lo - 1)), true
 	}
 	return kv.Entry{}, false
+}
+
+// decode materialises the view as a full leafNode, for the callers that
+// need every entry at once (range scans resolve the live set).
+func (v leafView) decode() *leafNode {
+	l := &leafNode{id: v.id, segs: v.segs, next: v.next, sorted: v.sorted, entries: make([]kv.Entry, v.total)}
+	for i := range l.entries {
+		l.entries[i] = kv.GetEntry(v.entryAt(i))
+	}
+	return l
 }
 
 // liveRecords resolves the leaf's log into the current sorted set of live

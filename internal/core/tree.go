@@ -114,8 +114,13 @@ type Tree struct {
 	// gang (WAL rule) and once after (commit). Set alongside gang.
 	walGang *logGang
 
-	stats           Stats
-	buf             []byte // page scratch
+	stats Stats
+	buf   []byte // page scratch
+	// leafBuf is the leaf-run scratch Search reads into and views in place
+	// (LeafSegs pages). One per tree is enough only because a tree is never
+	// entered concurrently — callers hold forestShard.mu or Concurrent's
+	// mutex; searches under a shared lock would each need their own.
+	leafBuf         []byte
 	pendingInternal []pendingPage
 }
 
@@ -165,12 +170,13 @@ func New(pf *pagefile.PageFile, cfg Config) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{
-		cfg:   cfg,
-		pf:    pf,
-		pool:  pool,
-		opq:   opq,
-		lsmap: NewLSMap(cfg.LeafSegs),
-		buf:   make([]byte, cfg.PageSize),
+		cfg:     cfg,
+		pf:      pf,
+		pool:    pool,
+		opq:     opq,
+		lsmap:   NewLSMap(cfg.LeafSegs),
+		buf:     make([]byte, cfg.PageSize),
+		leafBuf: make([]byte, cfg.LeafSegs*cfg.PageSize),
 	}
 	// Empty tree: one empty leaf as root.
 	leaf := &leafNode{id: t.allocLeaf(), segs: cfg.LeafSegs, next: pagefile.InvalidPage}
@@ -312,62 +318,37 @@ func (t *Tree) writeLeafNoCost(l *leafNode) error {
 	return nil
 }
 
-// readInternal fetches an internal node through the buffer pool.
-func (t *Tree) readInternal(at vtime.Ticks, id pagefile.PageID) (*internalNode, vtime.Ticks, error) {
-	data, at, err := t.poolGet(at, id)
-	if err != nil {
-		return nil, at, err
-	}
-	n, err := decodeInternal(id, data)
-	if err != nil {
-		return nil, at, err
-	}
-	return n, at + t.cfg.CPUPerNode, nil
-}
-
-// readLeafTimed reads segments [0, upto] of a leaf as one device request
-// and decodes them. The partial decode is safe because appends fill
-// segments in order and upto comes from the LSMap (or the full leaf size).
+// searchLeaf reads segments [0, upto] of a leaf as one device request into
+// the tree's scratch buffer and views them in place. The partial view is
+// safe because appends fill segments in order and upto comes from the
+// LSMap (or the full leaf size). The view is valid until the next Search.
 //
 // Single-segment leaves (L=1, the paper's Section 4.2 configuration) are
 // exactly one page and flow through the buffer pool like internal nodes —
 // the pool simply holds whatever nodes fit, as the paper's "the rest of
-// main memory space was allocated to the buffer pool" implies. Multi-
-// segment leaves bypass the pool (their read cost is the Pr(L) term of
-// the cost model).
-func (t *Tree) readLeafTimed(at vtime.Ticks, id pagefile.PageID, upto int) (*leafNode, vtime.Ticks, error) {
+// main memory space was allocated to the buffer pool" implies — so their
+// view is over a pool frame and valid only until the next pool call.
+// Multi-segment leaves bypass the pool (their read cost is the Pr(L) term
+// of the cost model).
+func (t *Tree) searchLeaf(at vtime.Ticks, id pagefile.PageID, upto int) (leafView, vtime.Ticks, error) {
 	if t.cfg.LeafSegs == 1 {
-		data, at, err := t.poolGet(at, id)
+		page, at, err := t.poolGet(at, id)
 		if err != nil {
-			return nil, at, err
+			return leafView{}, at, err
 		}
-		l, err := decodeLeaf(id, data, t.cfg.PageSize, 1)
-		return l, at + t.cfg.CPUPerNode, err
+		v, err := viewLeaf(id, page, t.cfg.PageSize, 1)
+		return v, at + t.cfg.CPUPerNode, err
 	}
 	n := upto + 1
-	buf := make([]byte, n*t.cfg.PageSize)
+	buf := t.leafBuf[:n*t.cfg.PageSize]
 	at, err := t.retryIO(at, func(at vtime.Ticks) (vtime.Ticks, error) {
 		return t.pf.ReadRun(at, id, n, buf)
 	})
 	if err != nil {
-		return nil, at, err
+		return leafView{}, at, err
 	}
-	l, err := t.decodePartialLeaf(id, buf, n)
-	return l, at + t.cfg.CPUPerNode, err
-}
-
-// decodePartialLeaf decodes a leaf from its first n segments, treating the
-// unread tail segments as empty.
-func (t *Tree) decodePartialLeaf(id pagefile.PageID, buf []byte, n int) (*leafNode, error) {
-	full := make([]byte, t.cfg.LeafSegs*t.cfg.PageSize)
-	copy(full, buf[:n*t.cfg.PageSize])
-	// Zero-fill the tail segments as valid empty segments.
-	for s := n; s < t.cfg.LeafSegs; s++ {
-		page := full[s*t.cfg.PageSize:]
-		page[0] = kindLeafSeg
-		page[1] = byte(s)
-	}
-	return decodeLeaf(id, full, t.cfg.PageSize, t.cfg.LeafSegs)
+	v, err := viewLeaf(id, buf, t.cfg.PageSize, t.cfg.LeafSegs)
+	return v, at + t.cfg.CPUPerNode, err
 }
 
 // readWholeLeafNoCost reads a full leaf without timing (setup/validation).
@@ -394,7 +375,8 @@ func (t *Tree) lastLSOf(id pagefile.PageID) (int, bool) {
 // Search looks up key k. The OPQ is inspected first (Section 3.3: "the
 // search procedures inspect if there are update operations with the key
 // values they are looking for"), then the tree is descended, internal
-// nodes through the buffer pool and the leaf with one multi-page read.
+// nodes through the buffer pool and the leaf with one multi-page read. The
+// encoded pages are searched in place: nothing is decoded or allocated.
 func (t *Tree) Search(at vtime.Ticks, k kv.Key) (kv.Value, bool, vtime.Ticks, error) {
 	t.stats.SearchOps++
 	if e, ok := t.opq.Lookup(k); ok {
@@ -408,17 +390,23 @@ func (t *Tree) Search(at vtime.Ticks, k kv.Key) (kv.Value, bool, vtime.Ticks, er
 		}
 	}
 	id := t.root
-	var err error
 	for lvl := t.height - 1; lvl > 0; lvl-- {
-		var n *internalNode
-		n, at, err = t.readInternal(at, id)
+		// The view is over a pool frame the next poolGet may refill; it is
+		// done with by then.
+		page, at2, err := t.poolGet(at, id)
+		if err != nil {
+			return 0, false, at2, err
+		}
+		at = at2
+		n, err := viewInternal(id, page)
 		if err != nil {
 			return 0, false, at, err
 		}
-		id = n.children[n.childIndex(k)]
+		at += t.cfg.CPUPerNode
+		id = n.child(n.childIndex(k))
 	}
 	upto, _ := t.lastLSOf(id)
-	leaf, at, err := t.readLeafTimed(at, id, upto)
+	leaf, at, err := t.searchLeaf(at, id, upto)
 	if err != nil {
 		return 0, false, at, err
 	}

@@ -277,17 +277,27 @@ func (d *Device) Submit(at vtime.Ticks, reqs []Request) ([]Result, vtime.Ticks) 
 			batchDone = results[i].Done
 		}
 	}
-	d.stats.Batches++
-	if len(reqs) > d.stats.MaxBatch {
-		d.stats.MaxBatch = len(reqs)
-	}
+	d.noteBatch(len(reqs))
 	return results, batchDone
 }
 
-// SubmitOne is a convenience wrapper for a single synchronous request.
+// noteBatch counts one submission of n requests. Caller holds d.mu.
+func (d *Device) noteBatch(n int) {
+	d.stats.Batches++
+	if n > d.stats.MaxBatch {
+		d.stats.MaxBatch = n
+	}
+}
+
+// SubmitOne issues a single synchronous request: Submit with a batch of
+// one, served under the lock directly so the sync-read path allocates no
+// request or result slice.
 func (d *Device) SubmitOne(at vtime.Ticks, req Request) Result {
-	res, _ := d.Submit(at, []Request{req})
-	return res[0]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	res := d.serve(at, req)
+	d.noteBatch(1)
+	return res
 }
 
 // Wear reports the program-count distribution across the flash array:

@@ -1,6 +1,7 @@
 package flashsim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -388,5 +389,57 @@ func TestAgingGCStalls(t *testing.T) {
 	}
 	if now-cnow != 4*vtime.Millisecond {
 		t.Fatalf("aged makespan delta = %v, want 4ms", now-cnow)
+	}
+}
+
+// TestSubmitOneMatchesSubmit pins SubmitOne to the model: it serves its
+// request under the lock without going through Submit, so every profile
+// replays one random request sequence on two devices, one per entry
+// point, and the two must agree on every result and counter at every step.
+func TestSubmitOneMatchesSubmit(t *testing.T) {
+	agings := []struct {
+		name string
+		a    Aging
+	}{
+		{"fresh", Aging{}},
+		{"aged", Aging{ProgramFactor: 2.5, GCEvery: 7, GCStall: 300 * vtime.Microsecond}},
+	}
+	for _, cfg := range Profiles() {
+		for _, ag := range agings {
+			cfg, ag := cfg, ag
+			t.Run(cfg.Name+"/"+ag.name, func(t *testing.T) {
+				one, batch := MustDevice(cfg), MustDevice(cfg)
+				one.SetAging(ag.a)
+				batch.SetAging(ag.a)
+				rng := rand.New(rand.NewSource(19))
+				var at vtime.Ticks
+				for i := 0; i < 400; i++ {
+					req := Request{Op: Op(rng.Intn(2)), Size: 512 << rng.Intn(6), Offset: int64(rng.Intn(1 << 20))}
+					if rng.Intn(2) == 0 {
+						req.Offset &^= int64(req.Size - 1) // aligned
+					}
+					got := one.SubmitOne(at, req)
+					want, done := batch.Submit(at, []Request{req})
+					if got != want[0] || got.Done != done {
+						t.Fatalf("step %d %+v: SubmitOne %+v, Submit %+v done %v", i, req, got, want[0], done)
+					}
+					if a, b := one.Stats(), batch.Stats(); a != b {
+						t.Fatalf("step %d: stats diverge:\n SubmitOne %+v\n Submit    %+v", i, a, b)
+					}
+					amin, amax, amean := one.Wear()
+					bmin, bmax, bmean := batch.Wear()
+					if amin != bmin || amax != bmax || amean != bmean {
+						t.Fatalf("step %d: wear diverges: %d/%d/%v vs %d/%d/%v", i, amin, amax, amean, bmin, bmax, bmean)
+					}
+					// Mostly closed-loop, sometimes overlapping the previous
+					// request so the NCQ ring and busy-until state matter.
+					if rng.Intn(3) > 0 {
+						at = got.Done
+					} else {
+						at += vtime.Ticks(rng.Intn(50)) * vtime.Microsecond
+					}
+				}
+			})
+		}
 	}
 }
