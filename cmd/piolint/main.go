@@ -1,7 +1,8 @@
 // Command piolint runs the repository's custom invariant analyzers
 // (guardedby, walorder, determinism, snapshotmut, lockorder, ioerr) over
 // the given package patterns and exits non-zero if any diagnostic is
-// reported.
+// reported, including an unusedignore diagnostic for every
+// //lint:ignore directive of a run analyzer that suppressed nothing.
 //
 // It is a self-contained driver in the shape of a go/analysis
 // multichecker: packages are loaded and type-checked from source with

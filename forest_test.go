@@ -1,6 +1,7 @@
 package pio
 
 import (
+	"errors"
 	"sync"
 	"testing"
 )
@@ -341,5 +342,134 @@ func TestForestRebalanceFacade(t *testing.T) {
 	}
 	if got, want := fr.Count(), int64(4*perShard); got != want {
 		t.Fatalf("count after merge %d, want %d", got, want)
+	}
+}
+
+// TestForestFacadeSurface drives the façade methods nothing else runs:
+// Update, Delete, Height, StartMigration with Step, AutoRebalance, and the
+// degraded-mode path — a dead log device quarantines its shard (writes
+// rejected, committed reads served) until ClearFaults and Heal re-admit
+// it.
+func TestForestFacadeSurface(t *testing.T) {
+	dev := NewDevice(P300)
+	opts := DefaultForestOptions()
+	opts.WAL = true
+	opts.RangeBounds = []Key{1 << 20, 2 << 20, 3 << 20}
+	fr, err := OpenForest(dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clock Clock
+	advance := func(done Ticks, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(done)
+	}
+	want := make(map[Key]Value)
+	check := func() {
+		t.Helper()
+		for k, v := range want {
+			got, ok, done, err := fr.Search(clock.Now(), k)
+			if err != nil || !ok || got != v {
+				t.Fatalf("Search(%d) = %v %v %v, want %v", k, got, ok, err, v)
+			}
+			clock.Advance(done)
+		}
+		if got := fr.Count(); got != int64(len(want)) {
+			t.Fatalf("count %d, want %d", got, len(want))
+		}
+	}
+
+	const perShard = 300
+	for j := 0; j < perShard; j++ {
+		for s := Key(0); s < 4; s++ {
+			k := s<<20 + Key(j)
+			advance(fr.Insert(clock.Now(), Record{Key: k, Value: k + 1}))
+			want[k] = k + 1
+		}
+	}
+	for j := 0; j < perShard; j += 3 {
+		for s := Key(0); s < 4; s++ {
+			k := s<<20 + Key(j)
+			advance(fr.Update(clock.Now(), Record{Key: k, Value: k + 2}))
+			want[k] = k + 2
+		}
+	}
+	for j := 1; j < perShard; j += 5 {
+		for s := Key(0); s < 4; s++ {
+			k := s<<20 + Key(j)
+			advance(fr.Delete(clock.Now(), k))
+			delete(want, k)
+		}
+	}
+	advance(fr.Checkpoint(clock.Now()))
+	if h := fr.Height(); h < 1 {
+		t.Fatalf("height %d", h)
+	}
+	check()
+
+	// Move shard 0's upper half to shard 3 one chunk at a time.
+	m, done, err := fr.StartMigration(clock.Now(), perShard/2, 1<<20, 0, 3)
+	advance(done, err)
+	for finished := false; !finished; {
+		finished, done, err = m.Step(clock.Now())
+		advance(done, err)
+	}
+	if got := fr.Routing().Shard(perShard - 1); got != 3 {
+		t.Fatalf("migrated key routes to %d, want 3", got)
+	}
+	check()
+
+	// A read hotspot on shard 1 makes AutoRebalance split it.
+	for i := 0; i < 4000; i++ {
+		_, _, done, err := fr.Search(clock.Now(), 1<<20+Key(i%perShard))
+		advance(done, err)
+	}
+	moved, from, _, done, err := fr.AutoRebalance(clock.Now(), RebalancePolicy{MinOps: 1000})
+	advance(done, err)
+	if !moved || from != 1 {
+		t.Fatalf("AutoRebalance moved=%v from=%d, want a split of shard 1", moved, from)
+	}
+	check()
+
+	// Shard 2's log device goes read-only: its next flush cannot force, so
+	// the shard rolls back to its committed state and quarantines. The
+	// checkpoint empties every queue, so the flush picks shard 2.
+	const victim = 2
+	advance(fr.Checkpoint(clock.Now()))
+	if _, err := dev.InjectFaults("readonly file=pio-1-wal-2", 1); err != nil {
+		t.Fatal(err)
+	}
+	var accepted []Key
+	for j := perShard; j < perShard+10; j++ {
+		k := victim<<20 + Key(j)
+		advance(fr.Insert(clock.Now(), Record{Key: k, Value: k + 1}))
+		accepted = append(accepted, k)
+	}
+	advance(fr.Flush(clock.Now()))
+	if q := fr.Quarantined(); len(q) != 1 || q[0] != victim {
+		t.Fatalf("Quarantined() = %v, want [%d]", q, victim)
+	}
+	if _, err := fr.Insert(clock.Now(), Record{Key: victim << 20, Value: 1}); !errors.Is(err, ErrShardQuarantined) {
+		t.Fatalf("write to quarantined shard: %v, want ErrShardQuarantined", err)
+	}
+	check()
+
+	dev.ClearFaults()
+	advance(fr.Heal(clock.Now(), victim))
+	if q := fr.Quarantined(); len(q) != 0 {
+		t.Fatalf("Quarantined() = %v after Heal", q)
+	}
+	for _, k := range accepted {
+		want[k] = k + 1
+	}
+	k := victim<<20 + Key(perShard+10)
+	advance(fr.Insert(clock.Now(), Record{Key: k, Value: k + 1}))
+	want[k] = k + 1
+	check()
+	if err := fr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

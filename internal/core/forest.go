@@ -140,25 +140,18 @@ func (g *writeGang) submitSubset(at vtime.Ticks, idxs []int) (vtime.Ticks, error
 }
 
 // logGang accumulates the WAL work of one forest group flush: which
-// member logs need forcing (deduplicated, in first-registration order, so
-// one shared log multiplexed by Relation registers once) and the FlushEnd
-// records whose append must wait until the group's data writes are on the
-// device.
+// member logs need forcing (in first-registration order, once each: a
+// member registers its log at every deferred force) and each member's
+// FlushEnd record, keyed by the member's log, whose append must wait
+// until the group's data writes are on the device.
 type logGang struct {
 	order []*wal.Log
 	seen  map[*wal.Log]bool
-	ends  []deferredEnd
-}
-
-// deferredEnd is one member's FlushEnd record, held back by the group
-// commit until after the data gang submission.
-type deferredEnd struct {
-	log *wal.Log
-	rec wal.Record
+	ends  map[*wal.Log]wal.Record
 }
 
 func newLogGang() *logGang {
-	return &logGang{seen: make(map[*wal.Log]bool)}
+	return &logGang{seen: make(map[*wal.Log]bool), ends: make(map[*wal.Log]wal.Record)}
 }
 
 // need registers l for the next ganged force.
@@ -172,7 +165,7 @@ func (g *logGang) need(l *wal.Log) {
 // deferEnd holds back a member's FlushEnd record for the commit force.
 func (g *logGang) deferEnd(l *wal.Log, r wal.Record) {
 	g.need(l)
-	g.ends = append(g.ends, deferredEnd{log: l, rec: r})
+	g.ends[l] = r
 }
 
 // ForestConfig parameterizes a sharded PIO forest.
@@ -190,11 +183,10 @@ type ForestConfig struct {
 	// extending the eq.-(10) tuning to the sharded setting.
 	Shard Config
 
-	// Logs enables write-ahead logging: nil disables it, a single log is
-	// shared by every shard (records multiplexed by Relation), and one log
-	// per page file gives each shard its own. All log files must live on
-	// the same ssdio.Space as the page files for group commit to gang
-	// their forces.
+	// Logs enables write-ahead logging: nil disables it; otherwise it
+	// holds one distinct log per page file, and shard i logs to Logs[i].
+	// All log files must live on the same ssdio.Space as the page files
+	// for group commit to gang their forces.
 	Logs []*wal.Log
 	// DisableLogGang makes every group-flush member force its own log
 	// serially (the per-shard baseline) instead of riding the coordinator's
@@ -206,10 +198,6 @@ type ForestConfig struct {
 	// (default 256). Smaller chunks shorten the source-lock hold per step;
 	// larger chunks amortize the per-chunk log forces.
 	MigrationChunk int
-	// DisableLogTruncation keeps the full log history: by default a forest
-	// checkpoint truncates each log's head up to this round's first record
-	// (everything before a durable checkpoint is dead for recovery).
-	DisableLogTruncation bool
 
 	// Heal drives the auto-heal prober over quarantined shards; the zero
 	// value enables it with defaults (see HealPolicy).
@@ -299,7 +287,6 @@ type Forest struct {
 	migrations      atomic.Int64
 	keysMigrated    atomic.Int64
 	migChunk        int
-	truncateLogs    bool
 	autoMu          sync.Mutex
 	// lastOps is the per-shard op count at the previous AutoRebalance
 	// poll (guarded by autoMu).
@@ -309,14 +296,10 @@ type Forest struct {
 	// autoMu).
 	autoMig *Migration
 
-	// logs are the distinct attached WALs (empty without logging);
-	// logGangEnabled selects ganged vs serial group-commit forces;
-	// sharedLog is true when a log serves more than one shard, in which
-	// case group flushes must hold every shard lock (appends to the shared
-	// log from non-member shards would otherwise race the ganged force).
+	// logs holds shard i's WAL at index i (empty without logging);
+	// logGangEnabled selects ganged vs serial group-commit forces.
 	logs           []*wal.Log
 	logGangEnabled bool
-	sharedLog      bool
 
 	groupFlushes   atomic.Int64
 	groupedShards  atomic.Int64
@@ -538,13 +521,18 @@ func NewForest(pfs []*pagefile.PageFile, cfg ForestConfig) (*Forest, error) {
 	if err := ValidatePartitioner(part, n); err != nil {
 		return nil, err
 	}
-	if len(cfg.Logs) != 0 && len(cfg.Logs) != 1 && len(cfg.Logs) != n {
-		return nil, fmt.Errorf("core: forest got %d WAL logs, want 0 (none), 1 (shared) or %d (per shard)", len(cfg.Logs), n)
+	if len(cfg.Logs) != 0 && len(cfg.Logs) != n {
+		return nil, fmt.Errorf("core: forest got %d WAL logs, want 0 (none) or %d (one per shard)", len(cfg.Logs), n)
 	}
+	logIdx := make(map[*wal.Log]int, len(cfg.Logs))
 	for i, l := range cfg.Logs {
 		if l == nil {
 			return nil, fmt.Errorf("core: forest WAL log %d is nil", i)
 		}
+		if j, dup := logIdx[l]; dup {
+			return nil, fmt.Errorf("core: forest WAL logs %d and %d are the same log; each shard needs its own", j, i)
+		}
+		logIdx[l] = i
 	}
 	ripe := cfg.RipeFraction
 	if ripe <= 0 || ripe > 1 {
@@ -571,14 +559,13 @@ func NewForest(pfs []*pagefile.PageFile, cfg ForestConfig) (*Forest, error) {
 	shardCfg.BufferBytes = splitBudget(cfg.Shard.BufferBytes/cfg.Shard.PageSize, n) * cfg.Shard.PageSize
 	f := &Forest{
 		part: rpart, rpart: rpart, ripeFrac: ripe,
+		logs:           append([]*wal.Log(nil), cfg.Logs...),
 		logGangEnabled: !cfg.DisableLogGang,
 		migChunk:       chunk,
-		truncateLogs:   !cfg.DisableLogTruncation,
 		retry:          cfg.Shard.Retry,
 		heal:           cfg.Heal.norm(),
 		evac:           cfg.Evacuation.norm(),
 	}
-	seenLogs := make(map[*wal.Log]bool)
 	for i, pf := range pfs {
 		c := shardCfg
 		c.Relation = cfg.Shard.Relation + uint32(i)
@@ -586,20 +573,11 @@ func NewForest(pfs []*pagefile.PageFile, cfg ForestConfig) (*Forest, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d: %w", i, err)
 		}
-		if len(cfg.Logs) > 0 {
-			l := cfg.Logs[0]
-			if len(cfg.Logs) == n {
-				l = cfg.Logs[i]
-			}
-			tr.AttachWAL(l)
-			if !seenLogs[l] {
-				seenLogs[l] = true
-				f.logs = append(f.logs, l)
-			}
+		if len(f.logs) > 0 {
+			tr.AttachWAL(f.logs[i])
 		}
 		f.shards = append(f.shards, &forestShard{tree: tr})
 	}
-	f.sharedLog = len(f.logs) > 0 && len(f.logs) < len(f.shards)
 	return f, nil
 }
 
@@ -879,9 +857,9 @@ func (f *Forest) update(at vtime.Ticks, e kv.Entry) (vtime.Ticks, error) {
 // are delayed.
 func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 	// Lock candidates in ascending shard order (deadlock-free against
-	// concurrent group flushes). With a shared log, non-member shards stay
-	// locked too: their enqueue path appends to the same wal.Log the
-	// coordinator is about to force.
+	// concurrent group flushes) and keep only the members locked: every
+	// shard appends to its own log, so a non-member's enqueue path never
+	// touches a log the coordinator is about to force.
 	//
 	// Mid-migration shards are excluded from gang membership: their
 	// virtual locks are pinned by chunk streaming for long stretches (a
@@ -892,33 +870,25 @@ func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 	// fills still flushes — solo.
 	msrc, mdst, mact := f.rpart.Migrating()
 	migrating := func(i int) bool { return mact && (i == msrc || i == mdst) }
-	var group, bystanders []*forestShard
+	var group []*forestShard
 	for i, s := range f.shards {
 		s.mu.Lock()
 		// Quarantined shards never join a flush: their OPQ holds replayed
 		// (already durable) entries and their device may still be failing.
-		// With a shared log they stay locked as bystanders like everyone
-		// else — their tail appends stopped at quarantine time.
 		keep := false
 		if i == trigger {
 			keep = !s.quarantined && s.tree.opq.Len() > 0
 		} else if !migrating(i) && !migrating(trigger) {
 			keep = !s.quarantined && s.ripe(f.ripeFrac)
 		}
-		switch {
-		case keep:
+		if keep {
 			group = append(group, s)
-		case f.sharedLog:
-			bystanders = append(bystanders, s)
-		default:
+		} else {
 			s.mu.Unlock()
 		}
 	}
 	unlock := func() {
 		for _, s := range group {
-			s.mu.Unlock()
-		}
-		for _, s := range bystanders {
 			s.mu.Unlock()
 		}
 	}
@@ -1066,36 +1036,21 @@ func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 	// FlushEnd would lose it. A crash or error between the phases leaves
 	// FlushStart without FlushEnd, which recovery undoes.
 	if prepared && len(lg.ends) > 0 {
-		quarRel := make(map[uint32]bool, len(quar))
-		for s := range quar {
-			quarRel[s.tree.cfg.Relation] = true
-		}
-		appended := false
-		for _, e := range lg.ends {
-			if quarRel[e.rec.Relation] {
+		// Each surviving member appends its FlushEnd to its own log, and
+		// only those logs are forced, in ascending shard order: a
+		// quarantined member's log (dead device, withheld end) would burn
+		// the whole retry budget again for records phase 1 gave up on.
+		var ended []*wal.Log
+		for _, s := range group[:acquired] {
+			rec, ok := lg.ends[s.tree.log]
+			if _, q := quar[s]; !ok || q {
 				continue
 			}
-			e.log.Append(e.rec)
-			appended = true
+			s.tree.log.Append(rec)
+			ended = append(ended, s.tree.log)
 		}
-		if appended {
-			// Force only the logs survivors still append to: a quarantined
-			// member's log (dead device, withheld end) would burn the whole
-			// retry budget again for records phase 1 already gave up on. A
-			// log shared with a surviving member stays in the force set.
-			liveLogs := make(map[*wal.Log]bool, acquired)
-			for _, s := range group[:acquired] {
-				if _, ok := quar[s]; !ok && s.tree.log != nil {
-					liveLogs[s.tree.log] = true
-				}
-			}
-			live := make([]*wal.Log, 0, len(lg.order))
-			for _, l := range lg.order {
-				if liveLogs[l] {
-					live = append(live, l)
-				}
-			}
-			done2, err2 := f.forceLogs(done, live)
+		if len(ended) > 0 {
+			done2, err2 := f.forceLogs(done, ended)
 			if err2 != nil {
 				if IsIOFault(err2) {
 					// A survivor's memory says flushed, but its FlushEnd is
@@ -1284,34 +1239,18 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 	// race a chunk's log appends.
 	f.migMu.RLock()
 	defer f.migMu.RUnlock()
-	// With a shared log, every shard lock is held for the whole
-	// checkpoint (the same discipline as the group-flush coordinator) so
-	// the ganged force cannot interleave a group commit in progress. With
-	// per-shard logs the drain proceeds one shard at a time, as before:
-	// the final ganged force is safe without shard locks because each
-	// wal.Log serializes its force operations internally.
-	if f.sharedLog {
-		for _, s := range f.shards {
-			s.mu.Lock()
-		}
-		defer func() {
-			for _, s := range f.shards {
-				s.mu.Unlock()
-			}
-		}()
-	}
+	// The drain proceeds one shard at a time; the final ganged force is
+	// safe without shard locks because each wal.Log serializes its force
+	// operations internally.
 	done := at
 	lg := newLogGang()
-	// cut tracks, per log, the LSN of this round's first checkpoint
-	// record: once the round is durable, everything before it is dead for
-	// recovery (each shard's replay starts at its last checkpoint).
+	// cut tracks, per log, the LSN of this round's checkpoint record: once
+	// the round is durable, everything before it is dead for recovery
+	// (each shard's replay starts at its last checkpoint).
 	cut := make(map[*wal.Log]uint64)
 	anyQuarantined := false
 	for si, s := range f.shards {
-		if !f.sharedLog {
-			s.mu.Lock()
-		}
-		//lint:ignore guardedby s.mu held above unless sharedLog, whose single-owner discipline serializes shard access
+		s.mu.Lock()
 		if s.quarantined {
 			// A quarantined shard cannot drain (its device may still be
 			// failing) and logs no checkpoint record: its replay cursor
@@ -1323,24 +1262,17 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 			if !f.rpart.IsEvacuated(si) {
 				anyQuarantined = true
 			}
-			if !f.sharedLog {
-				s.mu.Unlock()
-			}
+			s.mu.Unlock()
 			continue
 		}
 		start := s.vlock.Acquire(at)
 		d, err := s.tree.drain(start)
 		if err == nil && s.tree.log != nil {
-			lsn := s.tree.log.Append(wal.Record{Kind: wal.KindCheckpoint, Relation: s.tree.cfg.Relation})
-			if _, ok := cut[s.tree.log]; !ok {
-				cut[s.tree.log] = lsn
-			}
+			cut[s.tree.log] = s.tree.log.Append(wal.Record{Kind: wal.KindCheckpoint, Relation: s.tree.cfg.Relation})
 			lg.need(s.tree.log)
 		}
 		s.vlock.Release(d)
-		if !f.sharedLog {
-			s.mu.Unlock()
-		}
+		s.mu.Unlock()
 		if err != nil {
 			return d, err
 		}
@@ -1369,7 +1301,7 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 	// recovery still needs them to resume or roll back the move — or while
 	// any shard is quarantined: its Heal replay still reads records that
 	// predate this round's checkpoint cut.
-	if f.truncateLogs && !f.rebalanceActive.Load() && !anyQuarantined {
+	if !f.rebalanceActive.Load() && !anyQuarantined {
 		for l, lsn := range cut {
 			if _, err := l.TruncateHead(lsn); err != nil {
 				return done, err
@@ -1390,39 +1322,17 @@ func (f *Forest) Sync(at vtime.Ticks) (vtime.Ticks, error) {
 	if len(f.logs) == 0 {
 		return at, nil
 	}
-	// A shared log must not be forced mid-group-commit; the shard locks
-	// exclude any coordinator. Per-shard logs need no shard locks: each
-	// wal.Log serializes its force operations internally.
-	if f.sharedLog {
-		for _, s := range f.shards {
-			s.mu.Lock()
-		}
-		defer func() {
-			for _, s := range f.shards {
-				s.mu.Unlock()
-			}
-		}()
-	}
-	// Skip logs that only quarantined shards use: forcing a tail onto a
-	// dead device would fail the whole Sync for healthy shards' sake.
+	// Skip quarantined shards' logs: forcing a tail onto a dead device
+	// would fail the whole Sync for healthy shards' sake. The forces need
+	// no shard locks: each wal.Log serializes its force operations
+	// internally.
 	logs := make([]*wal.Log, 0, len(f.logs))
-	needed := make(map[*wal.Log]bool, len(f.logs))
 	for _, s := range f.shards {
-		if !f.sharedLog {
-			s.mu.Lock()
-		}
-		//lint:ignore guardedby s.mu held above unless sharedLog, whose single-owner discipline serializes shard access
+		s.mu.Lock()
 		if !s.quarantined {
-			needed[s.tree.log] = true
+			logs = append(logs, s.tree.log)
 		}
-		if !f.sharedLog {
-			s.mu.Unlock()
-		}
-	}
-	for _, l := range f.logs {
-		if needed[l] {
-			logs = append(logs, l)
-		}
+		s.mu.Unlock()
 	}
 	if len(logs) == 0 {
 		return at, nil
@@ -1446,39 +1356,17 @@ type ForestRecoveryReport struct {
 	MigrationKeysPurged  int
 }
 
-// Recover replays every shard's WAL per the paper's Section 3.4 (each
-// shard filters the log by its Relation, so both the shared-log and the
-// per-shard-log layouts recover correctly) and returns the aggregated
+// Recover replays every shard's own WAL per the paper's Section 3.4, all
+// replays starting at the caller's time, and returns the aggregated
 // report. Call after Crash (or on a freshly reconstructed forest whose
 // files and logs hold the durable pre-crash state, with RestoreMeta
 // applied).
 func (f *Forest) Recover(at vtime.Ticks) (ForestRecoveryReport, vtime.Ticks, error) {
 	rep := ForestRecoveryReport{Shards: make([]RecoveryReport, len(f.shards))}
-	// A shared log is decoded once, not once per shard — and its scan I/O
-	// is charged once, on the vtime clock, like any other read.
-	var shared []wal.Record
-	if f.sharedLog {
-		var err error
-		at, err = f.retryIO(at, func(at vtime.Ticks) (vtime.Ticks, error) {
-			var rerr error
-			shared, at, rerr = f.logs[0].RecordsTimed(at)
-			return at, rerr
-		})
-		if err != nil {
-			return rep, at, err
-		}
-	}
 	done := at
 	for i, s := range f.shards {
 		s.mu.Lock()
-		var r RecoveryReport
-		var d vtime.Ticks
-		var err error
-		if shared != nil {
-			r, d, err = s.tree.recoverFrom(at, shared)
-		} else {
-			r, d, err = s.tree.Recover(at)
-		}
+		r, d, err := s.tree.Recover(at)
 		if err == nil {
 			// A successful replay supersedes any quarantine: the shard is
 			// re-admitted in exactly the durable state, with a fresh

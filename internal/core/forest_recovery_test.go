@@ -450,72 +450,6 @@ func TestForestWALWithPsyncAblation(t *testing.T) {
 	_ = logs
 }
 
-// TestForestSharedLogHammerRace drives a forest whose shards multiplex
-// ONE shared log from many goroutines: enqueue appends on non-member
-// shards must not race the coordinator's group-commit forces (the
-// coordinator holds bystander locks for shared logs). Run under -race.
-func TestForestSharedLogHammerRace(t *testing.T) {
-	cfg := crashForestCfg()
-	dev := flashsim.MustDevice(flashsim.P300())
-	space := ssdio.NewSpace(dev)
-	pfs := make([]*pagefile.PageFile, crashShards)
-	for i := range pfs {
-		f, err := space.Create(fmt.Sprintf("shard%d", i), 4<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pfs[i], err = pagefile.New(f, cfg.Shard.PageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	wf, err := space.Create("wal", 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := wal.NewLog(wf, cfg.Shard.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Logs = []*wal.Log{shared}
-	fr, err := NewForest(pfs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var at vtime.Ticks
-			shard := w % crashShards
-			for i := 0; i < 200; i++ {
-				k := kv.Key(shard)*crashStride + kv.Key(w*1000+i)
-				var err error
-				at, err = fr.Insert(at, kv.Record{Key: k, Value: crashVal(k)})
-				if err != nil {
-					panic(err)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if _, err := fr.Sync(0); err != nil {
-		t.Fatal(err)
-	}
-	pre := fr.Count()
-	fr.Crash()
-	if _, _, err := fr.Recover(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := fr.Count(); got != pre {
-		t.Fatalf("count %d after recovery, want %d", got, pre)
-	}
-	if err := fr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestForestWALHammerRace drives a WAL-attached forest from many real
 // goroutines (group commits racing across shards), then crashes and
 // recovers it. Run under -race in CI.

@@ -339,31 +339,40 @@ func TestForestRejectsBadRangeBounds(t *testing.T) {
 	}
 }
 
-// TestForestRejectsBadLogs: the WAL attachment must be none, one shared
-// log, or exactly one per shard — and never nil entries.
+// TestForestRejectsBadLogs: the WAL attachment must be none or exactly
+// one distinct, non-nil log per shard.
 func TestForestRejectsBadLogs(t *testing.T) {
 	cfg := forestCfg()
 	dev := flashsim.MustDevice(flashsim.P300())
 	space := ssdio.NewSpace(dev)
 	pfs := make([]*pagefile.PageFile, 3)
+	logs := make([]*wal.Log, 3)
 	for i := range pfs {
 		f, _ := space.Create(fmt.Sprintf("s%d", i), 1<<20)
 		pfs[i], _ = pagefile.New(f, cfg.PageSize)
+		wf, _ := space.Create(fmt.Sprintf("wal%d", i), 1<<20)
+		var err error
+		if logs[i], err = wal.NewLog(wf, cfg.PageSize); err != nil {
+			t.Fatal(err)
+		}
 	}
-	wf, _ := space.Create("wal", 1<<20)
-	l, err := wal.NewLog(wf, cfg.PageSize)
-	if err != nil {
-		t.Fatal(err)
+	l := logs[0]
+	for name, bad := range map[string][]*wal.Log{
+		"one log for 3 shards":  {l},
+		"2 logs for 3 shards":   {logs[0], logs[1]},
+		"4 logs for 3 shards":   {logs[0], logs[1], logs[2], l},
+		"nil entry":             {logs[0], nil, logs[2]},
+		"same log at 3 indexes": {l, l, l},
+		"same log at 2 indexes": {logs[0], logs[1], logs[0]},
+	} {
+		if _, err := NewForest(pfs, ForestConfig{Shard: cfg, Logs: bad}); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
-	if _, err := NewForest(pfs, ForestConfig{Shard: cfg, Logs: []*wal.Log{l, l}}); err == nil {
-		t.Fatal("accepted 2 logs for 3 shards")
-	}
-	if _, err := NewForest(pfs, ForestConfig{Shard: cfg, Logs: []*wal.Log{l, nil, l}}); err == nil {
-		t.Fatal("accepted nil log entry")
-	}
-	// One shared log multiplexed by Relation is valid.
-	if _, err := NewForest(pfs, ForestConfig{Shard: cfg, Logs: []*wal.Log{l}}); err != nil {
-		t.Fatalf("shared log rejected: %v", err)
+	for _, good := range [][]*wal.Log{nil, logs} {
+		if _, err := NewForest(pfs, ForestConfig{Shard: cfg, Logs: good}); err != nil {
+			t.Errorf("%d logs for 3 shards rejected: %v", len(good), err)
+		}
 	}
 }
 

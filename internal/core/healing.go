@@ -106,7 +106,6 @@ func (f *Forest) healTick(at vtime.Ticks) vtime.Ticks {
 			continue
 		}
 		s.mu.Lock()
-		//lint:ignore guardedby s.mu acquired above
 		if !s.quarantined || s.nextProbeAt == 0 || at < s.nextProbeAt {
 			s.mu.Unlock()
 			continue
@@ -232,7 +231,6 @@ func (f *Forest) startEvacuation(at vtime.Ticks, src int) (*Migration, vtime.Tic
 	s := f.shards[src]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	//lint:ignore guardedby s.mu acquired above
 	if !s.quarantined || s.qDirty {
 		return nil, at, nil // healed (or degraded further) since the scan
 	}
@@ -394,7 +392,6 @@ func (f *Forest) commitEvacuation(at vtime.Ticks, m *Migration) (vtime.Ticks, er
 	// must keep skipping it) but record why, and stop the heal prober —
 	// an evacuated shard has nothing left to re-admit.
 	s := f.shards[m.src]
-	//lint:ignore guardedby caller holds both shard locks via commitMigration's lockPair
 	s.qErr = fmt.Errorf("core: shard %d evacuated to shard %d (migration %d)", m.src, m.dst, m.id)
 	s.nextProbeAt, s.probeGap = 0, 0
 	f.rebalanceActive.Store(false)

@@ -1113,8 +1113,8 @@ type migrationEvent struct {
 // per-shard replay, which has already rebuilt both trees' contents from
 // their redo records.
 func (f *Forest) recoverRouting(at vtime.Ticks, rep *ForestRecoveryReport) (vtime.Ticks, error) {
-	// Scan every distinct log once; dedupe records that land in both the
-	// source and destination logs (or twice in a shared log).
+	// Scan every shard's log once; dedupe records that land in both the
+	// source and destination logs.
 	snap := f.rpart.RoutingSnapshot()
 	events := make(map[uint64]*migrationEvent)
 	for _, l := range f.logs {

@@ -710,74 +710,6 @@ func TestCheckpointTruncatesLogs(t *testing.T) {
 	}
 }
 
-// TestMigrationSharedLog: a migration on a forest whose shards multiplex
-// ONE log — Start/KeyMoved/End records interleave with both shards'
-// redo streams — commits, crashes mid-move, and recovers by resume.
-func TestMigrationSharedLog(t *testing.T) {
-	cfg := rebalForestCfg()
-	dev := flashsim.MustDevice(flashsim.P300())
-	space := ssdio.NewSpace(dev)
-	pfs := make([]*pagefile.PageFile, crashShards)
-	for i := range pfs {
-		f, err := space.Create(fmt.Sprintf("shard%d", i), 4<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pfs[i], err = pagefile.New(f, cfg.Shard.PageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	wf, err := space.Create("wal", 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := wal.NewLog(wf, cfg.Shard.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Logs = []*wal.Log{shared}
-	fr, err := NewForest(pfs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := loadRebalForest(t, fr)
-
-	// A committed split survives an in-place crash+recover.
-	boundary := phase1Key(0, rebalPerShard/2)
-	dst, at, err := fr.SplitShard(at, 0, boundary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr.Crash()
-	if _, at, err = fr.Recover(at); err != nil {
-		t.Fatal(err)
-	}
-	if got := fr.Routing().Shard(phase1Key(0, rebalPerShard-1)); got != dst {
-		t.Fatalf("split key routes to %d after shared-log recovery, want %d", got, dst)
-	}
-	at = verifyAllKeys(t, fr, at)
-
-	// Crash mid-merge (one chunk durable) and resume through the shared
-	// log.
-	m, now, err := fr.StartMigration(at, 0, MaxMigrationKey, dst, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, now, err = m.Step(now); err != nil {
-		t.Fatal(err)
-	}
-	fr.Crash()
-	rep, at2, err := fr.Recover(now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ResumedMigrations != 1 {
-		t.Fatalf("shared-log resume: %+v", rep)
-	}
-	verifyAllKeys(t, fr, at2)
-}
-
 // TestMigrationHashBase: migrating a key range out of a hash-partitioned
 // shard, where the destination natively holds its own keys inside the
 // migrating range — the recovery purge must not touch them.

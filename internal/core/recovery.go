@@ -61,9 +61,9 @@ func (t *Tree) readDurableRecords(at vtime.Ticks) ([]wal.Record, vtime.Ticks, er
 	return recs, at, err
 }
 
-// recoverFrom replays pre-decoded log records. Forest.Recover decodes a
-// shared multiplexed log once and hands every shard the same slice,
-// instead of re-reading and re-CRC-checking the whole log per shard.
+// recoverFrom replays durable log records already scanned by
+// readDurableRecords: the replay half of both Recover and
+// rollbackToDurable.
 func (t *Tree) recoverFrom(at vtime.Ticks, recs []wal.Record) (RecoveryReport, vtime.Ticks, error) {
 	var rep RecoveryReport
 	if t.log == nil {
@@ -282,8 +282,9 @@ func (t *Tree) CrashVolatileState() {
 
 // dropVolatile discards the tree's volatile state (OPQ, LSMap, pending
 // internal updates, buffer pool) WITHOUT touching the WAL tail. Quarantine
-// rollback uses this: on a shared multiplexed log the unforced tail still
-// holds other shards' appends, so only a real crash may drop it.
+// rollback uses this: the unforced tail may hold compensation records (an
+// aborted migration's purges) that healLocked must still force, so only a
+// real crash may drop it.
 func (t *Tree) dropVolatile() {
 	if fresh, err := NewOPQ(t.opq.Cap(), t.cfg.SPeriod); err == nil {
 		t.opq = fresh

@@ -2,18 +2,41 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"strings"
 )
 
-// ignoreSet maps file -> line -> analyzer names suppressed at that line.
-type ignoreSet map[string]map[int]map[string]bool
+// unusedIgnore names the diagnostics reporting //lint:ignore directives
+// that suppressed nothing.
+const unusedIgnore = "unusedignore"
+
+// ignoreDirective is one //lint:ignore comment; used records whether it
+// suppressed at least one diagnostic.
+type ignoreDirective struct {
+	pos      token.Position
+	analyzer string
+	used     bool
+}
+
+// fileLine is one source line of one file.
+type fileLine struct {
+	file string
+	line int
+}
+
+// ignoreSet holds a package's directives in source order, indexed by the
+// lines each one covers.
+type ignoreSet struct {
+	all   []*ignoreDirective
+	lines map[fileLine][]*ignoreDirective
+}
 
 // collectIgnores gathers every //lint:ignore directive of the package. A
 // directive suppresses matching diagnostics on its own line and on the
 // line directly below it (the staticcheck convention: the directive sits
 // right above, or at the end of, the offending line).
-func collectIgnores(pkg *Package) ignoreSet {
-	set := make(ignoreSet)
+func collectIgnores(pkg *Package) *ignoreSet {
+	set := &ignoreSet{lines: make(map[fileLine][]*ignoreDirective)}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -21,17 +44,11 @@ func collectIgnores(pkg *Package) ignoreSet {
 				if !ok {
 					continue
 				}
-				pos := pkg.Fset.Position(c.Pos())
-				lines := set[pos.Filename]
-				if lines == nil {
-					lines = make(map[int]map[string]bool)
-					set[pos.Filename] = lines
-				}
-				for _, ln := range []int{pos.Line, pos.Line + 1} {
-					if lines[ln] == nil {
-						lines[ln] = make(map[string]bool)
-					}
-					lines[ln][name] = true
+				dir := &ignoreDirective{pos: pkg.Fset.Position(c.Pos()), analyzer: name}
+				set.all = append(set.all, dir)
+				for _, ln := range []int{dir.pos.Line, dir.pos.Line + 1} {
+					at := fileLine{dir.pos.Filename, ln}
+					set.lines[at] = append(set.lines[at], dir)
 				}
 			}
 		}
@@ -54,12 +71,38 @@ func parseIgnore(text string) (analyzer string, ok bool) {
 	return fields[0], true
 }
 
-func (s ignoreSet) suppresses(d Diagnostic) bool {
-	lines := s[d.Pos.Filename]
-	if lines == nil {
-		return false
+// suppresses reports whether a directive covers d, marking every such
+// directive used.
+func (s *ignoreSet) suppresses(d Diagnostic) bool {
+	hit := false
+	for _, dir := range s.lines[fileLine{d.Pos.Filename, d.Pos.Line}] {
+		if dir.analyzer == d.Analyzer {
+			dir.used = true
+			hit = true
+		}
 	}
-	return lines[d.Pos.Line][d.Analyzer]
+	return hit
+}
+
+// unused reports every directive that suppressed nothing. Directives
+// naming an analyzer that did not run are not judged, so an -only subset
+// raises no false reports.
+func (s *ignoreSet) unused(ran []*Analyzer) []Diagnostic {
+	judged := make(map[string]bool, len(ran))
+	for _, a := range ran {
+		judged[a.Name] = true
+	}
+	var out []Diagnostic
+	for _, dir := range s.all {
+		if !dir.used && judged[dir.analyzer] {
+			out = append(out, Diagnostic{
+				Pos:      dir.pos,
+				Analyzer: unusedIgnore,
+				Message:  "//lint:ignore " + dir.analyzer + " suppresses nothing; delete it",
+			})
+		}
+	}
+	return out
 }
 
 // parseLockOrder recognizes a lock-hierarchy declaration

@@ -16,8 +16,9 @@
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// and guardedby accepts a caller-holds-the-lock contract on a function's
-// doc comment:
+// A directive that suppresses nothing is itself reported (as
+// unusedignore), so stale suppressions cannot pile up. guardedby accepts
+// a caller-holds-the-lock contract on a function's doc comment:
 //
 //	//lint:holds <field>
 package lint
@@ -86,7 +87,8 @@ var All = []*Analyzer{GuardedBy, WALOrder, Determinism, SnapshotMut, LockOrder, 
 // RunAnalyzers executes the analyzers over pkg — with prog supplying the
 // whole-program context the interprocedural analyzers need — and returns
 // their findings, with //lint:ignore-suppressed diagnostics already
-// filtered out and the rest sorted by position.
+// filtered out, an unusedignore finding for every directive of a run
+// analyzer that suppressed nothing, and the lot sorted by position.
 func RunAnalyzers(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -111,6 +113,7 @@ func RunAnalyzers(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagnos
 			kept = append(kept, d)
 		}
 	}
+	kept = append(kept, ignores.unused(analyzers)...)
 	sort.Slice(kept, func(i, j int) bool {
 		a, b := kept[i].Pos, kept[j].Pos
 		if a.Filename != b.Filename {

@@ -112,6 +112,13 @@ func TestLockOrderCycleInjection(t *testing.T) {
 	testFixture(t, LockOrder, "repro/internal/lint/testdata/src/lockordercycle")
 }
 
+// TestUnusedIgnore: a directive whose analyzer ran but suppressed nothing
+// is reported; used directives and those of analyzers outside the run
+// are not.
+func TestUnusedIgnore(t *testing.T) {
+	testFixture(t, GuardedBy, "repro/internal/lint/testdata/src/unusedignore")
+}
+
 // TestRepoIsClean is the in-process form of the CI gate: the full
 // analyzer suite over the production packages must report nothing.
 func TestRepoIsClean(t *testing.T) {

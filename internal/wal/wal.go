@@ -211,11 +211,12 @@ func unmarshal(b []byte) (Record, int, error) {
 // an in-memory tail; Force makes them durable with sequential writes.
 //
 // An internal mutex serializes every method — Force and ForceGroup hold
-// it across the simulated device write — so a forest's shards may
-// multiplex one shared log and appends may race forces (an append lands
-// wholly before or wholly after any force). Concurrent ForceGroup calls
-// whose log sets overlap must acquire them in a consistent order (the
-// forest coordinator always passes logs in ascending shard order).
+// it across the simulated device write — so appends may race forces from
+// other goroutines (an append lands wholly before or wholly after any
+// force), and a forest may force a shard's log without holding the
+// shard's lock. Concurrent ForceGroup calls whose log sets overlap must
+// acquire them in a consistent order (the forest coordinator always
+// passes logs in ascending shard order).
 type Log struct {
 	f        *ssdio.File
 	pageSize int
@@ -327,7 +328,7 @@ func (l *Log) commitForce(req ssdio.Req) {
 // virtual time at and returns the completion time. After Force returns,
 // every appended record is durable: the WAL rule both of Section 3.4's
 // conditions rely on. The log's mutex is held across the simulated
-// device write, so records appended by racing shards land either wholly
+// device write, so records appended by racing goroutines land either wholly
 // before or wholly after this force.
 func (l *Log) Force(at vtime.Ticks) (vtime.Ticks, error) {
 	l.mu.Lock()
@@ -439,8 +440,8 @@ func ForceGroup(at vtime.Ticks, logs []*Log) (vtime.Ticks, int, error) {
 // TruncateHead drops every durable record with LSN < beforeLSN from the
 // log head, stopping early at the first surviving record (log order is
 // LSN order). Records() and recovery then scan only the surviving
-// suffix. The caller must guarantee the dropped prefix is dead: every
-// shard recovering from this log has a durable checkpoint at or past
+// suffix. The caller must guarantee the dropped prefix is dead: the
+// relation recovering from this log has a durable checkpoint at or past
 // beforeLSN, and no migration protocol still needs its control records
 // (the forest checkpoint enforces both). Returns the bytes reclaimed.
 //

@@ -311,16 +311,9 @@ type ForestOptions struct {
 	// RipeFraction is the OPQ fill ratio at which a shard joins a group
 	// flush triggered by another shard (default 0.5).
 	RipeFraction float64
-	// DisableLogGang forces each group-flush member's log serially instead
-	// of ganging the forces (the per-shard baseline the recovery bench
-	// compares against).
-	DisableLogGang bool
 	// MigrationChunk bounds the keys streamed per online-rebalancing
 	// chunk (default 256).
 	MigrationChunk int
-	// DisableLogTruncation keeps the full WAL history; by default a
-	// forest checkpoint truncates each log's dead head.
-	DisableLogTruncation bool
 	// Heal paces the auto-heal prober for quarantined shards (zero value
 	// = enabled with defaults; set Disabled for manual Heal only).
 	Heal HealPolicy
@@ -430,12 +423,10 @@ func OpenForest(dev *Device, opts ForestOptions) (*Forest, error) {
 			BufferBytes: opts.BufferBytes,
 			Retry:       opts.Retry,
 		},
-		Logs:                 logs,
-		DisableLogGang:       opts.DisableLogGang,
-		MigrationChunk:       opts.MigrationChunk,
-		DisableLogTruncation: opts.DisableLogTruncation,
-		Heal:                 opts.Heal,
-		Evacuation:           opts.Evacuation,
+		Logs:           logs,
+		MigrationChunk: opts.MigrationChunk,
+		Heal:           opts.Heal,
+		Evacuation:     opts.Evacuation,
 	})
 	if err != nil {
 		return nil, err
