@@ -433,6 +433,83 @@ func TestEvacuationCrashResumeInPlace(t *testing.T) {
 	}
 }
 
+// TestEvacuationAbortDestinationFails parks an evacuation after its
+// first chunk and then kills the destination's WAL: the next chunk's
+// copy force fails and the evacuation aborts. Nothing may be committed —
+// the source deleted nothing, so no prefix can move — and the streamed
+// copies must be purged from the destination. Once the destination's
+// fault window closes, the prober heals it and the evacuation re-runs to
+// completion.
+func TestEvacuationAbortDestinationFails(t *testing.T) {
+	fr, space := newFaultForestCfg(t, RetryPolicy{Disabled: true},
+		HealPolicy{}, EvacuationPolicy{After: 2 * vtime.Millisecond})
+	at := fmBaseline(t, fr)
+	fmInstall(t, space, "readonly file=wal1")
+	accepted, werr, done := fmTriggerFlush(t, fr, at)
+	if werr != nil && !errors.Is(werr, ErrShardQuarantined) {
+		t.Fatalf("trigger write error = %v", werr)
+	}
+	pol := fmDrivePolicy()
+	pol.DrainBudget = 1 // one chunk per poll: the evacuation parks in flight
+	now := fmDriveUntil(t, fr, done, 500*vtime.Microsecond, pol, func() bool {
+		st := fr.Stats()
+		return st.MigrationActive && st.EvacuatedChunks >= 1
+	})
+
+	// The destination's WAL dies too: the next chunk cannot make its
+	// copies durable.
+	fmInstall(t, space, "readonly file=wal1; readonly file=wal0")
+	now += 500 * vtime.Microsecond
+	_, _, _, now, err := fr.AutoRebalance(now, pol)
+	if err != nil {
+		t.Fatalf("AutoRebalance must contain the abort: %v", err)
+	}
+	st := fr.Stats()
+	if st.MigrationAborts != 1 || st.Evacuations != 0 || st.MigrationActive {
+		t.Fatalf("after the destination failed: %+v", st)
+	}
+	if rules := fr.Routing().Rules(); len(rules) != 0 {
+		t.Fatalf("aborted evacuation added rules %v", rules)
+	}
+	if fr.Routing().IsEvacuated(1) || st.EvacuatedShards != 0 {
+		t.Fatal("aborted evacuation marked the source evacuated")
+	}
+	if q := fr.Quarantined(); len(q) != 2 {
+		t.Fatalf("Quarantined() = %v, want both shards", q)
+	}
+	now = fmCheckKeys(t, fr, now, fmShardKeys(0))
+	now = fmCheckKeys(t, fr, now, fmShardKeys(1))
+	if err := fr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The destination's window closes: it heals, and the evacuation
+	// re-runs from scratch and commits.
+	fmInstall(t, space, "readonly file=wal1")
+	now = fmDriveUntil(t, fr, now, 500*vtime.Microsecond, fmDrivePolicy(), func() bool {
+		return fr.Stats().Evacuations == 1
+	})
+	st = fr.Stats()
+	if st.AutoHeals < 1 || st.EvacuatedShards != 1 || st.MigrationAborts != 1 {
+		t.Fatalf("after the rescue: %+v", st)
+	}
+	now = fmCheckKeys(t, fr, now, fmShardKeys(0))
+	now = fmCheckKeys(t, fr, now, fmShardKeys(1))
+	var durable int64
+	for _, k := range accepted {
+		if k < fmStride {
+			now = fmCheckKeys(t, fr, now, []kv.Key{k})
+			durable++
+		}
+	}
+	if want := int64(2*fmPerShard) + durable; fr.Count() != want {
+		t.Fatalf("Count() = %d, want %d", fr.Count(), want)
+	}
+	if err := fr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestEvacuationCrashMatrix cuts a committed evacuation's WAL — all of
 // whose records ride the destination's log — at every protocol boundary,
 // rebuilds the forest from the durable images captured at quarantine
