@@ -481,7 +481,7 @@ type ForestStats struct {
 	EvacuatedShards int
 	// MigrationAborts counts migrations (evacuations included) aborted by
 	// an attributable I/O failure and resolved in place — the failing
-	// shards quarantined, the routing left at the durable frontier.
+	// shards quarantined, the routing left at the kept prefix.
 	MigrationAborts int64
 }
 
@@ -1394,18 +1394,8 @@ func (f *Forest) Recover(at vtime.Ticks) (ForestRecoveryReport, vtime.Ticks, err
 		return rep, done, err
 	}
 	// The per-shard replay above re-admitted every shard; evacuated
-	// shards must not come back as live members — their routing rules
-	// moved the range away and their physical copies are stale. Re-mark
-	// them quarantined (reads and writes keep skipping them).
-	for i, s := range f.shards {
-		if !f.rpart.IsEvacuated(i) {
-			continue
-		}
-		s.mu.Lock()
-		s.quarantined = true
-		s.qErr = fmt.Errorf("core: shard %d evacuated", i)
-		s.mu.Unlock()
-	}
+	// shards must not come back as live members.
+	f.retireEvacuated()
 	// The durable log has been replayed into a consistent state; lift any
 	// group-commit damage mark.
 	f.damaged.Store(nil)

@@ -14,7 +14,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/kv"
 	"repro/internal/vtime"
 	"repro/internal/wal"
 )
@@ -175,11 +174,13 @@ func (f *Forest) healLocked(at vtime.Ticks, shard int, s *forestShard) (vtime.Ti
 }
 
 // startDueEvacuation scans for a shard past its evacuation deadline and
-// starts the evacuation migration. A shard qualifies when it is
-// quarantined with a coherent in-memory state (a dirty one has nothing
-// trustworthy to stream), not yet evacuated, and its incident clock
-// exceeded the policy deadline. Returns nil when nothing is due, no
-// destination exists, or a migration is already in flight.
+// starts migrating its whole committed range onto the coldest healthy
+// shard. A shard qualifies when it is quarantined with a coherent
+// in-memory state (a dirty one has nothing trustworthy to stream), not
+// yet evacuated, and its incident clock exceeded the policy deadline.
+// The evacuation is a migration whose source cannot be written: see the
+// protocol at the top of rebalance.go. Returns nil when nothing is due,
+// no destination exists, or a migration is already in flight.
 func (f *Forest) startDueEvacuation(at vtime.Ticks) (*Migration, vtime.Ticks, error) {
 	if f.evac.Disabled {
 		return nil, at, nil
@@ -197,203 +198,20 @@ func (f *Forest) startDueEvacuation(at vtime.Ticks) (*Migration, vtime.Ticks, er
 		if !due {
 			continue
 		}
+		dst, err := f.coldestShard(si)
+		if err != nil {
+			// No healthy destination: stay quarantined rather than fail the
+			// poll — capacity may come back (a heal) before the next tick.
+			return nil, at, nil
+		}
 		if !f.rebalanceActive.CompareAndSwap(false, true) {
 			return nil, at, nil // a migration is in flight; next poll retries
 		}
-		m, done, err := f.startEvacuation(at, si)
+		m, done, err := f.startMigrationLocked(at, 0, MaxMigrationKey, si, dst, false)
 		if err != nil {
 			f.rebalanceActive.Store(false)
-			return nil, done, err
 		}
-		return m, done, nil
+		return m, done, err
 	}
 	return nil, at, nil
-}
-
-// startEvacuation begins migrating the quarantined shard src's whole
-// range onto the coldest healthy shard by replaying committed state
-// through the migration protocol. It differs from StartMigration in
-// exactly the ways a dead device forces: the source is quarantined by
-// construction, and every migration record rides the DESTINATION's log
-// (the source's device may never accept another write; recovery scans
-// all logs and keys migration events by FlushID, so dst-only records
-// recover fine). The Start and End records carry Op 'e' so recovery
-// resolves the move with evacuation rules.
-func (f *Forest) startEvacuation(at vtime.Ticks, src int) (*Migration, vtime.Ticks, error) {
-	dst, err := f.coldestShard(src)
-	if err != nil {
-		// No healthy destination: stay quarantined rather than fail the
-		// poll — capacity may come back (a heal) before the next tick.
-		return nil, at, nil
-	}
-	f.migMu.Lock()
-	defer f.migMu.Unlock()
-	s := f.shards[src]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.quarantined || s.qDirty {
-		return nil, at, nil // healed (or degraded further) since the scan
-	}
-
-	// Plan the chunk schedule from the shard's committed state — the
-	// rollback at quarantine time left the tree (and its OPQ) exactly
-	// there, so a timed scan is both safe and complete.
-	lo, hi := kv.Key(0), MaxMigrationKey
-	start := s.vlock.Acquire(at)
-	recs, done, err := s.tree.RangeSearch(start, lo, hi)
-	if err != nil {
-		s.vlock.Release(done)
-		return nil, done, err
-	}
-	chunk := f.migChunk
-	bounds := []kv.Key{lo}
-	for i := chunk; i < len(recs); i += chunk {
-		if k := recs[i].Key; k > bounds[len(bounds)-1] && k < hi {
-			bounds = append(bounds, k)
-		}
-	}
-	bounds = append(bounds, hi)
-
-	m := &Migration{f: f, id: f.nextMigrationID(), lo: lo, hi: hi, src: src, dst: dst, bounds: bounds, evac: true}
-	if l := f.shards[dst].tree.log; l != nil {
-		l.Append(wal.Record{
-			Kind: wal.KindMigrationStart, Relation: f.shards[dst].tree.cfg.Relation,
-			FlushID: m.id, KeyLo: lo, KeyHi: hi,
-			Key: uint64(src), Value: uint64(dst), Op: wal.OpType('e'),
-		})
-		done, err = f.forceLogs(done, []*wal.Log{l})
-		if err != nil {
-			s.vlock.Release(done)
-			return nil, done, err
-		}
-	}
-	rt := f.rpart.cur.Load()
-	next := *rt
-	next.mig = &migRoute{id: m.id, lo: lo, hi: hi, src: src, dst: dst, frontier: lo}
-	f.rpart.publish(next)
-	s.vlock.Release(done)
-	return m, done, nil
-}
-
-// failEvacuation aborts an evacuation after an I/O failure mid-chunk.
-// Caller holds migMu and both shard locks. The source never deleted
-// anything, so the cleanup is one-sided: quarantine the failing
-// destination, purge every copy the evacuation streamed onto it —
-// durable committed chunks included, since without the evacuated mark
-// the source would still be swept and the copies would double-count —
-// and close the migration with an abort record. The source stays
-// quarantined and non-evacuated; a later poll retries from scratch.
-func (f *Forest) failEvacuation(at vtime.Ticks, m *Migration, recs []kv.Record, cause error) (vtime.Ticks, error) {
-	dst := f.shards[m.dst]
-	rt := f.rpart.cur.Load()
-	frontier := m.lo
-	if rt.mig != nil && rt.mig.id == m.id {
-		frontier = rt.mig.frontier
-	}
-	done := f.quarantineShard(at, dst, cause)
-	if f.damaged.Load() != nil {
-		return done, cause
-	}
-	// routeSoFar is the committed-rules authority: destination keys the
-	// pre-evacuation routing assigns to the source are evacuation copies;
-	// everything else is the destination's own data.
-	routeSoFar := func(k kv.Key) int {
-		r := routing{base: rt.base, rules: rt.rules}
-		return r.route(k)
-	}
-	if dst.tree.log != nil {
-		purge, pd, err := dst.tree.RangeSearch(done, m.lo, frontier)
-		done = pd
-		if err == nil {
-			for _, r := range purge {
-				if routeSoFar(r.Key) != m.src {
-					continue
-				}
-				done, err = dst.tree.Delete(done, r.Key)
-				if err != nil {
-					break
-				}
-			}
-		}
-		if err == nil {
-			// The in-flight chunk's copies (not yet behind the frontier).
-			for _, r := range recs {
-				done, err = dst.tree.Delete(done, r.Key)
-				if err != nil {
-					break
-				}
-			}
-		}
-		if err != nil {
-			f.setDamaged(fmt.Errorf("core: evacuation %d abort purge failed: %w (original fault: %v)", m.id, err, cause))
-			return done, cause
-		}
-		dst.tree.log.Append(wal.Record{
-			Kind: wal.KindMigrationEnd, Relation: dst.tree.cfg.Relation,
-			FlushID: m.id, KeyLo: m.lo, KeyHi: m.hi,
-			Key: uint64(m.src), Value: uint64(m.dst), Op: wal.OpType('a'),
-		})
-		if d, err := f.forceLogs(done, []*wal.Log{dst.tree.log}); err == nil {
-			done = d
-		}
-		// A failed force is fine: the End stays in the tail and crash
-		// recovery resolves the open evacuation from its durable frontier.
-	}
-	next := *rt
-	next.mig = nil
-	next.maxCommitted = m.id
-	f.rpart.publish(next)
-	f.migrationAborts.Add(1)
-	f.rebalanceActive.Store(false)
-	return done, fmt.Errorf("core: evacuation %d of shard %d aborted, destination %d quarantined: %w",
-		m.id, m.src, m.dst, cause)
-}
-
-// commitEvacuation makes the evacuation's routing flip durable (End 'e'
-// on the destination's log) and publishes the rerouting rule plus the
-// source's evacuated mark: from here on sweeps skip the source's stale
-// physical copies and the quarantine stops blocking log truncation.
-// Caller holds migMu and both shard locks via commitMigration.
-func (f *Forest) commitEvacuation(at vtime.Ticks, m *Migration) (vtime.Ticks, error) {
-	done := at
-	dst := f.shards[m.dst]
-	if dst.tree.log != nil {
-		dst.tree.log.Append(wal.Record{
-			Kind: wal.KindMigrationEnd, Relation: dst.tree.cfg.Relation,
-			FlushID: m.id, KeyLo: m.lo, KeyHi: m.hi,
-			Key: uint64(m.src), Value: uint64(m.dst), Op: wal.OpType('e'),
-		})
-		var err error
-		done, err = f.forceLogs(done, []*wal.Log{dst.tree.log})
-		if err != nil {
-			if !IsIOFault(err) {
-				f.setDamaged(err)
-				return done, err
-			}
-			// Every chunk is durably committed; only the End force failed.
-			// The rule may publish regardless (a crash resolves the open
-			// evacuation from its durable frontier = hi, converging to the
-			// same state), but the destination's log device is failing —
-			// quarantine it.
-			done = f.quarantineShard(done, dst, err)
-		}
-	}
-	rt := f.rpart.cur.Load()
-	next := *rt
-	next.rules = append(append([]MoveRule(nil), rt.rules...),
-		MoveRule{Lo: m.lo, Hi: m.hi, From: m.src, To: m.dst, ID: m.id})
-	next.maxCommitted = m.id
-	next.mig = nil
-	next.evac |= 1 << uint(m.src)
-	f.rpart.publish(next)
-	f.migrations.Add(1)
-	f.evacuations.Add(1)
-	// Keep the source quarantined (flushes, checkpoints and rebalancing
-	// must keep skipping it) but record why, and stop the heal prober —
-	// an evacuated shard has nothing left to re-admit.
-	s := f.shards[m.src]
-	s.qErr = fmt.Errorf("core: shard %d evacuated to shard %d (migration %d)", m.src, m.dst, m.id)
-	s.nextProbeAt, s.probeGap = 0, 0
-	f.rebalanceActive.Store(false)
-	return done, nil
 }

@@ -510,6 +510,72 @@ func TestEvacuationAbortDestinationFails(t *testing.T) {
 	}
 }
 
+// TestEvacuationStartIntoDeadShardContained is the evacuation twin of
+// TestMigrationStartIntoDeadShardContained: the destination picked for
+// an evacuation has a silently dead WAL — idle since its last force, so
+// it is still healthy when the evacuation is planned — and the Start
+// record's force is the first write to hit it. The start is contained
+// like a migration's: the destination quarantined, the never-published
+// evacuation closed with an abort record, the refusal surfaced as
+// ErrShardQuarantined, the routing untouched. Once the destination's
+// device comes back it heals, and the evacuation re-runs and commits.
+func TestEvacuationStartIntoDeadShardContained(t *testing.T) {
+	fr, space := newFaultForestCfg(t, RetryPolicy{Disabled: true},
+		HealPolicy{}, EvacuationPolicy{After: 2 * vtime.Millisecond})
+	at := fmBaseline(t, fr)
+	fmInstall(t, space, "readonly file=wal1")
+	accepted, werr, done := fmTriggerFlush(t, fr, at)
+	if werr != nil && !errors.Is(werr, ErrShardQuarantined) {
+		t.Fatalf("trigger write error = %v", werr)
+	}
+	if q := fr.Quarantined(); len(q) != 1 || q[0] != 1 {
+		t.Fatalf("Quarantined() = %v, want [1]", q)
+	}
+
+	fmInstall(t, space, "readonly file=wal1; readonly file=wal0")
+	epoch := fr.Stats().RoutingEpoch
+	m, done, err := fr.startDueEvacuation(done + 2*vtime.Millisecond)
+	if m != nil || !errors.Is(err, ErrShardQuarantined) {
+		t.Fatalf("evacuation start into a dead destination = (%v, %v), want a contained refusal", m, err)
+	}
+	st := fr.Stats()
+	if st.MigrationAborts != 1 || st.MigrationActive || st.Evacuations != 0 {
+		t.Fatalf("after the contained start: %+v", st)
+	}
+	if q := fr.Quarantined(); len(q) != 2 {
+		t.Fatalf("Quarantined() = %v, want both shards", q)
+	}
+	if st.RoutingEpoch != epoch {
+		t.Fatalf("routing epoch moved %d -> %d on an aborted start", epoch, st.RoutingEpoch)
+	}
+	done = fmCheckKeys(t, fr, done, fmShardKeys(0))
+	done = fmCheckKeys(t, fr, done, fmShardKeys(1))
+
+	fmInstall(t, space, "readonly file=wal1")
+	done = fmDriveUntil(t, fr, done, 500*vtime.Microsecond, fmDrivePolicy(), func() bool {
+		return fr.Stats().Evacuations == 1
+	})
+	st = fr.Stats()
+	if st.AutoHeals < 1 || st.EvacuatedShards != 1 || st.MigrationAborts != 1 {
+		t.Fatalf("after the rescue: %+v", st)
+	}
+	done = fmCheckKeys(t, fr, done, fmShardKeys(0))
+	done = fmCheckKeys(t, fr, done, fmShardKeys(1))
+	var durable int64
+	for _, k := range accepted {
+		if k < fmStride {
+			done = fmCheckKeys(t, fr, done, []kv.Key{k})
+			durable++
+		}
+	}
+	if want := int64(2*fmPerShard) + durable; fr.Count() != want {
+		t.Fatalf("Count() = %d, want %d", fr.Count(), want)
+	}
+	if err := fr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestEvacuationCrashMatrix cuts a committed evacuation's WAL — all of
 // whose records ride the destination's log — at every protocol boundary,
 // rebuilds the forest from the durable images captured at quarantine

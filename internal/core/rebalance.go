@@ -26,22 +26,32 @@ import (
 // and no write can be lost to a stale copy or a resurrected delete.
 //
 // The migration streams keys in bounded chunks under the source shard's
-// virtual lock. One chunk commits with the WAL discipline
+// virtual lock. A quarantine evacuation (healing.go) is the same protocol
+// over a source that cannot be written: its device may never accept
+// another write. That one bit decides where the records go. A migration
+// logs them on both shards and KeyMoved on the source; an evacuation
+// logs everything on the destination and never touches the source. One
+// chunk commits with the WAL discipline
 //
 //	copy chunk to dst (redo records append to dst's log)
 //	FORCE dst log                        -- copies durable first
-//	append KeyMoved[chunk] to src log
-//	delete chunk keys from src (redo deletes append to src's log)
-//	FORCE src log                        -- frontier advance durable
+//	append KeyMoved[chunk]               -- src log, or dst log (evacuation)
+//	delete chunk keys from src           -- writable source only
+//	FORCE src log                        -- writable source only
 //	publish frontier = chunk end
 //
 // so at any crash point the durable KeyMoved frontier never points at
 // keys the destination could have lost: KeyMoved durable implies the
 // chunk's copies are durable, and the source's deletes durable implies
-// KeyMoved durable (log prefix order). Forest.Recover resumes a
-// half-done migration from the durable frontier, or rolls it back when
-// no chunk ever committed. The final routing-table flip commits through
-// the same ganged group-commit force the flush coordinator uses.
+// KeyMoved durable (log prefix order). An evacuation's KeyMoved becomes
+// durable with the next chunk's copy force or the commit force; until
+// then recovery re-streams the chunk. Forest.Recover resumes a half-done
+// move from the durable frontier, or rolls it back when no chunk ever
+// committed. An abort mid-stream keeps the prefix the source already
+// deleted — [lo, frontier) for a migration, nothing for an evacuation —
+// and the routing-table flip commits through the same ganged
+// group-commit force the flush coordinator uses; an evacuation's flip
+// also retires the source.
 
 // MoveRule reroutes keys in [Lo, Hi) that the routing so far assigns to
 // shard From onto shard To. Rules apply in commit order, so a later rule
@@ -183,9 +193,6 @@ func (p *RebalancingPartitioner) IsEvacuated(i int) bool {
 	return i >= 0 && i < 64 && p.cur.Load().evac&(1<<uint(i)) != 0
 }
 
-// EvacuatedMask returns the evacuated-shard bitmask.
-func (p *RebalancingPartitioner) EvacuatedMask() uint64 { return p.cur.Load().evac }
-
 // Migrating reports the in-flight migration's source and destination.
 func (p *RebalancingPartitioner) Migrating() (src, dst int, active bool) {
 	if m := p.cur.Load().mig; m != nil {
@@ -220,24 +227,10 @@ func (p *RebalancingPartitioner) RoutingSnapshot() RoutingMeta {
 	return RoutingMeta{Epoch: rt.epoch, MaxCommitted: rt.maxCommitted, Evacuated: rt.evac, Rules: rules}
 }
 
-// RestoreRouting resets the committed routing state from a snapshot
-// (crash harnesses restore the durable catalog, then call Recover).
-func (p *RebalancingPartitioner) RestoreRouting(m RoutingMeta) {
-	rt := p.cur.Load()
-	rules := make([]MoveRule, len(m.Rules))
-	copy(rules, m.Rules)
-	p.cur.Store(&routing{
-		base: rt.base, slots: rt.slots,
-		rules: rules, epoch: m.Epoch, maxCommitted: m.MaxCommitted, evac: m.Evacuated,
-	})
-}
-
 // encodeRoutingMeta serializes a routing snapshot for the
 // KindRoutingSnapshot WAL record payload: a 28-byte header (epoch,
 // max-committed, evacuated mask, rule count) followed by 32 bytes per
-// rule. The pre-evacuation format had a 20-byte header; the decoder
-// distinguishes the two by payload length (the formats differ by 8 mod
-// 32, so no payload parses as both).
+// rule.
 func encodeRoutingMeta(m RoutingMeta) []byte {
 	b := make([]byte, 0, 28+len(m.Rules)*32)
 	b = binary.LittleEndian.AppendUint64(b, m.Epoch)
@@ -257,24 +250,14 @@ func encodeRoutingMeta(m RoutingMeta) []byte {
 // decodeRoutingMeta parses a KindRoutingSnapshot payload.
 func decodeRoutingMeta(b []byte) (RoutingMeta, error) {
 	var m RoutingMeta
-	if len(b) < 20 {
+	if len(b) < 28 {
 		return m, fmt.Errorf("core: routing snapshot too short (%d bytes)", len(b))
 	}
 	m.Epoch = binary.LittleEndian.Uint64(b)
 	m.MaxCommitted = binary.LittleEndian.Uint64(b[8:])
-	var n int
-	switch {
-	case (len(b)-20)%32 == 0:
-		// Legacy 20-byte header without the evacuated mask.
-		n = int(binary.LittleEndian.Uint32(b[16:]))
-		b = b[20:]
-	case len(b) >= 28 && (len(b)-28)%32 == 0:
-		m.Evacuated = binary.LittleEndian.Uint64(b[16:])
-		n = int(binary.LittleEndian.Uint32(b[24:]))
-		b = b[28:]
-	default:
-		return m, fmt.Errorf("core: routing snapshot has unrecognized payload length %d", len(b))
-	}
+	m.Evacuated = binary.LittleEndian.Uint64(b[16:])
+	n := int(binary.LittleEndian.Uint32(b[24:]))
+	b = b[28:]
 	if len(b) != n*32 {
 		return m, fmt.Errorf("core: routing snapshot rule payload %d bytes, want %d", len(b), n*32)
 	}
@@ -313,11 +296,12 @@ func validateRules(rules []MoveRule, slots int) error {
 // ^uint64(0) itself is never migrated (half-open ranges throughout).
 const MaxMigrationKey = ^kv.Key(0)
 
-// Migration is one in-flight key-range move between two live shards.
-// Obtain one with Forest.StartMigration and drive it with Step — each
-// step moves one bounded chunk, so the caller chooses the interleaving
-// with foreground traffic. SplitShard and MergeShards drive a migration
-// to completion in one call.
+// Migration is one in-flight key-range move between two shards. Obtain
+// one with Forest.StartMigration and drive it with Step — each step
+// moves one bounded chunk, so the caller chooses the interleaving with
+// foreground traffic. SplitShard and MergeShards drive a migration to
+// completion in one call; AutoRebalance also starts evacuations, which
+// are migrations out of a quarantined source.
 type Migration struct {
 	f        *Forest
 	id       uint64
@@ -329,11 +313,30 @@ type Migration struct {
 	idx    int
 	moved  int64
 	done   bool
-	// evac marks a quarantine evacuation: the source is quarantined by
-	// construction, all migration records ride the destination's log, and
-	// the source side is never written (no deletes, no forces) — its
-	// device may never accept another write.
-	evac bool
+	// srcWritable is false for a quarantine evacuation, whose source
+	// device may never accept another write. Everything that differs
+	// between the two follows from it: which logs carry the records
+	// (recordShards), whether chunks delete from the source, the prefix
+	// an abort keeps, and whether the commit retires the source.
+	srcWritable bool
+}
+
+// recordShards returns the shards whose logs carry the protocol records:
+// both ends of a migration, the destination alone when the source cannot
+// be written. The first one also carries the KeyMoved records.
+func (m *Migration) recordShards() []int {
+	if m.srcWritable {
+		return []int{m.src, m.dst}
+	}
+	return []int{m.dst}
+}
+
+// commitOp is the op of the End record that commits the whole range.
+func (m *Migration) commitOp() wal.OpType {
+	if m.srcWritable {
+		return wal.OpMigrationCommit
+	}
+	return wal.OpEvacuate
 }
 
 // Done reports whether the migration has committed.
@@ -345,19 +348,6 @@ func (m *Migration) Moved() int64 { return m.moved }
 // Range returns the migrating key range and the shard pair.
 func (m *Migration) Range() (lo, hi kv.Key, src, dst int) {
 	return m.lo, m.hi, m.src, m.dst
-}
-
-// migrationLogs returns the distinct logs of the shard pair (nil entries
-// dropped; one entry when the shards share a log).
-func (f *Forest) migrationLogs(src, dst int) []*wal.Log {
-	var logs []*wal.Log
-	if l := f.shards[src].tree.log; l != nil {
-		logs = append(logs, l)
-	}
-	if l := f.shards[dst].tree.log; l != nil && (len(logs) == 0 || l != logs[0]) {
-		logs = append(logs, l)
-	}
-	return logs
 }
 
 // StartMigration begins moving the keys of [lo, hi) that currently route
@@ -393,7 +383,7 @@ func (f *Forest) StartMigration(at vtime.Ticks, lo, hi kv.Key, src, dst int) (*M
 	if !f.rebalanceActive.CompareAndSwap(false, true) {
 		return nil, at, fmt.Errorf("core: a migration is already in flight")
 	}
-	m, done, err := f.startMigrationLocked(at, lo, hi, src, dst)
+	m, done, err := f.startMigrationLocked(at, lo, hi, src, dst, true)
 	if err != nil {
 		f.rebalanceActive.Store(false)
 		return nil, done, err
@@ -401,7 +391,11 @@ func (f *Forest) StartMigration(at vtime.Ticks, lo, hi kv.Key, src, dst int) (*M
 	return m, done, nil
 }
 
-func (f *Forest) startMigrationLocked(at vtime.Ticks, lo, hi kv.Key, src, dst int) (*Migration, vtime.Ticks, error) {
+// startMigrationLocked is the start path of migrations and evacuations:
+// plan the chunks, make the Start record durable on the record logs, and
+// publish the migration. The caller has checked its entry conditions and
+// claimed rebalanceActive.
+func (f *Forest) startMigrationLocked(at vtime.Ticks, lo, hi kv.Key, src, dst int, srcWritable bool) (*Migration, vtime.Ticks, error) {
 	f.migMu.Lock()
 	defer f.migMu.Unlock()
 	// Both shards are locked (ascending index order, the same discipline
@@ -420,7 +414,8 @@ func (f *Forest) startMigrationLocked(at vtime.Ticks, lo, hi kv.Key, src, dst in
 	// Plan the chunk schedule: a timed scan of the source range yields the
 	// key population; every chunk-th key becomes a boundary. Keys inserted
 	// mid-migration fall inside an existing chunk range and are picked up
-	// when that chunk streams.
+	// when that chunk streams. An evacuation's source is quarantined: the
+	// rollback at quarantine time left it exactly at its committed state.
 	start := s.vlock.Acquire(at)
 	recs, done, err := s.tree.RangeSearch(start, lo, hi)
 	if err != nil {
@@ -436,16 +431,22 @@ func (f *Forest) startMigrationLocked(at vtime.Ticks, lo, hi kv.Key, src, dst in
 	}
 	bounds = append(bounds, hi)
 
-	m := &Migration{f: f, id: f.nextMigrationID(), lo: lo, hi: hi, src: src, dst: dst, bounds: bounds}
-	if logs := f.migrationLogs(src, dst); len(logs) > 0 {
-		for _, si := range []int{src, dst} {
-			if l := f.shards[si].tree.log; l != nil {
-				l.Append(wal.Record{
-					Kind: wal.KindMigrationStart, Relation: f.shards[si].tree.cfg.Relation,
-					FlushID: m.id, KeyLo: lo, KeyHi: hi, Key: uint64(src), Value: uint64(dst),
-				})
-			}
+	m := &Migration{f: f, id: f.nextMigrationID(), lo: lo, hi: hi, src: src, dst: dst, bounds: bounds, srcWritable: srcWritable}
+	var startOp wal.OpType
+	if !srcWritable {
+		startOp = wal.OpEvacuate
+	}
+	var logs []*wal.Log
+	for _, si := range m.recordShards() {
+		if t := f.shards[si].tree; t.log != nil {
+			t.log.Append(wal.Record{
+				Kind: wal.KindMigrationStart, Relation: t.cfg.Relation,
+				FlushID: m.id, KeyLo: lo, KeyHi: hi, Key: uint64(src), Value: uint64(dst), Op: startOp,
+			})
+			logs = append(logs, t.log)
 		}
+	}
+	if len(logs) > 0 {
 		// The start record commits through the same ganged force as the
 		// flush coordinator's group commit.
 		done, err = f.forceLogs(done, logs)
@@ -458,9 +459,8 @@ func (f *Forest) startMigrationLocked(at vtime.Ticks, lo, hi kv.Key, src, dst in
 				// close the never-published migration with abort records,
 				// and surface the refusal as a quarantine, not a raw fault.
 				failing := -1
-				for _, si := range []int{src, dst} {
-					sh := f.shards[si]
-					if sh.tree.log != nil && sh.tree.log.Unforced() {
+				for _, si := range m.recordShards() {
+					if sh := f.shards[si]; sh.tree.log != nil && sh.tree.log.Unforced() {
 						done = f.quarantineShard(done, sh, err)
 						if failing < 0 {
 							failing = si
@@ -468,21 +468,12 @@ func (f *Forest) startMigrationLocked(at vtime.Ticks, lo, hi kv.Key, src, dst in
 					}
 				}
 				if failing >= 0 && f.damaged.Load() == nil {
-					for _, si := range []int{src, dst} {
-						if l := f.shards[si].tree.log; l != nil {
-							l.Append(wal.Record{
-								Kind: wal.KindMigrationEnd, Relation: f.shards[si].tree.cfg.Relation,
-								FlushID: m.id, KeyLo: lo, KeyHi: hi,
-								Key: uint64(src), Value: uint64(dst), Op: wal.OpType('a'),
-							})
-						}
-					}
-					if d, ferr := f.forceLogs(done, logs); ferr == nil {
-						done = d
-					}
 					// A failed force is fine: the Ends stay in the tails and
 					// either a Heal forces them or crash recovery rolls the
 					// open migration back — the routing was never touched.
+					if d, ferr := f.endMigration(done, m, lo, hi, wal.OpMigrationAbort); ferr == nil {
+						done = d
+					}
 					f.migrationAborts.Add(1)
 					s.vlock.Release(done)
 					return nil, done, shardQuarantinedErr(failing, err)
@@ -541,6 +532,9 @@ func (m *Migration) Step(at vtime.Ticks) (bool, vtime.Ticks, error) {
 	if err != nil {
 		return false, done, err
 	}
+	if !m.srcWritable {
+		f.retireEvacuated()
+	}
 	m.done = true
 	return true, done, nil
 }
@@ -587,16 +581,12 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 
 	start := src.vlock.Acquire(at)
 	defer func() { src.vlock.Release(start) }()
-	// fail resolves a mid-chunk I/O failure by aborting the migration at
-	// the durable frontier with both shards quarantined (an evacuation
-	// aborts one-sided: only the destination just failed); non-I/O errors
-	// keep escalating to the forest damaged mark.
+	// fail resolves a mid-chunk I/O failure by aborting the migration
+	// with both shards quarantined; non-I/O errors keep escalating to the
+	// forest damaged mark.
 	fail := func(now vtime.Ticks, recs []kv.Record, undoSrc bool, err error) (vtime.Ticks, error) {
-		if IsIOFault(err) && len(f.migrationLogs(m.src, m.dst)) > 0 {
-			if m.evac {
-				return f.failEvacuation(now, m, recs, err)
-			}
-			return f.failMigration(now, m, recs, undoSrc, err)
+		if IsIOFault(err) && len(f.logs) > 0 {
+			return f.abortMigration(now, m, recs, undoSrc, err)
 		}
 		f.setDamaged(err)
 		return now, err
@@ -635,29 +625,22 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 	}
 	// Chunk phase 2: frontier record first, then the source deletes — the
 	// log prefix order then guarantees any durable delete is covered by a
-	// durable KeyMoved (and thus by durable copies). An evacuation's
-	// frontier record rides the DESTINATION's log instead (the source's
-	// device no longer accepts writes) and the source keeps its copies:
-	// the record is appended after the copies' force above, so whenever
-	// it becomes durable (the next chunk's force, or the commit force)
-	// the copies-durable-before-KeyMoved invariant still holds. Recovery
+	// durable KeyMoved (and thus by durable copies). A source that cannot
+	// be written keeps its copies, and its frontier record rides the
+	// destination's log behind the forced copies: whenever it becomes
+	// durable (the next chunk's force, or the commit force) the
+	// copies-durable-before-KeyMoved invariant still holds. Recovery
 	// re-streams an un-recorded chunk harmlessly — the resume path purges
 	// destination remnants above the frontier first.
-	if m.evac {
-		if dst.tree.log != nil {
-			dst.tree.log.Append(wal.Record{
-				Kind: wal.KindKeyMoved, Relation: dst.tree.cfg.Relation,
-				FlushID: m.id, KeyLo: a, KeyHi: b, Key: uint64(m.src), Value: uint64(m.dst),
-			})
-		}
+	if t := f.shards[m.recordShards()[0]].tree; t.log != nil {
+		t.log.Append(wal.Record{
+			Kind: wal.KindKeyMoved, Relation: t.cfg.Relation,
+			FlushID: m.id, KeyLo: a, KeyHi: b, Key: uint64(m.src), Value: uint64(m.dst),
+		})
+	}
+	if !m.srcWritable {
 		f.evacChunks.Add(1)
 	} else {
-		if src.tree.log != nil {
-			src.tree.log.Append(wal.Record{
-				Kind: wal.KindKeyMoved, Relation: src.tree.cfg.Relation,
-				FlushID: m.id, KeyLo: a, KeyHi: b, Key: uint64(m.src), Value: uint64(m.dst),
-			})
-		}
 		for _, r := range recs {
 			now, err = src.tree.Delete(now, r.Key)
 			if err != nil {
@@ -688,7 +671,7 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 	return now, nil
 }
 
-// failMigration aborts the in-flight migration after an I/O failure
+// abortMigration aborts the in-flight migration after an I/O failure
 // mid-chunk. Caller holds migMu and both shard locks. The resolution
 // must stay consistent under BOTH durable outcomes of the shards' log
 // tails — a tail that is never forced (the durable log shows the last
@@ -697,43 +680,67 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 // copies, KeyMoved and deletes become durable in order). So:
 //
 //  1. both trees roll back to their committed state and quarantine
-//     (their devices just exhausted retries);
-//  2. compensation records are appended BEHIND the chunk's records:
-//     redo-deletes on dst purge the chunk copies (and, in memory, the
-//     durable copies the rollback just resurrected), and redo-inserts on
-//     src revive the chunk keys when its deletes were already appended —
-//     whenever the tails do become durable, the chunk nets to zero;
-//  3. a MigrationEnd commits exactly the committed prefix [lo, F)
-//     ('a' aborts outright when no chunk ever committed), and
-//     recoverRouting takes a 'c' rule's range from the End record, so a
-//     durable-but-superseded KeyMoved cannot widen it;
-//  4. the routing publishes the partial rule and drops the migration.
-func (f *Forest) failMigration(at vtime.Ticks, m *Migration, recs []kv.Record, undoSrc bool, cause error) (vtime.Ticks, error) {
+//     (their devices just exhausted retries; an evacuation's source is
+//     quarantined already);
+//  2. the kept prefix is what the source already deleted: [lo, F) for a
+//     writable source, nothing for one that cannot be written — without
+//     the evacuated mark its copies are still swept, so the
+//     destination's would double-count;
+//  3. compensation records are appended BEHIND the chunk's records:
+//     redo-deletes on dst purge the copies above the kept prefix (and, in
+//     memory, the durable copies the rollback just resurrected), and
+//     redo-inserts on src revive the chunk keys when its deletes were
+//     already appended — whenever the tails do become durable, the chunk
+//     nets to zero;
+//  4. a MigrationEnd commits exactly the kept prefix ('a' aborts
+//     outright when it is empty), and recoverRouting takes a 'c' rule's
+//     range from the End record, so a durable-but-superseded KeyMoved
+//     cannot widen it;
+//  5. the routing publishes the partial rule and drops the migration.
+func (f *Forest) abortMigration(at vtime.Ticks, m *Migration, recs []kv.Record, undoSrc bool, cause error) (vtime.Ticks, error) {
 	src, dst := f.shards[m.src], f.shards[m.dst]
 	rt := f.rpart.cur.Load()
 	frontier := m.lo
 	if rt.mig != nil && rt.mig.id == m.id {
 		frontier = rt.mig.frontier
 	}
+	kept := m.lo
+	if m.srcWritable {
+		kept = frontier
+	}
 	done := f.quarantineShard(at, src, cause)
 	done = f.quarantineShard(done, dst, cause)
 	if f.damaged.Load() != nil {
 		return done, cause
 	}
-	// Purge the chunk's copies from the destination. tree.Delete both
-	// removes any durable copy the rollback resurrected from memory and
-	// appends the covering redo-delete to dst's tail; keys whose copy
-	// never landed get a harmless tombstone. A failing purge means stale
-	// copies may survive on an unquarantinable path — escalate.
-	if dst.tree.log != nil {
-		for _, r := range recs {
-			var err error
-			done, err = dst.tree.Delete(done, r.Key)
-			if err != nil {
-				f.setDamaged(fmt.Errorf("core: migration %d abort purge failed: %w (original fault: %v)", m.id, err, cause))
-				return done, cause
+	// Purge the copies above the kept prefix from the destination: those
+	// below the frontier that the committed routing assigns to the source
+	// (the rest is the destination's own data), then the in-flight
+	// chunk's. tree.Delete both removes any durable copy the rollback
+	// resurrected from memory and appends the covering redo-delete to
+	// dst's tail; keys whose copy never landed get a harmless tombstone. A
+	// failing purge means stale copies may survive on an unquarantinable
+	// path — escalate.
+	stale := recs
+	var err error
+	if kept < frontier {
+		var copies []kv.Record
+		copies, done, err = dst.tree.RangeSearch(done, kept, frontier)
+		owner := routing{base: rt.base, rules: rt.rules}
+		stale = copies[:0]
+		for _, r := range copies {
+			if owner.route(r.Key) == m.src {
+				stale = append(stale, r)
 			}
 		}
+		stale = append(stale, recs...)
+	}
+	for i := 0; err == nil && i < len(stale); i++ {
+		done, err = dst.tree.Delete(done, stale[i].Key)
+	}
+	if err != nil {
+		f.setDamaged(fmt.Errorf("core: migration %d abort purge failed: %w (original fault: %v)", m.id, err, cause))
+		return done, cause
 	}
 	// The source's chunk deletes (appended, never durable — a durable
 	// delete would have published the frontier) are compensated with
@@ -747,46 +754,56 @@ func (f *Forest) failMigration(at vtime.Ticks, m *Migration, recs []kv.Record, u
 			})
 		}
 	}
-	op := wal.OpType('a')
-	endLo, endHi := m.lo, m.hi
-	if frontier > m.lo {
-		op, endHi = wal.OpType('c'), frontier
+	op, endHi := wal.OpMigrationAbort, m.hi
+	if kept > m.lo {
+		op, endHi = wal.OpMigrationCommit, kept
 	}
-	for _, si := range []int{m.src, m.dst} {
-		if l := f.shards[si].tree.log; l != nil {
-			l.Append(wal.Record{
-				Kind: wal.KindMigrationEnd, Relation: f.shards[si].tree.cfg.Relation,
-				FlushID: m.id, KeyLo: endLo, KeyHi: endHi,
-				Key: uint64(m.src), Value: uint64(m.dst), Op: op,
-			})
-		}
-	}
-	if logs := f.migrationLogs(m.src, m.dst); len(logs) > 0 {
-		if d, err := f.forceLogs(done, logs); err == nil {
-			done = d
-		}
-		// A failed force is fine: the End stays in the tails, the durable
-		// log keeps the migration open at frontier F, and either a Heal
-		// (forces the tails, compensations included) or a crash recovery
-		// (resolves from the durable frontier) converges to this state.
+	// A failed force is fine: the End stays in the tails, the durable log
+	// keeps the migration open at frontier F, and either a Heal (forces
+	// the tails, compensations included) or a crash recovery (resolves
+	// from the durable frontier) converges to this state.
+	if d, err := f.endMigration(done, m, m.lo, endHi, op); err == nil {
+		done = d
 	}
 	next := *rt
 	next.mig = nil
 	next.maxCommitted = m.id
-	if frontier > m.lo {
+	if kept > m.lo {
 		next.rules = append(append([]MoveRule(nil), rt.rules...),
-			MoveRule{Lo: m.lo, Hi: frontier, From: m.src, To: m.dst, ID: m.id})
+			MoveRule{Lo: m.lo, Hi: kept, From: m.src, To: m.dst, ID: m.id})
 		f.migrations.Add(1)
 	}
 	f.rpart.publish(next)
 	f.migrationAborts.Add(1)
 	f.rebalanceActive.Store(false)
-	return done, fmt.Errorf("core: migration %d aborted at frontier %d, shards %d/%d quarantined: %w",
-		m.id, frontier, m.src, m.dst, cause)
+	return done, fmt.Errorf("core: migration %d of shard %d onto %d aborted keeping [%d, %d), both quarantined: %w",
+		m.id, m.src, m.dst, m.lo, kept, cause)
+}
+
+// endMigration closes a migration: a MigrationEnd record — op over
+// [lo, hi) — on every record log, forced in one ganged submission.
+func (f *Forest) endMigration(at vtime.Ticks, m *Migration, lo, hi kv.Key, op wal.OpType) (vtime.Ticks, error) {
+	var logs []*wal.Log
+	for _, si := range m.recordShards() {
+		if t := f.shards[si].tree; t.log != nil {
+			t.log.Append(wal.Record{
+				Kind: wal.KindMigrationEnd, Relation: t.cfg.Relation,
+				FlushID: m.id, KeyLo: lo, KeyHi: hi, Key: uint64(m.src), Value: uint64(m.dst), Op: op,
+			})
+			logs = append(logs, t.log)
+		}
+	}
+	if len(logs) == 0 {
+		return at, nil
+	}
+	return f.forceLogs(at, logs)
 }
 
 // commitMigration makes the routing flip durable (MigrationEnd through
-// the ganged force) and publishes the committed rule.
+// the ganged force) and publishes the committed rule. An evacuation's
+// flip also publishes the source's evacuated mark: from here on sweeps
+// skip its stale physical copies and its quarantine stops blocking log
+// truncation (Step then retires it).
 func (f *Forest) commitMigration(at vtime.Ticks, m *Migration) (vtime.Ticks, error) {
 	f.migMu.Lock()
 	defer f.migMu.Unlock()
@@ -795,35 +812,21 @@ func (f *Forest) commitMigration(at vtime.Ticks, m *Migration) (vtime.Ticks, err
 	if err := f.checkMigrationLive(m); err != nil {
 		return at, err
 	}
-	if m.evac {
-		return f.commitEvacuation(at, m)
-	}
-	done := at
-	if logs := f.migrationLogs(m.src, m.dst); len(logs) > 0 {
-		for _, si := range []int{m.src, m.dst} {
-			if l := f.shards[si].tree.log; l != nil {
-				l.Append(wal.Record{
-					Kind: wal.KindMigrationEnd, Relation: f.shards[si].tree.cfg.Relation,
-					FlushID: m.id, KeyLo: m.lo, KeyHi: m.hi,
-					Key: uint64(m.src), Value: uint64(m.dst), Op: wal.OpType('c'),
-				})
-			}
+	done, err := f.endMigration(at, m, m.lo, m.hi, m.commitOp())
+	if err != nil {
+		if !IsIOFault(err) {
+			f.setDamaged(err)
+			return done, err
 		}
-		var err error
-		done, err = f.forceLogs(done, logs)
-		if err != nil {
-			if !IsIOFault(err) {
-				f.setDamaged(err)
-				return done, err
+		// Every chunk is durably committed; only the End force failed. The
+		// rule may publish regardless: the Ends stay in the tails (a Heal
+		// forces them; a crash resolves the open migration from the durable
+		// frontier = hi, re-streaming an empty remainder to the same
+		// outcome). The failing log devices are quarantined.
+		for _, si := range m.recordShards() {
+			if s := f.shards[si]; s.tree.log != nil && s.tree.log.Unforced() {
+				done = f.quarantineShard(done, s, err)
 			}
-			// Every chunk is durably committed; only the End force failed.
-			// The rule may publish regardless: the Ends stay in the tails
-			// (a Heal forces them; a crash resolves the open migration from
-			// the durable frontier = hi, re-streaming an empty remainder to
-			// the same outcome). The log devices are failing, though —
-			// quarantine the pair.
-			done = f.quarantineShard(done, f.shards[m.src], err)
-			done = f.quarantineShard(done, f.shards[m.dst], err)
 		}
 	}
 	rt := f.rpart.cur.Load()
@@ -832,10 +835,34 @@ func (f *Forest) commitMigration(at vtime.Ticks, m *Migration) (vtime.Ticks, err
 		MoveRule{Lo: m.lo, Hi: m.hi, From: m.src, To: m.dst, ID: m.id})
 	next.maxCommitted = m.id
 	next.mig = nil
+	if !m.srcWritable {
+		next.evac |= 1 << uint(m.src)
+	}
 	f.rpart.publish(next)
 	f.migrations.Add(1)
+	if !m.srcWritable {
+		f.evacuations.Add(1)
+	}
 	f.rebalanceActive.Store(false)
 	return done, nil
+}
+
+// retireEvacuated takes every evacuated shard out of service for good:
+// quarantined, so flushes, checkpoints and rebalancing keep skipping it,
+// with the reason recorded and the heal prober stopped — its range lives
+// on healthy shards and its own copies are stale, so nothing is left to
+// re-admit.
+func (f *Forest) retireEvacuated() {
+	for i, s := range f.shards {
+		if !f.rpart.IsEvacuated(i) {
+			continue
+		}
+		s.mu.Lock()
+		s.quarantined = true
+		s.qErr = fmt.Errorf("core: shard %d evacuated; its range is served by healthy shards", i)
+		s.nextProbeAt, s.probeGap = 0, 0
+		s.mu.Unlock()
+	}
 }
 
 // SplitShard carves shard i at boundary: every key >= boundary that
@@ -944,18 +971,20 @@ type RebalancePolicy struct {
 	DrainBudget vtime.Ticks
 }
 
-// containedRebalanceErr reports whether a migration failure was already
-// contained by the fault plane: the failing shards are quarantined (or
-// the move was refused because one is) and the routing table is resolved
-// at a consistent state. The autonomous poll loop treats such a failure
-// as "no move this tick" — degraded mode is the heal/evacuation
-// machinery's job, not its caller's — while unattributable failures
-// (forest damaged) keep propagating.
-func (f *Forest) containedRebalanceErr(err error) bool {
+// uncontained filters a migration failure for the autonomous poll loop.
+// A failure the fault plane already contained — the failing shards are
+// quarantined (or the move was refused because one is) and the routing
+// table is resolved at a consistent state — becomes nil, "no move this
+// tick": degraded mode is the heal/evacuation machinery's job, not its
+// caller's. Unattributable failures (forest damaged) keep propagating.
+func (f *Forest) uncontained(err error) error {
 	if err == nil || f.damaged.Load() != nil {
-		return false
+		return err
 	}
-	return errors.Is(err, ErrShardQuarantined) || IsIOFault(err)
+	if errors.Is(err, ErrShardQuarantined) || IsIOFault(err) {
+		return nil
+	}
+	return err
 }
 
 // AutoRebalance inspects the per-shard load deltas since its last call
@@ -973,47 +1002,48 @@ func (f *Forest) AutoRebalance(at vtime.Ticks, pol RebalancePolicy) (moved bool,
 	// evacuation, and a healed shard is a rebalance candidate again).
 	at = f.healTick(at)
 	// A move left in flight by an earlier budget-bounded poll is resumed
-	// before any new one is considered.
+	// before any new one is considered. Next, a shard past its evacuation
+	// deadline outranks hotspot splitting: its range is unavailable for
+	// writes until it moves.
 	f.autoMu.Lock()
-	pending := f.autoMig
+	m := f.autoMig
 	f.autoMu.Unlock()
-	if pending != nil {
-		finished, done, err := f.drainBudgeted(pending, at, pol.DrainBudget)
-		if finished || err != nil {
-			f.autoMu.Lock()
-			f.autoMig = nil
-			f.autoMu.Unlock()
+	done = at
+	if m == nil {
+		if m, done, err = f.startDueEvacuation(at); err != nil {
+			return false, -1, -1, done, f.uncontained(err)
 		}
-		if f.containedRebalanceErr(err) {
-			err = nil
-		}
-		_, _, psrc, pdst := pending.Range()
-		return finished, psrc, pdst, done, err
 	}
-	// A shard past its evacuation deadline outranks hotspot splitting:
-	// its range is unavailable for writes until it moves.
-	if ev, evDone, evErr := f.startDueEvacuation(at); ev != nil || evErr != nil {
-		if evErr != nil {
-			if f.containedRebalanceErr(evErr) {
-				evErr = nil
-			}
-			return false, -1, -1, evDone, evErr
+	if m == nil {
+		hot, boundary, ok := f.hotShard(pol)
+		if !ok {
+			return false, -1, -1, at, nil
 		}
-		finished, done, err := f.drainBudgeted(ev, evDone, pol.DrainBudget)
-		_, _, esrc, edst := ev.Range()
-		if err != nil {
-			if f.containedRebalanceErr(err) {
-				err = nil
-			}
-			return false, esrc, edst, done, err
+		dst, cerr := f.coldestShard(hot)
+		if cerr != nil {
+			// Every other shard is quarantined: there is nowhere to split to
+			// until one heals — non-fatal for the poll loop.
+			return false, hot, -1, at, nil
 		}
-		if !finished {
-			f.autoMu.Lock()
-			f.autoMig = ev
-			f.autoMu.Unlock()
+		if m, done, err = f.StartMigration(at, boundary, MaxMigrationKey, hot, dst); err != nil {
+			return false, hot, dst, done, f.uncontained(err)
 		}
-		return finished, esrc, edst, done, nil
 	}
+	moved, done, err = f.drainBudgeted(m, done, pol.DrainBudget)
+	f.autoMu.Lock()
+	f.autoMig = nil
+	if !moved && err == nil {
+		f.autoMig = m // out of budget: a later poll resumes it
+	}
+	f.autoMu.Unlock()
+	_, _, from, to = m.Range()
+	return moved, from, to, done, f.uncontained(err)
+}
+
+// hotShard returns the shard that absorbed a disproportionate share of
+// the operations routed since the previous poll, and its approximate
+// median key as the split boundary.
+func (f *Forest) hotShard(pol RebalancePolicy) (int, kv.Key, bool) {
 	n := len(f.shards)
 	deltas := make([]int64, n)
 	var total int64
@@ -1038,44 +1068,16 @@ func (f *Forest) AutoRebalance(at vtime.Ticks, pol RebalancePolicy) (moved bool,
 	}
 	mean := float64(total) / float64(n)
 	if deltas[hot] < pol.MinOps || float64(deltas[hot]) <= pol.HotFactor*mean {
-		return false, -1, -1, at, nil
+		return -1, 0, false
 	}
 	s := f.shards[hot]
 	s.mu.Lock()
 	q := s.quarantined
 	boundary, ok := s.tree.ApproxMedianKey()
 	s.mu.Unlock()
-	if q || !ok {
-		// A quarantined hot shard can't stream keys out (its reads may be
-		// fine, but the migration must delete from it); leave it for Heal.
-		return false, -1, -1, at, nil
-	}
-	dst, err := f.coldestShard(hot)
-	if err != nil {
-		// Every other shard is quarantined: there is nowhere to split to
-		// until one heals — non-fatal for the poll loop.
-		return false, hot, -1, at, nil
-	}
-	m, done, err := f.StartMigration(at, boundary, MaxMigrationKey, hot, dst)
-	if err != nil {
-		if f.containedRebalanceErr(err) {
-			err = nil
-		}
-		return false, hot, dst, done, err
-	}
-	finished, done, err := f.drainBudgeted(m, done, pol.DrainBudget)
-	if err != nil {
-		if f.containedRebalanceErr(err) {
-			err = nil
-		}
-		return false, hot, dst, done, err
-	}
-	if !finished {
-		f.autoMu.Lock()
-		f.autoMig = m
-		f.autoMu.Unlock()
-	}
-	return finished, hot, dst, done, nil
+	// A quarantined hot shard can't stream keys out (its reads may be
+	// fine, but the migration must delete from it); leave it for Heal.
+	return hot, boundary, ok && !q
 }
 
 // drainBudgeted drains m fully when budget is zero, else for at most
@@ -1091,19 +1093,17 @@ func (f *Forest) drainBudgeted(m *Migration, at, budget vtime.Ticks) (bool, vtim
 // migrationEvent accumulates one migration's durable records during the
 // recovery scan.
 type migrationEvent struct {
-	id       uint64
-	lo, hi   kv.Key
-	src, dst int
+	// Migration carries the id, and from the Start record the range, the
+	// shard pair and whether the source is writable (Op OpEvacuate marks
+	// an evacuation).
+	Migration
 	started  bool
 	frontier kv.Key
-	end      byte // 'c' committed, 'e' evacuated, 'a' aborted, 0 open
+	end      wal.OpType // the End record's op; 0 while open
 	// endLo/endHi are the End record's range: a live abort commits only
 	// the prefix streamed before the fault, so the committed rule must
 	// come from the End record, not the Start record.
 	endLo, endHi kv.Key
-	// evac marks a quarantine evacuation (Start record Op 'e'): records
-	// live only in the destination's log and the source is never written.
-	evac bool
 }
 
 // recoverRouting rebuilds the routing table from the durable log and
@@ -1135,7 +1135,7 @@ func (f *Forest) recoverRouting(at vtime.Ticks, rep *ForestRecoveryReport) (vtim
 			case wal.KindMigrationStart, wal.KindKeyMoved, wal.KindMigrationEnd:
 				ev := events[r.FlushID]
 				if ev == nil {
-					ev = &migrationEvent{id: r.FlushID}
+					ev = &migrationEvent{Migration: Migration{id: r.FlushID}}
 					events[r.FlushID] = ev
 				}
 				switch r.Kind {
@@ -1143,9 +1143,7 @@ func (f *Forest) recoverRouting(at vtime.Ticks, rep *ForestRecoveryReport) (vtim
 					ev.started = true
 					ev.lo, ev.hi = r.KeyLo, r.KeyHi
 					ev.src, ev.dst = int(r.Key), int(r.Value)
-					if byte(r.Op) == 'e' {
-						ev.evac = true
-					}
+					ev.srcWritable = r.Op != wal.OpEvacuate
 					if ev.frontier < r.KeyLo {
 						ev.frontier = r.KeyLo
 					}
@@ -1154,11 +1152,8 @@ func (f *Forest) recoverRouting(at vtime.Ticks, rep *ForestRecoveryReport) (vtim
 						ev.frontier = r.KeyHi
 					}
 				case wal.KindMigrationEnd:
-					ev.end = byte(r.Op)
+					ev.end = r.Op
 					ev.endLo, ev.endHi = r.KeyLo, r.KeyHi
-					if ev.end == 'e' {
-						ev.evac = true
-					}
 				}
 			}
 		}
@@ -1192,15 +1187,12 @@ func (f *Forest) recoverRouting(at vtime.Ticks, rep *ForestRecoveryReport) (vtim
 			continue
 		}
 		switch ev.end {
-		case 'c':
+		case wal.OpMigrationCommit, wal.OpEvacuate:
 			rules = append(rules, MoveRule{Lo: ev.endLo, Hi: ev.endHi, From: ev.src, To: ev.dst, ID: ev.id})
-			maxCommitted = ev.id
-		case 'e':
-			rules = append(rules, MoveRule{Lo: ev.endLo, Hi: ev.endHi, From: ev.src, To: ev.dst, ID: ev.id})
-			evacMask |= 1 << uint(ev.src)
-			maxCommitted = ev.id
-		case 'a':
-			maxCommitted = ev.id
+			if ev.end == wal.OpEvacuate {
+				evacMask |= 1 << uint(ev.src)
+			}
+		case wal.OpMigrationAbort:
 		default:
 			var evacuated bool
 			rules, evacuated, at, err = f.resolveMigration(at, ev, rules, rep)
@@ -1210,8 +1202,8 @@ func (f *Forest) recoverRouting(at vtime.Ticks, rep *ForestRecoveryReport) (vtim
 			if evacuated {
 				evacMask |= 1 << uint(ev.src)
 			}
-			maxCommitted = ev.id
 		}
+		maxCommitted = ev.id
 	}
 	rt := f.rpart.cur.Load()
 	f.rpart.publish(routing{
@@ -1227,17 +1219,16 @@ func (f *Forest) recoverRouting(at vtime.Ticks, rep *ForestRecoveryReport) (vtim
 
 // resolveMigration finishes a migration the crash interrupted. The
 // durable frontier partitions the range: [lo, frontier) is authoritative
-// on dst (stale source copies are purged), [frontier, hi) on src
-// (uncommitted destination remnants are purged). With no durable chunk
-// the move rolls back; otherwise the remainder is re-streamed and the
-// flip committed. All I/O is timed — it is part of the recovery cost.
-//
-// Evacuations (Start record Op 'e') follow the same frontier logic but
-// never touch the source: no stale-copy purge below the frontier (the
-// routing evac bit hides those copies), no source deletes, no records on
-// the source's log — the source device may be unable to write. A resumed
-// evacuation commits with End 'e' and the returned evacuated flag tells
-// recoverRouting to set the source's evac bit.
+// on dst, [frontier, hi) on src (uncommitted destination remnants are
+// purged). Stale source copies below the frontier are purged too — when
+// the source is writable; an evacuation's source is never written, and
+// the routing evac bit hides its copies once the move commits. With no
+// durable chunk the move rolls back, and a rolled-back evacuation leaves
+// its source live; otherwise the remainder is re-streamed as one
+// recovery chunk with the usual discipline and the flip committed, with
+// every record on the record logs. The returned flag reports a committed
+// evacuation, whose source recoverRouting marks evacuated. All I/O is
+// timed — it is part of the recovery cost.
 func (f *Forest) resolveMigration(at vtime.Ticks, ev *migrationEvent, rules []MoveRule, rep *ForestRecoveryReport) ([]MoveRule, bool, vtime.Ticks, error) {
 	n := len(f.shards)
 	if ev.src < 0 || ev.src >= n || ev.dst < 0 || ev.dst >= n || ev.src == ev.dst {
@@ -1256,11 +1247,9 @@ func (f *Forest) resolveMigration(at vtime.Ticks, ev *migrationEvent, rules []Mo
 	var recs []kv.Record
 	done := at
 	var err error
-	if !ev.evac {
+	if ev.srcWritable {
 		// Purge stale source copies below the frontier: their deletes were
-		// in the crashed chunk's (or purge's) volatile tail. Evacuations
-		// skip this — the source is never written and its stale copies are
-		// hidden by the routing evac bit instead.
+		// in the crashed chunk's (or purge's) volatile tail.
 		recs, done, err = src.tree.RangeSearch(at, ev.lo, ev.frontier)
 		if err != nil {
 			return rules, false, done, err
@@ -1291,36 +1280,13 @@ func (f *Forest) resolveMigration(at vtime.Ticks, ev *migrationEvent, rules []Mo
 		}
 		rep.MigrationKeysPurged++
 	}
-	// Evacuation records ride the destination's log only; a plain
-	// migration logs its end on both sides.
-	logs := f.migrationLogs(ev.src, ev.dst)
-	endShards := []int{ev.src, ev.dst}
-	if ev.evac {
-		endShards = []int{ev.dst}
-		logs = nil
-		if dst.tree.log != nil {
-			logs = []*wal.Log{dst.tree.log}
-		}
-	}
 	if ev.frontier <= ev.lo {
-		// No chunk ever committed: roll the move back entirely. An aborted
-		// evacuation leaves the source live (no evac bit) — if the device
-		// is still dead, the next write re-quarantines it and the
-		// evacuation deadline fires again.
-		for _, si := range endShards {
-			if l := f.shards[si].tree.log; l != nil {
-				l.Append(wal.Record{
-					Kind: wal.KindMigrationEnd, Relation: f.shards[si].tree.cfg.Relation,
-					FlushID: ev.id, KeyLo: ev.lo, KeyHi: ev.hi,
-					Key: uint64(ev.src), Value: uint64(ev.dst), Op: wal.OpType('a'),
-				})
-			}
-		}
-		if len(logs) > 0 {
-			done, err = f.forceLogs(done, logs)
-			if err != nil {
-				return rules, false, done, err
-			}
+		// No chunk ever committed: roll the move back entirely. If an
+		// evacuation's source device is still dead, the next write
+		// re-quarantines it and the evacuation deadline fires again.
+		done, err = f.endMigration(done, &ev.Migration, ev.lo, ev.hi, wal.OpMigrationAbort)
+		if err != nil {
+			return rules, false, done, err
 		}
 		rep.RolledBackMigrations++
 		return rules, false, done, nil
@@ -1344,22 +1310,14 @@ func (f *Forest) resolveMigration(at vtime.Ticks, ev *migrationEvent, rules []Mo
 			return rules, false, done, err
 		}
 	}
-	if ev.evac {
-		if dst.tree.log != nil && len(recs) > 0 {
-			dst.tree.log.Append(wal.Record{
-				Kind: wal.KindKeyMoved, Relation: dst.tree.cfg.Relation,
-				FlushID: ev.id, KeyLo: ev.frontier, KeyHi: ev.hi,
-				Key: uint64(ev.src), Value: uint64(ev.dst),
-			})
-		}
-	} else {
-		if src.tree.log != nil && len(recs) > 0 {
-			src.tree.log.Append(wal.Record{
-				Kind: wal.KindKeyMoved, Relation: src.tree.cfg.Relation,
-				FlushID: ev.id, KeyLo: ev.frontier, KeyHi: ev.hi,
-				Key: uint64(ev.src), Value: uint64(ev.dst),
-			})
-		}
+	if t := f.shards[ev.recordShards()[0]].tree; t.log != nil && len(recs) > 0 {
+		t.log.Append(wal.Record{
+			Kind: wal.KindKeyMoved, Relation: t.cfg.Relation,
+			FlushID: ev.id, KeyLo: ev.frontier, KeyHi: ev.hi,
+			Key: uint64(ev.src), Value: uint64(ev.dst),
+		})
+	}
+	if ev.srcWritable {
 		for _, r := range recs {
 			done, err = src.tree.Delete(done, r.Key)
 			if err != nil {
@@ -1367,26 +1325,11 @@ func (f *Forest) resolveMigration(at vtime.Ticks, ev *migrationEvent, rules []Mo
 			}
 		}
 	}
-	endOp := byte('c')
-	if ev.evac {
-		endOp = 'e'
-	}
-	for _, si := range endShards {
-		if l := f.shards[si].tree.log; l != nil {
-			l.Append(wal.Record{
-				Kind: wal.KindMigrationEnd, Relation: f.shards[si].tree.cfg.Relation,
-				FlushID: ev.id, KeyLo: ev.lo, KeyHi: ev.hi,
-				Key: uint64(ev.src), Value: uint64(ev.dst), Op: wal.OpType(endOp),
-			})
-		}
-	}
-	if len(logs) > 0 {
-		done, err = f.forceLogs(done, logs)
-		if err != nil {
-			return rules, false, done, err
-		}
+	done, err = f.endMigration(done, &ev.Migration, ev.lo, ev.hi, ev.commitOp())
+	if err != nil {
+		return rules, false, done, err
 	}
 	rules = append(rules, MoveRule{Lo: ev.lo, Hi: ev.hi, From: ev.src, To: ev.dst, ID: ev.id})
 	rep.ResumedMigrations++
-	return rules, ev.evac, done, nil
+	return rules, !ev.srcWritable, done, nil
 }

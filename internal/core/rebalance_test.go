@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -607,26 +609,32 @@ func TestValidateRebalancingPartitioner(t *testing.T) {
 }
 
 // TestRoutingMetaRoundTrip checks the snapshot encoding recovery relies
-// on.
+// on, and that a payload with a 20-byte header (no evacuated mask) is
+// rejected rather than misread.
 func TestRoutingMetaRoundTrip(t *testing.T) {
-	in := RoutingMeta{Epoch: 7, MaxCommitted: 3, Rules: []MoveRule{
+	in := RoutingMeta{Epoch: 7, MaxCommitted: 3, Evacuated: 1<<3 | 1<<63, Rules: []MoveRule{
 		{Lo: 10, Hi: 20, From: 0, To: 2, ID: 2},
 		{Lo: 0, Hi: MaxMigrationKey, From: 3, To: 1, ID: 3},
 	}}
-	out, err := decodeRoutingMeta(encodeRoutingMeta(in))
+	enc := encodeRoutingMeta(in)
+	out, err := decodeRoutingMeta(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Epoch != in.Epoch || out.MaxCommitted != in.MaxCommitted || len(out.Rules) != len(in.Rules) {
-		t.Fatalf("round trip: %+v", out)
-	}
-	for i := range in.Rules {
-		if out.Rules[i] != in.Rules[i] {
-			t.Fatalf("rule %d: %+v != %+v", i, out.Rules[i], in.Rules[i])
-		}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("round trip: %+v, want %+v", out, in)
 	}
 	if _, err := decodeRoutingMeta([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short payload accepted")
+	}
+	for n := 0; n <= len(in.Rules); n++ {
+		// A 20-byte header: epoch, max-committed, rule count; then n rules.
+		short := append(append([]byte(nil), enc[:16]...), enc[24:28]...)
+		short = append(short, enc[28:28+32*n]...)
+		binary.LittleEndian.PutUint32(short[16:], uint32(n))
+		if m, err := decodeRoutingMeta(short); err == nil {
+			t.Fatalf("%d-byte payload with a 20-byte header accepted as %+v", len(short), m)
+		}
 	}
 }
 

@@ -85,6 +85,35 @@ func retryWrappedNonForce(l *log, at int64) {
 	l.Force(at)
 }
 
+// closeAll is a closing helper: it appends a commit record and forces.
+func closeAll(l *log, at int64) int64 {
+	l.Append(Record{Kind: KindMigrationEnd})
+	return l.Force(at)
+}
+
+// closedThroughHelper: a closing helper's force also covers the records
+// its caller appended before the call.
+func closedThroughHelper(src, dst *log, at int64) {
+	at = dst.Force(at)
+	src.Append(Record{Kind: KindKeyMoved})
+	closeAll(src, at)
+}
+
+func helperIsNoDestinationForce(l *log, at int64) {
+	closeAll(l, at)
+	l.Append(Record{Kind: KindKeyMoved}) // want `KeyMoved appended without a dominating Force`
+	l.Force(at)
+}
+
+// forceOnly forces without appending a commit record: not a closing
+// helper, so calling it leaves the caller's records pending.
+func forceOnly(l *log, at int64) int64 { return l.Force(at) }
+
+func notClosedByForceOnly(l *log, at int64) {
+	l.Append(Record{Kind: KindFlushEnd}) // want `KindFlushEnd appended but not forced before the function returns`
+	forceOnly(l, at)
+}
+
 func escapeHatch(l *log, at int64) {
 	//lint:ignore walorder fixture for the suppression path
 	l.Append(Record{Kind: KindKeyMoved})

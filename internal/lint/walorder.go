@@ -26,7 +26,10 @@ import (
 // The check is a source-order protocol scan per function: force calls
 // set/clear state as encountered, so conditionally-forced paths are
 // accepted (any-path semantics); it is a linter for ordering mistakes,
-// not a proof of durability.
+// not a proof of durability. A call to a closing helper of the same
+// package — one that appends a commit record and forces a log itself —
+// also makes the records appended so far durable; it does not stand in
+// for the destination force a KeyMoved needs.
 var WALOrder = &Analyzer{
 	Name: "walorder",
 	Doc:  "check force-before-publish ordering of WAL protocol records in internal/core",
@@ -60,6 +63,7 @@ func runWALOrder(pass *Pass) error {
 	if !walorderScope(pass.Pkg.Path()) {
 		return nil
 	}
+	closing := closingFuncs(pass)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -68,6 +72,7 @@ func runWALOrder(pass *Pass) error {
 			}
 			w := &walWalker{
 				pass:     pass,
+				closing:  closing,
 				recKinds: make(map[types.Object]string),
 			}
 			w.walk(fd.Body)
@@ -81,9 +86,37 @@ func runWALOrder(pass *Pass) error {
 	return nil
 }
 
+// closingFuncs returns the package's functions that append a commit
+// record and force a log themselves.
+func closingFuncs(pass *Pass) map[*types.Func]bool {
+	out := make(map[*types.Func]bool)
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			appends, forces := false, false
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					name := calleeName(call)
+					forces = forces || forceCallees[name] || wrappedForce(call)
+					appends = appends || name == "Append" && len(call.Args) >= 1 && compositeKind(call.Args[0]) != ""
+				}
+				return true
+			})
+			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok && appends && forces {
+				out[fn] = true
+			}
+		}
+	}
+	return out
+}
+
 // walWalker scans one function body in source order.
 type walWalker struct {
 	pass      *Pass
+	closing   map[*types.Func]bool
 	forceSeen bool
 	pending   []walPending
 	// recKinds tracks `rec := wal.Record{Kind: ...}` assignments so a
@@ -168,8 +201,10 @@ func compositeKind(e ast.Expr) string {
 func (w *walWalker) call(call *ast.CallExpr) {
 	name := calleeName(call)
 	switch {
-	case forceCallees[name] || w.wrappedForce(call):
+	case forceCallees[name] || wrappedForce(call):
 		w.forceSeen = true
+		w.pending = w.pending[:0]
+	case w.closing[funcOf(w.pass.TypesInfo, call)]:
 		w.pending = w.pending[:0]
 	case name == "Append" && len(call.Args) >= 1:
 		kind := w.appendKind(call.Args[0])
@@ -193,7 +228,7 @@ func (w *walWalker) call(call *ast.CallExpr) {
 // retryIO(at, log.Force) passes the force as a method value the helper
 // invokes (possibly several times; WAL forces resubmit the whole
 // unforced tail, so a retried force is still a force).
-func (w *walWalker) wrappedForce(call *ast.CallExpr) bool {
+func wrappedForce(call *ast.CallExpr) bool {
 	for _, a := range call.Args {
 		if sel, ok := ast.Unparen(a).(*ast.SelectorExpr); ok && forceCallees[sel.Sel.Name] {
 			return true

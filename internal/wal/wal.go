@@ -50,15 +50,22 @@ const (
 	KindCheckpoint
 	// KindMigrationStart opens an online shard migration: keys in
 	// [KeyLo, KeyHi) move from shard Key to shard Value (forest-level
-	// record; FlushID carries the migration id).
+	// record; FlushID carries the migration id). Op OpEvacuate marks a
+	// quarantine evacuation, whose source cannot be written: its records
+	// ride the destination's log only. A plain migration leaves Op zero
+	// and logs on both shards.
 	KindMigrationStart
 	// KindKeyMoved commits one migration chunk: the keys in [KeyLo, KeyHi)
 	// are durably copied to the destination and the routing frontier
-	// advances to KeyHi. Appended to the source shard's log only after the
-	// destination's copies were forced.
+	// advances to KeyHi. Appended only after the destination's copies were
+	// forced: to the source shard's log, or to the destination's for an
+	// evacuation.
 	KindKeyMoved
-	// KindMigrationEnd closes a migration: Op 'c' commits the routing-table
-	// flip, Op 'a' records a rollback.
+	// KindMigrationEnd closes a migration over [KeyLo, KeyHi): Op
+	// OpMigrationCommit commits the routing-table flip (an abort that kept
+	// a prefix commits just that prefix), OpEvacuate commits an
+	// evacuation's flip and retires its source, and OpMigrationAbort
+	// records a rollback.
 	KindMigrationEnd
 	// KindRoutingSnapshot persists the forest routing table (UndoInfo holds
 	// the encoded rule list), so log head truncation never strands the
@@ -104,7 +111,7 @@ func (k Kind) String() string {
 
 // OpType is the update-operation type carried by a logical redo record,
 // matching the OPQ entry flags of Section 3.1.3 (i: insert, d: delete,
-// u: update).
+// u: update). Migration records reuse the field for their own codes.
 type OpType uint8
 
 const (
@@ -114,6 +121,13 @@ const (
 	OpDelete OpType = 'd'
 	// OpUpdate is an index-update.
 	OpUpdate OpType = 'u'
+	// OpMigrationCommit ends a migration that committed its range.
+	OpMigrationCommit OpType = 'c'
+	// OpMigrationAbort ends a migration that rolled back.
+	OpMigrationAbort OpType = 'a'
+	// OpEvacuate marks an evacuation's Start record, and ends an
+	// evacuation that committed its range.
+	OpEvacuate OpType = 'e'
 )
 
 // Record is one WAL record. Fields beyond Kind are used selectively per
