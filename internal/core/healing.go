@@ -173,17 +173,43 @@ func (f *Forest) healLocked(at vtime.Ticks, shard int, s *forestShard) (vtime.Ti
 	return done, nil
 }
 
-// startDueEvacuation scans for a shard past its evacuation deadline and
-// starts migrating its whole committed range onto the coldest healthy
-// shard. A shard qualifies when it is quarantined with a coherent
-// in-memory state (a dirty one has nothing trustworthy to stream), not
-// yet evacuated, and its incident clock exceeded the policy deadline.
-// The evacuation is a migration whose source cannot be written: see the
-// protocol at the top of rebalance.go. Returns nil when nothing is due,
-// no destination exists, or a migration is already in flight.
+// startDueEvacuation starts migrating the whole committed range of a
+// shard past its evacuation deadline (see dueEvacuation) onto the
+// coldest healthy shard. Returns nil when nothing is due, no destination
+// exists, or a migration is already in flight.
 func (f *Forest) startDueEvacuation(at vtime.Ticks) (*Migration, vtime.Ticks, error) {
-	if f.evac.Disabled {
+	src, dst, ok := f.dueEvacuation(at)
+	if !ok {
 		return nil, at, nil
+	}
+	return f.evacuate(at, src, dst)
+}
+
+// evacuate starts the evacuation of src onto dst: a migration whose
+// source cannot be written (see the protocol at the top of
+// rebalance.go). The start re-checks the source under its lock, so a
+// shard healed since dueEvacuation's scan is left alone and the claim on
+// the migration slot is released.
+func (f *Forest) evacuate(at vtime.Ticks, src, dst int) (*Migration, vtime.Ticks, error) {
+	if !f.rebalanceActive.CompareAndSwap(false, true) {
+		return nil, at, nil // a migration is in flight; next poll retries
+	}
+	m, done, err := f.startMigrationLocked(at, 0, MaxMigrationKey, src, dst, false)
+	if m == nil {
+		f.rebalanceActive.Store(false)
+	}
+	return m, done, err
+}
+
+// dueEvacuation scans for a shard past its evacuation deadline and picks
+// its destination. A shard qualifies when it is quarantined with a
+// coherent in-memory state (a dirty one has nothing trustworthy to
+// stream), not yet evacuated, and its incident clock exceeded the policy
+// deadline. Reports false when nothing is due or no healthy destination
+// exists.
+func (f *Forest) dueEvacuation(at vtime.Ticks) (src, dst int, ok bool) {
+	if f.evac.Disabled {
+		return -1, -1, false
 	}
 	for si, s := range f.shards {
 		if si >= 64 || f.rpart.IsEvacuated(si) {
@@ -202,16 +228,9 @@ func (f *Forest) startDueEvacuation(at vtime.Ticks) (*Migration, vtime.Ticks, er
 		if err != nil {
 			// No healthy destination: stay quarantined rather than fail the
 			// poll — capacity may come back (a heal) before the next tick.
-			return nil, at, nil
+			return -1, -1, false
 		}
-		if !f.rebalanceActive.CompareAndSwap(false, true) {
-			return nil, at, nil // a migration is in flight; next poll retries
-		}
-		m, done, err := f.startMigrationLocked(at, 0, MaxMigrationKey, si, dst, false)
-		if err != nil {
-			f.rebalanceActive.Store(false)
-		}
-		return m, done, err
+		return si, dst, true
 	}
-	return nil, at, nil
+	return -1, -1, false
 }

@@ -576,6 +576,117 @@ func TestEvacuationStartIntoDeadShardContained(t *testing.T) {
 	}
 }
 
+// TestEvacuationSkipsShardHealedSinceScan heals the shard the evacuation
+// scan picked before the evacuation starts. The start re-checks the
+// source under its lock: the live shard is left alone — no Start record,
+// no routing change, no retirement — and the migration slot is released
+// for the next move.
+func TestEvacuationSkipsShardHealedSinceScan(t *testing.T) {
+	fr, space := newFaultForestCfg(t, RetryPolicy{Disabled: true},
+		HealPolicy{}, EvacuationPolicy{After: 2 * vtime.Millisecond})
+	at := fmBaseline(t, fr)
+	fmInstall(t, space, "readonly file=wal1")
+	_, werr, done := fmTriggerFlush(t, fr, at)
+	if werr != nil && !errors.Is(werr, ErrShardQuarantined) {
+		t.Fatalf("trigger write error = %v", werr)
+	}
+	done += 2 * vtime.Millisecond
+	src, dst, ok := fr.dueEvacuation(done)
+	if !ok || src != 1 || dst != 0 {
+		t.Fatalf("dueEvacuation = (%d, %d, %v), want (1, 0, true)", src, dst, ok)
+	}
+
+	space.SetInjector(nil) // the device comes back between scan and start
+	done, err := fr.Heal(done, 1)
+	if err != nil {
+		t.Fatalf("Heal: %v", err)
+	}
+	epoch := fr.Stats().RoutingEpoch
+	m, done, err := fr.evacuate(done, src, dst)
+	if m != nil || err != nil {
+		t.Fatalf("evacuate of a healed shard = (%v, %v), want (nil, nil)", m, err)
+	}
+	st := fr.Stats()
+	if st.MigrationActive || st.MigrationAborts != 0 || st.Evacuations != 0 || st.RoutingEpoch != epoch {
+		t.Fatalf("after the skipped evacuation: %+v", st)
+	}
+	if q := fr.Quarantined(); len(q) != 0 {
+		t.Fatalf("Quarantined() = %v, want none", q)
+	}
+	k := fmStride + 700
+	if done, err = fr.Insert(done, kv.Record{Key: k, Value: fmVal(k)}); err != nil {
+		t.Fatalf("write to the healed shard: %v", err)
+	}
+	// The slot was released: a migration can start.
+	if _, done, err = fr.SplitShard(done, 1, fmStride+50); err != nil {
+		t.Fatalf("SplitShard after the skipped evacuation: %v", err)
+	}
+	done = fmCheckKeys(t, fr, done, fmShardKeys(0))
+	done = fmCheckKeys(t, fr, done, fmShardKeys(1))
+	fmCheckKeys(t, fr, done, []kv.Key{k})
+	if err := fr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEvacuationAbortLeavesHealedSource re-admits an in-flight
+// evacuation's source with a Heal and writes a key above the frontier,
+// which still routes to the source. Then the destination's WAL dies and
+// the evacuation aborts. The abort quarantines only the destination: the
+// live source is not rolled back, so its unforced write survives, and it
+// stays unevacuated.
+func TestEvacuationAbortLeavesHealedSource(t *testing.T) {
+	fr, space := newFaultForestCfg(t, RetryPolicy{Disabled: true},
+		HealPolicy{}, EvacuationPolicy{After: 2 * vtime.Millisecond})
+	at := fmBaseline(t, fr)
+	fmInstall(t, space, "readonly file=wal1")
+	_, werr, done := fmTriggerFlush(t, fr, at)
+	if werr != nil && !errors.Is(werr, ErrShardQuarantined) {
+		t.Fatalf("trigger write error = %v", werr)
+	}
+	pol := fmDrivePolicy()
+	pol.DrainBudget = 1 // one chunk per poll: the evacuation parks in flight
+	now := fmDriveUntil(t, fr, done, 500*vtime.Microsecond, pol, func() bool {
+		st := fr.Stats()
+		return st.MigrationActive && st.EvacuatedChunks >= 1
+	})
+
+	space.SetInjector(nil)
+	now, err := fr.Heal(now, 1)
+	if err != nil {
+		t.Fatalf("Heal: %v", err)
+	}
+	k := fmStride + 900
+	if s := fr.Routing().Shard(k); s != 1 {
+		t.Fatalf("key %d routes to shard %d, want the source", k, s)
+	}
+	if now, err = fr.Insert(now, kv.Record{Key: k, Value: fmVal(k)}); err != nil {
+		t.Fatalf("write to the healed source: %v", err)
+	}
+
+	fmInstall(t, space, "readonly file=wal0")
+	now += 500 * vtime.Microsecond
+	if _, _, _, now, err = fr.AutoRebalance(now, pol); err != nil {
+		t.Fatalf("AutoRebalance must contain the abort: %v", err)
+	}
+	st := fr.Stats()
+	if st.MigrationAborts != 1 || st.Evacuations != 0 || st.MigrationActive {
+		t.Fatalf("after the destination failed: %+v", st)
+	}
+	if q := fr.Quarantined(); len(q) != 1 || q[0] != 0 {
+		t.Fatalf("Quarantined() = %v, want [0]", q)
+	}
+	if fr.Routing().IsEvacuated(1) {
+		t.Fatal("aborted evacuation marked the source evacuated")
+	}
+	now = fmCheckKeys(t, fr, now, []kv.Key{k})
+	now = fmCheckKeys(t, fr, now, fmShardKeys(0))
+	fmCheckKeys(t, fr, now, fmShardKeys(1))
+	if err := fr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestEvacuationCrashMatrix cuts a committed evacuation's WAL — all of
 // whose records ride the destination's log — at every protocol boundary,
 // rebuilds the forest from the durable images captured at quarantine

@@ -303,36 +303,51 @@ const MaxMigrationKey = ^kv.Key(0)
 // completion in one call; AutoRebalance also starts evacuations, which
 // are migrations out of a quarantined source.
 type Migration struct {
-	f        *Forest
-	id       uint64
-	lo, hi   kv.Key
-	src, dst int
+	f *Forest
+	migSpec
 	// bounds are the planned chunk boundaries: chunk i covers
 	// [bounds[i], bounds[i+1]).
 	bounds []kv.Key
 	idx    int
 	moved  int64
 	done   bool
+}
+
+// migSpec is what a migration's WAL records say about it: the id, the
+// range, the shard pair, and whether the source can be written.
+type migSpec struct {
+	id       uint64
+	lo, hi   kv.Key
+	src, dst int
 	// srcWritable is false for a quarantine evacuation, whose source
 	// device may never accept another write. Everything that differs
 	// between the two follows from it: which logs carry the records
-	// (recordShards), whether chunks delete from the source, the prefix
-	// an abort keeps, and whether the commit retires the source.
+	// (recordShards), the records' ops, whether chunks delete from the
+	// source, the prefix an abort keeps, and whether the commit retires
+	// the source.
 	srcWritable bool
 }
 
 // recordShards returns the shards whose logs carry the protocol records:
 // both ends of a migration, the destination alone when the source cannot
 // be written. The first one also carries the KeyMoved records.
-func (m *Migration) recordShards() []int {
+func (m migSpec) recordShards() []int {
 	if m.srcWritable {
 		return []int{m.src, m.dst}
 	}
 	return []int{m.dst}
 }
 
+// startOp is the op of the Start record: OpEvacuate marks an evacuation.
+func (m migSpec) startOp() wal.OpType {
+	if m.srcWritable {
+		return 0
+	}
+	return wal.OpEvacuate
+}
+
 // commitOp is the op of the End record that commits the whole range.
-func (m *Migration) commitOp() wal.OpType {
+func (m migSpec) commitOp() wal.OpType {
 	if m.srcWritable {
 		return wal.OpMigrationCommit
 	}
@@ -394,7 +409,10 @@ func (f *Forest) StartMigration(at vtime.Ticks, lo, hi kv.Key, src, dst int) (*M
 // startMigrationLocked is the start path of migrations and evacuations:
 // plan the chunks, make the Start record durable on the record logs, and
 // publish the migration. The caller has checked its entry conditions and
-// claimed rebalanceActive.
+// claimed rebalanceActive. An evacuation's source is re-checked under
+// its lock — a Heal may have re-admitted it, or a failed one left it
+// dirty, since the caller's scan — and a source that no longer
+// qualifies returns a nil migration and no error.
 func (f *Forest) startMigrationLocked(at vtime.Ticks, lo, hi kv.Key, src, dst int, srcWritable bool) (*Migration, vtime.Ticks, error) {
 	f.migMu.Lock()
 	defer f.migMu.Unlock()
@@ -405,10 +423,14 @@ func (f *Forest) startMigrationLocked(at vtime.Ticks, lo, hi kv.Key, src, dst in
 	if plo > phi {
 		plo, phi = phi, plo
 	}
-	f.shards[plo].mu.Lock()
-	defer f.shards[plo].mu.Unlock()
-	f.shards[phi].mu.Lock()
-	defer f.shards[phi].mu.Unlock()
+	for _, si := range []int{plo, phi} {
+		sh := f.shards[si]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		if si == src && !srcWritable && (!sh.quarantined || sh.qDirty) {
+			return nil, at, nil
+		}
+	}
 	s := f.shards[src]
 
 	// Plan the chunk schedule: a timed scan of the source range yields the
@@ -431,17 +453,15 @@ func (f *Forest) startMigrationLocked(at vtime.Ticks, lo, hi kv.Key, src, dst in
 	}
 	bounds = append(bounds, hi)
 
-	m := &Migration{f: f, id: f.nextMigrationID(), lo: lo, hi: hi, src: src, dst: dst, bounds: bounds, srcWritable: srcWritable}
-	var startOp wal.OpType
-	if !srcWritable {
-		startOp = wal.OpEvacuate
-	}
+	m := &Migration{f: f, bounds: bounds, migSpec: migSpec{
+		id: f.nextMigrationID(), lo: lo, hi: hi, src: src, dst: dst, srcWritable: srcWritable,
+	}}
 	var logs []*wal.Log
 	for _, si := range m.recordShards() {
 		if t := f.shards[si].tree; t.log != nil {
 			t.log.Append(wal.Record{
 				Kind: wal.KindMigrationStart, Relation: t.cfg.Relation,
-				FlushID: m.id, KeyLo: lo, KeyHi: hi, Key: uint64(src), Value: uint64(dst), Op: startOp,
+				FlushID: m.id, KeyLo: lo, KeyHi: hi, Key: uint64(src), Value: uint64(dst), Op: m.startOp(),
 			})
 			logs = append(logs, t.log)
 		}
@@ -471,7 +491,7 @@ func (f *Forest) startMigrationLocked(at vtime.Ticks, lo, hi kv.Key, src, dst in
 					// A failed force is fine: the Ends stay in the tails and
 					// either a Heal forces them or crash recovery rolls the
 					// open migration back — the routing was never touched.
-					if d, ferr := f.endMigration(done, m, lo, hi, wal.OpMigrationAbort); ferr == nil {
+					if d, ferr := f.endMigration(done, m.migSpec, lo, hi, wal.OpMigrationAbort); ferr == nil {
 						done = d
 					}
 					f.migrationAborts.Add(1)
@@ -532,9 +552,7 @@ func (m *Migration) Step(at vtime.Ticks) (bool, vtime.Ticks, error) {
 	if err != nil {
 		return false, done, err
 	}
-	if !m.srcWritable {
-		f.retireEvacuated()
-	}
+	f.retireEvacuated() // a committed evacuation retires its source
 	m.done = true
 	return true, done, nil
 }
@@ -582,8 +600,8 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 	start := src.vlock.Acquire(at)
 	defer func() { src.vlock.Release(start) }()
 	// fail resolves a mid-chunk I/O failure by aborting the migration
-	// with both shards quarantined; non-I/O errors keep escalating to the
-	// forest damaged mark.
+	// with the failing shards quarantined; non-I/O errors keep escalating
+	// to the forest damaged mark.
 	fail := func(now vtime.Ticks, recs []kv.Record, undoSrc bool, err error) (vtime.Ticks, error) {
 		if IsIOFault(err) && len(f.logs) > 0 {
 			return f.abortMigration(now, m, recs, undoSrc, err)
@@ -679,9 +697,11 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 // resolves), and a tail a later Heal forces in full (the failing chunk's
 // copies, KeyMoved and deletes become durable in order). So:
 //
-//  1. both trees roll back to their committed state and quarantine
-//     (their devices just exhausted retries; an evacuation's source is
-//     quarantined already);
+//  1. the destination and a writable source roll back to their
+//     committed state and quarantine (their devices just exhausted
+//     retries); an evacuation's source is left as it is — quarantined,
+//     or live again if a Heal re-admitted it mid-stream, in which case
+//     its uncommitted writes must survive;
 //  2. the kept prefix is what the source already deleted: [lo, F) for a
 //     writable source, nothing for one that cannot be written — without
 //     the evacuated mark its copies are still swept, so the
@@ -704,11 +724,11 @@ func (f *Forest) abortMigration(at vtime.Ticks, m *Migration, recs []kv.Record, 
 	if rt.mig != nil && rt.mig.id == m.id {
 		frontier = rt.mig.frontier
 	}
-	kept := m.lo
+	kept, done := m.lo, at
 	if m.srcWritable {
 		kept = frontier
+		done = f.quarantineShard(done, src, cause)
 	}
-	done := f.quarantineShard(at, src, cause)
 	done = f.quarantineShard(done, dst, cause)
 	if f.damaged.Load() != nil {
 		return done, cause
@@ -762,7 +782,7 @@ func (f *Forest) abortMigration(at vtime.Ticks, m *Migration, recs []kv.Record, 
 	// keeps the migration open at frontier F, and either a Heal (forces
 	// the tails, compensations included) or a crash recovery (resolves
 	// from the durable frontier) converges to this state.
-	if d, err := f.endMigration(done, m, m.lo, endHi, op); err == nil {
+	if d, err := f.endMigration(done, m.migSpec, m.lo, endHi, op); err == nil {
 		done = d
 	}
 	next := *rt
@@ -776,13 +796,13 @@ func (f *Forest) abortMigration(at vtime.Ticks, m *Migration, recs []kv.Record, 
 	f.rpart.publish(next)
 	f.migrationAborts.Add(1)
 	f.rebalanceActive.Store(false)
-	return done, fmt.Errorf("core: migration %d of shard %d onto %d aborted keeping [%d, %d), both quarantined: %w",
+	return done, fmt.Errorf("core: migration %d of shard %d onto %d aborted keeping [%d, %d): %w",
 		m.id, m.src, m.dst, m.lo, kept, cause)
 }
 
 // endMigration closes a migration: a MigrationEnd record — op over
 // [lo, hi) — on every record log, forced in one ganged submission.
-func (f *Forest) endMigration(at vtime.Ticks, m *Migration, lo, hi kv.Key, op wal.OpType) (vtime.Ticks, error) {
+func (f *Forest) endMigration(at vtime.Ticks, m migSpec, lo, hi kv.Key, op wal.OpType) (vtime.Ticks, error) {
 	var logs []*wal.Log
 	for _, si := range m.recordShards() {
 		if t := f.shards[si].tree; t.log != nil {
@@ -812,7 +832,7 @@ func (f *Forest) commitMigration(at vtime.Ticks, m *Migration) (vtime.Ticks, err
 	if err := f.checkMigrationLive(m); err != nil {
 		return at, err
 	}
-	done, err := f.endMigration(at, m, m.lo, m.hi, m.commitOp())
+	done, err := f.endMigration(at, m.migSpec, m.lo, m.hi, m.commitOp())
 	if err != nil {
 		if !IsIOFault(err) {
 			f.setDamaged(err)
@@ -837,12 +857,10 @@ func (f *Forest) commitMigration(at vtime.Ticks, m *Migration) (vtime.Ticks, err
 	next.mig = nil
 	if !m.srcWritable {
 		next.evac |= 1 << uint(m.src)
+		f.evacuations.Add(1)
 	}
 	f.rpart.publish(next)
 	f.migrations.Add(1)
-	if !m.srcWritable {
-		f.evacuations.Add(1)
-	}
 	f.rebalanceActive.Store(false)
 	return done, nil
 }
@@ -851,7 +869,8 @@ func (f *Forest) commitMigration(at vtime.Ticks, m *Migration) (vtime.Ticks, err
 // quarantined, so flushes, checkpoints and rebalancing keep skipping it,
 // with the reason recorded and the heal prober stopped — its range lives
 // on healthy shards and its own copies are stale, so nothing is left to
-// re-admit.
+// re-admit. Idempotent: shards retired earlier are set to the same
+// state again.
 func (f *Forest) retireEvacuated() {
 	for i, s := range f.shards {
 		if !f.rpart.IsEvacuated(i) {
@@ -1093,10 +1112,10 @@ func (f *Forest) drainBudgeted(m *Migration, at, budget vtime.Ticks) (bool, vtim
 // migrationEvent accumulates one migration's durable records during the
 // recovery scan.
 type migrationEvent struct {
-	// Migration carries the id, and from the Start record the range, the
+	// migSpec carries the id, and from the Start record the range, the
 	// shard pair and whether the source is writable (Op OpEvacuate marks
 	// an evacuation).
-	Migration
+	migSpec
 	started  bool
 	frontier kv.Key
 	end      wal.OpType // the End record's op; 0 while open
@@ -1135,7 +1154,7 @@ func (f *Forest) recoverRouting(at vtime.Ticks, rep *ForestRecoveryReport) (vtim
 			case wal.KindMigrationStart, wal.KindKeyMoved, wal.KindMigrationEnd:
 				ev := events[r.FlushID]
 				if ev == nil {
-					ev = &migrationEvent{Migration: Migration{id: r.FlushID}}
+					ev = &migrationEvent{migSpec: migSpec{id: r.FlushID}}
 					events[r.FlushID] = ev
 				}
 				switch r.Kind {
@@ -1284,7 +1303,7 @@ func (f *Forest) resolveMigration(at vtime.Ticks, ev *migrationEvent, rules []Mo
 		// No chunk ever committed: roll the move back entirely. If an
 		// evacuation's source device is still dead, the next write
 		// re-quarantines it and the evacuation deadline fires again.
-		done, err = f.endMigration(done, &ev.Migration, ev.lo, ev.hi, wal.OpMigrationAbort)
+		done, err = f.endMigration(done, ev.migSpec, ev.lo, ev.hi, wal.OpMigrationAbort)
 		if err != nil {
 			return rules, false, done, err
 		}
@@ -1325,7 +1344,7 @@ func (f *Forest) resolveMigration(at vtime.Ticks, ev *migrationEvent, rules []Mo
 			}
 		}
 	}
-	done, err = f.endMigration(done, &ev.Migration, ev.lo, ev.hi, ev.commitOp())
+	done, err = f.endMigration(done, ev.migSpec, ev.lo, ev.hi, ev.commitOp())
 	if err != nil {
 		return rules, false, done, err
 	}

@@ -105,6 +105,34 @@ func helperIsNoDestinationForce(l *log, at int64) {
 	l.Force(at)
 }
 
+// closedOnOtherLog: the helper forces a log the caller did not append
+// to, so the caller's record stays pending.
+func closedOnOtherLog(src, dst *log, at int64) {
+	at = dst.Force(at)
+	src.Append(Record{Kind: KindKeyMoved}) // want `KindKeyMoved appended but not forced before the function returns`
+	closeAll(dst, at)
+}
+
+type shard struct{ log *log }
+
+// closeShards is a closing helper over a shard set.
+func closeShards(shards []*shard, at int64) int64 {
+	for _, s := range shards {
+		s.log.Append(Record{Kind: KindMigrationEnd})
+		at = s.log.Force(at)
+	}
+	return at
+}
+
+// closedThroughDerivedLog: the caller's log was picked out of the set it
+// hands to the closing helper.
+func closedThroughDerivedLog(shards []*shard, at int64) {
+	at = shards[1].log.Force(at)
+	first := shards[0]
+	first.log.Append(Record{Kind: KindKeyMoved})
+	closeShards(shards, at)
+}
+
 // forceOnly forces without appending a commit record: not a closing
 // helper, so calling it leaves the caller's records pending.
 func forceOnly(l *log, at int64) int64 { return l.Force(at) }
@@ -112,6 +140,20 @@ func forceOnly(l *log, at int64) int64 { return l.Force(at) }
 func notClosedByForceOnly(l *log, at int64) {
 	l.Append(Record{Kind: KindFlushEnd}) // want `KindFlushEnd appended but not forced before the function returns`
 	forceOnly(l, at)
+}
+
+// appendAfterForce forces before it appends: its own record is left
+// pending, so it is not a closing helper either.
+func appendAfterForce(l *log, at int64) int64 {
+	at = l.Force(at)
+	l.Append(Record{Kind: KindMigrationEnd}) // want `KindMigrationEnd appended but not forced before the function returns`
+	return at
+}
+
+func notClosedByAppendAfterForce(l *log, at int64) {
+	at = l.Force(at)
+	l.Append(Record{Kind: KindKeyMoved}) // want `KindKeyMoved appended but not forced before the function returns`
+	appendAfterForce(l, at)
 }
 
 func escapeHatch(l *log, at int64) {

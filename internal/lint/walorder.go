@@ -27,9 +27,12 @@ import (
 // set/clear state as encountered, so conditionally-forced paths are
 // accepted (any-path semantics); it is a linter for ordering mistakes,
 // not a proof of durability. A call to a closing helper of the same
-// package — one that appends a commit record and forces a log itself —
-// also makes the records appended so far durable; it does not stand in
-// for the destination force a KeyMoved needs.
+// package — one that appends a commit record and forces after it, leaving
+// nothing pending — also makes durable the caller's records on a log
+// derived from a variable the call passes it (directly, or through the
+// local assignments that produced the log); records on other logs stay
+// pending. It does not stand in for the destination force a KeyMoved
+// needs.
 var WALOrder = &Analyzer{
 	Name: "walorder",
 	Doc:  "check force-before-publish ordering of WAL protocol records in internal/core",
@@ -70,11 +73,7 @@ func runWALOrder(pass *Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			w := &walWalker{
-				pass:     pass,
-				closing:  closing,
-				recKinds: make(map[types.Object]string),
-			}
+			w := newWALWalker(pass, closing, false)
 			w.walk(fd.Body)
 			for _, p := range w.pending {
 				pass.Reportf(p.pos,
@@ -86,8 +85,9 @@ func runWALOrder(pass *Pass) error {
 	return nil
 }
 
-// closingFuncs returns the package's functions that append a commit
-// record and force a log themselves.
+// closingFuncs returns the package's closing helpers: functions whose
+// own scan sees a force clear a tracked record appended before it, and
+// ends with nothing pending.
 func closingFuncs(pass *Pass) map[*types.Func]bool {
 	out := make(map[*types.Func]bool)
 	for _, f := range pass.Files {
@@ -96,16 +96,9 @@ func closingFuncs(pass *Pass) map[*types.Func]bool {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			appends, forces := false, false
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					name := calleeName(call)
-					forces = forces || forceCallees[name] || wrappedForce(call)
-					appends = appends || name == "Append" && len(call.Args) >= 1 && compositeKind(call.Args[0]) != ""
-				}
-				return true
-			})
-			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok && appends && forces {
+			w := newWALWalker(pass, nil, true)
+			w.walk(fd.Body)
+			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok && w.closed && len(w.pending) == 0 {
 				out[fn] = true
 			}
 		}
@@ -115,18 +108,43 @@ func closingFuncs(pass *Pass) map[*types.Func]bool {
 
 // walWalker scans one function body in source order.
 type walWalker struct {
-	pass      *Pass
-	closing   map[*types.Func]bool
+	pass    *Pass
+	closing map[*types.Func]bool
+	// quiet suppresses diagnostics (the closing-helper pre-scan).
+	quiet     bool
 	forceSeen bool
-	pending   []walPending
+	// closed records that a force cleared at least one pending record.
+	closed  bool
+	pending []walPending
 	// recKinds tracks `rec := wal.Record{Kind: ...}` assignments so a
 	// later Append(rec) resolves the record's kind.
 	recKinds map[types.Object]string
+	// from maps each assigned local to the variables its value was
+	// computed from, so a log picked out of a set traces back to the set.
+	from map[types.Object][]types.Object
+}
+
+func newWALWalker(pass *Pass, closing map[*types.Func]bool, quiet bool) *walWalker {
+	return &walWalker{
+		pass:     pass,
+		closing:  closing,
+		quiet:    quiet,
+		recKinds: make(map[types.Object]string),
+		from:     make(map[types.Object][]types.Object),
+	}
 }
 
 type walPending struct {
 	pos  token.Pos
 	kind string
+	// logVars are the variables the appended-to log derives from.
+	logVars map[types.Object]bool
+}
+
+func (w *walWalker) report(pos token.Pos, format string, args ...any) {
+	if !w.quiet {
+		w.pass.Reportf(pos, format, args...)
+	}
 }
 
 func (w *walWalker) walk(n ast.Node) {
@@ -145,7 +163,8 @@ func (w *walWalker) walk(n ast.Node) {
 }
 
 // recordAssign remembers the kind of record composite literals bound to
-// identifiers, so Append(identifier) calls resolve their kind.
+// identifiers, so Append(identifier) calls resolve their kind, and the
+// variables each assigned value was computed from.
 func (w *walWalker) recordAssign(s *ast.AssignStmt) {
 	if len(s.Lhs) != len(s.Rhs) {
 		return
@@ -155,18 +174,48 @@ func (w *walWalker) recordAssign(s *ast.AssignStmt) {
 		if !ok {
 			continue
 		}
-		kind := compositeKind(s.Rhs[i])
-		if kind == "" {
-			continue
-		}
 		obj := w.pass.TypesInfo.Defs[id]
 		if obj == nil {
 			obj = w.pass.TypesInfo.Uses[id]
 		}
-		if obj != nil {
+		if obj == nil {
+			continue
+		}
+		w.from[obj] = w.vars(s.Rhs[i])
+		if kind := compositeKind(s.Rhs[i]); kind != "" {
 			w.recKinds[obj] = kind
 		}
 	}
+}
+
+// vars returns the variables e names, struct fields excluded.
+func (w *walWalker) vars(e ast.Expr) []types.Object {
+	var out []types.Object
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if v, ok := w.pass.TypesInfo.Uses[id].(*types.Var); ok && !v.IsField() {
+				out = append(out, v)
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// derived returns the variables e names and, transitively, those their
+// assigned values were computed from.
+func (w *walWalker) derived(e ast.Expr) map[types.Object]bool {
+	seen := make(map[types.Object]bool)
+	work := w.vars(e)
+	for len(work) > 0 {
+		v := work[len(work)-1]
+		work = work[:len(work)-1]
+		if !seen[v] {
+			seen[v] = true
+			work = append(work, w.from[v]...)
+		}
+	}
+	return seen
 }
 
 // compositeKind extracts the tracked Kind of a Record composite literal.
@@ -203,25 +252,51 @@ func (w *walWalker) call(call *ast.CallExpr) {
 	switch {
 	case forceCallees[name] || wrappedForce(call):
 		w.forceSeen = true
+		w.closed = w.closed || len(w.pending) > 0
 		w.pending = w.pending[:0]
 	case w.closing[funcOf(w.pass.TypesInfo, call)]:
-		w.pending = w.pending[:0]
+		w.closeThrough(call)
 	case name == "Append" && len(call.Args) >= 1:
 		kind := w.appendKind(call.Args[0])
 		if kind == "" {
 			return
 		}
 		if kind == "KindKeyMoved" && !w.forceSeen {
-			w.pass.Reportf(call.Pos(),
+			w.report(call.Pos(),
 				"KeyMoved appended without a dominating Force of the destination log (the chunk's copies must be durable first)")
 		}
-		w.pending = append(w.pending, walPending{pos: call.Pos(), kind: kind})
+		p := walPending{pos: call.Pos(), kind: kind}
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			p.logVars = w.derived(sel.X)
+		}
+		w.pending = append(w.pending, p)
 	case publishCallees[name]:
 		for _, p := range w.pending {
-			w.pass.Reportf(call.Pos(),
+			w.report(call.Pos(),
 				"routing state published while %s is appended but not forced (force the log before publishing)", p.kind)
 		}
 	}
+}
+
+// closeThrough drops the pending records whose log derives from a
+// variable passed to the closing helper call: the helper's force covers
+// them. Records on logs the call is not given stay pending.
+func (w *walWalker) closeThrough(call *ast.CallExpr) {
+	var passed []types.Object
+	for _, a := range call.Args {
+		passed = append(passed, w.vars(a)...)
+	}
+	kept := w.pending[:0]
+	for _, p := range w.pending {
+		covered := false
+		for _, v := range passed {
+			covered = covered || p.logVars[v]
+		}
+		if !covered {
+			kept = append(kept, p)
+		}
+	}
+	w.pending = kept
 }
 
 // wrappedForce recognizes a force threaded through a retry helper —
