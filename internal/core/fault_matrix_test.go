@@ -385,7 +385,7 @@ func TestFaultMatrixPartialGang(t *testing.T) {
 // force. ForceGroup commits the members whose writes landed, so the
 // failure is attributed to shard0 alone — shard1's flush carries on and
 // commits. shard0's rollback replay cannot read its dead log, so it
-// goes fully offline (qDirty) — and Heal keeps failing until the file
+// goes offline — and Heal keeps failing until the file
 // is revived.
 func TestFaultMatrixPermanentWAL(t *testing.T) {
 	fr, space := newFaultForest(t, RetryPolicy{})
@@ -403,7 +403,7 @@ func TestFaultMatrixPermanentWAL(t *testing.T) {
 	// The phase-1 gang force committed wal1's write, so the failure is
 	// attributed to shard0 alone: shard1's flush went through and it
 	// keeps full service. shard0's rollback replay read a dead log —
-	// fully offline (qDirty), reads rejected too.
+	// offline, reads rejected too.
 	if q := fr.Quarantined(); len(q) != 1 || q[0] != 0 {
 		t.Fatalf("Quarantined() = %v, want [0]", q)
 	}

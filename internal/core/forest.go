@@ -224,28 +224,32 @@ type forestShard struct {
 	// per-shard load signal AutoRebalance splits hotspots on.
 	ops int64
 
-	// quarantined (guarded by mu) puts the shard in read-only degraded
-	// mode after retry exhaustion or a permanent I/O failure: its tree has
-	// been rolled back to the last committed state, reads keep being
-	// served, writes fail with ErrShardQuarantined, and the shard is
-	// excluded from group flushes, checkpoint drains and rebalancing until
-	// Forest.Heal (or a full Recover) re-admits it. qErr records the
-	// fault that triggered it. qDirty marks a quarantined shard whose
-	// rollback replay itself failed (device still erroring): its in-memory
-	// state is mid-replay, so reads are rejected too until Heal succeeds.
-	quarantined bool
-	qDirty      bool
-	qErr        error
+	// health is the shard's state in the self-healing automaton; the
+	// fields after it are the data its states carry, all written only by
+	// transition (healing.go): the fault behind the state, the incident
+	// start, and the auto-heal probe schedule.
+	health     shardHealth // guarded by mu
+	cause      error       // guarded by mu
+	since      vtime.Ticks // guarded by mu
+	probeFrom  vtime.Ticks // guarded by mu
+	probeFails int         // guarded by mu
+}
 
-	// Self-healing prober state (guarded by mu). quarantinedAt is the
-	// incident start: set when a healthy shard quarantines and cleared
-	// only by a durable flush commit or a full Recover — NOT by Heal — so
-	// a flapping device cannot reset its evacuation deadline by healing
-	// briefly. nextProbeAt schedules the next auto-heal probe (0 = none);
-	// probeGap is the current backoff between probes.
-	quarantinedAt vtime.Ticks
-	nextProbeAt   vtime.Ticks
-	probeGap      vtime.Ticks
+// readErr rejects reads of an offline shard, which has nothing coherent
+// to serve; a quarantined one serves its committed state. Caller holds s.mu.
+func (s *forestShard) readErr(si int) error {
+	if s.health == offline {
+		return shardQuarantinedErr(si, s.cause)
+	}
+	return nil
+}
+
+// writeErr rejects writes to a non-writable shard. Caller holds s.mu.
+func (s *forestShard) writeErr(si int) error {
+	if !s.health.writable() {
+		return shardQuarantinedErr(si, s.cause)
+	}
+	return nil
 }
 
 // ripe reports whether the shard's OPQ is filled to the given fraction.
@@ -362,10 +366,7 @@ func (f *Forest) retryIO(at vtime.Ticks, op func(vtime.Ticks) (vtime.Ticks, erro
 // shardQuarantinedErr wraps ErrShardQuarantined with the shard index and
 // the fault that triggered the quarantine.
 func shardQuarantinedErr(si int, cause error) error {
-	if cause != nil {
-		return fmt.Errorf("core: shard %d: %w (cause: %v)", si, ErrShardQuarantined, cause)
-	}
-	return fmt.Errorf("core: shard %d: %w", si, ErrShardQuarantined)
+	return fmt.Errorf("core: shard %d: %w (cause: %v)", si, ErrShardQuarantined, cause)
 }
 
 // quarantineShard moves a shard into read-only degraded mode after an
@@ -378,13 +379,14 @@ func shardQuarantinedErr(si int, cause error) error {
 // completion time.
 func (f *Forest) quarantineShard(at vtime.Ticks, s *forestShard, cause error) vtime.Ticks {
 	//lint:ignore guardedby caller holds s.mu (see contract above)
-	if s.quarantined {
+	if !s.health.writable() {
 		return at
 	}
 	if s.tree.log == nil {
 		f.setDamaged(cause)
 		return at
 	}
+	ev := evFail
 	done, err := s.tree.rollbackToDurable(at)
 	if err != nil {
 		if !IsIOFault(err) {
@@ -397,24 +399,11 @@ func (f *Forest) quarantineShard(at vtime.Ticks, s *forestShard, cause error) vt
 		// shard goes fully offline — reads rejected too, since its
 		// in-memory state is mid-replay — but the rest of the forest keeps
 		// serving. Heal re-runs the rollback once the device recovers.
-		s.qDirty = true
+		ev = evReplayFail
 		cause = fmt.Errorf("%v (rollback also failed: %v)", cause, err)
 	}
 	//lint:ignore guardedby caller holds s.mu (see contract above)
-	s.quarantined = true
-	s.qErr = cause
-	// Start (or keep) the incident clock and schedule the first auto-heal
-	// probe. quarantinedAt is sticky across heal/re-fail flaps; the probe
-	// backoff restarts fresh for the new failure.
-	//lint:ignore guardedby caller holds s.mu (see contract above)
-	if s.quarantinedAt == 0 {
-		//lint:ignore guardedby caller holds s.mu (see contract above)
-		s.quarantinedAt = at
-	}
-	if !f.heal.Disabled {
-		s.probeGap = f.heal.ProbeInterval
-		s.nextProbeAt = done + s.probeGap
-	}
+	s.transition(ev, at, done, cause)
 	return done
 }
 
@@ -689,11 +678,8 @@ func (f *Forest) Search(at vtime.Ticks, k kv.Key) (kv.Value, bool, vtime.Ticks, 
 	}
 	si, s := f.lockOwner(k)
 	defer s.mu.Unlock()
-	if s.qDirty {
-		// Quarantined shards still serve reads from their committed state,
-		// but a dirty one (rollback replay failed) has nothing coherent to
-		// serve.
-		return 0, false, at, shardQuarantinedErr(si, s.qErr)
+	if err := s.readErr(si); err != nil {
+		return 0, false, at, err
 	}
 	s.ops++
 	start := vtime.Max(at, s.vlock.FreeAt())
@@ -727,8 +713,7 @@ func (f *Forest) SearchMany(at vtime.Ticks, keys []kv.Key) (map[kv.Key]kv.Value,
 		}
 		s := f.shards[si]
 		s.mu.Lock()
-		if s.qDirty {
-			err := shardQuarantinedErr(si, s.qErr)
+		if err := s.readErr(si); err != nil {
 			s.mu.Unlock()
 			return nil, at, err
 		}
@@ -760,16 +745,16 @@ func (f *Forest) RangeSearch(at vtime.Ticks, lo, hi kv.Key) ([]kv.Record, vtime.
 	var recs []kv.Record
 	done := at
 	for _, si := range f.part.RangeShards(lo, hi) {
-		if f.rpart.IsEvacuated(si) {
-			// An evacuated shard's committed copies live on its destination
-			// now; the stale physical copies it retains (its device rejects
-			// the deletes) must not surface twice.
-			continue
-		}
 		s := f.shards[si]
 		s.mu.Lock()
-		if s.qDirty {
-			err := shardQuarantinedErr(si, s.qErr)
+		if s.health == retired {
+			// A retired shard's committed copies live on its destination
+			// now; the stale physical copies it retains (its device rejects
+			// the deletes) must not surface twice.
+			s.mu.Unlock()
+			continue
+		}
+		if err := s.readErr(si); err != nil {
 			s.mu.Unlock()
 			return nil, at, err
 		}
@@ -812,8 +797,7 @@ func (f *Forest) update(at vtime.Ticks, e kv.Entry) (vtime.Ticks, error) {
 		var si int
 		si, s = f.lockOwner(e.Rec.Key)
 		//lint:ignore guardedby lockOwner returned with s.mu held for this shard
-		if s.quarantined {
-			err := shardQuarantinedErr(si, s.qErr)
+		if err := s.writeErr(si); err != nil {
 			s.mu.Unlock()
 			return at, err
 		}
@@ -877,9 +861,9 @@ func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 		// (already durable) entries and their device may still be failing.
 		keep := false
 		if i == trigger {
-			keep = !s.quarantined && s.tree.opq.Len() > 0
+			keep = s.health.writable() && s.tree.opq.Len() > 0
 		} else if !migrating(i) && !migrating(trigger) {
-			keep = !s.quarantined && s.ripe(f.ripeFrac)
+			keep = s.health.writable() && s.ripe(f.ripeFrac)
 		}
 		if keep {
 			group = append(group, s)
@@ -906,7 +890,11 @@ func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 		s := group[0]
 		start := s.vlock.Acquire(at)
 		done, err := s.tree.FlushBatch(start, s.tree.cfg.BCnt)
-		if err != nil && IsIOFault(err) && s.tree.log != nil {
+		switch {
+		case err == nil:
+			//lint:ignore guardedby member flush lock s.mu held until unlock below
+			s.transition(evFlushCommit, done, done, nil)
+		case IsIOFault(err) && s.tree.log != nil:
 			// Retries inside the flush are exhausted (or the device failed
 			// permanently): contain the failure to this shard and let the
 			// rest of the forest keep serving.
@@ -1082,11 +1070,11 @@ func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 	for gi, s := range group[:acquired] {
 		if flushed[gi] {
 			// This member's flush is durable end to end: a new rollback
-			// baseline — and proof the device is really back, so the
-			// self-healing incident clock resets.
+			// baseline — and proof the device is really back, so a
+			// probation's incident ends.
 			s.tree.commitDurableMeta()
 			//lint:ignore guardedby member flush lock s.mu held until release below
-			s.quarantinedAt = 0
+			s.transition(evFlushCommit, done, done, nil)
 		}
 	}
 	// Rollback replays for the quarantined members, charged on the vtime
@@ -1158,7 +1146,7 @@ func (f *Forest) submitGang(at vtime.Ticks, gang *writeGang) (vtime.Ticks, map[*
 			}
 			return done, failed, nil
 		}
-		wait := pol.backoff(attempt)
+		wait := backoff(pol.BaseBackoff, pol.MaxBackoff, attempt)
 		f.ioRetries.Add(1)
 		f.ioRetryBackoff.Add(int64(wait))
 		at = done + wait
@@ -1211,7 +1199,7 @@ func (f *Forest) Flush(at vtime.Ticks) (vtime.Ticks, error) {
 	for i, s := range f.shards {
 		s.mu.Lock()
 		n := s.tree.opq.Len()
-		if s.quarantined {
+		if !s.health.writable() {
 			n = 0 // cannot flush; its queue holds already-durable replays
 		}
 		s.mu.Unlock()
@@ -1249,24 +1237,25 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 	// (each shard's replay starts at its last checkpoint).
 	cut := make(map[*wal.Log]uint64)
 	anyQuarantined := false
-	for si, s := range f.shards {
+	for _, s := range f.shards {
 		s.mu.Lock()
-		if s.quarantined {
+		if !s.health.writable() {
 			// A quarantined shard cannot drain (its device may still be
 			// failing) and logs no checkpoint record: its replay cursor
-			// must stay where its last successful rollback left it. Only
-			// non-evacuated quarantines block truncation below — an
-			// evacuated shard's live state moved to healthy shards, and its
-			// own log is never in this round's cut set, so holding every
-			// log's history for it would leak log space forever.
-			if !f.rpart.IsEvacuated(si) {
-				anyQuarantined = true
-			}
+			// must stay where its last successful rollback left it, so it
+			// blocks truncation below. A retired one does not: its own log
+			// is never in a cut set again, and holding every log's history
+			// for it would leak log space forever.
+			anyQuarantined = anyQuarantined || s.health != retired
 			s.mu.Unlock()
 			continue
 		}
 		start := s.vlock.Acquire(at)
+		flushes := s.tree.opq.Len() > 0
 		d, err := s.tree.drain(start)
+		if err == nil && flushes {
+			s.transition(evFlushCommit, d, d, nil)
+		}
 		if err == nil && s.tree.log != nil {
 			cut[s.tree.log] = s.tree.log.Append(wal.Record{Kind: wal.KindCheckpoint, Relation: s.tree.cfg.Relation})
 			lg.need(s.tree.log)
@@ -1329,7 +1318,7 @@ func (f *Forest) Sync(at vtime.Ticks) (vtime.Ticks, error) {
 	logs := make([]*wal.Log, 0, len(f.logs))
 	for _, s := range f.shards {
 		s.mu.Lock()
-		if !s.quarantined {
+		if s.health.writable() {
 			logs = append(logs, s.tree.log)
 		}
 		s.mu.Unlock()
@@ -1367,13 +1356,6 @@ func (f *Forest) Recover(at vtime.Ticks) (ForestRecoveryReport, vtime.Ticks, err
 	for i, s := range f.shards {
 		s.mu.Lock()
 		r, d, err := s.tree.Recover(at)
-		if err == nil {
-			// A successful replay supersedes any quarantine: the shard is
-			// re-admitted in exactly the durable state, with a fresh
-			// self-healing incident clock.
-			s.quarantined, s.qDirty, s.qErr = false, false, nil
-			s.quarantinedAt, s.nextProbeAt, s.probeGap = 0, 0, 0
-		}
 		s.mu.Unlock()
 		if err != nil {
 			return rep, d, fmt.Errorf("core: forest shard %d: %w", i, err)
@@ -1393,9 +1375,17 @@ func (f *Forest) Recover(at vtime.Ticks) (ForestRecoveryReport, vtime.Ticks, err
 	if err != nil {
 		return rep, done, err
 	}
-	// The per-shard replay above re-admitted every shard; evacuated
-	// shards must not come back as live members.
-	f.retireEvacuated()
+	// The replay re-admits every shard in its durable state, except the
+	// ones the recovered routing marks evacuated: those retire.
+	for i, s := range f.shards {
+		ev := evRecover
+		if f.rpart.IsEvacuated(i) {
+			ev = evRetire
+		}
+		s.mu.Lock()
+		s.transition(ev, done, done, nil)
+		s.mu.Unlock()
+	}
 	// The durable log has been replayed into a consistent state; lift any
 	// group-commit damage mark.
 	f.damaged.Store(nil)
@@ -1418,16 +1408,16 @@ func (f *Forest) Heal(at vtime.Ticks, shard int) (vtime.Ticks, error) {
 	if shard < 0 || shard >= len(f.shards) {
 		return at, fmt.Errorf("core: Heal: no shard %d (forest has %d)", shard, len(f.shards))
 	}
-	if f.rpart.IsEvacuated(shard) {
-		return at, fmt.Errorf("core: Heal: shard %d was evacuated; its range is served by healthy shards", shard)
-	}
 	s := f.shards[shard]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.quarantined {
-		return at, nil
+	switch {
+	case s.health == retired:
+		return at, fmt.Errorf("core: Heal: shard %d was evacuated; its range is served by healthy shards", shard)
+	case s.health.probing():
+		return s.heal(at, shard)
 	}
-	return f.healLocked(at, shard, s)
+	return at, nil
 }
 
 // Quarantined returns the indexes of shards currently in read-only
@@ -1438,11 +1428,8 @@ func (f *Forest) Heal(at vtime.Ticks, shard int) (vtime.Ticks, error) {
 func (f *Forest) Quarantined() []int {
 	var out []int
 	for i, s := range f.shards {
-		if f.rpart.IsEvacuated(i) {
-			continue
-		}
 		s.mu.Lock()
-		if s.quarantined {
+		if s.health.probing() {
 			out = append(out, i)
 		}
 		s.mu.Unlock()
@@ -1509,14 +1496,13 @@ func (f *Forest) Count() int64 {
 	f.migMu.RLock()
 	defer f.migMu.RUnlock()
 	var n int64
-	for i, s := range f.shards {
-		if f.rpart.IsEvacuated(i) {
-			// Stale physical copies on an evacuated shard; the live records
-			// are counted on their destination.
-			continue
-		}
+	for _, s := range f.shards {
 		s.mu.Lock()
-		n += s.tree.Count()
+		// A retired shard holds stale physical copies; the live records are
+		// counted on their destination.
+		if s.health != retired {
+			n += s.tree.Count()
+		}
 		s.mu.Unlock()
 	}
 	return n
@@ -1596,21 +1582,21 @@ func (f *Forest) Stats() ForestStats {
 		MigrationActive: f.rebalanceActive.Load(),
 		ShardLoads:      make([]ShardLoad, 0, len(f.shards)),
 	}
-	for i, s := range f.shards {
-		evacuated := f.rpart.IsEvacuated(i)
+	for _, s := range f.shards {
 		s.mu.Lock()
+		h := s.health
 		out.ShardLoads = append(out.ShardLoads, ShardLoad{
 			Ops:         s.ops,
 			Keys:        s.tree.Count(),
 			Pending:     s.tree.OPQLen(),
 			OPQPages:    s.tree.OPQPages(),
-			Quarantined: s.quarantined,
-			Evacuated:   evacuated,
+			Quarantined: !h.writable(),
+			Evacuated:   h == retired,
 		})
 		switch {
-		case evacuated:
+		case h == retired:
 			out.EvacuatedShards++
-		case s.quarantined:
+		case !h.writable():
 			out.QuarantinedShards++
 		}
 		st := s.tree.Stats()
@@ -1661,12 +1647,13 @@ func (f *Forest) Stats() ForestStats {
 // shard holds only keys the partitioner routes to it.
 func (f *Forest) CheckInvariants() error {
 	for i, s := range f.shards {
-		if f.rpart.IsEvacuated(i) {
+		s.mu.Lock()
+		if s.health == retired {
 			// The shard's stale physical copies legitimately violate routing
 			// (its device rejected the deletes); sweeps skip it entirely.
+			s.mu.Unlock()
 			continue
 		}
-		s.mu.Lock()
 		err := s.tree.CheckInvariants()
 		if err == nil {
 			for _, e := range s.tree.opq.Entries() {

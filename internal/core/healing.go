@@ -12,20 +12,89 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/vtime"
 	"repro/internal/wal"
 )
 
+// shardHealth is a shard's state in the self-healing automaton.
+type shardHealth uint8
+
+const (
+	healthy     shardHealth = iota
+	probation               // healed and serving writes; the incident clock still runs
+	quarantined             // writes rejected, the committed state served
+	offline                 // the rollback replay failed: reads rejected too
+	retired                 // evacuated: the range is served by healthy shards
+)
+
+// writable reports whether the shard takes writes and joins flushes,
+// checkpoints and migrations.
+func (h shardHealth) writable() bool { return h <= probation }
+
+// probing reports whether the auto-heal prober works on the shard.
+func (h shardHealth) probing() bool { return h == quarantined || h == offline }
+
+// healthEvent is one input of the automaton.
+type healthEvent uint8
+
+const (
+	evFail        healthEvent = iota // an I/O fault, contained by a rollback to durable (or a failed probe)
+	evReplayFail                     // a rollback replay that itself failed
+	evHeal                           // a heal replay re-admitted the shard
+	evFlushCommit                    // a flush of the shard committed durably
+	evRecover                        // a full Recover replayed the shard
+	evRetire                         // an evacuation committed the shard's range elsewhere
+)
+
+// healthNext is the automaton's state table, indexed [event][from] with
+// the states in declaration order: healthy, probation, quarantined,
+// offline, retired. A retired shard absorbs every event.
+var healthNext = [...][retired + 1]shardHealth{
+	evFail:        {quarantined, quarantined, quarantined, offline, retired},
+	evReplayFail:  {offline, offline, offline, offline, retired},
+	evHeal:        {healthy, probation, probation, probation, retired},
+	evFlushCommit: {healthy, healthy, quarantined, offline, retired},
+	evRecover:     {healthy, healthy, healthy, healthy, retired},
+	evRetire:      {retired, retired, retired, retired, retired},
+}
+
+var errEvacuated = errors.New("core: shard evacuated; its range is served by healthy shards")
+
+// transition feeds ev into the shard's health automaton: the only writer
+// of health and of the data its states carry. A fault that takes a
+// writable shard out of service struck at `at` with the given cause; from
+// healthy it opens the incident, from probation the incident keeps its
+// start. ready is when the shard is done with its device (rollback or
+// probe finished): the next probe counts from it, and a fail while the
+// prober works is a failed probe, which backs it off. Caller holds s.mu.
+func (s *forestShard) transition(ev healthEvent, at, ready vtime.Ticks, cause error) {
+	from := s.health
+	s.health = healthNext[ev][from]
+	switch {
+	case s.health == retired:
+		s.cause = errEvacuated
+	case s.health.writable():
+		s.cause = nil
+	case from.writable():
+		if from == healthy {
+			s.since = at
+		}
+		s.cause = cause
+		s.probeFrom, s.probeFails = ready, 0
+	case ev == evFail:
+		s.probeFrom, s.probeFails = ready, s.probeFails+1
+	}
+}
+
 // HealPolicy drives the auto-heal prober. After quarantine, the shard
 // issues a cheap probe I/O every ProbeInterval; each failed probe (or
 // failed Heal replay) doubles the gap up to MaxProbeInterval. The zero
 // value means "defaults", so every forest gets self-healing without
-// opting in; set Disabled for the operator-driven Heal-only behaviour.
+// opting in; Forest.Heal re-admits a shard on demand as well.
 type HealPolicy struct {
-	// Disabled turns the prober off; Forest.Heal remains available.
-	Disabled bool
 	// ProbeInterval is the delay from quarantine to the first probe,
 	// doubling per failed probe (0 means the default, 500µs).
 	ProbeInterval vtime.Ticks
@@ -59,9 +128,6 @@ func (p HealPolicy) norm() HealPolicy {
 // EvacuationPolicy bounds how long a quarantined shard may stay
 // un-healed before AutoRebalance migrates its range onto healthy shards.
 type EvacuationPolicy struct {
-	// Disabled turns auto-evacuation off: a dead shard stays quarantined
-	// until Heal or Recover.
-	Disabled bool
 	// After is the vtime a shard may stay quarantined — measured from the
 	// incident start, which survives intermediate heals that never reach
 	// a durable flush — before its range is evacuated (0 means the
@@ -88,24 +154,18 @@ func (s *forestShard) probe(at vtime.Ticks) (vtime.Ticks, error) {
 	return t.pf.ReadRun(at, t.root, 1, make([]byte, t.cfg.PageSize))
 }
 
-// healTick is the auto-heal prober: every quarantined, non-evacuated
-// shard whose probe deadline passed issues a probe read and, when the
-// device answers, attempts the full Heal replay. A failed probe or
-// replay doubles the shard's probe gap up to the policy cap. Shards are
-// visited in ascending index order so concurrent schedules cannot
-// reorder probe outcomes. Returns the completion time of the probes
-// performed.
+// healTick is the auto-heal prober: every quarantined or offline shard
+// whose probe deadline passed issues a probe read and, when the device
+// answers, attempts the full Heal replay. A failed probe or replay backs
+// the prober off. Shards are visited in ascending index order so
+// concurrent schedules cannot reorder probe outcomes. Returns the
+// completion time of the probes performed.
 func (f *Forest) healTick(at vtime.Ticks) vtime.Ticks {
-	if f.heal.Disabled {
-		return at
-	}
 	done := at
 	for si, s := range f.shards {
-		if f.rpart.IsEvacuated(si) {
-			continue
-		}
 		s.mu.Lock()
-		if !s.quarantined || s.nextProbeAt == 0 || at < s.nextProbeAt {
+		gap := backoff(f.heal.ProbeInterval, f.heal.MaxProbeInterval, s.probeFails)
+		if !s.health.probing() || at < s.probeFrom+gap {
 			s.mu.Unlock()
 			continue
 		}
@@ -115,17 +175,13 @@ func (f *Forest) healTick(at vtime.Ticks) vtime.Ticks {
 			// The device answered the probe; the Heal replay (force the log
 			// tail, roll back to durable, replay) is the real re-admission
 			// test — a read-only device passes probes but fails here.
-			pd, err = f.healLocked(pd, si, s)
+			pd, err = s.heal(pd, si)
 			if err == nil {
 				f.autoHeals.Add(1)
 			}
 		}
 		if err != nil {
-			s.probeGap *= 2
-			if s.probeGap > f.heal.MaxProbeInterval {
-				s.probeGap = f.heal.MaxProbeInterval
-			}
-			s.nextProbeAt = pd + s.probeGap
+			s.transition(evFail, pd, pd, err)
 		}
 		s.mu.Unlock()
 		done = vtime.Max(done, pd)
@@ -133,9 +189,9 @@ func (f *Forest) healTick(at vtime.Ticks) vtime.Ticks {
 	return done
 }
 
-// healLocked is the body of Forest.Heal: caller holds s.mu and has
-// checked that the shard is quarantined and not evacuated.
-func (f *Forest) healLocked(at vtime.Ticks, shard int, s *forestShard) (vtime.Ticks, error) {
+// heal is the body of Forest.Heal and the prober's re-admission test.
+// Caller holds s.mu; the shard is quarantined or offline.
+func (s *forestShard) heal(at vtime.Ticks, shard int) (vtime.Ticks, error) {
 	// Force the shard's log tail first: an aborted migration leaves its
 	// compensation records (and any stranded appends) in the unforced
 	// tail, and the rollback replay below reads only durable records. If
@@ -161,35 +217,22 @@ func (f *Forest) healLocked(at vtime.Ticks, shard int, s *forestShard) (vtime.Ti
 	if err != nil {
 		// A half-applied replay leaves memory incoherent: reads stay off
 		// too until a replay goes through.
-		s.qDirty = true
+		s.transition(evReplayFail, done, done, err)
 		return done, fmt.Errorf("core: Heal shard %d: %w", shard, err)
 	}
-	//lint:ignore guardedby caller holds s.mu (see contract above)
-	s.quarantined, s.qDirty, s.qErr = false, false, nil
-	s.nextProbeAt, s.probeGap = 0, 0
-	// quarantinedAt stays: only a durable flush commit proves the device
-	// is really back. A flapping device that heals and re-fails keeps its
-	// original incident clock, so the evacuation deadline stays bounded.
+	// Probation, not healthy: only a durable flush commit proves the
+	// device is back, so a device that heals and re-fails keeps its
+	// incident clock and the evacuation deadline stays bounded.
+	s.transition(evHeal, done, done, nil)
 	return done, nil
 }
 
-// startDueEvacuation starts migrating the whole committed range of a
-// shard past its evacuation deadline (see dueEvacuation) onto the
-// coldest healthy shard. Returns nil when nothing is due, no destination
-// exists, or a migration is already in flight.
-func (f *Forest) startDueEvacuation(at vtime.Ticks) (*Migration, vtime.Ticks, error) {
-	src, dst, ok := f.dueEvacuation(at)
-	if !ok {
-		return nil, at, nil
-	}
-	return f.evacuate(at, src, dst)
-}
-
-// evacuate starts the evacuation of src onto dst: a migration whose
-// source cannot be written (see the protocol at the top of
-// rebalance.go). The start re-checks the source under its lock, so a
-// shard healed since dueEvacuation's scan is left alone and the claim on
-// the migration slot is released.
+// evacuate starts migrating the whole committed range of src onto dst: a
+// migration whose source cannot be written (see the protocol at the top
+// of rebalance.go). Returns nil when a migration is already in flight.
+// The start re-checks the source under its lock, so a shard healed since
+// dueEvacuation's scan is left alone and the claim on the migration slot
+// is released.
 func (f *Forest) evacuate(at vtime.Ticks, src, dst int) (*Migration, vtime.Ticks, error) {
 	if !f.rebalanceActive.CompareAndSwap(false, true) {
 		return nil, at, nil // a migration is in flight; next poll retries
@@ -202,24 +245,19 @@ func (f *Forest) evacuate(at vtime.Ticks, src, dst int) (*Migration, vtime.Ticks
 }
 
 // dueEvacuation scans for a shard past its evacuation deadline and picks
-// its destination. A shard qualifies when it is quarantined with a
-// coherent in-memory state (a dirty one has nothing trustworthy to
-// stream), not yet evacuated, and its incident clock exceeded the policy
-// deadline. Reports false when nothing is due or no healthy destination
-// exists.
+// its destination. A shard qualifies when it is quarantined — an offline
+// one has nothing trustworthy to stream — and its incident clock
+// exceeded the policy deadline. Reports false when nothing is due or no
+// healthy destination exists.
 func (f *Forest) dueEvacuation(at vtime.Ticks) (src, dst int, ok bool) {
-	if f.evac.Disabled {
-		return -1, -1, false
-	}
 	for si, s := range f.shards {
-		if si >= 64 || f.rpart.IsEvacuated(si) {
+		if si >= 64 {
 			// The evacuated set is a 64-bit mask in the durable routing
 			// snapshot; forests beyond that (none realistic) heal only.
-			continue
+			break
 		}
 		s.mu.Lock()
-		due := s.quarantined && !s.qDirty && s.quarantinedAt > 0 &&
-			at >= s.quarantinedAt+f.evac.After
+		due := s.health == quarantined && at >= s.since+f.evac.After
 		s.mu.Unlock()
 		if !due {
 			continue

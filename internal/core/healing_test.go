@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/flashsim"
@@ -337,8 +339,7 @@ func TestHealIdempotentHealthy(t *testing.T) {
 // however often it is retried; once the device recovers, Heal succeeds
 // and is idempotent from then on, with the forced tail fully durable.
 func TestHealRefailStaysQuarantined(t *testing.T) {
-	fr, space := newFaultForestCfg(t, RetryPolicy{Disabled: true},
-		HealPolicy{Disabled: true}, EvacuationPolicy{Disabled: true})
+	fr, space := newFaultForest(t, RetryPolicy{Disabled: true})
 	at := fmBaseline(t, fr)
 	fmInstall(t, space, "readonly file=wal0")
 	accepted, werr, now := fmTriggerFlush(t, fr, at)
@@ -534,7 +535,12 @@ func TestEvacuationStartIntoDeadShardContained(t *testing.T) {
 
 	fmInstall(t, space, "readonly file=wal1; readonly file=wal0")
 	epoch := fr.Stats().RoutingEpoch
-	m, done, err := fr.startDueEvacuation(done + 2*vtime.Millisecond)
+	done += 2 * vtime.Millisecond
+	src, dst, ok := fr.dueEvacuation(done)
+	if !ok || src != 1 || dst != 0 {
+		t.Fatalf("dueEvacuation = (%d, %d, %v), want (1, 0, true)", src, dst, ok)
+	}
+	m, done, err := fr.evacuate(done, src, dst)
 	if m != nil || !errors.Is(err, ErrShardQuarantined) {
 		t.Fatalf("evacuation start into a dead destination = (%v, %v), want a contained refusal", m, err)
 	}
@@ -944,6 +950,411 @@ func TestMigrationStartIntoDeadShardContained(t *testing.T) {
 	_ = fmCheckKeys(t, fr, done, fmShardKeys(1))
 	if fr.Count() != int64(2*fmPerShard) {
 		t.Fatalf("Count() = %d, want %d", fr.Count(), 2*fmPerShard)
+	}
+	if err := fr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShardHealthTransitions drives the shard health automaton through
+// every (state, event) pair: the resulting state, whether the incident
+// start was opened at the event or kept, and whether the probe schedule
+// restarted, backed off, or stayed as it was.
+func TestShardHealthTransitions(t *testing.T) {
+	const start, at, ready = vtime.Ticks(10), vtime.Ticks(100), vtime.Ticks(120)
+	errOld, errNew := errors.New("old fault"), errors.New("new fault")
+	states := [...]string{"healthy", "probation", "quarantined", "offline", "retired"}
+	events := [...]string{"fail", "replay-fail", "heal", "flush-commit", "recover", "retire"}
+	// reach drives a fresh shard into h through the automaton itself, any
+	// incident opening at start.
+	reach := func(h shardHealth) *forestShard {
+		s := &forestShard{}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		switch h {
+		case probation:
+			s.transition(evFail, start, start, errOld)
+			s.transition(evHeal, start, start, nil)
+		case quarantined:
+			s.transition(evFail, start, start, errOld)
+		case offline:
+			s.transition(evReplayFail, start, start, errOld)
+		case retired:
+			s.transition(evRetire, start, start, nil)
+		}
+		if s.health != h {
+			t.Fatalf("reached %s, want %s", states[s.health], states[h])
+		}
+		return s
+	}
+	type probe int
+	const (
+		kept probe = iota
+		restarted
+		backedOff
+	)
+	cases := []struct {
+		from  shardHealth
+		ev    healthEvent
+		to    shardHealth
+		opens bool // the incident start moves to at
+		probe probe
+	}{
+		{healthy, evFail, quarantined, true, restarted},
+		{healthy, evReplayFail, offline, true, restarted},
+		{healthy, evHeal, healthy, false, kept},
+		{healthy, evFlushCommit, healthy, false, kept},
+		{healthy, evRecover, healthy, false, kept},
+		{healthy, evRetire, retired, false, kept},
+		{probation, evFail, quarantined, false, restarted}, // the start is kept
+		{probation, evReplayFail, offline, false, restarted},
+		{probation, evHeal, probation, false, kept},
+		{probation, evFlushCommit, healthy, false, kept},
+		{probation, evRecover, healthy, false, kept},
+		{probation, evRetire, retired, false, kept},
+		{quarantined, evFail, quarantined, false, backedOff},
+		{quarantined, evReplayFail, offline, false, kept},
+		{quarantined, evHeal, probation, false, kept},
+		{quarantined, evFlushCommit, quarantined, false, kept},
+		{quarantined, evRecover, healthy, false, kept},
+		{quarantined, evRetire, retired, false, kept},
+		{offline, evFail, offline, false, backedOff},
+		{offline, evReplayFail, offline, false, kept},
+		{offline, evHeal, probation, false, kept},
+		{offline, evFlushCommit, offline, false, kept},
+		{offline, evRecover, healthy, false, kept},
+		{offline, evRetire, retired, false, kept},
+		{retired, evFail, retired, false, kept}, // a no-op
+		{retired, evReplayFail, retired, false, kept},
+		{retired, evHeal, retired, false, kept}, // refused
+		{retired, evFlushCommit, retired, false, kept},
+		{retired, evRecover, retired, false, kept},
+		{retired, evRetire, retired, false, kept},
+	}
+	if len(cases) != len(states)*len(events) {
+		t.Fatalf("%d cases, want every one of %d (state, event) pairs", len(cases), len(states)*len(events))
+	}
+	for _, c := range cases {
+		name := states[c.from] + " --" + events[c.ev] + "-->"
+		s := reach(c.from)
+		s.mu.Lock()
+		since, from, fails := s.since, s.probeFrom, s.probeFails
+		s.transition(c.ev, at, ready, errNew)
+		got := s.health
+		gotSince, gotFrom, gotFails, cause := s.since, s.probeFrom, s.probeFails, s.cause
+		s.mu.Unlock()
+		if got != c.to {
+			t.Errorf("%s %s, want %s", name, states[got], states[c.to])
+		}
+		wantSince := since
+		if c.opens {
+			wantSince = at
+		}
+		if gotSince != wantSince {
+			t.Errorf("%s incident start %v, want %v", name, gotSince, wantSince)
+		}
+		wantFrom, wantFails := from, fails
+		switch c.probe {
+		case restarted:
+			wantFrom, wantFails = ready, 0
+		case backedOff:
+			wantFrom, wantFails = ready, fails+1
+		}
+		if gotFrom != wantFrom || gotFails != wantFails {
+			t.Errorf("%s probe schedule (%v, %d), want (%v, %d)", name, gotFrom, gotFails, wantFrom, wantFails)
+		}
+		var wantCause error
+		switch {
+		case c.to == retired:
+			wantCause = errEvacuated
+		case c.probe == restarted:
+			wantCause = errNew
+		case c.to.probing():
+			wantCause = errOld
+		}
+		if cause != wantCause {
+			t.Errorf("%s cause %v, want %v", name, cause, wantCause)
+		}
+	}
+}
+
+// TestEvacuationDeadlineFromVtimeZero quarantines a shard at vtime 0 —
+// its WAL is read-only before the first write — and expects the
+// evacuation deadline to fire like for any other incident start.
+func TestEvacuationDeadlineFromVtimeZero(t *testing.T) {
+	fr, space := newFaultForestCfg(t, RetryPolicy{Disabled: true},
+		HealPolicy{}, EvacuationPolicy{After: 2 * vtime.Millisecond})
+	fmInstall(t, space, "readonly file=wal1")
+	for j := 0; ; j++ {
+		if j == 500 {
+			t.Fatal("shard 1 never quarantined")
+		}
+		k := fmStride + kv.Key(j)
+		_, err := fr.Insert(0, kv.Record{Key: k, Value: fmVal(k)})
+		if errors.Is(err, ErrShardQuarantined) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("Insert(%d): %v", k, err)
+		}
+	}
+	var now vtime.Ticks
+	for now < 100*vtime.Millisecond {
+		now += 500 * vtime.Microsecond
+		_, _, _, d, err := fr.AutoRebalance(now, fmDrivePolicy())
+		if err != nil {
+			t.Fatalf("AutoRebalance: %v", err)
+		}
+		now = vtime.Max(now, d)
+	}
+	if st := fr.Stats(); st.Evacuations != 1 || st.EvacuatedShards != 1 {
+		t.Fatalf("Evacuations = %d, EvacuatedShards = %d after %d probes; want 1 and 1",
+			st.Evacuations, st.EvacuatedShards, st.HealProbes)
+	}
+	k := fmStride + 999
+	now, err := fr.Insert(now, kv.Record{Key: k, Value: fmVal(k)})
+	if err != nil {
+		t.Fatalf("insert into the evacuated range: %v", err)
+	}
+	fmCheckKeys(t, fr, now, []kv.Key{k})
+}
+
+// TestSoloFlushCommitEndsIncident heals a quarantined shard and commits
+// one solo flush of it, which proves its device is back and ends the
+// incident. When the device dies again 50ms later, a new incident opens:
+// the next poll must not evacuate against the old incident's start.
+func TestSoloFlushCommitEndsIncident(t *testing.T) {
+	fr, space := newFaultForest(t, RetryPolicy{Disabled: true})
+	at := fmBaseline(t, fr)
+	fmInstall(t, space, fmt.Sprintf("transient file=wal1 until=%dns", at+vtime.Millisecond))
+	_, werr, now := fmTriggerFlush(t, fr, at)
+	if werr != nil && !errors.Is(werr, ErrShardQuarantined) {
+		t.Fatalf("trigger write error = %v", werr)
+	}
+	if q := fr.Quarantined(); len(q) != 1 || q[0] != 1 {
+		t.Fatalf("Quarantined() = %v, want [1]", q)
+	}
+	space.SetInjector(nil)
+	now, err := fr.Heal(now, 1)
+	if err != nil {
+		t.Fatalf("Heal: %v", err)
+	}
+
+	// insertUntil inserts fresh shard-1 keys from base until stop holds.
+	insertUntil := func(base kv.Key, stop func(error) bool) {
+		t.Helper()
+		for j := 0; j < 500; j++ {
+			k := base + kv.Key(j)
+			var err error
+			now, err = fr.Insert(now, kv.Record{Key: k, Value: fmVal(k)})
+			if stop(err) {
+				return
+			}
+			if err != nil {
+				t.Fatalf("Insert(%d): %v", k, err)
+			}
+		}
+		t.Fatal("condition never reached after 500 inserts")
+	}
+	before := fr.Stats()
+	insertUntil(fmStride+600, func(error) bool { return fr.Stats().GroupFlushes > before.GroupFlushes })
+	if st := fr.Stats(); st.GroupedShards-before.GroupedShards != 1 || len(fr.Quarantined()) != 0 {
+		t.Fatalf("want one committed solo flush of shard 1: %+v", st)
+	}
+
+	now += 50 * vtime.Millisecond
+	fmInstall(t, space, "readonly file=wal1")
+	insertUntil(fmStride+2000, func(err error) bool { return errors.Is(err, ErrShardQuarantined) })
+	if _, _, _, _, err := fr.AutoRebalance(now, fmDrivePolicy()); err != nil {
+		t.Fatalf("AutoRebalance: %v", err)
+	}
+	if st := fr.Stats(); st.Evacuations != 0 {
+		t.Fatalf("Evacuations = %d right after a fresh incident opened, want 0", st.Evacuations)
+	}
+}
+
+// TestShardHealthHammerRace moves shard 1 through its whole health
+// lifecycle while real goroutines read, write and poll: a transient WAL
+// fault that comes and goes twice (quarantine, heal), then a permanent
+// one (quarantine, evacuation). The committed keys stay served
+// throughout, and at the end no committed key is lost, no acknowledged
+// key reads back wrong, and the forest's invariants hold.
+func TestShardHealthHammerRace(t *testing.T) {
+	fr, space := newFaultForestCfg(t, RetryPolicy{Disabled: true},
+		HealPolicy{}, EvacuationPolicy{After: 2 * vtime.Millisecond})
+	at := fmBaseline(t, fr)
+	committed := append(fmShardKeys(0), fmShardKeys(1)...)
+
+	var (
+		stop    atomic.Bool
+		horizon atomic.Int64 // the latest writer clock: the driver never lags behind it
+		ackMu   sync.Mutex
+		acked   []kv.Key
+		wg      sync.WaitGroup
+	)
+	ack := func(k kv.Key) {
+		ackMu.Lock()
+		acked = append(acked, k)
+		ackMu.Unlock()
+	}
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+	const writers, readers, writerOps = 2, 2, 400
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			now := at
+			for i := 0; i < writerOps && !stop.Load(); i++ {
+				// Even ops write shard 0, odd ones shard 1.
+				k := 100 + kv.Key(w*writerOps+i)/2
+				if i%2 == 1 {
+					k = 2*fmStride + kv.Key(w*writerOps+i)
+				}
+				done, err := fr.Insert(now, kv.Record{Key: k, Value: fmVal(k)})
+				switch {
+				case err == nil:
+					ack(k)
+				case !errors.Is(err, ErrShardQuarantined):
+					t.Errorf("writer %d: Insert(%d): %v", w, k, err)
+					return
+				}
+				// A rejected write still spent the flush and rollback that
+				// quarantined the shard.
+				now = vtime.Max(now, done)
+				for h := horizon.Load(); int64(now) > h; h = horizon.Load() {
+					if horizon.CompareAndSwap(h, int64(now)) {
+						break
+					}
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			now := at
+			for i := r; !stop.Load(); i++ {
+				k := committed[(i*17)%len(committed)]
+				if i%16 == 0 {
+					_, done, err := fr.RangeSearch(now, k, k+64)
+					if err != nil && !errors.Is(err, ErrShardQuarantined) {
+						t.Errorf("reader %d: RangeSearch(%d): %v", r, k, err)
+						return
+					}
+					now = vtime.Max(now, done)
+					continue
+				}
+				// An offline shard rejects reads; otherwise a committed key
+				// is always served.
+				v, ok, done, err := fr.Search(now, k)
+				if err == nil && (!ok || v != fmVal(k)) {
+					t.Errorf("reader %d: committed key %d = (%d, %v)", r, k, v, ok)
+					return
+				}
+				if err != nil && !errors.Is(err, ErrShardQuarantined) {
+					t.Errorf("reader %d: Search(%d): %v", r, k, err)
+					return
+				}
+				now = vtime.Max(now, done)
+			}
+		}(r)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			fr.Stats()
+			fr.Quarantined()
+			fr.Count()
+		}
+	}()
+
+	// The driver runs on the test goroutine: it installs the faults,
+	// quarantines shard 1 itself when the writers have not, and polls
+	// AutoRebalance.
+	now := at
+	poll := func() {
+		now = vtime.Max(now, vtime.Ticks(horizon.Load())) + 500*vtime.Microsecond
+		_, _, _, d, err := fr.AutoRebalance(now, fmDrivePolicy())
+		if err != nil {
+			t.Fatalf("AutoRebalance: %v", err)
+		}
+		now = vtime.Max(now, d)
+	}
+	pollUntil := func(what string, cond func() bool) {
+		for i := 0; !cond(); i++ {
+			if i == 512 {
+				t.Fatalf("%s never happened: %+v", what, fr.Stats())
+			}
+			poll()
+		}
+	}
+	next := 100 * fmStride
+	quarantine := func() {
+		for j := 0; j < 500; j++ {
+			k := next
+			next++
+			d, err := fr.Insert(now, kv.Record{Key: k, Value: fmVal(k)})
+			now = vtime.Max(now, d)
+			if errors.Is(err, ErrShardQuarantined) {
+				return
+			}
+			if err != nil {
+				t.Fatalf("driver Insert(%d): %v", k, err)
+			}
+			ack(k)
+		}
+		t.Fatal("shard 1 never quarantined")
+	}
+	for flap := 0; flap < 2; flap++ {
+		fmInstall(t, space, "transient file=wal1")
+		quarantine()
+		space.SetInjector(nil)
+		pollUntil("heal", func() bool { return len(fr.Quarantined()) == 0 })
+		// Checkpoint before the next fault. A replay undoes a flush whose
+		// FlushStart is durable without its FlushEnd but logs nothing that
+		// closes it, so a second rollback before a checkpoint would apply
+		// its stale pre-images again, over pages a later flush wrote.
+		d, err := fr.Checkpoint(now)
+		if err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		now = d
+	}
+	// Every key acknowledged so far is made durable: none may be lost.
+	ackMu.Lock()
+	durable := len(acked)
+	ackMu.Unlock()
+	d, err := fr.Sync(now)
+	if err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	now = d
+	fmInstall(t, space, "readonly file=wal1")
+	quarantine()
+	pollUntil("evacuation", func() bool { return fr.Stats().Evacuations == 1 })
+	stop.Store(true)
+	wg.Wait()
+
+	st := fr.Stats()
+	if st.AutoHeals < 2 || st.EvacuatedShards != 1 || st.QuarantinedShards != 0 {
+		t.Fatalf("lifecycle stats: %+v", st)
+	}
+	now = fmCheckKeys(t, fr, now, committed)
+	for i, k := range acked {
+		v, ok, d, err := fr.Search(now, k)
+		if err != nil {
+			t.Fatalf("Search(%d): %v", k, err)
+		}
+		now = d
+		mustSurvive := i < durable || k < fmStride
+		if ok && v != fmVal(k) || !ok && mustSurvive {
+			t.Fatalf("acknowledged key %d = (%d, %v), durable=%v", k, v, ok, mustSurvive)
+		}
 	}
 	if err := fr.CheckInvariants(); err != nil {
 		t.Fatal(err)

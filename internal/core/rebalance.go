@@ -387,12 +387,12 @@ func (f *Forest) StartMigration(at vtime.Ticks, lo, hi kv.Key, src, dst int) (*M
 	for _, si := range []int{src, dst} {
 		s := f.shards[si]
 		s.mu.Lock()
-		q, qe := s.quarantined, s.qErr
+		err := s.writeErr(si)
 		s.mu.Unlock()
-		if q {
+		if err != nil {
 			// A quarantined shard can neither stream chunks nor absorb
 			// copies; Heal it first.
-			return nil, at, shardQuarantinedErr(si, qe)
+			return nil, at, err
 		}
 	}
 	if !f.rebalanceActive.CompareAndSwap(false, true) {
@@ -427,7 +427,7 @@ func (f *Forest) startMigrationLocked(at vtime.Ticks, lo, hi kv.Key, src, dst in
 		sh := f.shards[si]
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		if si == src && !srcWritable && (!sh.quarantined || sh.qDirty) {
+		if si == src && !srcWritable && sh.health != quarantined {
 			return nil, at, nil
 		}
 	}
@@ -552,7 +552,6 @@ func (m *Migration) Step(at vtime.Ticks) (bool, vtime.Ticks, error) {
 	if err != nil {
 		return false, done, err
 	}
-	f.retireEvacuated() // a committed evacuation retires its source
 	m.done = true
 	return true, done, nil
 }
@@ -821,9 +820,9 @@ func (f *Forest) endMigration(at vtime.Ticks, m migSpec, lo, hi kv.Key, op wal.O
 
 // commitMigration makes the routing flip durable (MigrationEnd through
 // the ganged force) and publishes the committed rule. An evacuation's
-// flip also publishes the source's evacuated mark: from here on sweeps
-// skip its stale physical copies and its quarantine stops blocking log
-// truncation (Step then retires it).
+// flip also publishes the source's evacuated mark and retires the
+// source: from here on sweeps skip its stale physical copies and its
+// quarantine stops blocking log truncation.
 func (f *Forest) commitMigration(at vtime.Ticks, m *Migration) (vtime.Ticks, error) {
 	f.migMu.Lock()
 	defer f.migMu.Unlock()
@@ -858,30 +857,13 @@ func (f *Forest) commitMigration(at vtime.Ticks, m *Migration) (vtime.Ticks, err
 	if !m.srcWritable {
 		next.evac |= 1 << uint(m.src)
 		f.evacuations.Add(1)
+		//lint:ignore guardedby lockPair holds the source's mu
+		f.shards[m.src].transition(evRetire, done, done, nil)
 	}
 	f.rpart.publish(next)
 	f.migrations.Add(1)
 	f.rebalanceActive.Store(false)
 	return done, nil
-}
-
-// retireEvacuated takes every evacuated shard out of service for good:
-// quarantined, so flushes, checkpoints and rebalancing keep skipping it,
-// with the reason recorded and the heal prober stopped — its range lives
-// on healthy shards and its own copies are stale, so nothing is left to
-// re-admit. Idempotent: shards retired earlier are set to the same
-// state again.
-func (f *Forest) retireEvacuated() {
-	for i, s := range f.shards {
-		if !f.rpart.IsEvacuated(i) {
-			continue
-		}
-		s.mu.Lock()
-		s.quarantined = true
-		s.qErr = fmt.Errorf("core: shard %d evacuated; its range is served by healthy shards", i)
-		s.nextProbeAt, s.probeGap = 0, 0
-		s.mu.Unlock()
-	}
 }
 
 // SplitShard carves shard i at boundary: every key >= boundary that
@@ -957,14 +939,11 @@ func (f *Forest) coldestShard(exclude int) (int, error) {
 		if i == exclude {
 			continue
 		}
+		// A quarantined shard rejects the migration's inserts.
 		s.mu.Lock()
-		n, q := s.tree.Count(), s.quarantined
+		n, ok := s.tree.Count(), s.health.writable()
 		s.mu.Unlock()
-		if q {
-			// A quarantined shard rejects the migration's inserts.
-			continue
-		}
-		if best < 0 || n < bestKeys {
+		if ok && (best < 0 || n < bestKeys) {
 			best, bestKeys = i, n
 		}
 	}
@@ -1029,8 +1008,10 @@ func (f *Forest) AutoRebalance(at vtime.Ticks, pol RebalancePolicy) (moved bool,
 	f.autoMu.Unlock()
 	done = at
 	if m == nil {
-		if m, done, err = f.startDueEvacuation(at); err != nil {
-			return false, -1, -1, done, f.uncontained(err)
+		if src, dst, due := f.dueEvacuation(at); due {
+			if m, done, err = f.evacuate(at, src, dst); err != nil {
+				return false, -1, -1, done, f.uncontained(err)
+			}
 		}
 	}
 	if m == nil {
@@ -1089,14 +1070,12 @@ func (f *Forest) hotShard(pol RebalancePolicy) (int, kv.Key, bool) {
 	if deltas[hot] < pol.MinOps || float64(deltas[hot]) <= pol.HotFactor*mean {
 		return -1, 0, false
 	}
+	// A quarantined hot shard is left for Heal: StartMigration refuses it.
 	s := f.shards[hot]
 	s.mu.Lock()
-	q := s.quarantined
 	boundary, ok := s.tree.ApproxMedianKey()
 	s.mu.Unlock()
-	// A quarantined hot shard can't stream keys out (its reads may be
-	// fine, but the migration must delete from it); leave it for Heal.
-	return hot, boundary, ok && !q
+	return hot, boundary, ok
 }
 
 // drainBudgeted drains m fully when budget is zero, else for at most

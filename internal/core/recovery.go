@@ -283,7 +283,7 @@ func (t *Tree) CrashVolatileState() {
 // dropVolatile discards the tree's volatile state (OPQ, LSMap, pending
 // internal updates, buffer pool) WITHOUT touching the WAL tail. Quarantine
 // rollback uses this: the unforced tail may hold compensation records (an
-// aborted migration's purges) that healLocked must still force, so only a
+// aborted migration's purges) that a heal must still force, so only a
 // real crash may drop it.
 func (t *Tree) dropVolatile() {
 	if fresh, err := NewOPQ(t.opq.Cap(), t.cfg.SPeriod); err == nil {

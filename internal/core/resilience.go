@@ -113,17 +113,13 @@ func (p RetryPolicy) norm() RetryPolicy {
 	return p
 }
 
-// backoff returns the wait before retry attempt (0-based), exponential
-// with a cap.
-func (p RetryPolicy) backoff(attempt int) vtime.Ticks {
-	b := p.BaseBackoff
-	for i := 0; i < attempt && b < p.MaxBackoff; i++ {
-		b *= 2
+// backoff returns base doubled n times, capped at max: the wait before
+// retry attempt n (0-based), or before the probe after n failed ones.
+func backoff(base, max vtime.Ticks, n int) vtime.Ticks {
+	for ; n > 0 && base < max; n-- {
+		base *= 2
 	}
-	if b > p.MaxBackoff {
-		b = p.MaxBackoff
-	}
-	return b
+	return vtime.Min(base, max)
 }
 
 // retryStats counts retry activity; Tree and Forest each embed one.
@@ -171,7 +167,7 @@ func retryTimedIO(pol RetryPolicy, ctr *retryStats, at vtime.Ticks, op func(vtim
 	}
 	pol = pol.norm()
 	for attempt := 0; err != nil && IsTransientIO(err) && attempt < pol.MaxRetries; attempt++ {
-		wait := pol.backoff(attempt)
+		wait := backoff(pol.BaseBackoff, pol.MaxBackoff, attempt)
 		if ctr != nil {
 			ctr.IORetries++
 			ctr.IORetryBackoff += wait

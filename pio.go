@@ -315,7 +315,7 @@ type ForestOptions struct {
 	// chunk (default 256).
 	MigrationChunk int
 	// Heal paces the auto-heal prober for quarantined shards (zero value
-	// = enabled with defaults; set Disabled for manual Heal only).
+	// = enabled with defaults; Forest.Heal works alongside it).
 	Heal HealPolicy
 	// Evacuation bounds how long a shard may stay quarantined before
 	// AutoRebalance migrates its range to healthy shards (zero value =
