@@ -8,7 +8,9 @@ import (
 	"repro/internal/flashsim"
 	"repro/internal/kv"
 	"repro/internal/pagefile"
+	"repro/internal/ssdio"
 	"repro/internal/vtime"
+	"repro/internal/wal"
 )
 
 // The allocation gate. A point search reads encoded pages in place, so on
@@ -136,5 +138,47 @@ func TestMissPathAllocs(t *testing.T) {
 		at = dev.SubmitOne(at, flashsim.Request{Op: flashsim.Op(i % 2), Offset: int64(i%64) * 4096, Size: 4096}).Done
 	}); allocs != 0 {
 		t.Fatalf("Device.SubmitOne allocates %.2f objects per call, want 0", allocs)
+	}
+}
+
+// TestLogAllocs gates the log under the write path: an append marshals
+// into the tail's spare capacity, and a force builds its page write in the
+// log's reused buffer. The log file's image allocates one extent per
+// ssdio.ExtentSize bytes of log, which AllocsPerRun's per-call average
+// rounds to zero, where a per-force buffer would count one a call.
+func TestLogAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	f, err := ssdio.NewSpace(flashsim.MustDevice(flashsim.P300())).Create("wal", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := wal.NewLog(f, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := wal.Record{Kind: wal.KindLogicalRedo, Op: wal.OpInsert, Key: 1, Value: 2}
+	// Warm the tail and the force buffer past what the runs below need.
+	for i := 0; i < 600; i++ {
+		l.Append(rec)
+	}
+	at, err := l.Force(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(500, func() { l.Append(rec) }); allocs != 0 {
+		t.Fatalf("Log.Append allocates %.2f objects per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(500, func() {
+		l.Append(rec)
+		if at, err = l.Force(at); err != nil {
+			panic(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Log.Force allocates %.2f objects per call, want 0", allocs)
+	}
+	if got, want := l.DurableLSN(), uint64(600+501+501); got != want {
+		t.Fatalf("durable LSN %d, want %d", got, want)
 	}
 }

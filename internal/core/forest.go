@@ -1232,10 +1232,10 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 	// operations internally.
 	done := at
 	lg := newLogGang()
-	// cut tracks, per log, the LSN of this round's checkpoint record: once
+	// cut tracks, per log, the mark of this round's checkpoint record: once
 	// the round is durable, everything before it is dead for recovery
 	// (each shard's replay starts at its last checkpoint).
-	cut := make(map[*wal.Log]uint64)
+	cut := make(map[*wal.Log]wal.Mark)
 	anyQuarantined := false
 	for _, s := range f.shards {
 		s.mu.Lock()
@@ -1257,7 +1257,7 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 			s.transition(evFlushCommit, d, d, nil)
 		}
 		if err == nil && s.tree.log != nil {
-			cut[s.tree.log] = s.tree.log.Append(wal.Record{Kind: wal.KindCheckpoint, Relation: s.tree.cfg.Relation})
+			cut[s.tree.log] = s.tree.log.AppendMark(wal.Record{Kind: wal.KindCheckpoint, Relation: s.tree.cfg.Relation})
 			lg.need(s.tree.log)
 		}
 		s.vlock.Release(d)
@@ -1291,8 +1291,8 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 	// any shard is quarantined: its Heal replay still reads records that
 	// predate this round's checkpoint cut.
 	if !f.rebalanceActive.Load() && !anyQuarantined {
-		for l, lsn := range cut {
-			if _, err := l.TruncateHead(lsn); err != nil {
+		for l, m := range cut {
+			if _, err := l.TruncateHead(m); err != nil {
 				return done, err
 			}
 		}

@@ -718,6 +718,64 @@ func TestCheckpointTruncatesLogs(t *testing.T) {
 	}
 }
 
+// TestCheckpointBoundsLogImage: however much log the checkpoint rounds
+// write, each log file's host image stays within its live bytes plus the
+// two extents the live range only partly covers (the head's and the
+// tail's): truncation releases the host memory it cuts.
+func TestCheckpointBoundsLogImage(t *testing.T) {
+	cfg := crashForestCfg()
+	space := ssdio.NewSpace(flashsim.MustDevice(flashsim.P300()))
+	pfs := make([]*pagefile.PageFile, crashShards)
+	wfs := make([]*ssdio.File, crashShards)
+	for i := range pfs {
+		f, err := space.Create(fmt.Sprintf("shard%d", i), 4<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pfs[i], err = pagefile.New(f, cfg.Shard.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if wfs[i], err = space.Create(fmt.Sprintf("wal%d", i), int64(cfg.Shard.PageSize)); err != nil {
+			t.Fatal(err)
+		}
+		l, err := wal.NewLog(wfs[i], cfg.Shard.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Logs = append(cfg.Logs, l)
+	}
+	fr, err := NewForest(pfs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds, perRound = 40, 50
+	var at vtime.Ticks
+	for r := 0; r < rounds; r++ {
+		for j := 0; j < perRound; j++ {
+			for s := 0; s < crashShards; s++ {
+				k := phase1Key(s, r*perRound+j)
+				if at, err = fr.Insert(at, kv.Record{Key: k, Value: crashVal(k)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if at, err = fr.Checkpoint(at); err != nil {
+			t.Fatal(err)
+		}
+		for i, l := range cfg.Logs {
+			if got, bound := wfs[i].ResidentBytes(), l.LiveBytes()+2*ssdio.ExtentSize; got > bound {
+				t.Fatalf("round %d: log %d holds %d bytes of image for %d live, want <= %d", r, i, got, l.LiveBytes(), bound)
+			}
+		}
+	}
+	// The bound only bites if the rounds wrote well past it.
+	for i, l := range cfg.Logs {
+		if got := l.TruncatedBytes(); got < 4*ssdio.ExtentSize {
+			t.Fatalf("log %d truncated only %d bytes over %d rounds", i, got, rounds)
+		}
+	}
+}
+
 // TestMigrationHashBase: migrating a key range out of a hash-partitioned
 // shard, where the destination natively holds its own keys inside the
 // migrating range — the recovery purge must not touch them.

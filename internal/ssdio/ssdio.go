@@ -11,9 +11,14 @@
 //     writer lock that serializes synchronous direct writes to a shared
 //     file (the effect behind Figure 4(a) vs 4(b)).
 //
-// Files hold real contents (byte slices) while all timing comes from the
-// flashsim device, so index structures built on top are both functionally
-// correct and time-faithful.
+// Files hold real contents while all timing comes from the flashsim
+// device, so index structures built on top are both functionally correct
+// and time-faithful. A file's host image is sparse: fixed-size extents
+// (ExtentSize bytes) allocated on their first write, with never-written
+// ranges reading as zeros, so creating or growing a file costs no host
+// memory. Discard is a host-side TRIM that releases the extents of a dead
+// range (the WAL calls it on the head it truncates); like growth, it is
+// invisible to the simulated device.
 package ssdio
 
 import (
@@ -95,7 +100,7 @@ func (s *Space) Create(name string, size int64) (*File, error) {
 		space: s,
 		name:  name,
 		base:  s.next,
-		data:  make([]byte, size),
+		size:  size,
 	}
 	// Align file bases to the flash page size so striping begins at a
 	// channel boundary for every file.
@@ -128,6 +133,13 @@ func (s *Space) Remove(name string) error {
 	return nil
 }
 
+// ExtentSize is the granularity of a file's host image: an extent is
+// allocated on its first write and released by Discard.
+const ExtentSize = 64 << 10
+
+// extent is one allocated ExtentSize slice of a file's image.
+type extent = [ExtentSize]byte
+
 // File is a fixed-base, growable byte range on the simulated SSD.
 type File struct {
 	space *Space
@@ -135,7 +147,11 @@ type File struct {
 	base  int64
 
 	mu   sync.Mutex
-	data []byte // guarded by mu
+	size int64 // guarded by mu
+	// image holds the file's contents: entry i covers bytes
+	// [i*ExtentSize, (i+1)*ExtentSize), and a nil entry (or one past the
+	// end) reads as zeros.
+	image []*extent // guarded by mu
 
 	// writeOrder models the per-file reader-writer lock POSIX-compliant
 	// file systems use to satisfy write ordering for synchronous writes
@@ -154,7 +170,21 @@ func (f *File) Name() string { return f.name }
 func (f *File) Size() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return int64(len(f.data))
+	return f.size
+}
+
+// ResidentBytes returns the host memory the file's image holds: its
+// allocated extents.
+func (f *File) ResidentBytes() int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var n int64
+	for _, e := range f.image {
+		if e != nil {
+			n += ExtentSize
+		}
+	}
+	return n
 }
 
 // Stats returns a snapshot of the file's submitter counters.
@@ -172,33 +202,47 @@ func (f *File) ResetStats() {
 }
 
 // EnsureSize grows the file to at least size bytes (contents zero-filled).
-// Growth is a metadata operation and carries no simulated I/O cost. The
-// backing array grows geometrically so repeated small extensions (every
-// page allocation calls EnsureSize) stay amortized O(1) per byte.
+// Growth is a metadata operation: it carries no simulated I/O cost and
+// allocates no image.
 func (f *File) EnsureSize(size int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if int64(len(f.data)) >= size {
-		return
+	if f.size < size {
+		f.size = size
 	}
-	if int64(cap(f.data)) >= size {
-		f.data = f.data[:size]
-		return
+}
+
+// Discard is a host-side TRIM of [off, off+n): the range reads back as
+// zeros, and the extents wholly inside it are released. It issues no
+// device request, costs no simulated time, changes no stats and leaves the
+// file size alone.
+func (f *File) Discard(off, n int64) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if off < 0 || n < 0 || off+n > f.size {
+		return fmt.Errorf("%w: %s discard off=%d len=%d size=%d", ErrOutOfRange, f.name, off, n, f.size)
 	}
-	newCap := int64(cap(f.data)) * 2
-	if newCap < size {
-		newCap = size
+	for end := off + n; off < end; {
+		i, o := off/ExtentSize, off%ExtentSize
+		k := min(end-off, ExtentSize-o)
+		if i >= int64(len(f.image)) {
+			break // nothing past here was ever written
+		}
+		if k == ExtentSize {
+			f.image[i] = nil
+		} else if e := f.image[i]; e != nil {
+			clear(e[o : o+k])
+		}
+		off += k
 	}
-	nd := make([]byte, size, newCap)
-	copy(nd, f.data)
-	f.data = nd
+	return nil
 }
 
 // checkRange validates one request against the file size.
 // Caller holds f.mu.
 func (f *File) checkRange(r Req) error {
-	if r.Off < 0 || r.Off+int64(len(r.Buf)) > int64(len(f.data)) {
-		return fmt.Errorf("%w: %s off=%d len=%d size=%d", ErrOutOfRange, f.name, r.Off, len(r.Buf), len(f.data))
+	if r.Off < 0 || r.Off+int64(len(r.Buf)) > f.size {
+		return fmt.Errorf("%w: %s off=%d len=%d size=%d", ErrOutOfRange, f.name, r.Off, len(r.Buf), f.size)
 	}
 	if len(r.Buf) == 0 {
 		return fmt.Errorf("ssdio: %s: empty buffer", f.name)
@@ -209,9 +253,43 @@ func (f *File) checkRange(r Req) error {
 // apply moves bytes for one request. Caller holds f.mu.
 func (f *File) apply(r Req) {
 	if r.Op == flashsim.Read {
-		copy(r.Buf, f.data[r.Off:])
+		f.readImage(r.Buf, r.Off)
 	} else {
-		copy(f.data[r.Off:], r.Buf)
+		f.writeImage(r.Buf, r.Off)
+	}
+}
+
+// readImage fills buf from the image at off; holes read as zeros. Caller
+// holds f.mu and has checked the range.
+func (f *File) readImage(buf []byte, off int64) {
+	for len(buf) > 0 {
+		i, o := off/ExtentSize, off%ExtentSize
+		var n int
+		if i < int64(len(f.image)) && f.image[i] != nil {
+			n = copy(buf, f.image[i][o:])
+		} else {
+			n = int(min(int64(len(buf)), ExtentSize-o))
+			clear(buf[:n])
+		}
+		buf = buf[n:]
+		off += int64(n)
+	}
+}
+
+// writeImage stores buf into the image at off, allocating extents on
+// first write. Caller holds f.mu and has checked the range.
+func (f *File) writeImage(buf []byte, off int64) {
+	for len(buf) > 0 {
+		i, o := off/ExtentSize, off%ExtentSize
+		if i >= int64(len(f.image)) {
+			f.image = append(f.image, make([]*extent, i+1-int64(len(f.image)))...)
+		}
+		if f.image[i] == nil {
+			f.image[i] = new(extent)
+		}
+		n := copy(f.image[i][o:], buf)
+		buf = buf[n:]
+		off += int64(n)
 	}
 }
 
@@ -427,10 +505,10 @@ func (f *File) Sync(at vtime.Ticks, r Req) (vtime.Ticks, error) {
 func (f *File) ReadAt(buf []byte, off int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if off < 0 || off+int64(len(buf)) > int64(len(f.data)) {
-		return fmt.Errorf("%w: %s off=%d len=%d size=%d", ErrOutOfRange, f.name, off, len(buf), len(f.data))
+	if off < 0 || off+int64(len(buf)) > f.size {
+		return fmt.Errorf("%w: %s off=%d len=%d size=%d", ErrOutOfRange, f.name, off, len(buf), f.size)
 	}
-	copy(buf, f.data[off:])
+	f.readImage(buf, off)
 	return nil
 }
 
@@ -441,12 +519,8 @@ func (f *File) WriteAt(buf []byte, off int64) error {
 	if off < 0 {
 		return fmt.Errorf("%w: %s off=%d", ErrOutOfRange, f.name, off)
 	}
-	if need := off + int64(len(buf)); need > int64(len(f.data)) {
-		nd := make([]byte, need)
-		copy(nd, f.data)
-		f.data = nd
-	}
-	copy(f.data[off:], buf)
+	f.size = max(f.size, off+int64(len(buf)))
+	f.writeImage(buf, off)
 	return nil
 }
 
@@ -455,15 +529,16 @@ func (f *File) WriteAt(buf []byte, off int64) error {
 func (f *File) Snapshot() []byte {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]byte, len(f.data))
-	copy(out, f.data)
+	out := make([]byte, f.size)
+	f.readImage(out, 0)
 	return out
 }
 
-// Restore replaces the file contents from a snapshot.
+// Restore replaces the file contents (and size) from a snapshot.
 func (f *File) Restore(data []byte) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.data = make([]byte, len(data))
-	copy(f.data, data)
+	f.size = int64(len(data))
+	f.image = nil
+	f.writeImage(data, 0)
 }

@@ -202,22 +202,33 @@ func TestRangeErrors(t *testing.T) {
 	}
 }
 
+// TestEnsureSizeAndWriteAtGrow also checks that only writes hold host
+// memory: creating, growing and reading a file allocate no extent.
 func TestEnsureSizeAndWriteAtGrow(t *testing.T) {
 	s := newSpace()
 	f, _ := s.Create("f", 4096)
-	f.EnsureSize(16384)
-	if f.Size() != 16384 {
+	f.EnsureSize(1 << 30)
+	if f.Size() != 1<<30 {
 		t.Fatalf("size = %d", f.Size())
 	}
 	f.EnsureSize(100) // shrink is a no-op
-	if f.Size() != 16384 {
+	if f.Size() != 1<<30 {
 		t.Fatal("EnsureSize shrank the file")
 	}
-	if err := f.WriteAt([]byte{1, 2, 3}, 20000); err != nil {
+	if _, err := f.Sync(0, Req{Op: flashsim.Read, Off: 1 << 29, Buf: make([]byte, 4096)}); err != nil {
 		t.Fatal(err)
 	}
-	if f.Size() != 20003 {
+	if got := f.ResidentBytes(); got != 0 {
+		t.Fatalf("create, grow and read hold %d bytes of image", got)
+	}
+	if err := f.WriteAt([]byte{1, 2, 3}, 1<<30+20000); err != nil {
+		t.Fatal(err)
+	}
+	if f.Size() != 1<<30+20003 {
 		t.Fatalf("WriteAt did not grow: %d", f.Size())
+	}
+	if got := f.ResidentBytes(); got != ExtentSize {
+		t.Fatalf("one small write holds %d bytes of image, want one extent", got)
 	}
 }
 

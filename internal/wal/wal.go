@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 
 	"repro/internal/flashsim"
@@ -155,26 +156,28 @@ type Record struct {
 
 const recordHeaderSize = 1 + 8 + 8 + 4 + 1 + 8 + 8 + 8 + 8 + 8 + 8 + 4 // kind..nodeid + undolen
 
-// marshal appends the record's wire form (length, crc, body) to dst.
+// marshal appends the record's wire form (length, crc, body) to dst. The
+// body is written in place and the CRC filled in over it, so an append
+// into spare capacity allocates nothing.
 func (r *Record) marshal(dst []byte) []byte {
-	body := make([]byte, 0, recordHeaderSize+len(r.UndoInfo))
-	body = append(body, byte(r.Kind))
-	body = binary.LittleEndian.AppendUint64(body, r.LSN)
-	body = binary.LittleEndian.AppendUint64(body, r.TxID)
-	body = binary.LittleEndian.AppendUint32(body, r.Relation)
-	body = append(body, byte(r.Op))
-	body = binary.LittleEndian.AppendUint64(body, r.Key)
-	body = binary.LittleEndian.AppendUint64(body, r.Value)
-	body = binary.LittleEndian.AppendUint64(body, r.FlushID)
-	body = binary.LittleEndian.AppendUint64(body, r.KeyLo)
-	body = binary.LittleEndian.AppendUint64(body, r.KeyHi)
-	body = binary.LittleEndian.AppendUint64(body, uint64(r.NodeID))
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(r.UndoInfo)))
-	body = append(body, r.UndoInfo...)
-
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
-	return append(dst, body...)
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(recordHeaderSize+len(r.UndoInfo)))
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // CRC, over the body below
+	dst = append(dst, byte(r.Kind))
+	dst = binary.LittleEndian.AppendUint64(dst, r.LSN)
+	dst = binary.LittleEndian.AppendUint64(dst, r.TxID)
+	dst = binary.LittleEndian.AppendUint32(dst, r.Relation)
+	dst = append(dst, byte(r.Op))
+	dst = binary.LittleEndian.AppendUint64(dst, r.Key)
+	dst = binary.LittleEndian.AppendUint64(dst, r.Value)
+	dst = binary.LittleEndian.AppendUint64(dst, r.FlushID)
+	dst = binary.LittleEndian.AppendUint64(dst, r.KeyLo)
+	dst = binary.LittleEndian.AppendUint64(dst, r.KeyHi)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.NodeID))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.UndoInfo)))
+	dst = append(dst, r.UndoInfo...)
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(dst[start+8:]))
+	return dst
 }
 
 // errTruncated reports the clean end of the log.
@@ -242,6 +245,9 @@ type Log struct {
 	partial []byte // durable content of the trailing, partially filled page; guarded by mu
 	tail    []byte // appended but not yet forced; guarded by mu
 	forced  uint64 // LSN up to which records are durable (exclusive next); guarded by mu
+	// page is the page-rounded force write, rebuilt by every pendingReq
+	// (nothing keeps a request's buffer past its submission); guarded by mu.
+	page []byte
 
 	// truncated accumulates the bytes dropped by TruncateHead (guarded by mu).
 	truncated int64
@@ -271,15 +277,27 @@ func NewLog(f *ssdio.File, pageSize int) (*Log, error) {
 	return &Log{f: f, pageSize: pageSize, nextLSN: 1}, nil
 }
 
+// Mark locates an appended record: its LSN, and the file offset its wire
+// form starts at. A checkpoint record's mark is the cut TruncateHead takes.
+type Mark struct {
+	LSN uint64
+	Off int64
+}
+
 // Append adds a record to the in-memory tail and returns its LSN. The
 // record is not durable until Force.
-func (l *Log) Append(r Record) uint64 {
+func (l *Log) Append(r Record) uint64 { return l.AppendMark(r).LSN }
+
+// AppendMark is Append returning the record's Mark. A Crash that drops
+// the record invalidates the mark.
+func (l *Log) AppendMark(r Record) Mark {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	m := Mark{LSN: l.nextLSN, Off: l.durable + int64(len(l.tail))}
 	r.LSN = l.nextLSN
 	l.nextLSN++
 	l.tail = r.marshal(l.tail)
-	return r.LSN
+	return m
 }
 
 // DurableLSN returns the highest LSN guaranteed durable.
@@ -313,9 +331,11 @@ func (l *Log) pendingReq() (ssdio.Req, bool) {
 	off := l.durable - int64(len(l.partial))
 	content := len(l.partial) + len(l.tail)
 	n := (content + l.pageSize - 1) / l.pageSize * l.pageSize
-	buf := make([]byte, n)
+	buf := slices.Grow(l.page[:0], n)[:n]
 	copy(buf, l.partial)
 	copy(buf[len(l.partial):], l.tail)
+	clear(buf[content:])
+	l.page = buf
 	l.f.EnsureSize(off + int64(n))
 	return ssdio.Req{Op: flashsim.Write, Off: off, Buf: buf}, true
 }
@@ -451,37 +471,32 @@ func ForceGroup(at vtime.Ticks, logs []*Log) (vtime.Ticks, int, error) {
 	return done, len(members), nil
 }
 
-// TruncateHead drops every durable record with LSN < beforeLSN from the
-// log head, stopping early at the first surviving record (log order is
-// LSN order). Records() and recovery then scan only the surviving
-// suffix. The caller must guarantee the dropped prefix is dead: the
-// relation recovering from this log has a durable checkpoint at or past
-// beforeLSN, and no migration protocol still needs its control records
-// (the forest checkpoint enforces both). Returns the bytes reclaimed.
+// TruncateHead drops every record before the marked one from the log
+// head: the head moves to m.Off, with nothing read or decoded, and
+// Records() and recovery then scan only the surviving suffix. The marked
+// record must be durable. The caller must guarantee the dropped prefix is
+// dead: the relation recovering from this log has a durable checkpoint at
+// the mark, and no migration protocol still needs its control records
+// (the forest checkpoint enforces both). A mark at or below the head drops
+// nothing. Returns the bytes reclaimed.
 //
-// The truncation is a head-pointer move, not a device rewrite: the
-// simulated file keeps its contents, matching a real implementation that
-// recycles whole head extents lazily.
-func (l *Log) TruncateHead(beforeLSN uint64) (int64, error) {
+// The device is not rewritten and its address space is not reused; the
+// host image below the new head is discarded (ssdio.File.Discard), so
+// truncated log stops holding host memory.
+func (l *Log) TruncateHead(m Mark) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.durable <= l.head {
+	if m.LSN > l.forced || m.Off > l.durable {
+		return 0, fmt.Errorf("wal: truncate at LSN %d offset %d: past the durable log (LSN %d, offset %d)", m.LSN, m.Off, l.forced, l.durable)
+	}
+	if m.Off <= l.head {
 		return 0, nil
 	}
-	buf := make([]byte, l.durable-l.head)
-	if err := l.f.ReadAt(buf, l.head); err != nil {
+	if err := l.f.Discard(0, m.Off); err != nil {
 		return 0, err
 	}
-	var cut int64
-	for len(buf) > 0 {
-		r, n, err := unmarshal(buf)
-		if err != nil || r.LSN >= beforeLSN {
-			break
-		}
-		cut += int64(n)
-		buf = buf[n:]
-	}
-	l.head += cut
+	cut := m.Off - l.head
+	l.head = m.Off
 	l.truncated += cut
 	return cut, nil
 }

@@ -435,24 +435,30 @@ func garbageAt(t *testing.T, l *Log, off int64) {
 }
 
 // TestTruncateHead: head truncation drops exactly the records below the
-// cut LSN, Records scans only the surviving suffix, and the log keeps
+// marked one, Records scans only the surviving suffix, and the log keeps
 // appending and forcing correctly afterwards.
 func TestTruncateHead(t *testing.T) {
 	l := newLog(t)
-	var lsns []uint64
+	var marks []Mark
 	for i := 0; i < 10; i++ {
-		lsns = append(lsns, l.Append(Record{Kind: KindLogicalRedo, Key: uint64(i), Value: uint64(i * 10)}))
+		marks = append(marks, l.AppendMark(Record{Kind: KindLogicalRedo, Key: uint64(i), Value: uint64(i * 10)}))
+	}
+	if _, err := l.TruncateHead(marks[4]); err == nil {
+		t.Fatal("truncation at an unforced record accepted")
 	}
 	if _, err := l.Force(0); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := l.TruncateHead(Mark{LSN: marks[4].LSN, Off: l.durable + 1}); err == nil {
+		t.Fatal("truncation past the durable end accepted")
+	}
 	pre := l.LiveBytes()
-	cut, err := l.TruncateHead(lsns[4])
+	cut, err := l.TruncateHead(marks[4])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cut <= 0 {
-		t.Fatal("truncation reclaimed nothing")
+	if cut != marks[4].Off || cut <= 0 {
+		t.Fatalf("cut %d bytes, want the %d before record 4", cut, marks[4].Off)
 	}
 	if got := l.TruncatedBytes(); got != cut {
 		t.Fatalf("TruncatedBytes %d, want %d", got, cut)
@@ -464,15 +470,18 @@ func TestTruncateHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 6 || recs[0].LSN != lsns[4] || recs[0].Key != 4 {
+	if len(recs) != 6 || recs[0].LSN != marks[4].LSN || recs[0].Key != 4 {
 		t.Fatalf("surviving records: %d, head %+v", len(recs), recs[0])
 	}
-	// Idempotent: re-truncating at the same LSN drops nothing more.
-	if cut2, err := l.TruncateHead(lsns[4]); err != nil || cut2 != 0 {
-		t.Fatalf("re-truncate: cut=%d err=%v", cut2, err)
+	// Idempotent: re-truncating at the same mark, or an earlier one, drops
+	// nothing more.
+	for _, m := range []Mark{marks[4], marks[2]} {
+		if cut2, err := l.TruncateHead(m); err != nil || cut2 != 0 {
+			t.Fatalf("re-truncate at %+v: cut=%d err=%v", m, cut2, err)
+		}
 	}
 	// The log keeps working: append, force, read back across the head.
-	l.Append(Record{Kind: KindCheckpoint, Relation: 3})
+	ck := l.AppendMark(Record{Kind: KindCheckpoint, Relation: 3})
 	if _, err := l.Force(0); err != nil {
 		t.Fatal(err)
 	}
@@ -483,15 +492,15 @@ func TestTruncateHead(t *testing.T) {
 	if len(recs) != 7 || recs[6].Kind != KindCheckpoint {
 		t.Fatalf("after post-truncation append: %d records, tail %v", len(recs), recs[len(recs)-1].Kind)
 	}
-	// Truncating past everything durable empties the scan window.
-	if _, err := l.TruncateHead(recs[6].LSN + 1); err != nil {
+	// Truncating at the last record leaves exactly that record.
+	if _, err := l.TruncateHead(ck); err != nil {
 		t.Fatal(err)
 	}
-	if recs, err = l.Records(); err != nil || len(recs) != 0 {
-		t.Fatalf("full truncation left %d records (err %v)", len(recs), err)
+	if recs, err = l.Records(); err != nil || len(recs) != 1 || recs[0].LSN != ck.LSN {
+		t.Fatalf("truncation at the last record left %d records (err %v)", len(recs), err)
 	}
-	if got := l.LiveBytes(); got != 0 {
-		t.Fatalf("LiveBytes %d after full truncation", got)
+	if got, want := l.LiveBytes(), l.durable-ck.Off; got != want {
+		t.Fatalf("LiveBytes %d after truncation at the last record, want %d", got, want)
 	}
 }
 
@@ -505,7 +514,7 @@ func TestTruncateHeadCrashSurvives(t *testing.T) {
 	if _, err := l.Force(0); err != nil {
 		t.Fatal(err)
 	}
-	ck := l.Append(Record{Kind: KindCheckpoint})
+	ck := l.AppendMark(Record{Kind: KindCheckpoint})
 	if _, err := l.Force(0); err != nil {
 		t.Fatal(err)
 	}
