@@ -37,19 +37,18 @@ func (t *Tree) psyncReadPages(at vtime.Ticks, ids []pagefile.PageID, bufs [][]by
 }
 
 // psyncWritePages writes the given pages in one psync call (or serially
-// under the ablation). When the tree flushes as part of a forest group,
-// the writes are deferred into the group's shared gang instead.
-func (t *Tree) psyncWritePages(at vtime.Ticks, ids []pagefile.PageID, bufs [][]byte) (vtime.Ticks, error) {
+// under the ablation). When the tree flushes as part of a forest group
+// (g non-nil), the writes are deferred into the group's data gang instead.
+func (t *Tree) psyncWritePages(at vtime.Ticks, ids []pagefile.PageID, bufs [][]byte, g *groupIO) (vtime.Ticks, error) {
 	if len(ids) == 0 {
 		return at, nil
 	}
-	if t.gang != nil && !t.cfg.DisablePsync {
+	if g != nil {
 		runs := make([]pagefile.RunReq, len(ids))
 		for i, id := range ids {
 			runs[i] = pagefile.RunReq{First: id, N: 1, Buf: bufs[i], Write: true}
 		}
-		t.stats.GangedWrites++
-		return at, t.gang.add(t.pf, runs)
+		return at, t.deferWrites(g, runs)
 	}
 	t.stats.PsyncWrites++
 	if t.cfg.DisablePsync {
@@ -70,6 +69,17 @@ func (t *Tree) psyncWritePages(at vtime.Ticks, ids []pagefile.PageID, bufs [][]b
 	return t.retryIO(at, func(at vtime.Ticks) (vtime.Ticks, error) {
 		return t.pf.PsyncWrite(at, ids, bufs)
 	})
+}
+
+// deferWrites gathers write runs into a group flush's data gang.
+func (t *Tree) deferWrites(g *groupIO, runs []pagefile.RunReq) error {
+	t.stats.GangedWrites++
+	rs, err := t.pf.GatherRuns(runs)
+	if err != nil {
+		return err
+	}
+	g.reqs = append(g.reqs, rs...)
+	return nil
 }
 
 // readInternalBatch fetches a set of internal nodes: buffered nodes come
@@ -253,15 +263,14 @@ func (t *Tree) psyncReadRuns(at vtime.Ticks, ids []pagefile.PageID, upto []int, 
 }
 
 // psyncWriteRuns is the write counterpart of psyncReadRuns. Forest group
-// flushes defer the runs into the shared gang (one merged submission at
-// the end of the group) instead of submitting here.
-func (t *Tree) psyncWriteRuns(at vtime.Ticks, reqs []pagefile.RunReq) (vtime.Ticks, error) {
+// flushes (g non-nil) defer the runs into the group's data gang (one
+// merged submission at the end of the group) instead of submitting here.
+func (t *Tree) psyncWriteRuns(at vtime.Ticks, reqs []pagefile.RunReq, g *groupIO) (vtime.Ticks, error) {
 	if len(reqs) == 0 {
 		return at, nil
 	}
-	if t.gang != nil && !t.cfg.DisablePsync {
-		t.stats.GangedWrites++
-		return at, t.gang.add(t.pf, reqs)
+	if g != nil {
+		return at, t.deferWrites(g, reqs)
 	}
 	t.stats.PsyncWrites++
 	var err error
@@ -440,6 +449,14 @@ type fenceRec struct {
 // entries (<= 0 processes the whole queue). It is the paper's OPQ flush
 // operation, bracketed by flush event logs when a WAL is attached.
 func (t *Tree) FlushBatch(at vtime.Ticks, bcnt int) (vtime.Ticks, error) {
+	return t.flushBatch(at, bcnt, nil)
+}
+
+// flushBatch is FlushBatch, run inline when g is nil and as a member of a
+// forest group flush otherwise: the data writes wait in g for the group's
+// data gang, the log forces are left to the coordinator's prepare force,
+// and the FlushEnd record waits in g for its commit force.
+func (t *Tree) flushBatch(at vtime.Ticks, bcnt int, g *groupIO) (vtime.Ticks, error) {
 	batch := t.opq.TakeBatch(bcnt)
 	if len(batch) == 0 {
 		return at, nil
@@ -459,14 +476,14 @@ func (t *Tree) FlushBatch(at vtime.Ticks, bcnt int) (vtime.Ticks, error) {
 		})
 		// WAL rule: the flush-start record and all logical logs of the
 		// chosen entries must be durable before any node write.
-		at, err = t.forceWAL(at)
+		at, err = t.forceWAL(at, g)
 		if err != nil {
 			return at, err
 		}
 	}
 	if t.height == 1 {
 		// Root is a leaf.
-		fences, at2, err := t.flushLeaves(at, []leafGroup{{id: t.root, entries: batch}})
+		fences, at2, err := t.flushLeaves(at, []leafGroup{{id: t.root, entries: batch}}, g)
 		if err != nil {
 			return at2, err
 		}
@@ -475,17 +492,17 @@ func (t *Tree) FlushBatch(at vtime.Ticks, bcnt int) (vtime.Ticks, error) {
 		for _, fs := range fences {
 			rootFences = append(rootFences, fs...)
 		}
-		at, err = t.growRoot(at, t.root, 0, rootFences)
+		at, err = t.growRoot(at, t.root, 0, rootFences, g)
 		if err != nil {
 			return at, err
 		}
 	} else {
-		fences, at2, err := t.bupdate(at, t.root, t.height-1, batch)
+		fences, at2, err := t.bupdate(at, t.root, t.height-1, batch, g)
 		if err != nil {
 			return at2, err
 		}
 		at = at2
-		at, err = t.growRoot(at, t.root, t.height-1, fences)
+		at, err = t.growRoot(at, t.root, t.height-1, fences, g)
 		if err != nil {
 			return at, err
 		}
@@ -498,12 +515,12 @@ func (t *Tree) FlushBatch(at vtime.Ticks, bcnt int) (vtime.Ticks, error) {
 			KeyLo:    batch[0].Rec.Key,
 			KeyHi:    batch[len(batch)-1].Rec.Key,
 		}
-		if t.walGang != nil {
+		if g != nil {
 			// Group commit: the FlushEnd must not become durable before the
 			// group's data writes, which are themselves deferred into the
 			// coordinator's gang. Hand the record to the coordinator, which
 			// appends and gang-forces it after the data submission.
-			t.walGang.deferEnd(t.log, end)
+			g.end = end
 		} else {
 			t.log.Append(end)
 			// A retried force resubmits the whole unforced tail, so the
@@ -514,7 +531,7 @@ func (t *Tree) FlushBatch(at vtime.Ticks, bcnt int) (vtime.Ticks, error) {
 			}
 		}
 	}
-	if t.walGang == nil {
+	if g == nil {
 		// Inline commit: the FlushEnd is durable, so this is a commit
 		// point for the quarantine rollback baseline. Group commits reach
 		// theirs when the coordinator's phase-2 force lands.
@@ -525,7 +542,7 @@ func (t *Tree) FlushBatch(at vtime.Ticks, bcnt int) (vtime.Ticks, error) {
 
 // growRoot absorbs fence records produced by the root node, growing the
 // tree as many levels as necessary.
-func (t *Tree) growRoot(at vtime.Ticks, oldRoot pagefile.PageID, rootLevel int, fences []fenceRec) (vtime.Ticks, error) {
+func (t *Tree) growRoot(at vtime.Ticks, oldRoot pagefile.PageID, rootLevel int, fences []fenceRec, g *groupIO) (vtime.Ticks, error) {
 	var err error
 	for len(fences) > 0 {
 		n := &internalNode{id: t.pf.Alloc(), level: rootLevel + 1}
@@ -540,7 +557,7 @@ func (t *Tree) growRoot(at vtime.Ticks, oldRoot pagefile.PageID, rootLevel int, 
 			if err != nil {
 				return at, err
 			}
-			at, err = t.writeInternalBatch(at, []*internalNode{n})
+			at, err = t.writeInternalBatch(at, []*internalNode{n}, g)
 			if err != nil {
 				return at, err
 			}
@@ -549,7 +566,7 @@ func (t *Tree) growRoot(at vtime.Ticks, oldRoot pagefile.PageID, rootLevel int, 
 			t.height = rootLevel + 1
 			continue
 		}
-		at, err = t.writeInternalBatch(at, []*internalNode{n})
+		at, err = t.writeInternalBatch(at, []*internalNode{n}, g)
 		if err != nil {
 			return at, err
 		}
@@ -570,7 +587,7 @@ type leafGroup struct {
 // batch to children, recursing in PioMax-bounded groups, applying returned
 // fence records, splitting as needed, and writing updated internal nodes
 // via psync. It returns the fence records for the caller's level.
-func (t *Tree) bupdate(at vtime.Ticks, id pagefile.PageID, level int, batch []kv.Entry) ([]fenceRec, vtime.Ticks, error) {
+func (t *Tree) bupdate(at vtime.Ticks, id pagefile.PageID, level int, batch []kv.Entry, g *groupIO) ([]fenceRec, vtime.Ticks, error) {
 	nodes, at, err := t.readInternalBatch(at, []pagefile.PageID{id})
 	if err != nil {
 		return nil, at, err
@@ -609,7 +626,7 @@ func (t *Tree) bupdate(at vtime.Ticks, id pagefile.PageID, level int, batch []kv
 			for _, w := range work[i:end] {
 				groups = append(groups, leafGroup{id: w.id, entries: w.entries})
 			}
-			fences, at2, err := t.flushLeaves(at, groups)
+			fences, at2, err := t.flushLeaves(at, groups, g)
 			if err != nil {
 				return nil, at2, err
 			}
@@ -622,7 +639,7 @@ func (t *Tree) bupdate(at vtime.Ticks, id pagefile.PageID, level int, batch []kv
 		}
 	} else {
 		for _, w := range work {
-			fs, at2, err := t.bupdate(at, w.id, level-1, w.entries)
+			fs, at2, err := t.bupdate(at, w.id, level-1, w.entries, g)
 			if err != nil {
 				return nil, at2, err
 			}
@@ -658,7 +675,7 @@ func (t *Tree) bupdate(at vtime.Ticks, id pagefile.PageID, level int, batch []kv
 			return nil, at, err
 		}
 	}
-	at, err = t.writeInternalBatch(at, []*internalNode{n})
+	at, err = t.writeInternalBatch(at, []*internalNode{n}, g)
 	if err != nil {
 		return nil, at, err
 	}
@@ -719,7 +736,7 @@ type pendingPage struct {
 // writeInternalBatch writes the given internal nodes plus any pending
 // split siblings in one psync call, logging undo images first when a WAL
 // is attached, and refreshes the buffer pool copies.
-func (t *Tree) writeInternalBatch(at vtime.Ticks, ns []*internalNode) (vtime.Ticks, error) {
+func (t *Tree) writeInternalBatch(at vtime.Ticks, ns []*internalNode, g *groupIO) (vtime.Ticks, error) {
 	pages := make([]pendingPage, 0, len(ns)+len(t.pendingInternal))
 	for _, n := range ns {
 		buf := make([]byte, t.cfg.PageSize)
@@ -733,7 +750,7 @@ func (t *Tree) writeInternalBatch(at vtime.Ticks, ns []*internalNode) (vtime.Tic
 
 	var err error
 	if t.log != nil {
-		at, err = t.logUndoImages(at, pages)
+		at, err = t.logUndoImages(at, pages, g)
 		if err != nil {
 			return at, err
 		}
@@ -744,7 +761,7 @@ func (t *Tree) writeInternalBatch(at vtime.Ticks, ns []*internalNode) (vtime.Tic
 		ids[i] = p.id
 		bufs[i] = p.buf
 	}
-	at, err = t.psyncWritePages(at, ids, bufs)
+	at, err = t.psyncWritePages(at, ids, bufs, g)
 	if err != nil {
 		return at, err
 	}
@@ -756,7 +773,7 @@ func (t *Tree) writeInternalBatch(at vtime.Ticks, ns []*internalNode) (vtime.Tic
 
 // logUndoImages appends a flush undo log (pre-image) for every page about
 // to be overwritten and forces the WAL (write-ahead rule).
-func (t *Tree) logUndoImages(at vtime.Ticks, pages []pendingPage) (vtime.Ticks, error) {
+func (t *Tree) logUndoImages(at vtime.Ticks, pages []pendingPage, g *groupIO) (vtime.Ticks, error) {
 	for _, p := range pages {
 		pre := make([]byte, t.cfg.PageSize)
 		if err := t.pf.ReadPageNoCost(p.id, pre); err != nil {
@@ -773,5 +790,5 @@ func (t *Tree) logUndoImages(at vtime.Ticks, pages []pendingPage) (vtime.Ticks, 
 			UndoInfo: pre,
 		})
 	}
-	return t.forceWAL(at)
+	return t.forceWAL(at, g)
 }

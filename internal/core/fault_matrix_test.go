@@ -55,14 +55,25 @@ func newFaultForestCfg(t *testing.T, retry RetryPolicy, heal HealPolicy, evac Ev
 // tests raise it so no flush interleaves with the records they cut).
 func newFaultForestFull(t *testing.T, retry RetryPolicy, heal HealPolicy, evac EvacuationPolicy, opqPages int) (*Forest, *ssdio.Space, []*pagefile.PageFile, []*wal.Log) {
 	t.Helper()
+	return newFaultForestOf(t, fmShards, opqPages, func(c *ForestConfig) {
+		c.Shard.Retry, c.Heal, c.Evacuation = retry, heal, evac
+	})
+}
+
+// newFaultForestOf builds the fault-matrix forest with n shards, shard i
+// covering [i*fmStride, (i+1)*fmStride) (the last one open above), and
+// lets mod adjust the configuration before the forest is built — for
+// instance dropping the logs, which are created either way.
+func newFaultForestOf(t *testing.T, n, opqPages int, mod func(*ForestConfig)) (*Forest, *ssdio.Space, []*pagefile.PageFile, []*wal.Log) {
+	t.Helper()
 	dev := flashsim.MustDevice(flashsim.P300())
 	space := ssdio.NewSpace(dev)
 	cfg := smallCfg()
 	cfg.OPQPages = opqPages
 	cfg.BufferBytes = 32 * 1024
-	cfg.Retry = retry
-	pfs := make([]*pagefile.PageFile, fmShards)
-	logs := make([]*wal.Log, fmShards)
+	pfs := make([]*pagefile.PageFile, n)
+	logs := make([]*wal.Log, n)
+	bounds := make([]kv.Key, n-1)
 	for i := range pfs {
 		df, err := space.Create(fmt.Sprintf("shard%d", i), 4<<20)
 		if err != nil {
@@ -80,16 +91,19 @@ func newFaultForestFull(t *testing.T, retry RetryPolicy, heal HealPolicy, evac E
 		if err != nil {
 			t.Fatal(err)
 		}
+		if i > 0 {
+			bounds[i-1] = kv.Key(i) * fmStride
+		}
 	}
-	fr, err := NewForest(pfs, ForestConfig{
-		Partitioner:    RangePartitioner{Bounds: []kv.Key{fmStride}},
+	fcfg := ForestConfig{
+		Partitioner:    RangePartitioner{Bounds: bounds},
 		RipeFraction:   0.05,
 		Shard:          cfg,
 		Logs:           logs,
 		MigrationChunk: fmChunkSize,
-		Heal:           heal,
-		Evacuation:     evac,
-	})
+	}
+	mod(&fcfg)
+	fr, err := NewForest(pfs, fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +118,7 @@ func fmBaseline(t *testing.T, fr *Forest) vtime.Ticks {
 	var at vtime.Ticks
 	var err error
 	for j := 0; j < fmPerShard; j++ {
-		for s := 0; s < fmShards; s++ {
+		for s := 0; s < fr.ShardCount(); s++ {
 			k := kv.Key(s)*fmStride + kv.Key(j)
 			at, err = fr.Insert(at, kv.Record{Key: k, Value: fmVal(k)})
 			if err != nil {

@@ -82,90 +82,76 @@ func (r RangePartitioner) RangeShards(lo, hi kv.Key) []int {
 	return out
 }
 
-// writeGang accumulates the deferred psync writes of one forest group
-// flush, per page file in first-use order (kept deterministic), so the
-// coordinator can concatenate every member's batch writes into a single
-// psync submission.
-type writeGang struct {
-	order []*pagefile.PageFile
-	reqs  map[*pagefile.PageFile][]ssdio.Req
+// groupIO is a group flush's hold on one member tree's flush (see
+// Tree.flushBatch): reqs collects the data writes the group submits as one
+// data gang, and end holds the member's FlushEnd record, whose append must
+// wait until the group's data writes are on the device.
+type groupIO struct {
+	reqs []ssdio.Req
+	end  wal.Record
 }
 
-func newWriteGang() *writeGang {
-	return &writeGang{reqs: make(map[*pagefile.PageFile][]ssdio.Req)}
+// member is one shard's slot in a group flush: what its flush deferred,
+// and its outcome.
+type member struct {
+	groupIO
+	s *forestShard
+	// started reports that the member's flush ran: it holds the virtual
+	// flush lock.
+	started bool
+	// err is the fault that failed the member; nil while it carries on.
+	err error
 }
 
-// add defers the given write runs of pf into the gang.
-func (g *writeGang) add(pf *pagefile.PageFile, runs []pagefile.RunReq) error {
-	rs, err := pf.GatherRuns(runs)
-	if err != nil {
-		return err
+// blame charges a failed submission over ms to the members attribute
+// blames; each keeps its first fault, and a failed member's deferred
+// writes never go out. It reports whether any member of ms was spared.
+func blame(err error, ms []*member, lost []error) (spared bool) {
+	shards := make([]*forestShard, len(ms))
+	for i, m := range ms {
+		shards[i] = m.s
 	}
-	if _, ok := g.reqs[pf]; !ok {
-		g.order = append(g.order, pf)
+	for i, e := range attribute(err, shards, lost) {
+		if e == nil {
+			spared = true
+			continue
+		}
+		if ms[i].err == nil {
+			ms[i].err = e
+		}
+		ms[i].reqs = nil
 	}
-	g.reqs[pf] = append(g.reqs[pf], rs...)
-	return nil
+	return spared
 }
 
-// drop removes a member's deferred writes (its flush failed and the shard
-// is rolling back — its pages must not reach the device).
-func (g *writeGang) drop(pf *pagefile.PageFile) {
-	if _, ok := g.reqs[pf]; !ok {
-		return
+// attribute names the members a failed force or data-gang submission
+// failed, as each one's fault (nil: spared; a nil slice when err is nil).
+// For a data gang, lost holds the fault of each member whose batch did not
+// land. For a log force (lost nil), a member whose log still holds an
+// unforced tail failed: forceLogs commits every log whose write landed,
+// partial gangs included, and attempts every log of a serial force. When
+// no member explains err, every member failed.
+func attribute(err error, members []*forestShard, lost []error) []error {
+	if err == nil {
+		return nil
 	}
-	delete(g.reqs, pf)
-	order := g.order[:0]
-	for _, p := range g.order {
-		if p != pf {
-			order = append(order, p)
+	out := make([]error, len(members))
+	explained := false
+	for i, s := range members {
+		switch {
+		case lost != nil:
+			out[i] = lost[i]
+		case s.tree.log != nil && s.tree.log.Unforced():
+			out[i] = err
+		}
+		explained = explained || out[i] != nil
+	}
+	if !explained {
+		for i := range out {
+			out[i] = err
 		}
 	}
-	g.order = order
-}
-
-// submitSubset issues the selected batches (indexes into g.order) as one
-// cross-file psync call. The fault-retry loop uses it to resubmit only
-// the batches a partial gang failure left unapplied.
-func (g *writeGang) submitSubset(at vtime.Ticks, idxs []int) (vtime.Ticks, error) {
-	if len(idxs) == 0 {
-		return at, nil
-	}
-	batches := make([]ssdio.GangBatch, len(idxs))
-	for i, j := range idxs {
-		pf := g.order[j]
-		batches[i] = ssdio.GangBatch{F: pf.File(), Reqs: g.reqs[pf]}
-	}
-	return ssdio.PsyncGang(at, batches)
-}
-
-// logGang accumulates the WAL work of one forest group flush: which
-// member logs need forcing (in first-registration order, once each: a
-// member registers its log at every deferred force) and each member's
-// FlushEnd record, keyed by the member's log, whose append must wait
-// until the group's data writes are on the device.
-type logGang struct {
-	order []*wal.Log
-	seen  map[*wal.Log]bool
-	ends  map[*wal.Log]wal.Record
-}
-
-func newLogGang() *logGang {
-	return &logGang{seen: make(map[*wal.Log]bool), ends: make(map[*wal.Log]wal.Record)}
-}
-
-// need registers l for the next ganged force.
-func (g *logGang) need(l *wal.Log) {
-	if !g.seen[l] {
-		g.seen[l] = true
-		g.order = append(g.order, l)
-	}
-}
-
-// deferEnd holds back a member's FlushEnd record for the commit force.
-func (g *logGang) deferEnd(l *wal.Log, r wal.Record) {
-	g.need(l)
-	g.ends[l] = r
+	return out
 }
 
 // ForestConfig parameterizes a sharded PIO forest.
@@ -328,28 +314,6 @@ type Forest struct {
 	evacuations     atomic.Int64
 	evacChunks      atomic.Int64
 	migrationAborts atomic.Int64
-
-	// damaged, once set, fails every mutating operation: a group commit
-	// failed after members already updated their in-memory state, so
-	// memory and disk no longer agree. Crash+Recover clears it. An atomic
-	// keeps the per-operation check off the shard-independence hot path.
-	damaged atomic.Pointer[error]
-}
-
-// setDamaged records the first unrecoverable group-commit failure.
-func (f *Forest) setDamaged(err error) {
-	if err == nil {
-		err = fmt.Errorf("core: group commit failed")
-	}
-	f.damaged.CompareAndSwap(nil, &err)
-}
-
-// checkDamaged rejects mutating operations on a damaged forest.
-func (f *Forest) checkDamaged() error {
-	if p := f.damaged.Load(); p != nil {
-		return fmt.Errorf("core: forest damaged by failed group commit (%w); Crash and Recover to restore consistency", *p)
-	}
-	return nil
 }
 
 // retryIO is retryTimedIO with the coordinator's policy and counters.
@@ -369,38 +333,29 @@ func shardQuarantinedErr(si int, cause error) error {
 	return fmt.Errorf("core: shard %d: %w (cause: %v)", si, ErrShardQuarantined, cause)
 }
 
-// quarantineShard moves a shard into read-only degraded mode after an
-// attributable I/O failure: roll the tree back to its last committed
-// state (restore the durable snapshot, drop volatile state, replay the
-// durable log — a shard-local crash recovery) and mark it quarantined.
-// A shard without a WAL cannot roll back, and a rollback that itself
-// fails leaves memory and disk divorced — both escalate to the
-// forest-wide damaged mark. Caller holds s.mu; returns the rollback's
-// completion time.
+// quarantineShard takes a shard out of write service after a failure
+// charged to it, whatever the error's class: roll the tree back to its
+// last committed state (restore the durable snapshot, drop volatile
+// state, replay the durable log — a shard-local crash recovery) and mark
+// it quarantined. When the rollback itself fails, or the shard has no WAL
+// to roll back with, memory and disk may disagree: the shard goes offline
+// — reads rejected too — and the rest of the forest keeps serving. Heal
+// re-runs the rollback once the device recovers; a shard without a WAL
+// stays offline. Caller holds s.mu; returns the rollback's completion
+// time.
 func (f *Forest) quarantineShard(at vtime.Ticks, s *forestShard, cause error) vtime.Ticks {
 	//lint:ignore guardedby caller holds s.mu (see contract above)
 	if !s.health.writable() {
 		return at
 	}
-	if s.tree.log == nil {
-		f.setDamaged(cause)
-		return at
-	}
-	ev := evFail
-	done, err := s.tree.rollbackToDurable(at)
-	if err != nil {
-		if !IsIOFault(err) {
-			// The replay itself is broken (decode/validation): memory and
-			// disk are divorced beyond shard-local containment.
-			f.setDamaged(fmt.Errorf("core: quarantine rollback failed: %w (original fault: %v)", err, cause))
-			return done
+	ev, done := evReplayFail, at
+	if s.tree.log != nil {
+		var err error
+		if done, err = s.tree.rollbackToDurable(at); err == nil {
+			ev = evFail
+		} else {
+			cause = fmt.Errorf("%v (rollback also failed: %v)", cause, err)
 		}
-		// The device is still failing (e.g. a permanently dead file): the
-		// shard goes fully offline — reads rejected too, since its
-		// in-memory state is mid-replay — but the rest of the forest keeps
-		// serving. Heal re-runs the rollback once the device recovers.
-		ev = evReplayFail
-		cause = fmt.Errorf("%v (rollback also failed: %v)", cause, err)
 	}
 	//lint:ignore guardedby caller holds s.mu (see contract above)
 	s.transition(ev, at, done, cause)
@@ -469,8 +424,8 @@ type ForestStats struct {
 	EvacuatedChunks int64
 	EvacuatedShards int
 	// MigrationAborts counts migrations (evacuations included) aborted by
-	// an attributable I/O failure and resolved in place — the failing
-	// shards quarantined, the routing left at the kept prefix.
+	// a failure and resolved in place — the failing shards quarantined,
+	// the routing left at the kept prefix.
 	MigrationAborts int64
 }
 
@@ -671,11 +626,6 @@ func (f *Forest) lockOwner(k kv.Key) (int, *forestShard) {
 // readers share the shard but cannot start below its flush lock horizon;
 // flushes on other shards do not delay them at all.
 func (f *Forest) Search(at vtime.Ticks, k kv.Key) (kv.Value, bool, vtime.Ticks, error) {
-	// Reads are rejected too: on a damaged forest the in-memory structure
-	// may point at pages whose writes never reached the device.
-	if err := f.checkDamaged(); err != nil {
-		return 0, false, at, err
-	}
 	si, s := f.lockOwner(k)
 	defer s.mu.Unlock()
 	if err := s.readErr(si); err != nil {
@@ -691,9 +641,6 @@ func (f *Forest) Search(at vtime.Ticks, k kv.Key) (kv.Value, bool, vtime.Ticks, 
 // proceed in parallel in virtual time); the result is the merged map and
 // the latest completion.
 func (f *Forest) SearchMany(at vtime.Ticks, keys []kv.Key) (map[kv.Key]kv.Value, vtime.Ticks, error) {
-	if err := f.checkDamaged(); err != nil {
-		return nil, at, err
-	}
 	// A multi-shard sweep must not straddle a migration chunk, or a key
 	// moving between two already-visited shards could be seen twice or
 	// not at all. The read lock freezes the frontier for the sweep.
@@ -736,9 +683,6 @@ func (f *Forest) SearchMany(at vtime.Ticks, keys []kv.Key) (map[kv.Key]kv.Value,
 // [lo, hi) (all shards under hash partitioning, the overlapping ones
 // under range partitioning) and merges the results in key order.
 func (f *Forest) RangeSearch(at vtime.Ticks, lo, hi kv.Key) ([]kv.Record, vtime.Ticks, error) {
-	if err := f.checkDamaged(); err != nil {
-		return nil, at, err
-	}
 	// Freeze the migration frontier across the sweep (see SearchMany).
 	f.migMu.RLock()
 	defer f.migMu.RUnlock()
@@ -789,9 +733,6 @@ func (f *Forest) Update(at vtime.Ticks, r kv.Record) (vtime.Ticks, error) {
 }
 
 func (f *Forest) update(at vtime.Ticks, e kv.Entry) (vtime.Ticks, error) {
-	if err := f.checkDamaged(); err != nil {
-		return at, err
-	}
 	var s *forestShard
 	for {
 		var si int
@@ -805,11 +746,7 @@ func (f *Forest) update(at vtime.Ticks, e kv.Entry) (vtime.Ticks, error) {
 			break
 		}
 		s.mu.Unlock()
-		done, err := f.flushGroup(at, si)
-		if err != nil {
-			return done, err
-		}
-		at = done
+		at = f.flushGroup(at, si)
 	}
 	//lint:ignore guardedby lockOwner returned with s.mu held for this shard
 	s.ops++
@@ -838,23 +775,47 @@ func (f *Forest) update(at vtime.Ticks, e kv.Entry) (vtime.Ticks, error) {
 // would), and submits every member's batch writes as ONE concatenated
 // psync call. Each member's virtual flush lock is held from the group
 // start to the merged-write completion, so only member shards' readers
-// are delayed.
-func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
-	// Lock candidates in ascending shard order (deadlock-free against
-	// concurrent group flushes) and keep only the members locked: every
-	// shard appends to its own log, so a non-member's enqueue path never
-	// touches a log the coordinator is about to force.
-	//
-	// Mid-migration shards are excluded from gang membership: their
-	// virtual locks are pinned by chunk streaming for long stretches (a
-	// group holding them would stall every member behind the chunk), and
-	// keeping a half-migrated range out of the group's deferred FlushEnd
-	// commit keeps the migration's chunk commit points and the group's
-	// flush commit points independent. A migrating shard whose own OPQ
-	// fills still flushes — solo.
+// are delayed. It runs in stages over one member slice — plan, then the
+// flushes and the two-phase group commit (commitGroup), then settle — and
+// a failure anywhere costs only the members attribute blames: they roll
+// back and leave write service, and the rest of the group commits.
+func (f *Forest) flushGroup(at vtime.Ticks, trigger int) vtime.Ticks {
+	g := f.planGroup(trigger)
+	if len(g) == 0 {
+		// A racing group flush already drained the trigger shard.
+		return at
+	}
+	f.groupFlushes.Add(1)
+	f.groupedShards.Add(int64(len(g)))
+	done := at
+	if len(g) == 1 {
+		// Single member: flush exactly like the single-tree scheme (no
+		// gang), so a one-shard forest reproduces Concurrent's timings.
+		m := &g[0]
+		m.started = true
+		done, m.err = m.s.tree.FlushBatch(m.s.vlock.Acquire(at), m.s.tree.cfg.BCnt)
+	} else {
+		done = f.commitGroup(at, g)
+	}
+	return f.settle(done, g)
+}
+
+// planGroup locks and returns the members of a group flush. Candidates
+// are locked in ascending shard order (deadlock-free against concurrent
+// group flushes) and only the members stay locked: every shard appends to
+// its own log, so a non-member's enqueue path never touches a log the
+// coordinator is about to force.
+//
+// Mid-migration shards are excluded from gang membership: their virtual
+// locks are pinned by chunk streaming for long stretches (a group holding
+// them would stall every member behind the chunk), and keeping a
+// half-migrated range out of the group's deferred FlushEnd commit keeps
+// the migration's chunk commit points and the group's flush commit points
+// independent. A migrating shard whose own OPQ fills still flushes — solo.
+func (f *Forest) planGroup(trigger int) []member {
 	msrc, mdst, mact := f.rpart.Migrating()
 	migrating := func(i int) bool { return mact && (i == msrc || i == mdst) }
-	var group []*forestShard
+	var g []member
 	for i, s := range f.shards {
 		s.mu.Lock()
 		// Quarantined shards never join a flush: their OPQ holds replayed
@@ -865,251 +826,162 @@ func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 		} else if !migrating(i) && !migrating(trigger) {
 			keep = s.health.writable() && s.ripe(f.ripeFrac)
 		}
-		if keep {
-			group = append(group, s)
-		} else {
+		if !keep {
 			s.mu.Unlock()
+			continue
 		}
-	}
-	unlock := func() {
-		for _, s := range group {
-			s.mu.Unlock()
+		if g == nil {
+			g = make([]member, 0, len(f.shards)-i)
 		}
+		g = append(g, member{s: s})
 	}
-	if len(group) == 0 {
-		// A racing group flush already drained the trigger shard.
-		unlock()
-		return at, nil
-	}
-	f.groupFlushes.Add(1)
-	f.groupedShards.Add(int64(len(group)))
-
-	if len(group) == 1 {
-		// Single member: flush exactly like the single-tree scheme (no
-		// gang), so a one-shard forest reproduces Concurrent's timings.
-		s := group[0]
-		start := s.vlock.Acquire(at)
-		done, err := s.tree.FlushBatch(start, s.tree.cfg.BCnt)
-		switch {
-		case err == nil:
-			//lint:ignore guardedby member flush lock s.mu held until unlock below
-			s.transition(evFlushCommit, done, done, nil)
-		case IsIOFault(err) && s.tree.log != nil:
-			// Retries inside the flush are exhausted (or the device failed
-			// permanently): contain the failure to this shard and let the
-			// rest of the forest keep serving.
-			done = f.quarantineShard(done, s, err)
-			if f.damaged.Load() == nil {
-				err = nil
-			}
-		}
-		s.vlock.Release(done)
-		unlock()
-		return done, err
-	}
-
-	gang := newWriteGang()
-	lg := newLogGang()
-	front := at
-	var flushErr error // unattributable failure — escalates to damaged
-	acquired := 0
-	// quar collects members hit by attributable I/O failures; their
-	// rollback replays run after phase 2, when this round's durable log
-	// is as complete as it will get. flushed marks members whose data
-	// made it through every phase (their durable meta advances).
-	quar := make(map[*forestShard]error)
-	flushed := make([]bool, len(group))
-	for gi, s := range group {
-		start := s.vlock.Acquire(at)
-		acquired++
-		s.tree.gang = gang
-		if s.tree.log != nil && !s.tree.cfg.DisablePsync {
-			// Log work is deferred into the two-phase group commit (the WAL
-			// rule needs FlushEnd held back past the data gang);
-			// logGangEnabled only selects ganged vs serial forcing. Under
-			// the psync ablation the data writes are NOT deferred, so the
-			// log forces must stay inline with them (no deferral).
-			s.tree.walGang = lg
-		}
-		done, err := s.tree.FlushBatch(start, s.tree.cfg.BCnt)
-		s.tree.gang, s.tree.walGang = nil, nil
-		front = vtime.Max(front, done)
-		if err != nil {
-			// Stop starting new flushes. An I/O failure (read retries
-			// exhausted, permanent device error) quarantines just this
-			// member: its half-prepared deferred writes are dropped and its
-			// tree rolls back below. Its log appends stay in the tail —
-			// FlushStart without FlushEnd, which any replay undoes. Members
-			// that already flushed still commit: their deferred writes must
-			// reach the device.
-			if IsIOFault(err) && s.tree.log != nil {
-				quar[s] = err
-				gang.drop(s.tree.pf)
-			} else {
-				flushErr = err
-			}
-			break
-		}
-		flushed[gi] = true
-	}
-	// Group commit phase 1 (prepare): force every member's FlushStart,
-	// logical redo and flush undo records BEFORE any data write reaches
-	// the device — the WAL rule, paid as one ganged submission (or N
-	// serial forces under the per-shard baseline). Runs even after a
-	// member error: completed members' undo records must cover their
-	// deferred writes.
-	prepared := true
-	if len(lg.order) > 0 {
-		done, err := f.forceLogs(front, lg.order)
-		if err != nil {
-			if IsIOFault(err) {
-				// Attribute the failure: forceLogs commits every member whose
-				// write landed (partial gangs included), so a log still
-				// holding an unforced tail marks exactly the members whose
-				// prepare records are not durable. Those members' data writes
-				// may not go out — they roll back and quarantine — while
-				// members with durable records carry on: their undo records
-				// cover their deferred writes.
-				anyForced := false
-				for gi, s := range group[:acquired] {
-					if s.tree.log != nil && s.tree.log.Unforced() {
-						if _, ok := quar[s]; !ok {
-							quar[s] = err
-						}
-						gang.drop(s.tree.pf)
-						flushed[gi] = false
-					} else {
-						anyForced = true
-					}
-				}
-				prepared = anyForced
-			} else {
-				// Without durable undo records no data write may go out.
-				prepared = false
-				if flushErr == nil {
-					flushErr = err
-				}
-			}
-		}
-		front = done
-	}
-	done := front
-	if prepared {
-		var failed map[*pagefile.PageFile]error
-		var fatal error
-		done, failed, fatal = f.submitGang(front, gang)
-		if fatal != nil {
-			prepared = false
-			if flushErr == nil {
-				flushErr = fatal
-			}
-		}
-		// Members whose batches never landed (retries exhausted or a
-		// permanent fault) roll back; survivors carry on to phase 2 with
-		// their data on the device.
-		for gi, s := range group[:acquired] {
-			if e, ok := failed[s.tree.pf]; ok {
-				if _, ok2 := quar[s]; !ok2 {
-					quar[s] = e
-				}
-				flushed[gi] = false
-			}
-		}
-	}
-	// Group commit phase 2: only after the data writes reached the device
-	// may FlushEnd records become durable — a FlushEnd without its data
-	// would make recovery skip redo records for pages that were never
-	// written. Quarantined members' deferred ends are withheld for the
-	// same reason: their data was dropped or never landed, so a durable
-	// FlushEnd would lose it. A crash or error between the phases leaves
-	// FlushStart without FlushEnd, which recovery undoes.
-	if prepared && len(lg.ends) > 0 {
-		// Each surviving member appends its FlushEnd to its own log, and
-		// only those logs are forced, in ascending shard order: a
-		// quarantined member's log (dead device, withheld end) would burn
-		// the whole retry budget again for records phase 1 gave up on.
-		var ended []*wal.Log
-		for _, s := range group[:acquired] {
-			rec, ok := lg.ends[s.tree.log]
-			if _, q := quar[s]; !ok || q {
-				continue
-			}
-			s.tree.log.Append(rec)
-			ended = append(ended, s.tree.log)
-		}
-		if len(ended) > 0 {
-			done2, err2 := f.forceLogs(done, ended)
-			if err2 != nil {
-				if IsIOFault(err2) {
-					// A survivor's memory says flushed, but its FlushEnd is
-					// not durable: a replay would undo the flush. Roll back
-					// exactly the members whose end-force did not land to the
-					// state the log actually describes.
-					for gi, s := range group[:acquired] {
-						if flushed[gi] && s.tree.log != nil && s.tree.log.Unforced() {
-							if _, ok := quar[s]; !ok {
-								quar[s] = err2
-							}
-							flushed[gi] = false
-						}
-					}
-				} else if flushErr == nil {
-					flushErr = err2
-				}
-			}
-			done = done2
-		}
-	}
-	if flushErr != nil {
-		// Unattributable failure: some member's in-memory state and the
-		// disk no longer agree and no shard-local rollback can prove
-		// otherwise. Poison the forest until Crash+Recover rebuilds a
-		// consistent state from the durable log.
-		f.setDamaged(flushErr)
-	}
-	for gi, s := range group[:acquired] {
-		if flushed[gi] {
-			// This member's flush is durable end to end: a new rollback
-			// baseline — and proof the device is really back, so a
-			// probation's incident ends.
-			s.tree.commitDurableMeta()
-			//lint:ignore guardedby member flush lock s.mu held until release below
-			s.transition(evFlushCommit, done, done, nil)
-		}
-	}
-	// Rollback replays for the quarantined members, charged on the vtime
-	// clock while their flush locks are still held (readers wait for the
-	// rollback exactly as they would for the flush).
-	for _, s := range group[:acquired] {
-		if e, ok := quar[s]; ok {
-			done = f.quarantineShard(done, s, e)
-		}
-	}
-	// Only members whose flush actually started hold the virtual lock.
-	for _, s := range group[:acquired] {
-		s.vlock.Release(done)
-	}
-	unlock()
-	return done, flushErr
+	return g
 }
 
-// submitGang submits the group's merged data writes, retrying batches
-// that failed transiently (a partial gang applies whole batches or none,
-// so a resubmission never double-writes). Returns the page files whose
-// batches never landed — mapped to their owning shards for quarantine —
-// and a fatal error for unattributable whole-gang failures.
-func (f *Forest) submitGang(at vtime.Ticks, gang *writeGang) (vtime.Ticks, map[*pagefile.PageFile]error, error) {
-	pending := make([]int, len(gang.order))
-	for i := range pending {
-		pending[i] = i
+// commitGroup flushes a group's members and commits them in two phases,
+// returning the completion time; the members' outcomes are left in g.
+func (f *Forest) commitGroup(at vtime.Ticks, g []member) vtime.Ticks {
+	// Flush: every member from the same instant, its data writes and
+	// FlushEnd held back in its slot. Under the psync ablation the data
+	// writes are NOT deferred, so neither are the log forces. A failed
+	// flush stops new ones from starting; its log appends stay in the tail
+	// — FlushStart without FlushEnd, which any replay undoes — and members
+	// that already flushed still commit: their deferred writes must reach
+	// the device.
+	front := at
+	for i := range g {
+		m := &g[i]
+		m.started = true
+		var io *groupIO
+		if !m.s.tree.cfg.DisablePsync {
+			io = &m.groupIO
+		}
+		done, err := m.s.tree.flushBatch(m.s.vlock.Acquire(at), m.s.tree.cfg.BCnt, io)
+		front = vtime.Max(front, done)
+		if err != nil {
+			m.err, m.reqs = err, nil
+			break
+		}
 	}
-	failed := make(map[*pagefile.PageFile]error)
+	ms := make([]*member, 0, len(g))
+	logs := make([]*wal.Log, 0, len(g))
+	// Prepare (group commit phase 1): force every started member's
+	// FlushStart, logical redo and flush undo records BEFORE any data write
+	// reaches the device — the WAL rule, paid as one ganged submission (or
+	// N serial forces under the per-shard baseline). It runs even after a
+	// member failed: the others' undo records must cover their deferred
+	// writes. A member whose records did not land is failed; the rest carry
+	// on, and the data gang goes out unless the force spared nobody.
+	for i := range g {
+		if m := &g[i]; m.started && m.s.tree.log != nil && !m.s.tree.cfg.DisablePsync {
+			ms, logs = append(ms, m), append(logs, m.s.tree.log)
+		}
+	}
+	prepared := true
+	if len(logs) > 0 {
+		var err error
+		if front, err = f.forceLogs(front, logs); err != nil {
+			prepared = blame(err, ms, nil)
+		}
+	}
+	// Data: the surviving members' writes as one gang; a member whose batch
+	// never landed (retries exhausted, or a permanent fault) is failed.
+	done := front
+	if prepared {
+		ms = ms[:0]
+		for i := range g {
+			if m := &g[i]; m.started && m.err == nil {
+				ms = append(ms, m)
+			}
+		}
+		var lost []error
+		if done, lost = f.submitGang(front, ms); lost != nil {
+			blame(firstErr(lost), ms, lost)
+		}
+	}
+	// Commit (phase 2): only after the data writes reached the device may
+	// a FlushEnd become durable — a FlushEnd without its data would make
+	// recovery skip redo records for pages that were never written. So a
+	// failed member's end is withheld, and only the survivors' logs are
+	// forced, in ascending shard order: a failed member's log (dead device,
+	// withheld end) would burn the whole retry budget again for records
+	// phase 1 gave up on. A survivor whose end-force did not land has
+	// memory that says flushed and a log that says undo: it fails, and its
+	// rollback brings memory to what the log describes.
+	ms, logs = ms[:0], logs[:0]
+	for i := range g {
+		if m := &g[i]; m.err == nil && m.end.Kind == wal.KindFlushEnd {
+			m.s.tree.log.Append(m.end)
+			ms, logs = append(ms, m), append(logs, m.s.tree.log)
+		}
+	}
+	if len(logs) > 0 {
+		var err error
+		if done, err = f.forceLogs(done, logs); err != nil {
+			blame(err, ms, nil)
+		}
+	}
+	return done
+}
+
+// settle ends a group flush. A started member that did not fail is
+// durable end to end: a new rollback baseline, and proof the device is
+// really back, so a probation's incident ends. A failed member rolls back
+// and leaves write service, charged on the vtime clock while its flush
+// lock is still held (readers wait for the rollback exactly as they would
+// for the flush). Then every lock is released.
+func (f *Forest) settle(done vtime.Ticks, g []member) vtime.Ticks {
+	for _, m := range g {
+		if m.started && m.err == nil {
+			m.s.tree.commitDurableMeta()
+			//lint:ignore guardedby planGroup returned with every member's mu held
+			m.s.transition(evFlushCommit, done, done, nil)
+		}
+	}
+	for _, m := range g {
+		if m.err != nil {
+			done = f.quarantineShard(done, m.s, m.err)
+		}
+	}
+	for _, m := range g {
+		if m.started {
+			m.s.vlock.Release(done)
+		}
+		m.s.mu.Unlock()
+	}
+	return done
+}
+
+// submitGang submits the members' deferred data writes as one cross-file
+// psync call, retrying batches that failed transiently (a partial gang
+// applies whole batches or none, so a resubmission never double-writes).
+// lost holds, per member, the fault of a batch that never landed (nil
+// when every batch landed); a whole-gang failure loses every batch still
+// pending.
+func (f *Forest) submitGang(at vtime.Ticks, ms []*member) (vtime.Ticks, []error) {
+	pending := make([]int, 0, len(ms))
+	for i, m := range ms {
+		if len(m.reqs) > 0 {
+			pending = append(pending, i)
+		}
+	}
+	var lost []error
+	lose := func(i int, err error) {
+		if lost == nil {
+			lost = make([]error, len(ms))
+		}
+		lost[i] = err
+	}
 	pol := f.retry.norm()
 	for attempt := 0; ; attempt++ {
-		done, err := gang.submitSubset(at, pending)
+		batches := make([]ssdio.GangBatch, len(pending))
+		for i, j := range pending {
+			batches[i] = ssdio.GangBatch{F: ms[j].s.tree.pf.File(), Reqs: ms[j].reqs}
+		}
+		done, err := ssdio.PsyncGang(at, batches)
 		f.gangSubmits.Add(1)
 		if err == nil {
-			return done, failed, nil
+			return done, lost
 		}
 		var pge *ssdio.PartialGangError
 		if errors.As(err, &pge) {
@@ -1120,11 +992,10 @@ func (f *Forest) submitGang(at vtime.Ticks, gang *writeGang) (vtime.Ticks, map[*
 				if IsWatchdogTimeout(flt.Err) {
 					f.watchdogTimeouts.Add(1)
 				}
-				orig := pending[flt.Batch]
-				if IsTransientIO(flt.Err) {
-					next = append(next, orig)
+				if j := pending[flt.Batch]; IsTransientIO(flt.Err) {
+					next = append(next, j)
 				} else {
-					failed[gang.order[orig]] = flt.Err
+					lose(j, flt.Err)
 				}
 			}
 			pending = next
@@ -1133,18 +1004,21 @@ func (f *Forest) submitGang(at vtime.Ticks, gang *writeGang) (vtime.Ticks, map[*
 				f.watchdogTimeouts.Add(1)
 			}
 			if !IsTransientIO(err) {
-				return done, failed, err
+				for _, j := range pending {
+					lose(j, err)
+				}
+				return done, lost
 			}
 		}
 		if len(pending) == 0 {
-			return done, failed, nil
+			return done, lost
 		}
 		if f.retry.Disabled || attempt >= pol.MaxRetries {
 			f.ioRetriesExhausted.Add(1)
 			for _, j := range pending {
-				failed[gang.order[j]] = err
+				lose(j, err)
 			}
-			return done, failed, nil
+			return done, lost
 		}
 		wait := backoff(pol.BaseBackoff, pol.MaxBackoff, attempt)
 		f.ioRetries.Add(1)
@@ -1153,9 +1027,21 @@ func (f *Forest) submitGang(at vtime.Ticks, gang *writeGang) (vtime.Ticks, map[*
 	}
 }
 
-// forceLogs makes the registered member logs durable: one ganged
-// submission under group commit, or serial per-log Force calls under the
-// per-shard baseline (DisableLogGang).
+// firstErr returns the first non-nil error of errs.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// forceLogs makes the given logs durable: one ganged submission under
+// group commit, or serial per-log Force calls under the per-shard
+// baseline (DisableLogGang). Either way every log is attempted and a log
+// whose write did not land keeps its unforced tail, which is how
+// attribute charges the failure to its member.
 func (f *Forest) forceLogs(at vtime.Ticks, logs []*wal.Log) (vtime.Ticks, error) {
 	if f.logGangEnabled {
 		// ForceGroup commits the members whose writes landed even on a
@@ -1169,32 +1055,19 @@ func (f *Forest) forceLogs(at vtime.Ticks, logs []*wal.Log) (vtime.Ticks, error)
 			return done, err
 		})
 	}
-	// Serial baseline: attempt every log even after an attributable fault
-	// so each member's durable state reflects its own device, not its
-	// position in the loop — the group-flush error handler attributes
-	// failures per member via Unforced. Unattributable errors still abort.
-	var firstFault error
+	var first error
 	for _, l := range logs {
 		var err error
-		at, err = f.retryIO(at, l.Force)
-		if err != nil {
-			if !IsIOFault(err) {
-				return at, err
-			}
-			if firstFault == nil {
-				firstFault = err
-			}
+		if at, err = f.retryIO(at, l.Force); err != nil && first == nil {
+			first = err
 		}
 	}
-	return at, firstFault
+	return at, first
 }
 
 // Flush forces a group flush seeded by the fullest shard (no-op when the
 // whole forest is empty).
 func (f *Forest) Flush(at vtime.Ticks) (vtime.Ticks, error) {
-	if err := f.checkDamaged(); err != nil {
-		return at, err
-	}
 	best, bestLen := -1, 0
 	for i, s := range f.shards {
 		s.mu.Lock()
@@ -1210,7 +1083,7 @@ func (f *Forest) Flush(at vtime.Ticks) (vtime.Ticks, error) {
 	if best < 0 {
 		return at, nil
 	}
-	return f.flushGroup(at, best)
+	return f.flushGroup(at, best), nil
 }
 
 // Checkpoint drains every shard's OPQ. The per-shard drains start at the
@@ -1219,9 +1092,6 @@ func (f *Forest) Flush(at vtime.Ticks) (vtime.Ticks, error) {
 // forces are ganged into one blocking submission — the forest-wide
 // checkpoint the recovery scan cuts at.
 func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
-	if err := f.checkDamaged(); err != nil {
-		return at, err
-	}
 	// Freeze migration chunks for the sweep: the routing snapshot logged
 	// below must match the drained state, and head truncation must not
 	// race a chunk's log appends.
@@ -1231,7 +1101,7 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 	// safe without shard locks because each wal.Log serializes its force
 	// operations internally.
 	done := at
-	lg := newLogGang()
+	var logs []*wal.Log
 	// cut tracks, per log, the mark of this round's checkpoint record: once
 	// the round is durable, everything before it is dead for recovery
 	// (each shard's replay starts at its last checkpoint).
@@ -1258,7 +1128,7 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 		}
 		if err == nil && s.tree.log != nil {
 			cut[s.tree.log] = s.tree.log.AppendMark(wal.Record{Kind: wal.KindCheckpoint, Relation: s.tree.cfg.Relation})
-			lg.need(s.tree.log)
+			logs = append(logs, s.tree.log)
 		}
 		s.vlock.Release(d)
 		s.mu.Unlock()
@@ -1275,10 +1145,12 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 			Kind:     wal.KindRoutingSnapshot,
 			UndoInfo: encodeRoutingMeta(f.rpart.RoutingSnapshot()),
 		})
-		lg.need(f.logs[0])
+		if _, ok := cut[f.logs[0]]; !ok {
+			logs = append(logs, f.logs[0])
+		}
 	}
-	if len(lg.order) > 0 {
-		d, err := f.forceLogs(done, lg.order)
+	if len(logs) > 0 {
+		d, err := f.forceLogs(done, logs)
 		if err != nil {
 			return d, err
 		}
@@ -1305,9 +1177,6 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 // durable without paying for a flush — one ganged submission, or serial
 // per-log forces under DisableLogGang. A no-op without WALs.
 func (f *Forest) Sync(at vtime.Ticks) (vtime.Ticks, error) {
-	if err := f.checkDamaged(); err != nil {
-		return at, err
-	}
 	if len(f.logs) == 0 {
 		return at, nil
 	}
@@ -1386,9 +1255,6 @@ func (f *Forest) Recover(at vtime.Ticks) (ForestRecoveryReport, vtime.Ticks, err
 		s.transition(ev, done, done, nil)
 		s.mu.Unlock()
 	}
-	// The durable log has been replayed into a consistent state; lift any
-	// group-commit damage mark.
-	f.damaged.Store(nil)
 	return rep, done, nil
 }
 
@@ -1402,9 +1268,6 @@ func (f *Forest) Recover(at vtime.Ticks) (ForestRecoveryReport, vtime.Ticks, err
 // shard. An evacuated shard cannot heal — its range now lives on
 // healthy shards and its physical copies are stale.
 func (f *Forest) Heal(at vtime.Ticks, shard int) (vtime.Ticks, error) {
-	if err := f.checkDamaged(); err != nil {
-		return at, err
-	}
 	if shard < 0 || shard >= len(f.shards) {
 		return at, fmt.Errorf("core: Heal: no shard %d (forest has %d)", shard, len(f.shards))
 	}
@@ -1540,9 +1403,6 @@ func (f *Forest) Pending() int {
 // from the group mid-migration) keeps its old capacity and counts as
 // skipped. Returns the completion time of any flushes performed.
 func (f *Forest) ApplyOPQBudget(at vtime.Ticks, globalPages int) (done vtime.Ticks, resized, skipped int, err error) {
-	if err := f.checkDamaged(); err != nil {
-		return at, 0, 0, err
-	}
 	if globalPages < 1 {
 		return at, 0, 0, fmt.Errorf("core: OPQ budget must be >= 1 page, got %d", globalPages)
 	}
@@ -1553,10 +1413,7 @@ func (f *Forest) ApplyOPQBudget(at vtime.Ticks, globalPages int) (done vtime.Tic
 		needFlush := s.tree.OPQLen() > per*s.tree.cfg.PageSize/kv.EntrySize
 		s.mu.Unlock()
 		if needFlush {
-			done, err = f.flushGroup(done, i)
-			if err != nil {
-				return done, resized, skipped, err
-			}
+			done = f.flushGroup(done, i)
 		}
 		s.mu.Lock()
 		if s.tree.SetOPQPages(per) != nil {

@@ -19,7 +19,7 @@ import (
 //     the remaining front segments so the shrink sees the whole leaf;
 //  3. one psync batch writing the touched segments (appends: the last LS
 //     and any newly opened segment; shrinks/splits: whole leaves).
-func (t *Tree) flushLeaves(at vtime.Ticks, groups []leafGroup) ([][]fenceRec, vtime.Ticks, error) {
+func (t *Tree) flushLeaves(at vtime.Ticks, groups []leafGroup, g *groupIO) ([][]fenceRec, vtime.Ticks, error) {
 	ps := t.cfg.PageSize
 
 	// Phase 1: read the tail of every leaf.
@@ -35,16 +35,16 @@ func (t *Tree) flushLeaves(at vtime.Ticks, groups []leafGroup) ([][]fenceRec, vt
 	firstSegs := make([]int, len(groups))
 	uptos := make([]int, len(groups))
 	bufs := make([][]byte, len(groups))
-	for i, g := range groups {
-		lastLS, hit := t.lastLSOf(g.id)
+	for i, lg := range groups {
+		lastLS, hit := t.lastLSOf(lg.id)
 		first := lastLS
 		if !hit {
 			// LSMap miss: read the whole leaf.
 			first = 0
 			lastLS = t.cfg.LeafSegs - 1
 		}
-		states[i] = &leafState{group: i, id: g.id, firstSeg: first, entries: g.entries}
-		ids[i] = g.id + pagefile.PageID(first)
+		states[i] = &leafState{group: i, id: lg.id, firstSeg: first, entries: lg.entries}
+		ids[i] = lg.id + pagefile.PageID(first)
 		firstSegs[i] = first
 		uptos[i] = lastLS - first
 		bufs[i] = make([]byte, (lastLS-first+1)*ps)
@@ -145,13 +145,13 @@ func (t *Tree) flushLeaves(at vtime.Ticks, groups []leafGroup) ([][]fenceRec, vt
 				UndoInfo: p.buf,
 			})
 		}
-		at, err = t.forceWAL(at)
+		at, err = t.forceWAL(at, g)
 		if err != nil {
 			return nil, at, err
 		}
 	}
 
-	at, err = t.psyncWriteRuns(at, writes)
+	at, err = t.psyncWriteRuns(at, writes, g)
 	if err != nil {
 		return nil, at, err
 	}

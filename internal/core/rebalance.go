@@ -371,9 +371,6 @@ func (m *Migration) Range() (lo, hi kv.Key, src, dst int) {
 // through the ganged force, and publishes the migration into the routing
 // table with frontier = lo. At most one migration may be in flight.
 func (f *Forest) StartMigration(at vtime.Ticks, lo, hi kv.Key, src, dst int) (*Migration, vtime.Ticks, error) {
-	if err := f.checkDamaged(); err != nil {
-		return nil, at, err
-	}
 	n := len(f.shards)
 	if src < 0 || src >= n || dst < 0 || dst >= n {
 		return nil, at, fmt.Errorf("core: migration shards %d->%d outside [0,%d)", src, dst, n)
@@ -471,36 +468,22 @@ func (f *Forest) startMigrationLocked(at vtime.Ticks, lo, hi kv.Key, src, dst in
 		// flush coordinator's group commit.
 		done, err = f.forceLogs(done, logs)
 		if err != nil {
-			if IsIOFault(err) {
-				// Contain like the flush coordinator's phase 1: a member
-				// whose log still holds an unforced tail is exactly a member
-				// whose start record is not durable — its device is failing.
-				// Quarantine it (the rollback drops the stranded append),
-				// close the never-published migration with abort records,
-				// and surface the refusal as a quarantine, not a raw fault.
-				failing := -1
-				for _, si := range m.recordShards() {
-					if sh := f.shards[si]; sh.tree.log != nil && sh.tree.log.Unforced() {
-						done = f.quarantineShard(done, sh, err)
-						if failing < 0 {
-							failing = si
-						}
-					}
-				}
-				if failing >= 0 && f.damaged.Load() == nil {
-					// A failed force is fine: the Ends stay in the tails and
-					// either a Heal forces them or crash recovery rolls the
-					// open migration back — the routing was never touched.
-					if d, ferr := f.endMigration(done, m.migSpec, lo, hi, wal.OpMigrationAbort); ferr == nil {
-						done = d
-					}
-					f.migrationAborts.Add(1)
-					s.vlock.Release(done)
-					return nil, done, shardQuarantinedErr(failing, err)
-				}
+			// Contain like the flush coordinator's prepare: a member whose
+			// start record is not durable is quarantined (the rollback drops
+			// the stranded append), the never-published migration is closed
+			// with abort records, and the refusal surfaces as a quarantine,
+			// not a raw fault.
+			var failing int
+			done, failing = f.quarantineBlamed(done, err, m.recordShards())
+			// A failed force is fine: the Ends stay in the tails and either
+			// a Heal forces them or crash recovery rolls the open migration
+			// back — the routing was never touched.
+			if d, ferr := f.endMigration(done, m.migSpec, lo, hi, wal.OpMigrationAbort); ferr == nil {
+				done = d
 			}
+			f.migrationAborts.Add(1)
 			s.vlock.Release(done)
-			return nil, done, err
+			return nil, done, shardQuarantinedErr(failing, err)
 		}
 	}
 	rt := f.rpart.cur.Load()
@@ -509,6 +492,26 @@ func (f *Forest) startMigrationLocked(at vtime.Ticks, lo, hi kv.Key, src, dst in
 	f.rpart.publish(next)
 	s.vlock.Release(done)
 	return m, done, nil
+}
+
+// quarantineBlamed quarantines the shards of sis that attribute blames
+// for a failed force of their logs. It returns the rollbacks' completion
+// time and the first shard blamed. Caller holds the shards' locks.
+func (f *Forest) quarantineBlamed(at vtime.Ticks, err error, sis []int) (vtime.Ticks, int) {
+	members := make([]*forestShard, len(sis))
+	for i, si := range sis {
+		members[i] = f.shards[si]
+	}
+	first := -1
+	for i, e := range attribute(err, members, nil) {
+		if e != nil {
+			at = f.quarantineShard(at, members[i], e)
+			if first < 0 {
+				first = sis[i]
+			}
+		}
+	}
+	return at, first
 }
 
 // nextMigrationID hands out forest-unique migration ids above everything
@@ -537,9 +540,6 @@ func (m *Migration) Step(at vtime.Ticks) (bool, vtime.Ticks, error) {
 		return true, at, nil
 	}
 	f := m.f
-	if err := f.checkDamaged(); err != nil {
-		return false, at, err
-	}
 	if m.idx < len(m.bounds)-1 {
 		done, err := f.migrateChunk(at, m)
 		if err != nil {
@@ -598,20 +598,12 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 
 	start := src.vlock.Acquire(at)
 	defer func() { src.vlock.Release(start) }()
-	// fail resolves a mid-chunk I/O failure by aborting the migration
-	// with the failing shards quarantined; non-I/O errors keep escalating
-	// to the forest damaged mark.
-	fail := func(now vtime.Ticks, recs []kv.Record, undoSrc bool, err error) (vtime.Ticks, error) {
-		if IsIOFault(err) && len(f.logs) > 0 {
-			return f.abortMigration(now, m, recs, undoSrc, err)
-		}
-		f.setDamaged(err)
-		return now, err
-	}
+	// Any mid-chunk failure aborts the migration with the pair
+	// quarantined (see abortMigration).
 	recs, now, err := src.tree.RangeSearch(start, a, b)
 	if err != nil {
 		start = now
-		now, err = fail(now, nil, false, err)
+		now, err = f.abortMigration(now, m, nil, false, err)
 		start = vtime.Max(start, now)
 		return now, err
 	}
@@ -622,7 +614,7 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 		opq, err = dst.tree.Insert(opq, r)
 		if err != nil {
 			dst.vopq.Release(opq)
-			now, err = fail(opq, recs, false, err)
+			now, err = f.abortMigration(opq, m, recs, false, err)
 			start = vtime.Max(opq, now)
 			return now, err
 		}
@@ -635,7 +627,7 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 	if dst.tree.log != nil {
 		now, err = dst.tree.retryIO(now, dst.tree.log.Force)
 		if err != nil {
-			now, err = fail(now, recs, false, err)
+			now, err = f.abortMigration(now, m, recs, false, err)
 			start = vtime.Max(start, now)
 			return now, err
 		}
@@ -661,7 +653,7 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 		for _, r := range recs {
 			now, err = src.tree.Delete(now, r.Key)
 			if err != nil {
-				now, err = fail(now, recs, true, err)
+				now, err = f.abortMigration(now, m, recs, true, err)
 				start = vtime.Max(start, now)
 				return now, err
 			}
@@ -669,7 +661,7 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 		if src.tree.log != nil {
 			now, err = src.tree.retryIO(now, src.tree.log.Force)
 			if err != nil {
-				now, err = fail(now, recs, true, err)
+				now, err = f.abortMigration(now, m, recs, true, err)
 				start = vtime.Max(start, now)
 				return now, err
 			}
@@ -688,8 +680,8 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 	return now, nil
 }
 
-// abortMigration aborts the in-flight migration after an I/O failure
-// mid-chunk. Caller holds migMu and both shard locks. The resolution
+// abortMigration aborts the in-flight migration after a failure
+// mid-chunk, whatever the error's class. Caller holds migMu and both shard locks. The resolution
 // must stay consistent under BOTH durable outcomes of the shards' log
 // tails — a tail that is never forced (the durable log shows the last
 // published frontier F and an open migration, which crash recovery
@@ -697,8 +689,8 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 // copies, KeyMoved and deletes become durable in order). So:
 //
 //  1. the destination and a writable source roll back to their
-//     committed state and quarantine (their devices just exhausted
-//     retries); an evacuation's source is left as it is — quarantined,
+//     committed state and quarantine, or go offline when that fails (see
+//     quarantineShard); an evacuation's source is left as it is — quarantined,
 //     or live again if a Heal re-admitted it mid-stream, in which case
 //     its uncommitted writes must survive;
 //  2. the kept prefix is what the source already deleted: [lo, F) for a
@@ -729,17 +721,12 @@ func (f *Forest) abortMigration(at vtime.Ticks, m *Migration, recs []kv.Record, 
 		done = f.quarantineShard(done, src, cause)
 	}
 	done = f.quarantineShard(done, dst, cause)
-	if f.damaged.Load() != nil {
-		return done, cause
-	}
 	// Purge the copies above the kept prefix from the destination: those
 	// below the frontier that the committed routing assigns to the source
 	// (the rest is the destination's own data), then the in-flight
 	// chunk's. tree.Delete both removes any durable copy the rollback
 	// resurrected from memory and appends the covering redo-delete to
-	// dst's tail; keys whose copy never landed get a harmless tombstone. A
-	// failing purge means stale copies may survive on an unquarantinable
-	// path — escalate.
+	// dst's tail; keys whose copy never landed get a harmless tombstone.
 	stale := recs
 	var err error
 	if kept < frontier {
@@ -754,12 +741,26 @@ func (f *Forest) abortMigration(at vtime.Ticks, m *Migration, recs []kv.Record, 
 		}
 		stale = append(stale, recs...)
 	}
-	for i := 0; err == nil && i < len(stale); i++ {
-		done, err = dst.tree.Delete(done, stale[i].Key)
+	purged := 0
+	for err == nil && purged < len(stale) {
+		if done, err = dst.tree.Delete(done, stale[purged].Key); err == nil {
+			purged++
+		}
 	}
 	if err != nil {
-		f.setDamaged(fmt.Errorf("core: migration %d abort purge failed: %w (original fault: %v)", m.id, err, cause))
-		return done, cause
+		// A failed purge leaves stale copies in the destination's memory, so
+		// it goes offline; the rest of the purge is appended to its tail as
+		// redo-deletes, which the replay of a Heal (it forces the tail
+		// first) applies. A failed copy scan cannot name an evacuation's
+		// copies below the frontier: those survive such a Heal.
+		//lint:ignore guardedby the caller holds both shard locks
+		dst.transition(evReplayFail, done, done, err)
+		for i := purged; dst.tree.log != nil && i < len(stale); i++ {
+			dst.tree.log.Append(wal.Record{
+				Kind: wal.KindLogicalRedo, Relation: dst.tree.cfg.Relation,
+				Key: stale[i].Key, Op: wal.OpType(kv.OpDelete),
+			})
+		}
 	}
 	// The source's chunk deletes (appended, never durable — a durable
 	// delete would have published the frontier) are compensated with
@@ -795,8 +796,8 @@ func (f *Forest) abortMigration(at vtime.Ticks, m *Migration, recs []kv.Record, 
 	f.rpart.publish(next)
 	f.migrationAborts.Add(1)
 	f.rebalanceActive.Store(false)
-	return done, fmt.Errorf("core: migration %d of shard %d onto %d aborted keeping [%d, %d): %w",
-		m.id, m.src, m.dst, m.lo, kept, cause)
+	return done, fmt.Errorf("core: migration %d of shard %d onto %d aborted keeping [%d, %d): %w: %w",
+		m.id, m.src, m.dst, m.lo, kept, ErrShardQuarantined, cause)
 }
 
 // endMigration closes a migration: a MigrationEnd record — op over
@@ -833,20 +834,12 @@ func (f *Forest) commitMigration(at vtime.Ticks, m *Migration) (vtime.Ticks, err
 	}
 	done, err := f.endMigration(at, m.migSpec, m.lo, m.hi, m.commitOp())
 	if err != nil {
-		if !IsIOFault(err) {
-			f.setDamaged(err)
-			return done, err
-		}
 		// Every chunk is durably committed; only the End force failed. The
 		// rule may publish regardless: the Ends stay in the tails (a Heal
 		// forces them; a crash resolves the open migration from the durable
 		// frontier = hi, re-streaming an empty remainder to the same
-		// outcome). The failing log devices are quarantined.
-		for _, si := range m.recordShards() {
-			if s := f.shards[si]; s.tree.log != nil && s.tree.log.Unforced() {
-				done = f.quarantineShard(done, s, err)
-			}
-		}
+		// outcome). The members whose End did not land are quarantined.
+		done, _ = f.quarantineBlamed(done, err, m.recordShards())
 	}
 	rt := f.rpart.cur.Load()
 	next := *rt
@@ -971,15 +964,13 @@ type RebalancePolicy struct {
 
 // uncontained filters a migration failure for the autonomous poll loop.
 // A failure the fault plane already contained — the failing shards are
-// quarantined (or the move was refused because one is) and the routing
-// table is resolved at a consistent state — becomes nil, "no move this
-// tick": degraded mode is the heal/evacuation machinery's job, not its
-// caller's. Unattributable failures (forest damaged) keep propagating.
-func (f *Forest) uncontained(err error) error {
-	if err == nil || f.damaged.Load() != nil {
-		return err
-	}
-	if errors.Is(err, ErrShardQuarantined) || IsIOFault(err) {
+// quarantined or offline (or the move was refused because one is) and
+// the routing table is resolved at a consistent state — becomes nil, "no
+// move this tick": degraded mode is the heal/evacuation machinery's job,
+// not its caller's. So does an I/O fault that failed a move before it
+// started (the planning scan). Anything else keeps propagating.
+func uncontained(err error) error {
+	if err == nil || errors.Is(err, ErrShardQuarantined) || IsIOFault(err) {
 		return nil
 	}
 	return err
@@ -1010,7 +1001,7 @@ func (f *Forest) AutoRebalance(at vtime.Ticks, pol RebalancePolicy) (moved bool,
 	if m == nil {
 		if src, dst, due := f.dueEvacuation(at); due {
 			if m, done, err = f.evacuate(at, src, dst); err != nil {
-				return false, -1, -1, done, f.uncontained(err)
+				return false, -1, -1, done, uncontained(err)
 			}
 		}
 	}
@@ -1026,7 +1017,7 @@ func (f *Forest) AutoRebalance(at vtime.Ticks, pol RebalancePolicy) (moved bool,
 			return false, hot, -1, at, nil
 		}
 		if m, done, err = f.StartMigration(at, boundary, MaxMigrationKey, hot, dst); err != nil {
-			return false, hot, dst, done, f.uncontained(err)
+			return false, hot, dst, done, uncontained(err)
 		}
 	}
 	moved, done, err = f.drainBudgeted(m, done, pol.DrainBudget)
@@ -1037,7 +1028,7 @@ func (f *Forest) AutoRebalance(at vtime.Ticks, pol RebalancePolicy) (moved bool,
 	}
 	f.autoMu.Unlock()
 	_, _, from, to = m.Range()
-	return moved, from, to, done, f.uncontained(err)
+	return moved, from, to, done, uncontained(err)
 }
 
 // hotShard returns the shard that absorbed a disproportionate share of

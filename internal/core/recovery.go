@@ -298,8 +298,8 @@ func (t *Tree) dropVolatile() {
 	}
 }
 
-// rollbackToDurable rewinds the tree to its last committed state after an
-// I/O failure mid-operation: restore the durable structural snapshot,
+// rollbackToDurable rewinds the tree to its last committed state after a
+// failure mid-operation: restore the durable structural snapshot,
 // discard all volatile state, then replay the durable log — the same
 // procedure as crash recovery, minus the crash. At the moments this runs
 // (retry exhaustion inside a flush or migration) the tree's own durable

@@ -29,9 +29,10 @@ func IsTransientIO(err error) bool {
 }
 
 // IsIOFault reports whether err originated in the I/O plane — it carries
-// the TransientIO marker, whatever its classification. The coordinator
-// uses this to tell device failures (contained by shard quarantine) from
-// validation or encoding errors (escalated to the forest damaged mark).
+// the TransientIO marker, whatever its classification. Containment does
+// not depend on it: a failure is charged to the shards attribute names,
+// whatever its class. The AutoRebalance poll uses it to treat a device
+// fault that failed a move before it started as "no move this tick".
 func IsIOFault(err error) bool {
 	var t interface{ TransientIO() bool }
 	return errors.As(err, &t)

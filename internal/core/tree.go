@@ -103,17 +103,6 @@ type Tree struct {
 	log     *wal.Log // optional
 	flushID uint64
 
-	// gang, when non-nil, collects this tree's psync writes during a
-	// forest group flush so the coordinator can submit every member's
-	// writes as one cross-file psync call. Set only while the owning
-	// forest shard is exclusively locked.
-	gang *writeGang
-	// walGang, when non-nil, defers this tree's log forces (and its
-	// FlushEnd append) into the forest group's two-phase group commit:
-	// the coordinator gang-forces every member log once before the data
-	// gang (WAL rule) and once after (commit). Set alongside gang.
-	walGang *logGang
-
 	stats Stats
 	buf   []byte // page scratch
 	// leafBuf is the leaf-run scratch Search reads into and views in place
@@ -236,14 +225,13 @@ func (t *Tree) SetOPQPages(pages int) error {
 func (t *Tree) OPQPages() int { return t.cfg.OPQPages }
 
 // forceWAL makes the tree's appended log records durable. During a forest
-// group flush the force is deferred instead: the log registers with the
-// group's log gang, and the coordinator issues one ganged force for every
-// member before any data write reaches the device. Inline forces retry
-// transient faults; a retried force resubmits the whole unforced tail
-// (pendingReq takes it wholesale), preserving WAL protocol order.
-func (t *Tree) forceWAL(at vtime.Ticks) (vtime.Ticks, error) {
-	if t.walGang != nil {
-		t.walGang.need(t.log)
+// group flush (g non-nil) the force is left to the coordinator, which
+// issues one ganged force for every member before any data write reaches
+// the device. Inline forces retry transient faults; a retried force
+// resubmits the whole unforced tail (pendingReq takes it wholesale),
+// preserving WAL protocol order.
+func (t *Tree) forceWAL(at vtime.Ticks, g *groupIO) (vtime.Ticks, error) {
+	if g != nil {
 		return at, nil
 	}
 	return t.retryIO(at, t.log.Force)
