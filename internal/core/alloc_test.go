@@ -182,3 +182,115 @@ func TestLogAllocs(t *testing.T) {
 		t.Fatalf("durable LSN %d, want %d", got, want)
 	}
 }
+
+// mapSink keeps TestScanAllocs' reference map on the heap, where a
+// returned map lives.
+var mapSink map[kv.Key]kv.Value
+
+// TestScanAllocs gates the scan path on a warm L = 4 tree whose pool holds
+// the internal level, with a queued overlay in the scanned ranges: prange
+// and MPSearch read into the tree's arena, resolve each leaf from its
+// view and merge in place, so all they allocate is their result.
+func TestScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const n = 4000
+	// queue adds a queued delete of a loaded key and a queued insert
+	// between two loaded keys every 400 keys.
+	queue := func(at vtime.Ticks, insert func(vtime.Ticks, kv.Record) (vtime.Ticks, error), del func(vtime.Ticks, kv.Key) (vtime.Ticks, error), n int) vtime.Ticks {
+		for i := 50; i < n; i += 400 {
+			var err error
+			if at, err = del(at, kv.Key(i*8+3)); err != nil {
+				t.Fatal(err)
+			}
+			if at, err = insert(at, kv.Record{Key: kv.Key(i*8 + 100), Value: 7}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return at
+	}
+	// ranges returns an AllocsPerRun body: a range of 100 loaded keys,
+	// each checked, then the next range.
+	ranges := func(n int, search func(vtime.Ticks, kv.Key, kv.Key) ([]kv.Record, vtime.Ticks, error), at *vtime.Ticks, failure *string) func() {
+		i := 0
+		return func() {
+			i = (i + 37) % (n - 100)
+			lo, hi := kv.Key(i*8), kv.Key((i+100)*8)
+			recs, done, err := search(*at, lo, hi)
+			*at = done
+			if err != nil || len(recs) < 99 || len(recs) > 101 || recs[0].Key < lo || recs[len(recs)-1].Key >= hi {
+				*failure = fmt.Sprintf("RangeSearch(%d, %d): %d records, %v", lo, hi, len(recs), err)
+			}
+		}
+	}
+
+	t.Run("Tree", func(t *testing.T) {
+		tr := newTestTree(t, allocCfg(64))
+		if err := tr.BulkLoad(allocRecs(n)); err != nil {
+			t.Fatal(err)
+		}
+		at := queue(0, tr.Insert, tr.Delete, n)
+		var failure string
+		if allocs := testing.AllocsPerRun(200, ranges(n, tr.RangeSearch, &at, &failure)); allocs > 1 {
+			t.Fatalf("Tree.RangeSearch allocates %.2f objects per call, want <= 1", allocs)
+		}
+		if failure != "" {
+			t.Fatal(failure)
+		}
+
+		keys := make([]kv.Key, 64)
+		j := 0
+		draw := func() {
+			for k := range keys {
+				j = (j + 7919) % (2 * n)
+				keys[k] = kv.Key(j/2*8 + 3 + j%2)
+			}
+		}
+		bound := testing.AllocsPerRun(200, func() {
+			draw()
+			mapSink = make(map[kv.Key]kv.Value, len(keys))
+			for _, k := range keys {
+				mapSink[k] = 1
+			}
+		})
+		allocs := testing.AllocsPerRun(200, func() {
+			draw()
+			m, done, err := tr.SearchMany(at, keys)
+			at = done
+			for _, k := range keys {
+				v, ok := m[k]
+				// Loaded keys are 8i+3, less the queued deletes; the queued
+				// inserts are 8i+100 = 8(i+12)+4.
+				wv, wok := kv.Value((k-3)/8), k%8 == 3 && (k-3)/8%400 != 50
+				if k%8 == 4 && (k-100)/8%400 == 50 {
+					wv, wok = 7, true
+				}
+				if err != nil || ok != wok || ok && v != wv {
+					failure = fmt.Sprintf("SearchMany[%d] = %d, %v, %v", k, v, ok, err)
+				}
+			}
+		})
+		if failure != "" {
+			t.Fatal(failure)
+		}
+		if allocs > bound {
+			t.Fatalf("Tree.SearchMany allocates %.2f objects per call, its result map alone %.2f", allocs, bound)
+		}
+	})
+	t.Run("Forest", func(t *testing.T) {
+		// Two range shards; every range falls inside one of them.
+		fr := newTestForest(t, 2, allocCfg(128), RangePartitioner{Bounds: []kv.Key{kv.Key(n * 8)}})
+		if err := fr.BulkLoad(allocRecs(2 * n)); err != nil {
+			t.Fatal(err)
+		}
+		at := queue(0, fr.Insert, fr.Delete, 2*n)
+		var failure string
+		if allocs := testing.AllocsPerRun(200, ranges(n, fr.RangeSearch, &at, &failure)); allocs > 2 {
+			t.Fatalf("Forest.RangeSearch allocates %.2f objects per call, want <= 2", allocs)
+		}
+		if failure != "" {
+			t.Fatal(failure)
+		}
+	})
+}

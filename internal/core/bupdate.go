@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/kv"
 	"repro/internal/pagefile"
 	"repro/internal/vtime"
@@ -82,154 +80,6 @@ func (t *Tree) deferWrites(g *groupIO, runs []pagefile.RunReq) error {
 	return nil
 }
 
-// readInternalBatch fetches a set of internal nodes: buffered nodes come
-// from the pool, misses are read with one psync call and inserted clean.
-func (t *Tree) readInternalBatch(at vtime.Ticks, ids []pagefile.PageID) (map[pagefile.PageID]*internalNode, vtime.Ticks, error) {
-	out := make(map[pagefile.PageID]*internalNode, len(ids))
-	var missIDs []pagefile.PageID
-	var missBufs [][]byte
-	for _, id := range ids {
-		if _, done := out[id]; done {
-			continue
-		}
-		if t.pool.Contains(id) {
-			data, at2, err := t.poolGet(at, id)
-			if err != nil {
-				return nil, at2, err
-			}
-			at = at2
-			n, err := decodeInternal(id, data)
-			if err != nil {
-				return nil, at, err
-			}
-			out[id] = n
-			continue
-		}
-		missIDs = append(missIDs, id)
-		missBufs = append(missBufs, make([]byte, t.cfg.PageSize))
-	}
-	// Read misses PioMax at a time.
-	pm := t.cfg.pioMax()
-	var err error
-	for i := 0; i < len(missIDs); i += pm {
-		end := i + pm
-		if end > len(missIDs) {
-			end = len(missIDs)
-		}
-		at, err = t.psyncReadPages(at, missIDs[i:end], missBufs[i:end])
-		if err != nil {
-			return nil, at, err
-		}
-	}
-	for i, id := range missIDs {
-		n, err := decodeInternal(id, missBufs[i])
-		if err != nil {
-			return nil, at, err
-		}
-		out[id] = n
-		t.pool.InsertClean(id, missBufs[i])
-	}
-	at += vtime.Ticks(len(ids)) * t.cfg.CPUPerNode
-	return out, at, nil
-}
-
-// readLeafBatch reads whole leaves (segments [0, lastLS]) via psync and
-// returns views over the buffers it read them into. Each leaf is one
-// multi-page request, so a psync batch of leaves exercises both
-// channel-level (many requests) and package-level (large requests)
-// parallelism at once.
-//
-// The views outlive the pool calls made here, so none is over a pool
-// frame, which the next miss may refill with another page: a single-page
-// leaf that hits is copied out of its frame.
-func (t *Tree) readLeafBatch(at vtime.Ticks, ids []pagefile.PageID) (map[pagefile.PageID]leafView, vtime.Ticks, error) {
-	out := make(map[pagefile.PageID]leafView, len(ids))
-	uniq := ids[:0:0]
-	for _, id := range ids {
-		if _, ok := out[id]; !ok {
-			out[id] = leafView{}
-			uniq = append(uniq, id)
-		}
-	}
-	if t.cfg.LeafSegs == 1 {
-		// Single-page leaves flow through the pool: hits are free, misses
-		// are batched via psync and inserted clean.
-		var missIDs []pagefile.PageID
-		var missBufs [][]byte
-		for _, id := range uniq {
-			if t.pool.Contains(id) {
-				data, at2, err := t.poolGet(at, id)
-				if err != nil {
-					return nil, at2, err
-				}
-				at = at2
-				l, err := viewLeaf(id, append([]byte(nil), data...), t.cfg.PageSize, 1)
-				if err != nil {
-					return nil, at, err
-				}
-				out[id] = l
-				continue
-			}
-			missIDs = append(missIDs, id)
-			missBufs = append(missBufs, make([]byte, t.cfg.PageSize))
-		}
-		pm := t.cfg.pioMax()
-		var err error
-		for i := 0; i < len(missIDs); i += pm {
-			end := i + pm
-			if end > len(missIDs) {
-				end = len(missIDs)
-			}
-			at, err = t.psyncReadPages(at, missIDs[i:end], missBufs[i:end])
-			if err != nil {
-				return nil, at, err
-			}
-		}
-		for i, id := range missIDs {
-			l, err := viewLeaf(id, missBufs[i], t.cfg.PageSize, 1)
-			if err != nil {
-				return nil, at, err
-			}
-			out[id] = l
-			t.pool.InsertClean(id, missBufs[i])
-		}
-		at += vtime.Ticks(len(uniq)) * t.cfg.CPUPerNode
-		return out, at, nil
-	}
-	pm := t.cfg.pioMax()
-	for i := 0; i < len(uniq); i += pm {
-		end := i + pm
-		if end > len(uniq) {
-			end = len(uniq)
-		}
-		chunk := uniq[i:end]
-		bufs := make([][]byte, len(chunk))
-		reqIDs := make([]pagefile.PageID, len(chunk))
-		upto := make([]int, len(chunk))
-		for j, id := range chunk {
-			u, _ := t.lastLSOf(id)
-			upto[j] = u
-			bufs[j] = make([]byte, (u+1)*t.cfg.PageSize)
-			reqIDs[j] = id
-		}
-		// A leaf read is one run request; emulate a psync batch of runs.
-		var err error
-		at, err = t.psyncReadRuns(at, reqIDs, upto, bufs)
-		if err != nil {
-			return nil, at, err
-		}
-		for j, id := range chunk {
-			l, err := viewLeaf(id, bufs[j], t.cfg.PageSize, t.cfg.LeafSegs)
-			if err != nil {
-				return nil, at, err
-			}
-			out[id] = l
-		}
-	}
-	at += vtime.Ticks(len(uniq)) * t.cfg.CPUPerNode
-	return out, at, nil
-}
-
 // psyncReadRuns issues one psync batch where request j covers
 // (upto[j]+1) consecutive pages starting at ids[j].
 func (t *Tree) psyncReadRuns(at vtime.Ticks, ids []pagefile.PageID, upto []int, bufs [][]byte) (vtime.Ticks, error) {
@@ -253,13 +103,16 @@ func (t *Tree) psyncReadRuns(at vtime.Ticks, ids []pagefile.PageID, upto []int, 
 	// Split each run into its own request within one batch: the pagefile
 	// psync API is page-granular, so expose runs as single big requests by
 	// using the underlying file directly.
-	reqs := make([]pagefile.RunReq, len(ids))
+	reqs := t.scratch.runs[:0]
 	for j, id := range ids {
-		reqs[j] = pagefile.RunReq{First: id, N: upto[j] + 1, Buf: bufs[j], Write: false}
+		reqs = append(reqs, pagefile.RunReq{First: id, N: upto[j] + 1, Buf: bufs[j]})
 	}
-	return t.retryIO(at, func(at vtime.Ticks) (vtime.Ticks, error) {
+	t.scratch.runs = reqs
+	at, err = t.retryIO(at, func(at vtime.Ticks) (vtime.Ticks, error) {
 		return t.pf.PsyncRuns(at, reqs)
 	})
+	clear(reqs) // let go of the caller's buffers
+	return at, err
 }
 
 // psyncWriteRuns is the write counterpart of psyncReadRuns. Forest group
@@ -289,153 +142,6 @@ func (t *Tree) psyncWriteRuns(at vtime.Ticks, reqs []pagefile.RunReq, g *groupIO
 	return t.retryIO(at, func(at vtime.Ticks) (vtime.Ticks, error) {
 		return t.pf.PsyncRuns(at, reqs)
 	})
-}
-
-// SearchMany is the paper's MPSearch (Algorithm 1): it resolves a set of
-// search keys with one psync read per level, bounded by PioMax. Results
-// are keyed by search key. The OPQ is consulted first for each key.
-func (t *Tree) SearchMany(at vtime.Ticks, keys []kv.Key) (map[kv.Key]kv.Value, vtime.Ticks, error) {
-	t.stats.SearchOps += int64(len(keys))
-	found := make(map[kv.Key]kv.Value, len(keys))
-	var rest []kv.Key
-	for _, k := range keys {
-		if e, ok := t.opq.Lookup(k); ok {
-			t.stats.OPQShortcuts++
-			if e.Op != kv.OpDelete {
-				found[k] = e.Rec.Value
-			}
-			continue
-		}
-		rest = append(rest, k)
-	}
-	if len(rest) == 0 {
-		return found, at, nil
-	}
-	sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
-
-	// Descend level by level. Work items pair a node id with the key range
-	// (slice of rest) routed to it.
-	type item struct {
-		id   pagefile.PageID
-		keys []kv.Key
-	}
-	frontier := []item{{id: t.root, keys: rest}}
-	for lvl := t.height - 1; lvl > 0; lvl-- {
-		ids := make([]pagefile.PageID, len(frontier))
-		for i, it := range frontier {
-			ids[i] = it.id
-		}
-		nodes, at2, err := t.readInternalBatch(at, ids)
-		if err != nil {
-			return nil, at2, err
-		}
-		at = at2
-		var next []item
-		for _, it := range frontier {
-			n := nodes[it.id]
-			// Partition it.keys among n's children (keys are sorted).
-			i := 0
-			for i < len(it.keys) {
-				ci := n.childIndex(it.keys[i])
-				j := i + 1
-				for j < len(it.keys) && n.childIndex(it.keys[j]) == ci {
-					j++
-				}
-				next = append(next, item{id: n.children[ci], keys: it.keys[i:j]})
-				i = j
-			}
-		}
-		frontier = next
-	}
-	// Leaf level: read all target leaves via psync.
-	leafIDs := make([]pagefile.PageID, len(frontier))
-	for i, it := range frontier {
-		leafIDs[i] = it.id
-	}
-	leaves, at, err := t.readLeafBatch(at, leafIDs)
-	if err != nil {
-		return nil, at, err
-	}
-	for _, it := range frontier {
-		l := leaves[it.id]
-		for _, k := range it.keys {
-			if e, ok := l.lookup(k); ok && e.Op != kv.OpDelete {
-				found[k] = e.Rec.Value
-			}
-		}
-	}
-	return found, at, nil
-}
-
-// RangeSearch is the paper's prange search (Section 3.1.2): internal
-// levels are traversed level by level, then every leaf overlapping the
-// range is read in parallel via psync. OPQ entries overlay the result.
-func (t *Tree) RangeSearch(at vtime.Ticks, lo, hi kv.Key) ([]kv.Record, vtime.Ticks, error) {
-	t.stats.RangeOps++
-	if hi <= lo {
-		return nil, at, nil
-	}
-	frontier := []pagefile.PageID{t.root}
-	for lvl := t.height - 1; lvl > 0; lvl-- {
-		nodes, at2, err := t.readInternalBatch(at, frontier)
-		if err != nil {
-			return nil, at2, err
-		}
-		at = at2
-		var next []pagefile.PageID
-		for _, id := range frontier {
-			n := nodes[id]
-			first := n.childIndex(lo)
-			// hi is exclusive: the child covering hi-1 is the last needed.
-			last := n.childIndex(hi - 1)
-			for c := first; c <= last; c++ {
-				next = append(next, n.children[c])
-			}
-		}
-		frontier = next
-	}
-	leaves, at, err := t.readLeafBatch(at, frontier)
-	if err != nil {
-		return nil, at, err
-	}
-	var recs []kv.Record
-	for _, id := range frontier {
-		// A range needs the leaf's live set, so this path still decodes.
-		for _, r := range leaves[id].decode().liveRecords() {
-			if r.Key >= lo && r.Key < hi {
-				recs = append(recs, r)
-			}
-		}
-	}
-	kv.SortRecords(recs)
-	// Overlay queued updates (newer than anything on disk): replay the
-	// OPQ entries in arrival order onto the disk image — the newest
-	// operation per key wins, whether it inserts, updates, or deletes.
-	overlay := t.opq.Range(lo, hi)
-	if len(overlay) > 0 {
-		state := make(map[kv.Key]kv.Value, len(recs))
-		dead := make(map[kv.Key]bool)
-		for _, r := range recs {
-			state[r.Key] = r.Value
-		}
-		for _, e := range overlay {
-			switch e.Op {
-			case kv.OpDelete:
-				delete(state, e.Rec.Key)
-				dead[e.Rec.Key] = true
-			case kv.OpInsert, kv.OpUpdate:
-				state[e.Rec.Key] = e.Rec.Value
-				delete(dead, e.Rec.Key)
-			}
-		}
-		out := make([]kv.Record, 0, len(state))
-		for k, v := range state {
-			out = append(out, kv.Record{Key: k, Value: v})
-		}
-		kv.SortRecords(out)
-		recs = out
-	}
-	return recs, at, nil
 }
 
 // fenceRec is a fence-key record propagated to a parent after a leaf or
@@ -588,11 +294,11 @@ type leafGroup struct {
 // fence records, splitting as needed, and writing updated internal nodes
 // via psync. It returns the fence records for the caller's level.
 func (t *Tree) bupdate(at vtime.Ticks, id pagefile.PageID, level int, batch []kv.Entry, g *groupIO) ([]fenceRec, vtime.Ticks, error) {
-	nodes, at, err := t.readInternalBatch(at, []pagefile.PageID{id})
+	var n *internalNode
+	at, err := t.readInternalBatch(at, []pagefile.PageID{id}, func(_ int, v internalView) { n = v.decode(id) })
 	if err != nil {
 		return nil, at, err
 	}
-	n := nodes[id]
 
 	// Partition batch among children.
 	type childWork struct {

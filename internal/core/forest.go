@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -646,19 +648,23 @@ func (f *Forest) SearchMany(at vtime.Ticks, keys []kv.Key) (map[kv.Key]kv.Value,
 	// not at all. The read lock freezes the frontier for the sweep.
 	f.migMu.RLock()
 	defer f.migMu.RUnlock()
-	byShard := make(map[int][]kv.Key)
-	for _, k := range keys {
-		si := f.part.Shard(k)
-		byShard[si] = append(byShard[si], k)
+	owner := make([]int, len(keys))
+	for i, k := range keys {
+		owner[i] = f.part.Shard(k)
 	}
 	out := make(map[kv.Key]kv.Value, len(keys))
+	ks := make([]kv.Key, 0, len(keys))
 	done := at
-	for si := 0; si < len(f.shards); si++ {
-		ks, ok := byShard[si]
-		if !ok {
+	for si, s := range f.shards {
+		ks = ks[:0]
+		for i, o := range owner {
+			if o == si {
+				ks = append(ks, keys[i])
+			}
+		}
+		if len(ks) == 0 {
 			continue
 		}
-		s := f.shards[si]
 		s.mu.Lock()
 		if err := s.readErr(si); err != nil {
 			s.mu.Unlock()
@@ -666,13 +672,10 @@ func (f *Forest) SearchMany(at vtime.Ticks, keys []kv.Key) (map[kv.Key]kv.Value,
 		}
 		s.ops += int64(len(ks))
 		start := vtime.Max(at, s.vlock.FreeAt())
-		m, d, err := s.tree.SearchMany(start, ks)
+		d, err := s.tree.searchMany(start, ks, out)
 		s.mu.Unlock()
 		if err != nil {
 			return nil, d, err
-		}
-		for k, v := range m {
-			out[k] = v
 		}
 		done = vtime.Max(done, d)
 	}
@@ -681,7 +684,9 @@ func (f *Forest) SearchMany(at vtime.Ticks, keys []kv.Key) (map[kv.Key]kv.Value,
 
 // RangeSearch runs the parallel range search on every shard that may hold
 // [lo, hi) (all shards under hash partitioning, the overlapping ones
-// under range partitioning) and merges the results in key order.
+// under range partitioning), each appending its key-ordered run to one
+// slice. The concatenation is already in key order under range
+// partitioning without move rules; otherwise it is sorted.
 func (f *Forest) RangeSearch(at vtime.Ticks, lo, hi kv.Key) ([]kv.Record, vtime.Ticks, error) {
 	// Freeze the migration frontier across the sweep (see SearchMany).
 	f.migMu.RLock()
@@ -704,15 +709,21 @@ func (f *Forest) RangeSearch(at vtime.Ticks, lo, hi kv.Key) ([]kv.Record, vtime.
 		}
 		s.ops++
 		start := vtime.Max(at, s.vlock.FreeAt())
-		rs, d, err := s.tree.RangeSearch(start, lo, hi)
+		var d vtime.Ticks
+		var err error
+		recs, d, err = s.tree.appendRange(start, lo, hi, recs)
 		s.mu.Unlock()
 		if err != nil {
 			return nil, d, err
 		}
-		recs = append(recs, rs...)
 		done = vtime.Max(done, d)
 	}
-	kv.SortRecords(recs)
+	if len(recs) == 0 {
+		return nil, done, nil
+	}
+	if !slices.IsSortedFunc(recs, func(a, b kv.Record) int { return cmp.Compare(a.Key, b.Key) }) {
+		kv.SortRecords(recs)
+	}
 	return recs, done, nil
 }
 

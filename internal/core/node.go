@@ -19,6 +19,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"repro/internal/kv"
 	"repro/internal/pagefile"
@@ -77,26 +78,11 @@ func (n *internalNode) encode(buf []byte) error {
 }
 
 func decodeInternal(id pagefile.PageID, buf []byte) (*internalNode, error) {
-	if buf[0] != kindInternal {
-		return nil, fmt.Errorf("core: page %d is not an internal node (kind %d)", id, buf[0])
+	v, err := viewInternal(id, buf)
+	if err != nil {
+		return nil, err
 	}
-	n := &internalNode{id: id, level: int(buf[1])}
-	count := int(binary.LittleEndian.Uint16(buf[2:]))
-	if count > maxInternalKeys(len(buf)) {
-		return nil, fmt.Errorf("core: corrupt internal %d: count %d", id, count)
-	}
-	n.keys = make([]kv.Key, count)
-	n.children = make([]pagefile.PageID, count+1)
-	off := internalHeaderSize
-	for i := range n.keys {
-		n.keys[i] = binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-	}
-	for i := range n.children {
-		n.children[i] = pagefile.PageID(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-	}
-	return n, nil
+	return v.decode(id), nil
 }
 
 // childIndex is the paper's CheckSearchNeeded predicate: the child i such
@@ -124,7 +110,8 @@ type internalView struct {
 	count int // separator keys; count+1 children follow them
 }
 
-// viewInternal validates page exactly as decodeInternal does.
+// viewInternal validates an internal node page; decodeInternal checks
+// nothing more.
 func viewInternal(id pagefile.PageID, page []byte) (internalView, error) {
 	if page[0] != kindInternal {
 		return internalView{}, fmt.Errorf("core: page %d is not an internal node (kind %d)", id, page[0])
@@ -143,6 +130,19 @@ func (v internalView) key(i int) kv.Key {
 // child returns child pointer i, 0 <= i <= count.
 func (v internalView) child(i int) pagefile.PageID {
 	return pagefile.PageID(binary.LittleEndian.Uint64(v.page[internalHeaderSize+8*(v.count+i):]))
+}
+
+// decode copies the node out of its page, for the flush side, which
+// mutates it.
+func (v internalView) decode(id pagefile.PageID) *internalNode {
+	n := &internalNode{id: id, level: int(v.page[1]), keys: make([]kv.Key, v.count), children: make([]pagefile.PageID, v.count+1)}
+	for i := range n.keys {
+		n.keys[i] = v.key(i)
+	}
+	for i := range n.children {
+		n.children[i] = v.child(i)
+	}
+	return n
 }
 
 // childIndex is internalNode.childIndex over the encoded separators.
@@ -440,25 +440,83 @@ func (v leafView) lookup(k kv.Key) (kv.Entry, bool) {
 	return kv.Entry{}, false
 }
 
-// decode materialises the view as a full leafNode, for the callers that
-// need every entry at once (range scans resolve the live set).
-func (v leafView) decode() *leafNode {
-	l := &leafNode{id: v.id, segs: v.segs, next: v.next, sorted: v.sorted, entries: make([]kv.Entry, v.total)}
-	for i := range l.entries {
-		l.entries[i] = kv.GetEntry(v.entryAt(i))
+// baseIndex returns the first base-region index whose key is >= k.
+func (v leafView) baseIndex(k kv.Key) int {
+	return sort.Search(v.sorted, func(i int) bool { return v.keyAt(i) >= k })
+}
+
+// liveBound bounds the number of records appendLive(lo, hi) appends: the
+// base entries in range plus the whole tail.
+func (v leafView) liveBound(lo, hi kv.Key) int {
+	if hi <= lo {
+		return 0
 	}
-	return l
+	return v.baseIndex(hi) - v.baseIndex(lo) + v.total - v.sorted
+}
+
+// appendLive appends to dst, in key order, the leaf's live records with
+// lo <= key < hi: liveRecords restricted to the range, resolved from the
+// encoded entries. The base region is binary-searched. The in-range tail
+// operations are stable-sorted by key in *tail, a scratch slice the caller
+// owns, so the last one of a key is its newest, and merged with the base:
+// the newest operation of a key wins, and within the base the last entry
+// of a key. Nothing is appended for an empty range, so a nil dst stays nil.
+func (v leafView) appendLive(dst []kv.Record, lo, hi kv.Key, tail *[]kv.Entry) []kv.Record {
+	if hi <= lo {
+		return dst
+	}
+	ops := (*tail)[:0]
+	for i := v.sorted; i < v.total; i++ {
+		if k := v.keyAt(i); k < lo || k >= hi {
+			continue
+		}
+		// liveRecords skips an entry whose op is none of the three.
+		if e := kv.GetEntry(v.entryAt(i)); e.Op == kv.OpInsert || e.Op == kv.OpUpdate || e.Op == kv.OpDelete {
+			ops = append(ops, e)
+		}
+	}
+	*tail = ops
+	kv.SortEntries(ops)
+	b, end := v.baseIndex(lo), v.baseIndex(hi)
+	// base appends the base records below key k, the last of each key.
+	base := func(k kv.Key) {
+		for ; b < end && v.keyAt(b) < k; b++ {
+			if b+1 == end || v.keyAt(b+1) != v.keyAt(b) {
+				dst = append(dst, kv.GetRecord(v.entryAt(b)))
+			}
+		}
+	}
+	for i := 0; i < len(ops); {
+		e := ops[i]
+		for i++; i < len(ops) && ops[i].Rec.Key == e.Rec.Key; i++ {
+			e = ops[i]
+		}
+		base(e.Rec.Key)
+		for ; b < end && v.keyAt(b) == e.Rec.Key; b++ {
+		}
+		if e.Op != kv.OpDelete {
+			dst = append(dst, e.Rec)
+		}
+	}
+	base(hi)
+	return dst
 }
 
 // liveRecords resolves the leaf's log into the current sorted set of live
 // records (base region plus tail, deletes and updates applied). It is the
-// read half of the shrink operation and of range scans.
+// read half of the shrink operation; range scans resolve the same set from
+// the encoded leaf (leafView.appendLive).
 func (l *leafNode) liveRecords() []kv.Record {
 	if len(l.entries) == l.sorted {
-		// Fast path: base region only, already sorted, all inserts.
-		out := make([]kv.Record, l.sorted)
-		for i, e := range l.entries[:l.sorted] {
-			out[i] = e.Rec
+		// Fast path: base region only, already sorted, all inserts; the
+		// last entry of a key wins, as in the replay below.
+		out := make([]kv.Record, 0, l.sorted)
+		for _, e := range l.entries[:l.sorted] {
+			if n := len(out); n > 0 && out[n-1].Key == e.Rec.Key {
+				out[n-1] = e.Rec
+				continue
+			}
+			out = append(out, e.Rec)
 		}
 		return out
 	}

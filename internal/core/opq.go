@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/kv"
 )
@@ -106,16 +107,24 @@ func (q *OPQ) Lookup(k kv.Key) (kv.Entry, bool) {
 	return kv.Entry{}, false
 }
 
-// Range returns all queued entries with lo <= key < hi in arrival order
-// (needed to overlay the OPQ onto range-search results).
-func (q *OPQ) Range(lo, hi kv.Key) []kv.Entry {
-	var out []kv.Entry
-	for _, e := range q.entries {
+// Range appends the queued entries with lo <= key < hi to dst, sorted by
+// key (the overlay of a range search). The order is arrival order only
+// among entries with the same key: the sorted region holds the older
+// entries, in arrival order per key, and the stable sort keeps them ahead
+// of the tail's. So the last entry of a key is its newest operation.
+func (q *OPQ) Range(dst []kv.Entry, lo, hi kv.Key) []kv.Entry {
+	start := len(dst)
+	i := sort.Search(q.sortedOffset, func(i int) bool { return q.entries[i].Rec.Key >= lo })
+	for ; i < q.sortedOffset && q.entries[i].Rec.Key < hi; i++ {
+		dst = append(dst, q.entries[i])
+	}
+	for _, e := range q.entries[q.sortedOffset:] {
 		if e.Rec.Key >= lo && e.Rec.Key < hi {
-			out = append(out, e)
+			dst = append(dst, e)
 		}
 	}
-	return out
+	kv.SortEntries(dst[start:])
+	return dst
 }
 
 // TakeBatch removes and returns up to bcnt entries, key-sorted, for one

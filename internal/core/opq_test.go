@@ -81,9 +81,44 @@ func TestOPQRange(t *testing.T) {
 	for _, k := range []uint64{5, 15, 25, 35} {
 		q.Append(kv.Entry{Rec: kv.Record{Key: k, Value: k}, Op: kv.OpInsert})
 	}
-	got := q.Range(10, 30)
+	got := q.Range(nil, 10, 30)
 	if len(got) != 2 || got[0].Rec.Key != 15 || got[1].Rec.Key != 25 {
 		t.Fatalf("Range = %+v", got)
+	}
+
+	// Operations on one key straddle a Sort: the older ones sit in the
+	// sorted region, the newer in the tail, a smaller key sits between
+	// them in the tail. Range is key-sorted, and a key's entries keep
+	// their arrival order, so its newest operation comes last.
+	q, _ = NewOPQ(100, 0)
+	ops := []kv.Entry{
+		{Rec: kv.Record{Key: 20, Value: 1}, Op: kv.OpInsert},
+		{Rec: kv.Record{Key: 12, Value: 2}, Op: kv.OpInsert},
+		{Rec: kv.Record{Key: 20}, Op: kv.OpDelete},
+	}
+	for _, e := range ops {
+		q.Append(e)
+	}
+	q.Sort()
+	tail := []kv.Entry{
+		{Rec: kv.Record{Key: 20, Value: 3}, Op: kv.OpInsert},
+		{Rec: kv.Record{Key: 11, Value: 4}, Op: kv.OpInsert},
+		{Rec: kv.Record{Key: 20, Value: 5}, Op: kv.OpUpdate},
+		{Rec: kv.Record{Key: 40, Value: 6}, Op: kv.OpInsert},
+	}
+	for _, e := range tail {
+		q.Append(e)
+	}
+	want := []kv.Entry{tail[1], ops[1], ops[0], ops[2], tail[0], tail[2]}
+	prefix := kv.Entry{Rec: kv.Record{Key: 99}}
+	got = q.Range([]kv.Entry{prefix}, 10, 30)
+	if len(got) != len(want)+1 || got[0] != prefix {
+		t.Fatalf("Range did not append to dst: %+v", got)
+	}
+	for i, e := range want {
+		if got[i+1] != e {
+			t.Fatalf("Range[%d] = %+v, want %+v (all: %+v)", i, got[i+1], e, got[1:])
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -152,23 +153,24 @@ func (p *RebalancingPartitioner) RangeShards(lo, hi kv.Key) []int {
 		return nil
 	}
 	rt := p.cur.Load()
-	in := make(map[int]bool)
-	for _, s := range rt.base.RangeShards(lo, hi) {
-		in[s] = true
-	}
-	for _, r := range rt.rules {
-		if r.Lo < hi && lo < r.Hi && in[r.From] {
-			in[r.To] = true
+	// The base's ascending list, clipped so an insertion copies it.
+	out := slices.Clip(rt.base.RangeShards(lo, hi))
+	// A move out of a shard in the list adds its destination.
+	moved := func(from, to int) {
+		if _, ok := slices.BinarySearch(out, from); ok {
+			if i, ok := slices.BinarySearch(out, to); !ok {
+				out = slices.Insert(out, i, to)
+			}
 		}
 	}
-	if m := rt.mig; m != nil && m.lo < hi && lo < m.hi && in[m.src] {
-		in[m.dst] = true
+	for _, r := range rt.rules {
+		if r.Lo < hi && lo < r.Hi {
+			moved(r.From, r.To)
+		}
 	}
-	out := make([]int, 0, len(in))
-	for s := range in {
-		out = append(out, s)
+	if m := rt.mig; m != nil && m.lo < hi && lo < m.hi {
+		moved(m.src, m.dst)
 	}
-	sort.Ints(out)
 	return out
 }
 

@@ -105,11 +105,12 @@ type Tree struct {
 
 	stats Stats
 	buf   []byte // page scratch
-	// leafBuf is the leaf-run scratch Search reads into and views in place
-	// (LeafSegs pages). One per tree is enough only because a tree is never
-	// entered concurrently — callers hold forestShard.mu or Concurrent's
-	// mutex; searches under a shared lock would each need their own.
-	leafBuf         []byte
+	// arena and scratch are the read side's buffers (see scan.go). One of
+	// each per tree is enough only because a tree is never entered
+	// concurrently — callers hold forestShard.mu or Concurrent's mutex;
+	// reads under a shared lock would each need their own.
+	arena           arena
+	scratch         readScratch
 	pendingInternal []pendingPage
 }
 
@@ -159,13 +160,12 @@ func New(pf *pagefile.PageFile, cfg Config) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{
-		cfg:     cfg,
-		pf:      pf,
-		pool:    pool,
-		opq:     opq,
-		lsmap:   NewLSMap(cfg.LeafSegs),
-		buf:     make([]byte, cfg.PageSize),
-		leafBuf: make([]byte, cfg.LeafSegs*cfg.PageSize),
+		cfg:   cfg,
+		pf:    pf,
+		pool:  pool,
+		opq:   opq,
+		lsmap: NewLSMap(cfg.LeafSegs),
+		buf:   make([]byte, cfg.PageSize),
 	}
 	// Empty tree: one empty leaf as root.
 	leaf := &leafNode{id: t.allocLeaf(), segs: cfg.LeafSegs, next: pagefile.InvalidPage}
@@ -307,9 +307,9 @@ func (t *Tree) writeLeafNoCost(l *leafNode) error {
 }
 
 // searchLeaf reads segments [0, upto] of a leaf as one device request into
-// the tree's scratch buffer and views them in place. The partial view is
-// safe because appends fill segments in order and upto comes from the
-// LSMap (or the full leaf size). The view is valid until the next Search.
+// the tree's arena and views them in place. The partial view is safe
+// because appends fill segments in order and upto comes from the LSMap (or
+// the full leaf size). The view is valid until the tree's next read.
 //
 // Single-segment leaves (L=1, the paper's Section 4.2 configuration) are
 // exactly one page and flow through the buffer pool like internal nodes —
@@ -328,7 +328,8 @@ func (t *Tree) searchLeaf(at vtime.Ticks, id pagefile.PageID, upto int) (leafVie
 		return v, at + t.cfg.CPUPerNode, err
 	}
 	n := upto + 1
-	buf := t.leafBuf[:n*t.cfg.PageSize]
+	t.arena.reset(n * t.cfg.PageSize)
+	buf := t.arena.take(n * t.cfg.PageSize)
 	at, err := t.retryIO(at, func(at vtime.Ticks) (vtime.Ticks, error) {
 		return t.pf.ReadRun(at, id, n, buf)
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/kv"
@@ -57,8 +58,8 @@ func probeKeys(l *leafNode) []kv.Key {
 // checkLeafView compares viewLeaf over buf (the first segments of a leaf)
 // with the decode reference: same error or same contents, and — when the
 // base region is sorted, which binary search needs — the same answer for
-// every probe key.
-func checkLeafView(t testing.TB, buf []byte, pageSize, segs int) {
+// every probe key and the same live records in each range [lo, hi).
+func checkLeafView(t testing.TB, buf []byte, pageSize, segs int, ranges ...[2]kv.Key) {
 	t.Helper()
 	const id = pagefile.PageID(7)
 	ref, refErr := decodeRef(id, buf, pageSize, segs)
@@ -69,14 +70,12 @@ func checkLeafView(t testing.TB, buf []byte, pageSize, segs int) {
 	if err != nil {
 		return
 	}
-	got := v.decode()
-	if got.id != ref.id || got.segs != ref.segs || got.firstSeg != 0 || got.next != ref.next ||
-		got.sorted != ref.sorted || len(got.entries) != len(ref.entries) {
-		t.Fatalf("view decodes to %+v, decoder to %+v", got, ref)
+	if v.id != ref.id || v.segs != ref.segs || v.next != ref.next || v.sorted != ref.sorted || v.total != len(ref.entries) {
+		t.Fatalf("view %+v, decoder %+v", v, ref)
 	}
 	for i, e := range ref.entries {
-		if got.entries[i] != e {
-			t.Fatalf("entry %d: view %+v, decoder %+v", i, got.entries[i], e)
+		if got := kv.GetEntry(v.entryAt(i)); got != e {
+			t.Fatalf("entry %d: view %+v, decoder %+v", i, got, e)
 		}
 	}
 	for i := 1; i < ref.sorted; i++ {
@@ -91,6 +90,39 @@ func checkLeafView(t testing.TB, buf []byte, pageSize, segs int) {
 			t.Fatalf("lookup(%d): view %+v,%v, decode-then-scan %+v,%v", k, ge, gok, we, wok)
 		}
 	}
+	live := ref.liveRecords()
+	var tail []kv.Entry
+	for _, r := range ranges {
+		lo, hi := r[0], r[1]
+		var want []kv.Record
+		for _, rec := range live {
+			if rec.Key >= lo && rec.Key < hi {
+				want = append(want, rec)
+			}
+		}
+		got := v.appendLive(nil, lo, hi, &tail)
+		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("appendLive(%d, %d) = %v, liveRecords in range %v", lo, hi, got, want)
+		}
+		if b := v.liveBound(lo, hi); b < len(got) {
+			t.Fatalf("liveBound(%d, %d) = %d < %d records", lo, hi, b, len(got))
+		}
+	}
+}
+
+// leafRanges returns ranges over l's keys: the whole key space, an empty
+// and a reversed one, and ones starting, ending and falling between the
+// leaf's first, middle and last keys.
+func leafRanges(l *leafNode) [][2]kv.Key {
+	out := [][2]kv.Key{{0, math.MaxUint64}, {20, 20}, {30, 10}}
+	if len(l.entries) == 0 {
+		return out
+	}
+	for _, e := range []kv.Entry{l.entries[0], l.entries[len(l.entries)/2], l.entries[len(l.entries)-1]} {
+		k := e.Rec.Key
+		out = append(out, [2]kv.Key{k, k + 1}, [2]kv.Key{k - 1, k}, [2]kv.Key{0, k}, [2]kv.Key{k, k + 40}, [2]kv.Key{k + 1, math.MaxUint64})
+	}
+	return out
 }
 
 // genLeaf builds a leaf with a sorted base of baseN inserts followed by a
@@ -144,7 +176,7 @@ func TestLeafViewMatchesDecode(t *testing.T) {
 				l := genLeaf(rng, segs, baseN, total-baseN)
 				buf, last := encodeLeafT(t, l, viewPS)
 				for upto := last; upto < segs; upto++ {
-					checkLeafView(t, buf[:(upto+1)*viewPS], viewPS, segs)
+					checkLeafView(t, buf[:(upto+1)*viewPS], viewPS, segs, leafRanges(l)...)
 				}
 			}
 		}
@@ -238,14 +270,15 @@ func TestViewsRejectWhatDecodersReject(t *testing.T) {
 }
 
 // FuzzLeafView runs checkLeafView over generated leaves — shape, read
-// length and up to four header-byte corruptions chosen by the fuzzer — so
-// the view and the decoder are compared on pages no table lists.
+// length, up to four header-byte corruptions and a key range [lo, hi)
+// chosen by the fuzzer — so the view and the decoder are compared on pages
+// no table lists.
 func FuzzLeafView(f *testing.F) {
-	f.Add(uint64(1), uint16(0), uint16(0), true, uint8(0), []byte{})
-	f.Add(uint64(2), uint16(14), uint16(0), true, uint8(1), []byte{})
-	f.Add(uint64(3), uint16(20), uint16(9), true, uint8(0), []byte{0, 2, 15})
-	f.Add(uint64(4), uint16(5), uint16(5), false, uint8(0), []byte{0, 4, 200})
-	f.Fuzz(func(t *testing.T, seed uint64, baseN, tailN uint16, wide bool, extra uint8, mut []byte) {
+	f.Add(uint64(1), uint16(0), uint16(0), true, uint8(0), []byte{}, uint16(0), uint16(100))
+	f.Add(uint64(2), uint16(14), uint16(0), true, uint8(1), []byte{}, uint16(20), uint16(40))
+	f.Add(uint64(3), uint16(20), uint16(9), true, uint8(0), []byte{0, 2, 15}, uint16(30), uint16(30))
+	f.Add(uint64(4), uint16(5), uint16(5), false, uint8(0), []byte{0, 4, 200}, uint16(25), uint16(12))
+	f.Fuzz(func(t *testing.T, seed uint64, baseN, tailN uint16, wide bool, extra uint8, mut []byte, lo, hi uint16) {
 		segs := 1
 		if wide {
 			segs = 4
@@ -260,7 +293,7 @@ func FuzzLeafView(f *testing.F) {
 		for i := 0; i+3 <= len(mut) && i < 12; i += 3 {
 			buf[int(mut[i])%n*viewPS+int(mut[i+1])%segHeaderSize] = mut[i+2]
 		}
-		checkLeafView(t, buf, viewPS, segs)
+		checkLeafView(t, buf, viewPS, segs, [2]kv.Key{kv.Key(lo), kv.Key(hi)})
 	})
 }
 

@@ -266,19 +266,37 @@ func (d *Device) Submit(at vtime.Ticks, reqs []Request) ([]Result, vtime.Ticks) 
 	if len(reqs) == 0 {
 		return nil, at
 	}
+	results := make([]Result, len(reqs))
+	return results, d.submit(at, reqs, results)
+}
+
+// SubmitBatch is Submit for a caller that needs only the completion time
+// of the whole batch, as a psync call does: it allocates no result slice.
+func (d *Device) SubmitBatch(at vtime.Ticks, reqs []Request) vtime.Ticks {
+	if len(reqs) == 0 {
+		return at
+	}
+	return d.submit(at, reqs, nil)
+}
+
+// submit serves a non-empty batch, recording each request's result in
+// results unless it is nil, and returns the batch's completion time.
+func (d *Device) submit(at vtime.Ticks, reqs []Request, results []Result) vtime.Ticks {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	results := make([]Result, len(reqs))
 	batchDone := at
 	for i, r := range reqs {
 		issue := at + vtime.Ticks(i)*d.cfg.SubmitGap
-		results[i] = d.serve(issue, r)
-		if results[i].Done > batchDone {
-			batchDone = results[i].Done
+		res := d.serve(issue, r)
+		if results != nil {
+			results[i] = res
+		}
+		if res.Done > batchDone {
+			batchDone = res.Done
 		}
 	}
 	d.noteBatch(len(reqs))
-	return results, batchDone
+	return batchDone
 }
 
 // noteBatch counts one submission of n requests. Caller holds d.mu.

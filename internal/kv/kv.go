@@ -5,7 +5,9 @@
 package kv
 
 import (
+	"cmp"
 	"encoding/binary"
+	"slices"
 	"sort"
 )
 
@@ -95,16 +97,17 @@ func GetRecord(b []byte) Record {
 	}
 }
 
-// SortRecords orders records ascending by key (stable on equal keys).
+// SortRecords orders records ascending by key (stable on equal keys). It
+// allocates nothing.
 func SortRecords(rs []Record) {
-	sort.SliceStable(rs, func(i, j int) bool { return rs[i].Key < rs[j].Key })
+	slices.SortStableFunc(rs, func(a, b Record) int { return cmp.Compare(a.Key, b.Key) })
 }
 
 // SortEntries orders entries ascending by key, preserving the relative
 // order of operations on the same key (the conflicting-order requirement
-// of Section 3.4 within one batch).
+// of Section 3.4 within one batch). It allocates nothing.
 func SortEntries(es []Entry) {
-	sort.SliceStable(es, func(i, j int) bool { return es[i].Rec.Key < es[j].Rec.Key })
+	slices.SortStableFunc(es, func(a, b Entry) int { return cmp.Compare(a.Rec.Key, b.Rec.Key) })
 }
 
 // SearchRecords returns the position of the first record with key >= k.

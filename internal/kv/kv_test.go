@@ -67,6 +67,28 @@ func TestSortEntriesPreservesArrivalOrderPerKey(t *testing.T) {
 	}
 }
 
+// TestSortsDoNotAllocate: the range-scan path sorts leaf tails and OPQ
+// overlays on every call, so neither stable sort may allocate.
+func TestSortsDoNotAllocate(t *testing.T) {
+	rs := make([]Record, 256)
+	es := make([]Entry, 256)
+	var i int
+	refill := func() {
+		i++
+		for j := range rs {
+			k := Key((j*7919 + i) % 97)
+			rs[j] = Record{Key: k, Value: Value(j)}
+			es[j] = Entry{Rec: rs[j], Op: OpUpdate}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { refill(); SortRecords(rs) }); allocs != 0 {
+		t.Fatalf("SortRecords allocates %.2f objects per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { refill(); SortEntries(es) }); allocs != 0 {
+		t.Fatalf("SortEntries allocates %.2f objects per call, want 0", allocs)
+	}
+}
+
 func TestSearchRecords(t *testing.T) {
 	rs := []Record{{Key: 10}, {Key: 20}, {Key: 30}}
 	cases := []struct {

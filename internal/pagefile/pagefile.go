@@ -35,6 +35,7 @@ type PageFile struct {
 	pageSize int
 	next     PageID
 	free     []PageID
+	reqs     []ssdio.Req // the requests of the psync call being made
 }
 
 // New creates a page file with the given page size on f. The page size
@@ -171,7 +172,7 @@ func (p *PageFile) psync(at vtime.Ticks, op flashsim.Op, ids []PageID, bufs [][]
 	if len(ids) == 0 {
 		return at, nil
 	}
-	reqs := make([]ssdio.Req, len(ids))
+	reqs := p.reqs[:0]
 	for i, id := range ids {
 		off, err := p.check(id)
 		if err != nil {
@@ -180,9 +181,9 @@ func (p *PageFile) psync(at vtime.Ticks, op flashsim.Op, ids []PageID, bufs [][]
 		if len(bufs[i]) != p.pageSize {
 			return at, fmt.Errorf("pagefile: buffer %d is %d bytes, want %d", i, len(bufs[i]), p.pageSize)
 		}
-		reqs[i] = ssdio.Req{Op: op, Off: off, Buf: bufs[i]}
+		reqs = append(reqs, ssdio.Req{Op: op, Off: off, Buf: bufs[i]})
 	}
-	return p.f.Psync(at, reqs)
+	return p.submit(at, reqs)
 }
 
 // RunReq is one request of a psync batch covering N consecutive pages
@@ -201,11 +202,20 @@ func (p *PageFile) PsyncRuns(at vtime.Ticks, runs []RunReq) (vtime.Ticks, error)
 	if len(runs) == 0 {
 		return at, nil
 	}
-	reqs, err := p.GatherRuns(runs)
+	reqs, err := p.appendRuns(p.reqs[:0], runs)
 	if err != nil {
 		return at, err
 	}
-	return p.f.Psync(at, reqs)
+	return p.submit(at, reqs)
+}
+
+// submit issues reqs, built in p.reqs, as one psync call. Afterwards the
+// scratch lets go of the callers' buffers.
+func (p *PageFile) submit(at vtime.Ticks, reqs []ssdio.Req) (vtime.Ticks, error) {
+	p.reqs = reqs
+	at, err := p.f.Psync(at, reqs)
+	clear(reqs)
+	return at, err
 }
 
 // GatherRuns validates a batch of run requests and converts them to ssdio
@@ -214,7 +224,11 @@ func (p *PageFile) PsyncRuns(at vtime.Ticks, runs []RunReq) (vtime.Ticks, error)
 // (ssdio.PsyncGang). The data is neither read nor written until the gang
 // is submitted.
 func (p *PageFile) GatherRuns(runs []RunReq) ([]ssdio.Req, error) {
-	reqs := make([]ssdio.Req, len(runs))
+	return p.appendRuns(make([]ssdio.Req, 0, len(runs)), runs)
+}
+
+// appendRuns appends the ssdio requests of a batch of run requests to reqs.
+func (p *PageFile) appendRuns(reqs []ssdio.Req, runs []RunReq) ([]ssdio.Req, error) {
 	for i, r := range runs {
 		if r.N <= 0 {
 			return nil, fmt.Errorf("pagefile: run %d has %d pages", i, r.N)
@@ -233,7 +247,7 @@ func (p *PageFile) GatherRuns(runs []RunReq) ([]ssdio.Req, error) {
 		if r.Write {
 			op = flashsim.Write
 		}
-		reqs[i] = ssdio.Req{Op: op, Off: off, Buf: r.Buf}
+		reqs = append(reqs, ssdio.Req{Op: op, Off: off, Buf: r.Buf})
 	}
 	return reqs, nil
 }

@@ -317,14 +317,20 @@ func (f *File) Psync(at vtime.Ticks, reqs []Req) (vtime.Ticks, error) {
 		}
 		subAt += d.Delay
 	}
+	// A batch of up to PioMax requests, the paper's psync bound, is
+	// described to the device from the stack: a psync allocates nothing.
+	var small [64]flashsim.Request
+	devReqs := small[:0]
+	if len(reqs) > len(small) {
+		devReqs = make([]flashsim.Request, 0, len(reqs))
+	}
 	f.mu.Lock()
-	devReqs := make([]flashsim.Request, len(reqs))
-	for i, r := range reqs {
+	for _, r := range reqs {
 		if err := f.checkRange(r); err != nil {
 			f.mu.Unlock()
 			return at, err
 		}
-		devReqs[i] = flashsim.Request{Op: r.Op, Offset: f.base + r.Off, Size: len(r.Buf)}
+		devReqs = append(devReqs, flashsim.Request{Op: r.Op, Offset: f.base + r.Off, Size: len(r.Buf)})
 	}
 	for _, r := range reqs {
 		f.apply(r)
@@ -334,7 +340,7 @@ func (f *File) Psync(at vtime.Ticks, reqs []Req) (vtime.Ticks, error) {
 	f.stats.CtxSwitches += 2
 	f.mu.Unlock()
 
-	_, done := f.space.dev.Submit(subAt, devReqs)
+	done := f.space.dev.SubmitBatch(subAt, devReqs)
 
 	f.mu.Lock()
 	f.stats.IOTime += done - at
@@ -432,7 +438,7 @@ func PsyncGang(at vtime.Ticks, batches []GangBatch) (vtime.Ticks, error) {
 
 	done := at + delay
 	if len(devReqs) > 0 {
-		_, done = space.dev.Submit(at+delay, devReqs)
+		done = space.dev.SubmitBatch(at+delay, devReqs)
 	}
 
 	// The gang is one blocking call from one submitter; charge the
