@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/bufferpool"
@@ -142,10 +144,10 @@ func TestMissPathAllocs(t *testing.T) {
 }
 
 // TestLogAllocs gates the log under the write path: an append marshals
-// into the tail's spare capacity, and a force builds its page write in the
-// log's reused buffer. The log file's image allocates one extent per
-// ssdio.ExtentSize bytes of log, which AllocsPerRun's per-call average
-// rounds to zero, where a per-force buffer would count one a call.
+// into the log buffer's spare capacity, and a force pads that buffer to
+// whole pages and writes it from there. The log file's image allocates one
+// extent per ssdio.ExtentSize bytes of log, which AllocsPerRun's per-call
+// average rounds to zero, where a per-force buffer would count one a call.
 func TestLogAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -181,6 +183,138 @@ func TestLogAllocs(t *testing.T) {
 	if got, want := l.DurableLSN(), uint64(600+501+501); got != want {
 		t.Fatalf("durable LSN %d, want %d", got, want)
 	}
+}
+
+// flushAllocCfg is allocCfg with an OPQ that holds 420 entries, so one
+// flush can take the largest batch TestFlushAllocs queues.
+func flushAllocCfg() Config {
+	c := allocCfg(64)
+	c.OPQPages = 14
+	return c
+}
+
+// preallocLog writes size zero bytes over the head of a log file, so its
+// sparse image already holds the extents the test's forces will write:
+// those belong to the log, one per ssdio.ExtentSize bytes of it, not to
+// the flush being measured.
+func preallocLog(t *testing.T, f *ssdio.File, size int) {
+	t.Helper()
+	if err := f.WriteAt(make([]byte, size), 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// flushAllocs queues size updates of loaded keys, spread evenly over the n
+// records, then returns the objects flush allocates (with the queue
+// filled outside the count).
+func flushAllocs(t *testing.T, n, size, round int, update func(vtime.Ticks, kv.Record) (vtime.Ticks, error), flush func() error) uint64 {
+	t.Helper()
+	for j := 0; j < size; j++ {
+		i := (j*n/size + round*13) % n
+		if _, err := update(0, kv.Record{Key: kv.Key(i*8 + 3), Value: kv.Value(round)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := flush()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs
+}
+
+// TestFlushAllocs gates the write path. On a warm height-3, L = 4 tree
+// with a WAL, a flush whose every leaf takes the append arm edits the
+// pages where it read them, in the tree's flush arena, and reuses the
+// OPQ's batch: in steady state it allocates nothing, for 50, 200 or 400
+// entries (the gate leaves two objects of slack). A 4-shard forest's group
+// flush passes the same gate over a small constant, the bookkeeping of
+// its group commit (member, log and gang slices), which does not grow
+// with the entries either.
+func TestFlushAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const n = 20000
+	// check warms the flush path with three flushes of the largest batch,
+	// then measures three of each size over n loaded records: every one
+	// stays within limit, and within 2 objects of every other — a retained
+	// buffer may still grow once.
+	check := func(t *testing.T, n int, limit uint64, update func(vtime.Ticks, kv.Record) (vtime.Ticks, error), flush func() error) {
+		t.Helper()
+		round := 0
+		for ; round < 3; round++ {
+			flushAllocs(t, n, 400, round, update, flush)
+		}
+		lo, hi := uint64(math.MaxUint64), uint64(0)
+		for _, size := range []int{50, 200, 400} {
+			for i := 0; i < 3; i++ {
+				round++
+				got := flushAllocs(t, n, size, round, update, flush)
+				lo, hi = min(lo, got), max(hi, got)
+				if got > limit {
+					t.Errorf("a flush of %d entries allocated %d objects, want <= %d", size, got, limit)
+				}
+			}
+		}
+		if hi > lo+2 {
+			t.Errorf("flushes allocated from %d to %d objects, want one constant", lo, hi)
+		}
+	}
+
+	t.Run("Tree", func(t *testing.T) {
+		tr, wf := newWALTreeFile(t, flushAllocCfg())
+		preallocLog(t, wf, 32<<20)
+		if err := tr.BulkLoad(allocRecs(n)); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Height() != 3 {
+			t.Fatalf("height %d, want 3", tr.Height())
+		}
+		var at vtime.Ticks
+		check(t, n, 2, tr.Update, func() (err error) {
+			at, err = tr.FlushBatch(at, 0)
+			return err
+		})
+		if st := tr.Stats(); st.Shrinks != 0 || st.LeafAppends == 0 {
+			t.Fatalf("not append-only: %+v", st)
+		}
+	})
+	t.Run("Forest", func(t *testing.T) {
+		cfg := flushAllocCfg()
+		cfg.OPQPages *= 4
+		cfg.BufferBytes *= 4
+		fr, files, _ := newWALForest(t, ForestConfig{RipeFraction: 0.01, Shard: cfg}, 4)
+		for _, f := range files[4:] {
+			preallocLog(t, f, 16<<20)
+		}
+		if err := fr.BulkLoad(allocRecs(4 * n)); err != nil {
+			t.Fatal(err)
+		}
+		if h := fr.Height(); h != 3 {
+			t.Fatalf("height %d, want 3", h)
+		}
+		before := fr.Stats()
+		var at vtime.Ticks
+		// Updates spread over the whole key space fill every shard's queue
+		// alike; Flush runs one group flush over all of them.
+		check(t, 4*n, 20, fr.Update, func() (err error) {
+			at, err = fr.Flush(at)
+			return err
+		})
+		st := fr.Stats()
+		if groups, members := st.GroupFlushes-before.GroupFlushes, st.GroupedShards-before.GroupedShards; members != 4*groups {
+			t.Fatalf("%d group flushes flushed %d shards, want 4 each", groups, members)
+		}
+		for _, s := range fr.shards {
+			if ts := s.tree.Stats(); ts.Shrinks != 0 {
+				t.Fatalf("not append-only: %+v", ts)
+			}
+		}
+	})
 }
 
 // mapSink keeps TestScanAllocs' reference map on the heap, where a

@@ -34,49 +34,16 @@ func (t *Tree) psyncReadPages(at vtime.Ticks, ids []pagefile.PageID, bufs [][]by
 	})
 }
 
-// psyncWritePages writes the given pages in one psync call (or serially
-// under the ablation). When the tree flushes as part of a forest group
-// (g non-nil), the writes are deferred into the group's data gang instead.
-func (t *Tree) psyncWritePages(at vtime.Ticks, ids []pagefile.PageID, bufs [][]byte, g *groupIO) (vtime.Ticks, error) {
-	if len(ids) == 0 {
-		return at, nil
-	}
-	if g != nil {
-		runs := make([]pagefile.RunReq, len(ids))
-		for i, id := range ids {
-			runs[i] = pagefile.RunReq{First: id, N: 1, Buf: bufs[i], Write: true}
-		}
-		return at, t.deferWrites(g, runs)
-	}
-	t.stats.PsyncWrites++
-	if t.cfg.DisablePsync {
-		var err error
-		for i, id := range ids {
-			id, buf := id, bufs[i]
-			at, err = t.retryIO(at, func(at vtime.Ticks) (vtime.Ticks, error) {
-				return t.pf.WritePage(at, id, buf)
-			})
-			if err != nil {
-				return at, err
-			}
-		}
-		return at, nil
-	}
-	// A failed submission applied nothing, so the resubmission writes the
-	// same pages from the same buffers — idempotent by construction.
-	return t.retryIO(at, func(at vtime.Ticks) (vtime.Ticks, error) {
-		return t.pf.PsyncWrite(at, ids, bufs)
-	})
-}
-
 // deferWrites gathers write runs into a group flush's data gang.
+// Their buffers are in the flush arena, which keeps them until the tree's
+// next flushBatch, and g.reqs grows in the tree's reused slice.
 func (t *Tree) deferWrites(g *groupIO, runs []pagefile.RunReq) error {
 	t.stats.GangedWrites++
-	rs, err := t.pf.GatherRuns(runs)
+	reqs, err := t.pf.GatherRuns(g.reqs, runs)
 	if err != nil {
 		return err
 	}
-	g.reqs = append(g.reqs, rs...)
+	g.reqs, t.flush.reqs = reqs, reqs
 	return nil
 }
 
@@ -161,13 +128,22 @@ func (t *Tree) FlushBatch(at vtime.Ticks, bcnt int) (vtime.Ticks, error) {
 // flushBatch is FlushBatch, run inline when g is nil and as a member of a
 // forest group flush otherwise: the data writes wait in g for the group's
 // data gang, the log forces are left to the coordinator's prepare force,
-// and the FlushEnd record waits in g for its commit force.
+// and the FlushEnd record waits in g for its commit force. Every buffer
+// the flush reads or writes is in the flush arena, reset here.
 func (t *Tree) flushBatch(at vtime.Ticks, bcnt int, g *groupIO) (vtime.Ticks, error) {
 	batch := t.opq.TakeBatch(bcnt)
 	if len(batch) == 0 {
 		return at, nil
 	}
 	t.stats.Flushes++
+	fs := &t.flush
+	fs.arena.reset()
+	if n := t.height - len(fs.levels); n > 0 {
+		fs.levels = append(fs.levels, make([]levelScratch, n)...)
+	}
+	if g != nil {
+		g.reqs = fs.reqs[:0]
+	}
 	var err error
 	var flushID uint64
 	if t.log != nil {
@@ -187,31 +163,22 @@ func (t *Tree) flushBatch(at vtime.Ticks, bcnt int, g *groupIO) (vtime.Ticks, er
 			return at, err
 		}
 	}
+	var fences []fenceRec
 	if t.height == 1 {
 		// Root is a leaf.
-		fences, at2, err := t.flushLeaves(at, []leafGroup{{id: t.root, entries: batch}}, g)
-		if err != nil {
-			return at2, err
-		}
-		at = at2
-		var rootFences []fenceRec
-		for _, fs := range fences {
-			rootFences = append(rootFences, fs...)
-		}
-		at, err = t.growRoot(at, t.root, 0, rootFences, g)
-		if err != nil {
-			return at, err
-		}
+		work := append(fs.levels[0].work[:0], childWork{id: t.root, entries: batch})
+		fs.levels[0].work = work
+		at, err = t.flushLeaves(at, work, g)
+		fences = work[0].fences
 	} else {
-		fences, at2, err := t.bupdate(at, t.root, t.height-1, batch, g)
-		if err != nil {
-			return at2, err
-		}
-		at = at2
-		at, err = t.growRoot(at, t.root, t.height-1, fences, g)
-		if err != nil {
-			return at, err
-		}
+		fences, at, err = t.bupdate(at, t.root, t.height-1, batch, g)
+	}
+	if err != nil {
+		return at, err
+	}
+	at, err = t.growRoot(at, t.root, t.height-1, fences, g)
+	if err != nil {
+		return at, err
 	}
 	if t.log != nil {
 		end := wal.Record{
@@ -263,7 +230,7 @@ func (t *Tree) growRoot(at vtime.Ticks, oldRoot pagefile.PageID, rootLevel int, 
 			if err != nil {
 				return at, err
 			}
-			at, err = t.writeInternalBatch(at, []*internalNode{n}, g)
+			at, err = t.writeInternal(at, n, g)
 			if err != nil {
 				return at, err
 			}
@@ -272,7 +239,7 @@ func (t *Tree) growRoot(at vtime.Ticks, oldRoot pagefile.PageID, rootLevel int, 
 			t.height = rootLevel + 1
 			continue
 		}
-		at, err = t.writeInternalBatch(at, []*internalNode{n}, g)
+		at, err = t.writeInternal(at, n, g)
 		if err != nil {
 			return at, err
 		}
@@ -283,30 +250,32 @@ func (t *Tree) growRoot(at vtime.Ticks, oldRoot pagefile.PageID, rootLevel int, 
 	return at, nil
 }
 
-// leafGroup routes a key-sorted entry slice to one leaf.
-type leafGroup struct {
+// childWork routes a key-sorted run of a batch to one child of a node; the
+// child's flush leaves the fence records for the node in fences.
+type childWork struct {
+	idx     int // the child's index in the node
 	id      pagefile.PageID
 	entries []kv.Entry
+	fences  []fenceRec
 }
 
 // bupdate descends from node id at the given level, routing the key-sorted
 // batch to children, recursing in PioMax-bounded groups, applying returned
 // fence records, splitting as needed, and writing updated internal nodes
-// via psync. It returns the fence records for the caller's level.
+// via psync. It returns the fence records for the caller's level. The node
+// and its work are the level's scratch: a level's bupdate returns before
+// the next one at that level starts.
 func (t *Tree) bupdate(at vtime.Ticks, id pagefile.PageID, level int, batch []kv.Entry, g *groupIO) ([]fenceRec, vtime.Ticks, error) {
-	var n *internalNode
-	at, err := t.readInternalBatch(at, []pagefile.PageID{id}, func(_ int, v internalView) { n = v.decode(id) })
+	sc := &t.flush.levels[level]
+	sc.id[0] = id
+	at, err := t.readInternalBatch(at, sc.id[:], func(_ int, v internalView) { v.decodeInto(&sc.node, id) })
 	if err != nil {
 		return nil, at, err
 	}
+	n := &sc.node
 
 	// Partition batch among children.
-	type childWork struct {
-		idx     int
-		id      pagefile.PageID
-		entries []kv.Entry
-	}
-	var work []childWork
+	work := sc.work[:0]
 	i := 0
 	for i < len(batch) {
 		ci := n.childIndex(batch[i].Rec.Key)
@@ -317,61 +286,50 @@ func (t *Tree) bupdate(at vtime.Ticks, id pagefile.PageID, level int, batch []kv
 		work = append(work, childWork{idx: ci, id: n.children[ci], entries: batch[i:j]})
 		i = j
 	}
+	sc.work = work
 
-	// Process children and collect fences per child index.
-	fencesByChild := make(map[int][]fenceRec)
+	// Process children; each leaves its fences in its work item.
 	if level == 1 {
 		// Children are leaves: flush them in PioMax-bounded groups.
 		pm := t.cfg.pioMax()
 		for i := 0; i < len(work); i += pm {
-			end := i + pm
-			if end > len(work) {
-				end = len(work)
-			}
-			groups := make([]leafGroup, 0, end-i)
-			for _, w := range work[i:end] {
-				groups = append(groups, leafGroup{id: w.id, entries: w.entries})
-			}
-			fences, at2, err := t.flushLeaves(at, groups, g)
-			if err != nil {
-				return nil, at2, err
-			}
-			at = at2
-			// flushLeaves returns fences tagged by group order.
-			for gi, fs := range fences {
-				w := work[i+gi]
-				fencesByChild[w.idx] = append(fencesByChild[w.idx], fs...)
+			if at, err = t.flushLeaves(at, work[i:min(i+pm, len(work))], g); err != nil {
+				return nil, at, err
 			}
 		}
 	} else {
-		for _, w := range work {
-			fs, at2, err := t.bupdate(at, w.id, level-1, w.entries, g)
-			if err != nil {
-				return nil, at2, err
+		for i := range work {
+			w := &work[i]
+			if w.fences, at, err = t.bupdate(at, w.id, level-1, w.entries, g); err != nil {
+				return nil, at, err
 			}
-			at = at2
-			fencesByChild[w.idx] = append(fencesByChild[w.idx], fs...)
 		}
-	}
-	if len(fencesByChild) == 0 {
-		return nil, at, nil
 	}
 
 	// Apply fence records: insert (key, child) pairs after each split
 	// child, in child order.
-	newKeys := make([]kv.Key, 0, len(n.keys)+len(fencesByChild))
-	newChildren := make([]pagefile.PageID, 0, len(n.children)+len(fencesByChild))
-	for ci, child := range n.children {
-		if ci > 0 {
-			newKeys = append(newKeys, n.keys[ci-1])
-		}
-		newChildren = append(newChildren, child)
-		for _, f := range fencesByChild[ci] {
-			newKeys = append(newKeys, f.key)
-			newChildren = append(newChildren, f.child)
-		}
+	nf := 0
+	for _, w := range work {
+		nf += len(w.fences)
 	}
-	n.keys, n.children = newKeys, newChildren
+	if nf > 0 {
+		newKeys := make([]kv.Key, 0, len(n.keys)+nf)
+		newChildren := make([]pagefile.PageID, 0, len(n.children)+nf)
+		w := work
+		for ci, child := range n.children {
+			if ci > 0 {
+				newKeys = append(newKeys, n.keys[ci-1])
+			}
+			newChildren = append(newChildren, child)
+			for ; len(w) > 0 && w[0].idx == ci; w = w[1:] {
+				for _, f := range w[0].fences {
+					newKeys = append(newKeys, f.key)
+					newChildren = append(newChildren, f.child)
+				}
+			}
+		}
+		n.keys, n.children = newKeys, newChildren
+	}
 
 	var up []fenceRec
 	if len(n.keys) > maxInternalKeys(t.cfg.PageSize) {
@@ -381,7 +339,8 @@ func (t *Tree) bupdate(at vtime.Ticks, id pagefile.PageID, level int, batch []kv
 			return nil, at, err
 		}
 	}
-	at, err = t.writeInternalBatch(at, []*internalNode{n}, g)
+	// Every visited node is rewritten, whether or not a child split.
+	at, err = t.writeInternal(at, n, g)
 	if err != nil {
 		return nil, at, err
 	}
@@ -421,80 +380,42 @@ func (t *Tree) splitInternalMulti(n *internalNode) (*internalNode, []fenceRec, e
 			break
 		}
 	}
-	// Write the new right siblings (timed, via psync with the node itself
-	// written by the caller).
+	// Encode the new right siblings; the caller's writeInternal writes
+	// them with the node itself, in one psync call.
 	for _, r := range rights {
-		buf := make([]byte, t.cfg.PageSize)
+		buf := t.flush.arena.take(t.cfg.PageSize)
 		if err := r.encode(buf); err != nil {
 			return nil, nil, err
 		}
-		t.pendingInternal = append(t.pendingInternal, pendingPage{id: r.id, buf: buf})
+		t.pendingInternal = append(t.pendingInternal, pagefile.RunReq{First: r.id, N: 1, Buf: buf, Write: true})
 	}
 	return n, fences, nil
 }
 
-// pendingPage is an internal-node page queued for the next psync write.
-type pendingPage struct {
-	id  pagefile.PageID
-	buf []byte
-}
-
-// writeInternalBatch writes the given internal nodes plus any pending
-// split siblings in one psync call, logging undo images first when a WAL
-// is attached, and refreshes the buffer pool copies.
-func (t *Tree) writeInternalBatch(at vtime.Ticks, ns []*internalNode, g *groupIO) (vtime.Ticks, error) {
-	pages := make([]pendingPage, 0, len(ns)+len(t.pendingInternal))
-	for _, n := range ns {
-		buf := make([]byte, t.cfg.PageSize)
-		if err := n.encode(buf); err != nil {
-			return at, err
-		}
-		pages = append(pages, pendingPage{id: n.id, buf: buf})
+// writeInternal writes internal node n plus any pending split siblings in
+// one psync call, logging undo images first when a WAL is attached, and
+// refreshes the buffer pool copies.
+func (t *Tree) writeInternal(at vtime.Ticks, n *internalNode, g *groupIO) (vtime.Ticks, error) {
+	buf := t.flush.arena.take(t.cfg.PageSize)
+	if err := n.encode(buf); err != nil {
+		return at, err
 	}
-	pages = append(pages, t.pendingInternal...)
+	writes := append(t.flush.writes[:0], pagefile.RunReq{First: n.id, N: 1, Buf: buf, Write: true})
+	writes = append(writes, t.pendingInternal...)
 	t.pendingInternal = t.pendingInternal[:0]
+	t.flush.writes = writes
 
 	var err error
 	if t.log != nil {
-		at, err = t.logUndoImages(at, pages, g)
-		if err != nil {
+		if at, err = t.logUndo(at, writes, g); err != nil {
 			return at, err
 		}
 	}
-	ids := make([]pagefile.PageID, len(pages))
-	bufs := make([][]byte, len(pages))
-	for i, p := range pages {
-		ids[i] = p.id
-		bufs[i] = p.buf
-	}
-	at, err = t.psyncWritePages(at, ids, bufs, g)
-	if err != nil {
+	if at, err = t.psyncWriteRuns(at, writes, g); err != nil {
 		return at, err
 	}
-	for _, p := range pages {
-		t.pool.InsertClean(p.id, p.buf)
+	for _, w := range writes {
+		t.pool.InsertClean(w.First, w.Buf)
 	}
 	return at, nil
-}
-
-// logUndoImages appends a flush undo log (pre-image) for every page about
-// to be overwritten and forces the WAL (write-ahead rule).
-func (t *Tree) logUndoImages(at vtime.Ticks, pages []pendingPage, g *groupIO) (vtime.Ticks, error) {
-	for _, p := range pages {
-		pre := make([]byte, t.cfg.PageSize)
-		if err := t.pf.ReadPageNoCost(p.id, pre); err != nil {
-			// A freshly allocated page has no pre-image worth keeping, but
-			// ReadPageNoCost succeeds for any allocated page; real errors
-			// propagate.
-			return at, err
-		}
-		t.log.Append(wal.Record{
-			Kind:     wal.KindFlushUndo,
-			Relation: t.cfg.Relation,
-			FlushID:  t.flushID,
-			NodeID:   int64(p.id),
-			UndoInfo: pre,
-		})
-	}
-	return t.forceWAL(at, g)
 }

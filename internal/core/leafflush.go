@@ -1,201 +1,184 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"slices"
+
 	"repro/internal/kv"
 	"repro/internal/pagefile"
 	"repro/internal/vtime"
 	"repro/internal/wal"
 )
 
+// leafFlush is one leaf's part in flushLeaves, over flush-arena bytes.
+type leafFlush struct {
+	first int    // the first segment read
+	run   []byte // the segments read, first on
+	total int    // the leaf's entries; the segments before first are full
+	front []byte // segments [0, first), read for the shrink arm
+}
+
 // flushLeaves applies one PioMax-bounded group of per-leaf entry batches
 // (the leaf level of Algorithm 2, with the Algorithm 3 updateNode: append
-// to the last LS, shrink when full, split when still full). It returns,
-// per group in input order, the fence records produced for the parent.
+// to the last LS, shrink when full, split when still full), leaving each
+// leaf's fence records for the parent in its work item.
 //
 // I/O plan per group:
 //  1. one psync batch reading the last LS of every leaf (LSMap hit: one
-//     page; miss: the back half of the leaf, the paper's fallback);
-//  2. for leaves whose append would overflow, a second psync batch reading
-//     the remaining front segments so the shrink sees the whole leaf;
+//     page; miss: the whole leaf);
+//  2. one psync batch reading, for each leaf the shrink arm takes whose
+//     first read missed segments, those front segments: the shrink needs
+//     the whole leaf;
 //  3. one psync batch writing the touched segments (appends: the last LS
 //     and any newly opened segment; shrinks/splits: whole leaves).
-func (t *Tree) flushLeaves(at vtime.Ticks, groups []leafGroup, g *groupIO) ([][]fenceRec, vtime.Ticks, error) {
-	ps := t.cfg.PageSize
+//
+// The append arm edits the encoded segments where phase 1 read them and
+// writes them from there; only the shrink arm decodes a leaf.
+func (t *Tree) flushLeaves(at vtime.Ticks, work []childWork, g *groupIO) (vtime.Ticks, error) {
+	ps, segs, c, fs := t.cfg.PageSize, t.cfg.LeafSegs, segCap(t.cfg.PageSize), &t.flush
+	leaves := slices.Grow(fs.leaves[:0], len(work))[:len(work)]
+	fs.leaves = leaves
 
 	// Phase 1: read the tail of every leaf.
-	type leafState struct {
-		group    int
-		id       pagefile.PageID
-		firstSeg int // first segment actually read
-		leaf     *leafNode
-		entries  []kv.Entry
-	}
-	states := make([]*leafState, len(groups))
-	ids := make([]pagefile.PageID, len(groups))
-	firstSegs := make([]int, len(groups))
-	uptos := make([]int, len(groups))
-	bufs := make([][]byte, len(groups))
-	for i, lg := range groups {
-		lastLS, hit := t.lastLSOf(lg.id)
+	ids, upto, bufs := fs.ids[:0], fs.upto[:0], fs.bufs[:0]
+	for i, w := range work {
+		lastLS, hit := t.lastLSOf(w.id)
 		first := lastLS
 		if !hit {
-			// LSMap miss: read the whole leaf.
-			first = 0
-			lastLS = t.cfg.LeafSegs - 1
+			first, lastLS = 0, segs-1
 		}
-		states[i] = &leafState{group: i, id: lg.id, firstSeg: first, entries: lg.entries}
-		ids[i] = lg.id + pagefile.PageID(first)
-		firstSegs[i] = first
-		uptos[i] = lastLS - first
-		bufs[i] = make([]byte, (lastLS-first+1)*ps)
+		lf := &leaves[i]
+		*lf = leafFlush{first: first, run: fs.arena.take((lastLS - first + 1) * ps)}
+		ids = append(ids, w.id+pagefile.PageID(first))
+		upto = append(upto, lastLS-first)
+		bufs = append(bufs, lf.run)
 	}
-	at, err := t.psyncReadRuns(at, ids, uptos, bufs)
+	fs.ids, fs.upto, fs.bufs = ids, upto, bufs
+	at, err := t.psyncReadRuns(at, ids, upto, bufs)
 	if err != nil {
-		return nil, at, err
+		return at, err
+	}
+	for i := range leaves {
+		lf := &leaves[i]
+		n, err := segCount(work[i].id, lf.run, ps, lf.first)
+		if err != nil {
+			return at, err
+		}
+		lf.total = lf.first*c + n
 	}
 
-	// Decode the tails: reconstruct a partial leaf view. Entries before
-	// firstSeg are unknown but their count is implied (segments fill in
-	// order, so segments < lastSeg are full).
-	for i, st := range states {
-		tail, err := decodeTail(st.id, bufs[i], ps, t.cfg.LeafSegs, st.firstSeg)
-		if err != nil {
-			return nil, at, err
-		}
-		st.leaf = tail
-	}
-
-	// Phase 2: identify leaves that need their front segments (append
-	// would overflow => shrink path needs the full leaf; also LSMap-miss
-	// leaves whose base region extends before the back half are needed
-	// for nothing else — appends never touch the front). Under the
-	// sorted-leaves ablation every updated leaf is rewritten in full, so
-	// every partial view is upgraded.
-	var frontIDs []pagefile.PageID
-	var frontUpto []int
-	var frontBufs [][]byte
-	var frontStates []*leafState
-	for _, st := range states {
-		total := st.leaf.totalCount(ps)
-		if (t.cfg.SortedLeaves || total+len(st.entries) > t.LeafCapacity()) && st.firstSeg > 0 {
-			frontIDs = append(frontIDs, st.id)
-			frontUpto = append(frontUpto, st.firstSeg-1)
-			frontBufs = append(frontBufs, make([]byte, st.firstSeg*ps))
-			frontStates = append(frontStates, st)
+	// Phase 2: the front segments of every leaf the shrink arm takes.
+	ids, upto, bufs = ids[:0], upto[:0], bufs[:0]
+	for i := range leaves {
+		if lf := &leaves[i]; lf.first > 0 && t.shrinks(lf.total, len(work[i].entries)) {
+			lf.front = fs.arena.take(lf.first * ps)
+			ids = append(ids, work[i].id)
+			upto = append(upto, lf.first-1)
+			bufs = append(bufs, lf.front)
 		}
 	}
-	if len(frontIDs) > 0 {
-		at, err = t.psyncReadRuns(at, frontIDs, frontUpto, frontBufs)
-		if err != nil {
-			return nil, at, err
+	fs.ids, fs.upto, fs.bufs = ids, upto, bufs
+	if len(ids) > 0 {
+		if at, err = t.psyncReadRuns(at, ids, upto, bufs); err != nil {
+			return at, err
 		}
-		for i, st := range frontStates {
-			if err := st.leaf.fillFront(frontBufs[i], ps, st.firstSeg); err != nil {
-				return nil, at, err
+		for i := range leaves {
+			lf, id := &leaves[i], work[i].id
+			if lf.front == nil {
+				continue
 			}
-			st.firstSeg = 0
-		}
-	}
-
-	// Phase 3: apply entries and build the write set.
-	fences := make([][]fenceRec, len(groups))
-	var writes []pagefile.RunReq
-	var undoPages []pendingPage
-	for _, st := range states {
-		total := st.leaf.totalCount(ps)
-		if !t.cfg.SortedLeaves && total+len(st.entries) <= t.LeafCapacity() {
-			// Append-only path (Algorithm 3 line 4): entries go to the
-			// last LS; only the touched segments are written.
-			w, err := t.appendToLeaf(st.leaf, st.entries)
+			n, err := segCount(id, lf.front, ps, 0)
 			if err != nil {
-				return nil, at, err
+				return at, err
 			}
-			writes = append(writes, w...)
+			if n != lf.first*c {
+				// segCount stopped at segment n/c, which holds n%c entries.
+				return at, fmt.Errorf("core: leaf %d seg %d: front segment not full (%d)", id, n/c, n%c)
+			}
+		}
+	}
+
+	// Phase 3: apply the entries and build the write set.
+	writes := fs.writes[:0]
+	for i := range leaves {
+		lf, w := &leaves[i], &work[i]
+		if !t.shrinks(lf.total, len(w.entries)) {
+			// Append-only path (Algorithm 3 line 4): the entries go to the
+			// last LS, edited where it was read; only the touched segments
+			// are written.
+			run, first := lf.run, lf.first
+			if hi := segOf(ps, lf.total+len(w.entries)-1); hi >= first+len(run)/ps {
+				// The append opens segments past the ones read: the touched
+				// segment it read moves to a run with room for them.
+				lo := lf.total / c
+				run, first = fs.arena.take((hi-lo+1)*ps), lo
+				copy(run, lf.run[(lo-lf.first)*ps:])
+			}
+			lo, hi := appendRun(run, ps, first, lf.total, w.entries)
+			writes = append(writes, pagefile.RunReq{
+				First: w.id + pagefile.PageID(lo),
+				N:     hi - lo + 1,
+				Buf:   run[(lo-first)*ps : (hi-first+1)*ps],
+				Write: true,
+			})
+			t.lsmap.Set(int64(w.id), hi)
 			t.stats.LeafAppends++
 			continue
 		}
-		// Shrink path: the leaf is full; we hold the whole leaf now
-		// (firstSeg forced to 0 in phase 2 for multi-segment leaves;
-		// single-segment leaves are always whole).
-		fs, w, err := t.shrinkAndSplit(st.leaf, st.entries)
-		if err != nil {
-			return nil, at, err
-		}
-		fences[st.group] = append(fences[st.group], fs...)
-		writes = append(writes, w...)
+		w.fences, writes = t.shrinkAndSplit(t.wholeLeaf(w.id, lf), w.entries, writes)
 	}
+	fs.writes = writes
 
-	// WAL: undo images of every page about to be overwritten.
 	if t.log != nil {
-		for _, w := range writes {
-			for s := 0; s < w.N; s++ {
-				pre := make([]byte, ps)
-				if err := t.pf.ReadPageNoCost(w.First+pagefile.PageID(s), pre); err != nil {
-					return nil, at, err
-				}
-				undoPages = append(undoPages, pendingPage{id: w.First + pagefile.PageID(s), buf: pre})
-			}
-		}
-		for _, p := range undoPages {
-			t.log.Append(wal.Record{
-				Kind:     wal.KindFlushUndo,
-				Relation: t.cfg.Relation,
-				FlushID:  t.flushID,
-				NodeID:   int64(p.id),
-				UndoInfo: p.buf,
-			})
-		}
-		at, err = t.forceWAL(at, g)
-		if err != nil {
-			return nil, at, err
+		if at, err = t.logUndo(at, writes, g); err != nil {
+			return at, err
 		}
 	}
-
-	at, err = t.psyncWriteRuns(at, writes, g)
-	if err != nil {
-		return nil, at, err
+	if at, err = t.psyncWriteRuns(at, writes, g); err != nil {
+		return at, err
 	}
 	// Keep the pool coherent for single-page leaves: refresh (or install)
 	// the written pages as clean frames.
-	if t.cfg.LeafSegs == 1 {
+	if segs == 1 {
 		for _, w := range writes {
 			t.pool.InsertClean(w.First, w.Buf)
 		}
 	}
-	return fences, at, nil
+	return at, nil
 }
 
-// appendToLeaf appends entries to the leaf's log and returns the page
-// writes covering the touched segments. The leaf view may be partial
-// (segments before firstSeg unknown); appends never need them.
-func (t *Tree) appendToLeaf(l *leafNode, entries []kv.Entry) ([]pagefile.RunReq, error) {
-	ps := t.cfg.PageSize
-	startIdx := l.totalCount(ps)
-	firstTouched := segOf(ps, startIdx)
-	l.appendEntries(entries)
-	endIdx := l.totalCount(ps) - 1
-	lastTouched := segOf(ps, endIdx)
-	nseg := lastTouched - firstTouched + 1
-	buf := make([]byte, nseg*ps)
-	for s := firstTouched; s <= lastTouched; s++ {
-		if err := l.encodeSeg(buf[(s-firstTouched)*ps:(s-firstTouched+1)*ps], s); err != nil {
-			return nil, err
-		}
+// shrinks reports whether a leaf of total entries takes the shrink arm
+// for n more: it would overflow, or the sorted-leaves ablation rewrites
+// every leaf it updates.
+func (t *Tree) shrinks(total, n int) bool {
+	return t.cfg.SortedLeaves || total+n > t.LeafCapacity()
+}
+
+// wholeLeaf decodes, for the shrink arm, the leaf whose segments lf holds
+// (phase 2 read its front) into the tree's reused leafNode.
+func (t *Tree) wholeLeaf(id pagefile.PageID, lf *leafFlush) *leafNode {
+	ps, c := t.cfg.PageSize, segCap(t.cfg.PageSize)
+	seg0 := lf.run
+	if lf.first > 0 {
+		seg0 = lf.front
 	}
-	writes := []pagefile.RunReq{{
-		First: l.id + pagefile.PageID(firstTouched),
-		N:     nseg,
-		Buf:   buf,
-		Write: true,
-	}}
-	t.lsmap.Set(int64(l.id), lastTouched)
-	return writes, nil
+	l := &t.flush.leaf
+	*l = leafNode{
+		id:      id,
+		segs:    t.cfg.LeafSegs,
+		sorted:  int(binary.LittleEndian.Uint32(seg0[4:])),
+		next:    pagefile.PageID(binary.LittleEndian.Uint64(seg0[8:])),
+		entries: appendSegEntries(l.entries[:0], lf.front, lf.first*c, ps),
+	}
+	l.entries = appendSegEntries(l.entries, lf.run, lf.total-lf.first*c, ps)
+	return l
 }
 
 // shrinkAndSplit rebuilds a full leaf from its live records and, if still
 // overfull, splits it into sibling leaves. It returns the parent fence
-// records and the whole-leaf writes.
-func (t *Tree) shrinkAndSplit(l *leafNode, entries []kv.Entry) ([]fenceRec, []pagefile.RunReq, error) {
+// records and writes with the whole-leaf writes appended.
+func (t *Tree) shrinkAndSplit(l *leafNode, entries []kv.Entry, writes []pagefile.RunReq) ([]fenceRec, []pagefile.RunReq) {
 	ps := t.cfg.PageSize
 	l.entries = append(l.entries, entries...)
 	l.shrink()
@@ -205,25 +188,20 @@ func (t *Tree) shrinkAndSplit(l *leafNode, entries []kv.Entry) ([]fenceRec, []pa
 	if half < 1 {
 		half = 1
 	}
-	var fences []fenceRec
-	var writes []pagefile.RunReq
 	if len(l.entries) <= t.LeafCapacity() {
-		writes = append(writes, t.wholeLeafWrite(l)...)
 		t.lsmap.Set(int64(l.id), l.lastSeg(ps))
-		return nil, writes, nil
+		return nil, append(writes, t.wholeLeafWrite(l))
 	}
 	// Split into chunks of `half` entries (multi-split for huge batches).
+	var fences []fenceRec
 	all := l.entries
-	l.entries = append([]kv.Entry(nil), all[:half]...)
+	l.entries = all[:half]
 	l.sorted = len(l.entries)
 	rest := all[half:]
 	involved := []*leafNode{l}
 	prev := l
 	for len(rest) > 0 {
-		n := half
-		if n > len(rest) {
-			n = len(rest)
-		}
+		n := min(half, len(rest))
 		sib := &leafNode{id: t.allocLeaf(), segs: t.cfg.LeafSegs}
 		sib.entries = append(sib.entries, rest[:n]...)
 		sib.sorted = len(sib.entries)
@@ -236,20 +214,43 @@ func (t *Tree) shrinkAndSplit(l *leafNode, entries []kv.Entry) ([]fenceRec, []pa
 		prev = sib
 	}
 	for _, n := range involved {
-		writes = append(writes, t.wholeLeafWrite(n)...)
+		writes = append(writes, t.wholeLeafWrite(n))
 		t.lsmap.Set(int64(n.id), n.lastSeg(ps))
 	}
-	return fences, writes, nil
+	return fences, writes
 }
 
-// wholeLeafWrite encodes all segments of a leaf as one run write.
-func (t *Tree) wholeLeafWrite(l *leafNode) []pagefile.RunReq {
-	ps := t.cfg.PageSize
-	buf := make([]byte, l.segs*ps)
-	if err := l.encodeAll(buf, ps); err != nil {
+// wholeLeafWrite encodes all segments of a leaf into the flush arena as
+// one run write.
+func (t *Tree) wholeLeafWrite(l *leafNode) pagefile.RunReq {
+	buf := t.flush.arena.take(l.segs * t.cfg.PageSize)
+	if err := l.encodeAll(buf, t.cfg.PageSize); err != nil {
 		// encodeAll fails only on programmer error (overflow already
 		// prevented by the split loop).
 		panic(err)
 	}
-	return []pagefile.RunReq{{First: l.id, N: l.segs, Buf: buf, Write: true}}
+	return pagefile.RunReq{First: l.id, N: l.segs, Buf: buf, Write: true}
+}
+
+// logUndo appends a flush undo record — the page's pre-image — for every
+// page the runs are about to overwrite, then forces the WAL (the
+// write-ahead rule). The pre-images pass through one page: Append copies
+// each record into the log's tail.
+func (t *Tree) logUndo(at vtime.Ticks, runs []pagefile.RunReq, g *groupIO) (vtime.Ticks, error) {
+	for _, r := range runs {
+		for s := 0; s < r.N; s++ {
+			id := r.First + pagefile.PageID(s)
+			if err := t.pf.ReadPageNoCost(id, t.buf); err != nil {
+				return at, err
+			}
+			t.log.Append(wal.Record{
+				Kind:     wal.KindFlushUndo,
+				Relation: t.cfg.Relation,
+				FlushID:  t.flushID,
+				NodeID:   int64(id),
+				UndoInfo: t.buf,
+			})
+		}
+	}
+	return t.forceWAL(at, g)
 }

@@ -19,6 +19,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/kv"
@@ -82,7 +83,9 @@ func decodeInternal(id pagefile.PageID, buf []byte) (*internalNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.decode(id), nil
+	n := new(internalNode)
+	v.decodeInto(n, id)
+	return n, nil
 }
 
 // childIndex is the paper's CheckSearchNeeded predicate: the child i such
@@ -132,17 +135,18 @@ func (v internalView) child(i int) pagefile.PageID {
 	return pagefile.PageID(binary.LittleEndian.Uint64(v.page[internalHeaderSize+8*(v.count+i):]))
 }
 
-// decode copies the node out of its page, for the flush side, which
-// mutates it.
-func (v internalView) decode(id pagefile.PageID) *internalNode {
-	n := &internalNode{id: id, level: int(v.page[1]), keys: make([]kv.Key, v.count), children: make([]pagefile.PageID, v.count+1)}
+// decodeInto copies the node out of its page into n, reusing n's slices:
+// the form the flush side mutates.
+func (v internalView) decodeInto(n *internalNode, id pagefile.PageID) {
+	n.id, n.level = id, int(v.page[1])
+	n.keys = slices.Grow(n.keys[:0], v.count)[:v.count]
+	n.children = slices.Grow(n.children[:0], v.count+1)[:v.count+1]
 	for i := range n.keys {
 		n.keys[i] = v.key(i)
 	}
 	for i := range n.children {
 		n.children[i] = v.child(i)
 	}
-	return n
 }
 
 // childIndex is internalNode.childIndex over the encoded separators.
@@ -165,18 +169,16 @@ func (v internalView) childIndex(k kv.Key) int {
 // last shrink (all inserts); entries[sorted:] is the appended tail in
 // arrival order (any op type).
 //
-// A leafNode may be a partial view holding only the entries from segment
-// firstSeg onward (the update path reads just the leaf tail). Segments
-// before firstSeg are implied full — entries fill segments in order — so
-// the total entry count is still known. sorted and next are meaningful
-// only when firstSeg == 0 (full view).
+// Only the paths that rebuild a leaf decode one: the shrink/split arm of a
+// flush, bulk load, recovery and the invariant walks. A flush's append arm
+// edits the encoded last segment in place (appendRun), and the readers
+// search the encoded segments through leafView.
 type leafNode struct {
-	id       pagefile.PageID // first segment's page id; segments are consecutive
-	segs     int             // L
-	firstSeg int             // 0 for a full view
-	next     pagefile.PageID // right sibling (leaf chain)
-	sorted   int
-	entries  []kv.Entry // entries from segment firstSeg onward
+	id      pagefile.PageID // first segment's page id; segments are consecutive
+	segs    int             // L
+	next    pagefile.PageID // right sibling (leaf chain)
+	sorted  int
+	entries []kv.Entry
 }
 
 // segCap is the entry capacity of one leaf segment page.
@@ -188,53 +190,32 @@ func leafCap(pageSize, segs int) int { return segs * segCap(pageSize) }
 // segOf returns the segment index holding entry i.
 func segOf(pageSize, i int) int { return i / segCap(pageSize) }
 
-// totalCount returns the leaf's total entry count, including the implied
-// full segments before firstSeg.
-func (l *leafNode) totalCount(pageSize int) int {
-	return l.firstSeg*segCap(pageSize) + len(l.entries)
-}
-
-// encodeSeg serializes segment s of the leaf into buf (one page). The
-// segment must be within the view (s >= firstSeg); segment 0 metadata is
-// only written from a full view.
+// encodeSeg serializes segment s of the leaf into buf (one page).
 func (l *leafNode) encodeSeg(buf []byte, s int) error {
-	if s < l.firstSeg || s >= l.segs {
-		return fmt.Errorf("core: leaf %d: segment %d outside view [%d,%d)", l.id, s, l.firstSeg, l.segs)
+	if s < 0 || s >= l.segs {
+		return fmt.Errorf("core: leaf %d: segment %d outside [0,%d)", l.id, s, l.segs)
 	}
-	for i := range buf {
-		buf[i] = 0
-	}
+	clear(buf)
 	cap1 := segCap(len(buf))
-	lo := s*cap1 - l.firstSeg*cap1
-	hi := lo + cap1
-	if hi > len(l.entries) {
-		hi = len(l.entries)
-	}
-	n := 0
-	if hi > lo {
-		n = hi - lo
-	}
+	lo := min(s*cap1, len(l.entries))
+	hi := min(lo+cap1, len(l.entries))
 	buf[0] = kindLeafSeg
 	buf[1] = byte(s)
-	binary.LittleEndian.PutUint16(buf[2:], uint16(n))
+	binary.LittleEndian.PutUint16(buf[2:], uint16(hi-lo))
 	if s == 0 {
 		binary.LittleEndian.PutUint32(buf[4:], uint32(l.sorted))
 		binary.LittleEndian.PutUint64(buf[8:], uint64(l.next))
 	}
 	off := segHeaderSize
-	for i := lo; i < lo+n; i++ {
-		kv.PutEntry(buf[off:], l.entries[i])
+	for _, e := range l.entries[lo:hi] {
+		kv.PutEntry(buf[off:], e)
 		off += kv.EntrySize
 	}
 	return nil
 }
 
-// encodeAll serializes the whole leaf into buf (segs pages); requires a
-// full view.
+// encodeAll serializes the whole leaf into buf (segs pages).
 func (l *leafNode) encodeAll(buf []byte, pageSize int) error {
-	if l.firstSeg != 0 {
-		return fmt.Errorf("core: leaf %d: encodeAll on partial view from seg %d", l.id, l.firstSeg)
-	}
 	if len(buf) != l.segs*pageSize {
 		return fmt.Errorf("core: leaf %d: buffer %d bytes, want %d", l.id, len(buf), l.segs*pageSize)
 	}
@@ -246,69 +227,67 @@ func (l *leafNode) encodeAll(buf []byte, pageSize int) error {
 	return nil
 }
 
-// decodeTail parses a partial leaf view from buf, which holds the
-// consecutive segments starting at firstSeg. Decoding stops at the first
-// non-full segment (later segments are empty by the append invariant).
-func decodeTail(id pagefile.PageID, buf []byte, pageSize, segs, firstSeg int) (*leafNode, error) {
-	n := len(buf) / pageSize
-	l := &leafNode{id: id, segs: segs, firstSeg: firstSeg}
-	for s := 0; s < n; s++ {
-		page := buf[s*pageSize : (s+1)*pageSize]
+// segCount validates the encoded segments in buf — segments first,
+// first+1, … of leaf id — and returns the entries they hold. It checks each
+// segment's kind and count up to the first one that is not full: the later
+// ones are empty by the append invariant, whatever their bytes say.
+func segCount(id pagefile.PageID, buf []byte, pageSize, first int) (int, error) {
+	c, total := segCap(pageSize), 0
+	for s := 0; s < len(buf)/pageSize; s++ {
+		page := buf[s*pageSize:]
 		if page[0] != kindLeafSeg {
-			return nil, fmt.Errorf("core: leaf %d seg %d: bad kind %d", id, firstSeg+s, page[0])
+			return 0, fmt.Errorf("core: leaf %d seg %d: bad kind %d", id, first+s, page[0])
 		}
 		cnt := int(binary.LittleEndian.Uint16(page[2:]))
-		if cnt > segCap(pageSize) {
-			return nil, fmt.Errorf("core: leaf %d seg %d: count %d", id, firstSeg+s, cnt)
+		if cnt > c {
+			return 0, fmt.Errorf("core: leaf %d seg %d: count %d", id, first+s, cnt)
 		}
-		if firstSeg+s == 0 {
-			l.sorted = int(binary.LittleEndian.Uint32(page[4:]))
-			l.next = pagefile.PageID(binary.LittleEndian.Uint64(page[8:]))
-		}
-		off := segHeaderSize
-		for i := 0; i < cnt; i++ {
-			l.entries = append(l.entries, kv.GetEntry(page[off:]))
-			off += kv.EntrySize
-		}
-		if cnt < segCap(pageSize) {
+		total += cnt
+		if cnt < c {
 			break
 		}
 	}
-	return l, nil
+	return total, nil
 }
 
-// fillFront upgrades a partial view to a full view using buf, the
-// contents of segments [0, firstSeg).
-func (l *leafNode) fillFront(buf []byte, pageSize, firstSeg int) error {
-	if l.firstSeg != firstSeg {
-		return fmt.Errorf("core: leaf %d: fillFront mismatch %d != %d", l.id, l.firstSeg, firstSeg)
+// appendSegEntries appends to dst the first n entries of the segments in
+// buf, which segCount has counted: entry i sits in segment i/segCap.
+func appendSegEntries(dst []kv.Entry, buf []byte, n, pageSize int) []kv.Entry {
+	c := segCap(pageSize)
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, kv.GetEntry(buf[(i/c)*pageSize+segHeaderSize+(i%c)*kv.EntrySize:]))
 	}
-	if l.firstSeg == 0 {
-		return nil
-	}
-	front := make([]kv.Entry, 0, firstSeg*segCap(pageSize))
-	for s := 0; s < firstSeg; s++ {
-		page := buf[s*pageSize : (s+1)*pageSize]
-		if page[0] != kindLeafSeg {
-			return fmt.Errorf("core: leaf %d seg %d: bad kind %d", l.id, s, page[0])
-		}
-		cnt := int(binary.LittleEndian.Uint16(page[2:]))
-		if cnt != segCap(pageSize) {
-			return fmt.Errorf("core: leaf %d seg %d: front segment not full (%d)", l.id, s, cnt)
-		}
-		if s == 0 {
-			l.sorted = int(binary.LittleEndian.Uint32(page[4:]))
-			l.next = pagefile.PageID(binary.LittleEndian.Uint64(page[8:]))
-		}
-		off := segHeaderSize
-		for i := 0; i < cnt; i++ {
-			front = append(front, kv.GetEntry(page[off:]))
+	return dst
+}
+
+// appendRun appends entries to an encoded leaf in place, with the bytes
+// decoding the leaf, appending to its log and re-encoding the touched
+// segments with encodeSeg would give. run holds segments first, first+1,
+// … of the leaf as read, then room for the segments the append opens;
+// total is the leaf's entry count. Each entry goes after its segment's
+// current count; a newly opened segment is encoded fresh. It returns the
+// touched segments [lo, hi], which run holds from (lo-first)*pageSize on.
+func appendRun(run []byte, pageSize, first, total int, entries []kv.Entry) (lo, hi int) {
+	c := segCap(pageSize)
+	lo, hi = total/c, (total+len(entries)-1)/c
+	full := segHeaderSize + c*kv.EntrySize
+	k := 0
+	for s := lo; s <= hi; s++ {
+		page := run[(s-first)*pageSize : (s-first+1)*pageSize]
+		off := segHeaderSize + max(total-s*c, 0)*kv.EntrySize
+		for ; k < len(entries) && off < full; k++ {
+			kv.PutEntry(page[off:], entries[k])
 			off += kv.EntrySize
 		}
+		clear(page[off:])
+		page[0], page[1] = kindLeafSeg, byte(s)
+		binary.LittleEndian.PutUint16(page[2:], uint16((off-segHeaderSize)/kv.EntrySize))
+		if s > 0 {
+			clear(page[4:segHeaderSize]) // sorted and next live in segment 0
+		}
 	}
-	l.entries = append(front, l.entries...)
-	l.firstSeg = 0
-	return nil
+	return lo, hi
 }
 
 // decodeLeaf parses a whole leaf from buf (segs consecutive pages).
@@ -316,31 +295,19 @@ func decodeLeaf(id pagefile.PageID, buf []byte, pageSize, segs int) (*leafNode, 
 	if len(buf) != segs*pageSize {
 		return nil, fmt.Errorf("core: leaf %d: buffer %d bytes, want %d", id, len(buf), segs*pageSize)
 	}
-	l := &leafNode{id: id, segs: segs}
-	for s := 0; s < segs; s++ {
-		page := buf[s*pageSize : (s+1)*pageSize]
-		if page[0] != kindLeafSeg {
-			return nil, fmt.Errorf("core: leaf %d seg %d: bad kind %d", id, s, page[0])
-		}
-		n := int(binary.LittleEndian.Uint16(page[2:]))
-		if n > segCap(pageSize) {
-			return nil, fmt.Errorf("core: leaf %d seg %d: count %d", id, s, n)
-		}
-		if s == 0 {
-			l.sorted = int(binary.LittleEndian.Uint32(page[4:]))
-			l.next = pagefile.PageID(binary.LittleEndian.Uint64(page[8:]))
-		}
-		off := segHeaderSize
-		for i := 0; i < n; i++ {
-			l.entries = append(l.entries, kv.GetEntry(page[off:]))
-			off += kv.EntrySize
-		}
-		if n < segCap(pageSize) {
-			break // later segments are empty
-		}
+	n, err := segCount(id, buf, pageSize, 0)
+	if err != nil {
+		return nil, err
 	}
-	if l.sorted > len(l.entries) {
-		return nil, fmt.Errorf("core: leaf %d: sorted %d > entries %d", id, l.sorted, len(l.entries))
+	l := &leafNode{
+		id:      id,
+		segs:    segs,
+		sorted:  int(binary.LittleEndian.Uint32(buf[4:])),
+		next:    pagefile.PageID(binary.LittleEndian.Uint64(buf[8:])),
+		entries: appendSegEntries(nil, buf, n, pageSize),
+	}
+	if l.sorted > n {
+		return nil, fmt.Errorf("core: leaf %d: sorted %d > entries %d", id, l.sorted, n)
 	}
 	return l, nil
 }
@@ -348,16 +315,10 @@ func decodeLeaf(id pagefile.PageID, buf []byte, pageSize, segs int) (*leafNode, 
 // lastSeg returns the segment index holding the newest entry (0 for an
 // empty leaf): the last LS cached in the LSMap.
 func (l *leafNode) lastSeg(pageSize int) int {
-	n := l.totalCount(pageSize)
-	if n == 0 {
+	if len(l.entries) == 0 {
 		return 0
 	}
-	return segOf(pageSize, n-1)
-}
-
-// appendEntries extends the leaf's log.
-func (l *leafNode) appendEntries(entries []kv.Entry) {
-	l.entries = append(l.entries, entries...)
+	return segOf(pageSize, len(l.entries)-1)
 }
 
 // leafView reads an encoded leaf in place from its first segments — the
@@ -382,24 +343,18 @@ func viewLeaf(id pagefile.PageID, buf []byte, pageSize, segs int) (leafView, err
 	if n < 1 || n > segs || len(buf) != n*pageSize {
 		return leafView{}, fmt.Errorf("core: leaf %d: buffer %d bytes, want 1..%d pages of %d", id, len(buf), segs, pageSize)
 	}
-	v := leafView{id: id, buf: buf, pageSize: pageSize, segs: segs}
-	for s := 0; s < n; s++ {
-		page := buf[s*pageSize:]
-		if page[0] != kindLeafSeg {
-			return leafView{}, fmt.Errorf("core: leaf %d seg %d: bad kind %d", id, s, page[0])
-		}
-		cnt := int(binary.LittleEndian.Uint16(page[2:]))
-		if cnt > segCap(pageSize) {
-			return leafView{}, fmt.Errorf("core: leaf %d seg %d: count %d", id, s, cnt)
-		}
-		if s == 0 {
-			v.sorted = int(binary.LittleEndian.Uint32(page[4:]))
-			v.next = pagefile.PageID(binary.LittleEndian.Uint64(page[8:]))
-		}
-		v.total += cnt
-		if cnt < segCap(pageSize) {
-			break // later segments are empty
-		}
+	total, err := segCount(id, buf, pageSize, 0)
+	if err != nil {
+		return leafView{}, err
+	}
+	v := leafView{
+		id:       id,
+		buf:      buf,
+		pageSize: pageSize,
+		segs:     segs,
+		total:    total,
+		sorted:   int(binary.LittleEndian.Uint32(buf[4:])),
+		next:     pagefile.PageID(binary.LittleEndian.Uint64(buf[8:])),
 	}
 	if v.sorted > v.total {
 		return leafView{}, fmt.Errorf("core: leaf %d: sorted %d > entries %d", id, v.sorted, v.total)

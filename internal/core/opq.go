@@ -20,6 +20,9 @@ type OPQ struct {
 	speriod      int
 	sinceSort    int
 
+	// spare is the second buffer Sort and TakeBatch swap with entries.
+	spare []kv.Entry
+
 	// Sorts counts merge passes, Appends total appends (stats).
 	Sorts   int64
 	Appends int64
@@ -72,12 +75,9 @@ func (q *OPQ) Sort() {
 		q.sinceSort = 0
 		return
 	}
-	tail := make([]kv.Entry, len(q.entries)-q.sortedOffset)
-	copy(tail, q.entries[q.sortedOffset:])
-	kv.SortEntries(tail)
-	merged := kv.MergeEntries(q.entries[:q.sortedOffset], tail)
-	q.entries = q.entries[:0]
-	q.entries = append(q.entries, merged...)
+	kv.SortEntries(q.entries[q.sortedOffset:])
+	merged := kv.MergeEntries(q.spare[:0], q.entries[:q.sortedOffset], q.entries[q.sortedOffset:])
+	q.entries, q.spare = merged, q.entries
 	q.sortedOffset = len(q.entries)
 	q.sinceSort = 0
 	q.Sorts++
@@ -129,19 +129,18 @@ func (q *OPQ) Range(dst []kv.Entry, lo, hi kv.Key) []kv.Entry {
 
 // TakeBatch removes and returns up to bcnt entries, key-sorted, for one
 // batch-update pass (the paper's bcnt latency bound). bcnt <= 0 takes
-// everything. The removed entries preserve per-key arrival order.
+// everything. The removed entries preserve per-key arrival order. The
+// batch stays in the queue's buffer the remaining entries move out of:
+// it is valid until the queue's next Append or TakeBatch.
 func (q *OPQ) TakeBatch(bcnt int) []kv.Entry {
 	q.Sort()
 	n := len(q.entries)
 	if bcnt > 0 && bcnt < n {
 		n = bcnt
 	}
-	batch := make([]kv.Entry, n)
-	copy(batch, q.entries[:n])
-	remaining := len(q.entries) - n
-	copy(q.entries, q.entries[n:])
-	q.entries = q.entries[:remaining]
-	q.sortedOffset = remaining
+	batch := q.entries[:n]
+	q.entries, q.spare = append(q.spare[:0], q.entries[n:]...), q.entries
+	q.sortedOffset = len(q.entries)
 	return batch
 }
 

@@ -14,8 +14,15 @@ import (
 // newWALTree builds a PIO B-tree with a WAL on the same simulated device.
 func newWALTree(t *testing.T, cfg Config) (*Tree, *wal.Log) {
 	t.Helper()
-	dev := flashsim.MustDevice(flashsim.P300())
-	space := ssdio.NewSpace(dev)
+	tr, _ := newWALTreeFile(t, cfg)
+	return tr, tr.log
+}
+
+// newWALTreeFile builds a WAL-attached tree and returns it with its log
+// file.
+func newWALTreeFile(t *testing.T, cfg Config) (*Tree, *ssdio.File) {
+	t.Helper()
+	space := ssdio.NewSpace(flashsim.MustDevice(flashsim.P300()))
 	f, err := space.Create("idx", 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +44,7 @@ func newWALTree(t *testing.T, cfg Config) (*Tree, *wal.Log) {
 		t.Fatal(err)
 	}
 	tr.AttachWAL(l)
-	return tr, l
+	return tr, wf
 }
 
 func TestRecoverWithoutWALFails(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/kv"
 	"repro/internal/pagefile"
+	"repro/internal/ssdio"
 	"repro/internal/vtime"
 )
 
@@ -39,6 +40,45 @@ func (a *arena) take(n int) []byte {
 	return b
 }
 
+// flushArena is a tree's flush scratch, kept apart from the read arena
+// because bupdate's internal-node reads reset that one mid-flush. Every
+// buffer a flushBatch reads leaves into or writes from is taken here, and
+// one reset at the top of flushBatch frees them all: a buffer is valid
+// until the tree's next flushBatch. That outlives a group flush's data
+// gang, where the writes wait in groupIO.reqs — and a transient gang retry
+// resubmits those same buffers. The arena grows by whole blocks and never
+// moves one, so growth cannot pull bytes from under a queued write the way
+// arena.reset's reallocation would.
+type flushArena struct {
+	blocks   [][]byte
+	blk, off int // the block being carved, and the bytes of it taken
+}
+
+// flushBlock is the flush arena's block size; a larger take gets a block
+// of its own size.
+const flushBlock = 16 << 10
+
+func (a *flushArena) reset() { a.blk, a.off = 0, 0 }
+
+// take returns n bytes that no take since the last reset has returned. Its
+// contents are whatever an earlier flush left there.
+func (a *flushArena) take(n int) []byte {
+	if a.blk < len(a.blocks) && a.off+n > len(a.blocks[a.blk]) {
+		a.blk, a.off = a.blk+1, 0
+	}
+	switch {
+	case a.blk == len(a.blocks):
+		a.blocks = append(a.blocks, make([]byte, max(flushBlock, n)))
+	case len(a.blocks[a.blk]) < n:
+		// No take since the reset reached this block, so nothing queued
+		// points into it.
+		a.blocks[a.blk] = make([]byte, n)
+	}
+	b := a.blocks[a.blk][a.off : a.off+n : a.off+n]
+	a.off += n
+	return b
+}
+
 // readScratch holds the slices the read side reuses from call to call.
 type readScratch struct {
 	frontier, next []pagefile.PageID // a descent's level and the one below
@@ -54,6 +94,32 @@ type readScratch struct {
 	upto   []int
 	leaves []leafView
 	runs   []pagefile.RunReq
+}
+
+// flushScratch holds the flush arena and the slices a flushBatch reuses
+// from call to call; whatever points into the arena follows its rule.
+type flushScratch struct {
+	arena flushArena
+	// levels[l] is bupdate's at tree level l; levels[0].work is a root
+	// leaf's flush.
+	levels []levelScratch
+	// flushLeaves' leaves, and the runs of its psync reads.
+	leaves []leafFlush
+	ids    []pagefile.PageID
+	upto   []int
+	bufs   [][]byte
+
+	writes []pagefile.RunReq // the page writes being made
+	reqs   []ssdio.Req       // a group member's deferred writes (groupIO.reqs)
+	leaf   leafNode          // the shrink arm's leaf, over a reused entry slice
+}
+
+// levelScratch is one bupdate level's: the node it updates and the work
+// it routes to the children.
+type levelScratch struct {
+	id   [1]pagefile.PageID
+	node internalNode
+	work []childWork
 }
 
 // readPoolPages reads single-page nodes through the buffer pool — internal

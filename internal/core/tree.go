@@ -35,8 +35,8 @@ type Config struct {
 	// FillFactor is the bulk-load utilization (paper's U); default 0.7.
 	FillFactor float64
 
-	// DisableLSMap turns the last-LS cache off (ablation): update paths
-	// then read the back half of each leaf, the paper's fallback.
+	// DisableLSMap turns the last-LS cache off (ablation): every leaf read
+	// then covers the whole leaf, segments [0, L-1], as an LSMap miss does.
 	DisableLSMap bool
 	// DisablePsync makes every batched read/write a sequence of sync I/Os
 	// (ablation isolating the psync contribution).
@@ -104,14 +104,18 @@ type Tree struct {
 	flushID uint64
 
 	stats Stats
-	buf   []byte // page scratch
-	// arena and scratch are the read side's buffers (see scan.go). One of
-	// each per tree is enough only because a tree is never entered
-	// concurrently — callers hold forestShard.mu or Concurrent's mutex;
-	// reads under a shared lock would each need their own.
-	arena           arena
-	scratch         readScratch
-	pendingInternal []pendingPage
+	buf   []byte // page scratch: bulk load's encodes, a flush's pre-images
+	// arena and scratch are the read side's buffers, flush the write
+	// side's (see scan.go). One of each per tree is enough only because a
+	// tree is never entered concurrently — callers hold forestShard.mu or
+	// Concurrent's mutex; reads under a shared lock would each need their
+	// own.
+	arena   arena
+	scratch readScratch
+	flush   flushScratch
+	// pendingInternal holds split internal siblings, encoded in the flush
+	// arena, until the next internal-node write.
+	pendingInternal []pagefile.RunReq
 }
 
 // Stats counts PIO B-tree activity.
@@ -351,9 +355,9 @@ func (t *Tree) readWholeLeafNoCost(id pagefile.PageID) (*leafNode, error) {
 	return decodeLeaf(id, buf, t.cfg.PageSize, t.cfg.LeafSegs)
 }
 
-// lastLSOf returns the segment index to read from for leaf id: the LSMap
-// hit gives the exact last LS; a miss (or disabled map) falls back to the
-// paper's half-node bound.
+// lastLSOf returns the last segment to read of leaf id: the LSMap hit
+// gives the exact last LS; a miss (or disabled map) gives L-1, the whole
+// leaf.
 func (t *Tree) lastLSOf(id pagefile.PageID) (int, bool) {
 	if t.cfg.DisableLSMap {
 		return t.cfg.LeafSegs - 1, false

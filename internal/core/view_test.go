@@ -141,7 +141,7 @@ func genLeaf(rng *rand.Rand, segs, baseN, tailN int) *leafNode {
 	for i := 0; i < tailN; i++ {
 		e := kv.Entry{Rec: kv.Record{Key: 8 + kv.Key(rng.Intn(int(k))), Value: rng.Uint64()}}
 		e.Op = []kv.Op{kv.OpInsert, kv.OpUpdate, kv.OpDelete}[rng.Intn(3)]
-		l.appendEntries([]kv.Entry{e})
+		l.entries = append(l.entries, e)
 	}
 	return l
 }

@@ -115,21 +115,22 @@ func SearchRecords(rs []Record, k Key) int {
 	return sort.Search(len(rs), func(i int) bool { return rs[i].Key >= k })
 }
 
-// MergeEntries merges two key-sorted entry slices into one sorted slice,
+// MergeEntries appends to dst the merge of two key-sorted entry slices,
 // preserving order between equal keys (a's entries are older and come
-// first) — the OPQ sorted-region merge of Section 3.1.3.
-func MergeEntries(a, b []Entry) []Entry {
-	out := make([]Entry, 0, len(a)+len(b))
+// first) — the OPQ sorted-region merge of Section 3.1.3. dst must not
+// overlap a or b.
+func MergeEntries(dst, a, b []Entry) []Entry {
+	dst = slices.Grow(dst, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i].Rec.Key <= b[j].Rec.Key {
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 		} else {
-			out = append(out, b[j])
+			dst = append(dst, b[j])
 			j++
 		}
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
 }

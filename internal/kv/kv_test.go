@@ -105,7 +105,7 @@ func TestSearchRecords(t *testing.T) {
 func TestMergeEntries(t *testing.T) {
 	a := []Entry{{Rec: Record{Key: 1, Value: 1}}, {Rec: Record{Key: 5, Value: 1}}}
 	b := []Entry{{Rec: Record{Key: 1, Value: 2}}, {Rec: Record{Key: 3, Value: 2}}}
-	m := MergeEntries(a, b)
+	m := MergeEntries(nil, a, b)
 	if len(m) != 4 {
 		t.Fatalf("len = %d", len(m))
 	}
@@ -131,7 +131,7 @@ func TestQuickMergeEntries(t *testing.T) {
 		}
 		SortEntries(a)
 		SortEntries(b)
-		m := MergeEntries(a, b)
+		m := MergeEntries(nil, a, b)
 		if len(m) != len(a)+len(b) {
 			return false
 		}

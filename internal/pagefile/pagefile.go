@@ -218,13 +218,13 @@ func (p *PageFile) submit(at vtime.Ticks, reqs []ssdio.Req) (vtime.Ticks, error)
 	return at, err
 }
 
-// GatherRuns validates a batch of run requests and converts them to ssdio
-// requests without submitting, so a coordinator can concatenate the
-// batches of several page files into one cross-file psync submission
+// GatherRuns validates a batch of run requests and appends their ssdio
+// requests to reqs without submitting, so a coordinator can concatenate
+// the batches of several page files into one cross-file psync submission
 // (ssdio.PsyncGang). The data is neither read nor written until the gang
 // is submitted.
-func (p *PageFile) GatherRuns(runs []RunReq) ([]ssdio.Req, error) {
-	return p.appendRuns(make([]ssdio.Req, 0, len(runs)), runs)
+func (p *PageFile) GatherRuns(reqs []ssdio.Req, runs []RunReq) ([]ssdio.Req, error) {
+	return p.appendRuns(reqs, runs)
 }
 
 // appendRuns appends the ssdio requests of a batch of run requests to reqs.

@@ -242,12 +242,13 @@ type Log struct {
 	nextLSN uint64 // guarded by mu
 	head    int64  // byte offset of the live log head (record boundary); guarded by mu
 	durable int64  // durable log-content bytes (end offset); guarded by mu
-	partial []byte // durable content of the trailing, partially filled page; guarded by mu
-	tail    []byte // appended but not yet forced; guarded by mu
 	forced  uint64 // LSN up to which records are durable (exclusive next); guarded by mu
-	// page is the page-rounded force write, rebuilt by every pendingReq
-	// (nothing keeps a request's buffer past its submission); guarded by mu.
-	page []byte
+	// buf holds the durable content of the trailing, partially filled page
+	// (its first carried bytes), then the records appended but not yet
+	// forced (the tail). A force writes it, padded to whole pages, from
+	// here: nothing keeps a request's buffer past its submission.
+	buf     []byte // guarded by mu
+	carried int    // guarded by mu
 
 	// truncated accumulates the bytes dropped by TruncateHead (guarded by mu).
 	truncated int64
@@ -293,10 +294,10 @@ func (l *Log) Append(r Record) uint64 { return l.AppendMark(r).LSN }
 func (l *Log) AppendMark(r Record) Mark {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	m := Mark{LSN: l.nextLSN, Off: l.durable + int64(len(l.tail))}
+	m := Mark{LSN: l.nextLSN, Off: l.durable + int64(len(l.buf)-l.carried)}
 	r.LSN = l.nextLSN
 	l.nextLSN++
-	l.tail = r.marshal(l.tail)
+	l.buf = r.marshal(l.buf)
 	return m
 }
 
@@ -322,20 +323,19 @@ func (l *Log) ForceStats() (forceWrites, gangForces int64) {
 // filled last page) and is rounded up to whole pages, so successive
 // forces never issue unaligned or overlapping-with-padding writes and the
 // cost accounting matches the paper's sequential page-write model.
+// The request's buffer is the log's own, padded in its spare capacity.
 // Returns ok=false when there is nothing to force. The caller holds l.mu
 // (piolint infers and enforces this contract at every call site).
 func (l *Log) pendingReq() (ssdio.Req, bool) {
-	if len(l.tail) == 0 {
+	content := len(l.buf)
+	if content == l.carried {
 		return ssdio.Req{}, false
 	}
-	off := l.durable - int64(len(l.partial))
-	content := len(l.partial) + len(l.tail)
+	off := l.durable - int64(l.carried)
 	n := (content + l.pageSize - 1) / l.pageSize * l.pageSize
-	buf := slices.Grow(l.page[:0], n)[:n]
-	copy(buf, l.partial)
-	copy(buf[len(l.partial):], l.tail)
+	buf := slices.Grow(l.buf, n-content)[:n]
 	clear(buf[content:])
-	l.page = buf
+	l.buf = buf[:content]
 	l.f.EnsureSize(off + int64(n))
 	return ssdio.Req{Op: flashsim.Write, Off: off, Buf: buf}, true
 }
@@ -344,14 +344,10 @@ func (l *Log) pendingReq() (ssdio.Req, bool) {
 // write previously built by pendingReq; the caller holds l.mu (inferred
 // contract).
 func (l *Log) commitForce(req ssdio.Req) {
-	content := len(l.partial) + len(l.tail)
-	l.durable += int64(len(l.tail))
-	if rem := int(l.durable % int64(l.pageSize)); rem > 0 {
-		l.partial = append(l.partial[:0], req.Buf[content-rem:content]...)
-	} else {
-		l.partial = l.partial[:0]
-	}
-	l.tail = l.tail[:0]
+	content := len(l.buf)
+	l.durable += int64(content - l.carried)
+	l.carried = int(l.durable % int64(l.pageSize))
+	l.buf = l.buf[:copy(l.buf, l.buf[content-l.carried:content])]
 	l.forced = l.nextLSN - 1
 	if l.TraceForces {
 		l.ForceTrace = append(l.ForceTrace, ForceSpan{Off: req.Off, Len: int64(len(req.Buf))})
@@ -389,7 +385,7 @@ func (l *Log) Force(at vtime.Ticks) (vtime.Ticks, error) {
 func (l *Log) Unforced() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.tail) > 0
+	return len(l.buf) > l.carried
 }
 
 // ForceGroup makes the tails of several logs durable in ONE blocking
@@ -407,19 +403,18 @@ func ForceGroup(at vtime.Ticks, logs []*Log) (vtime.Ticks, int, error) {
 	// Hold every member's mutex across the whole gang so racing appends
 	// land wholly before or after it (callers already serialize gangs that
 	// share logs, so the acquisition order cannot deadlock).
-	var members []*Log
-	var reqs []ssdio.Req
-	seen := make(map[*Log]bool, len(logs))
+	members := make([]*Log, 0, len(logs))
+	reqs := make([]ssdio.Req, 0, len(logs))
 	unlock := func() {
 		for _, l := range members {
 			l.mu.Unlock()
 		}
 	}
-	for _, l := range logs {
-		if l == nil || seen[l] {
+	for i, l := range logs {
+		// A log listed twice is handled once, at its first index.
+		if l == nil || slices.Contains(logs[:i], l) {
 			continue
 		}
-		seen[l] = true
 		l.mu.Lock()
 		req, ok := l.pendingReq()
 		if !ok {
@@ -435,7 +430,7 @@ func ForceGroup(at vtime.Ticks, logs []*Log) (vtime.Ticks, int, error) {
 	defer unlock()
 	batches := make([]ssdio.GangBatch, len(members))
 	for i, l := range members {
-		batches[i] = ssdio.GangBatch{F: l.f, Reqs: []ssdio.Req{reqs[i]}}
+		batches[i] = ssdio.GangBatch{F: l.f, Reqs: reqs[i : i+1]}
 	}
 	done, err := ssdio.PsyncGang(at, batches)
 	if err != nil {
@@ -592,6 +587,6 @@ func (l *Log) RecordsTimed(at vtime.Ticks) ([]Record, vtime.Ticks, error) {
 func (l *Log) Crash() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.tail = l.tail[:0]
+	l.buf = l.buf[:l.carried]
 	l.nextLSN = l.forced + 1
 }
