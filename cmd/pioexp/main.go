@@ -11,6 +11,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -30,7 +31,7 @@ func main() {
 		seed    = flag.Int64("seed", 42, "workload seed")
 		quick   = flag.Bool("quick", false, "use the quick (smoke-test) scale")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonDir = flag.String("json", "", "also write each experiment's tables as BENCH_<id>.json into this directory (CI bench artifacts)")
+		jsonDir = flag.String("json", "", "also write each experiment's tables as BENCH_<id>.json into this directory (ci/baselines holds the checked-in ones)")
 		shards  = flag.Int("shards", 0, "forest shard count (default: sweep a preset ladder)")
 		threads = flag.Int("threads", 0, "simulated threads for concurrency experiments (default: preset)")
 		faults  = flag.String("faults", "", "fault program for experiments that support injection, e.g. 'transient call=psync p=0.002'")
@@ -91,15 +92,15 @@ func main() {
 	}
 }
 
-// writeJSON dumps an experiment's tables (rows, notes, and the metrics
-// the CI bench-trend gate compares) as BENCH_<id>.json. The byte-stable
-// marshaling means two runs of a deterministic experiment produce
-// byte-identical files, which CI verifies with a plain cmp.
+// writeJSON dumps an experiment's tables (header, rows and notes, all
+// strings) as BENCH_<id>.json. Fields marshal in declaration order, so
+// two runs of a deterministic experiment write byte-identical files:
+// ci/check_baselines.sh compares the seven checked-in ones with cmp.
 func writeJSON(dir, id string, tables []bench.Table) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	b, err := bench.MarshalStable(tables)
+	b, err := json.MarshalIndent(tables, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -17,7 +17,10 @@ import (
 	"strings"
 )
 
-// Table is one regenerated figure or table.
+// Table is one regenerated figure or table. Its cells are formatted
+// strings, so `pioexp -json` writes the same bytes on every run of a
+// deterministic experiment; the checked-in ci/baselines files are such
+// renderings, and ci/check_baselines.sh compares them byte for byte.
 type Table struct {
 	// ID names the paper artifact, e.g. "fig9".
 	ID string
@@ -28,11 +31,6 @@ type Table struct {
 	Rows   [][]string
 	// Notes carry scaling factors and observations.
 	Notes []string
-	// Metrics are named scalar results (higher is better) extracted for
-	// machine consumption: the CI bench-trend gate compares them against
-	// a checked-in baseline. Simulated time is deterministic, so the
-	// values are stable across machines.
-	Metrics map[string]float64 `json:",omitempty"`
 }
 
 // AddRow appends a formatted row.
@@ -101,8 +99,9 @@ type Scale struct {
 	// experiments that accept it; 0 uses each experiment's preset.
 	Threads int
 	// Faults, when non-empty, is a faultio fault program installed on
-	// the I/O plane of experiments that support injection (the scenario
-	// suite), overriding any program the scenario itself declares.
+	// the I/O plane of the experiments that support injection (the
+	// scenario suite), overriding any program the scenario itself
+	// declares. Run rejects it for every other experiment.
 	Faults string
 }
 
@@ -128,21 +127,37 @@ func QuickScale() Scale {
 	}
 }
 
-// Registry maps experiment ids to runners, for cmd/pioexp.
+// Runner regenerates one experiment's tables at a scale.
 type Runner func(s Scale) ([]Table, error)
 
-var registry = map[string]Runner{}
+// experiment is a registered runner and whether it installs Scale.Faults.
+type experiment struct {
+	run    Runner
+	faults bool
+}
 
-// Register adds an experiment runner (called from init functions).
-func Register(id string, r Runner) { registry[id] = r }
+// registry maps experiment ids to runners, for cmd/pioexp.
+var registry = map[string]experiment{}
 
-// Run executes the registered experiment.
+// Register adds an experiment runner that ignores Scale.Faults (called
+// from init functions).
+func Register(id string, r Runner) { registry[id] = experiment{run: r} }
+
+// registerFaulted adds an experiment runner that installs Scale.Faults.
+func registerFaulted(id string, r Runner) { registry[id] = experiment{run: r, faults: true} }
+
+// Run executes the registered experiment. A fault program given to an
+// experiment that would not install it is an error, not a silently
+// fault-free run.
 func Run(id string, s Scale) ([]Table, error) {
-	r, ok := registry[id]
+	e, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, IDs())
 	}
-	return r(s)
+	if s.Faults != "" && !e.faults {
+		return nil, fmt.Errorf("bench: experiment %q does not install a fault program; only the scenario_* experiments do", id)
+	}
+	return e.run(s)
 }
 
 // IDs lists registered experiments.

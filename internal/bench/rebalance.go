@@ -60,8 +60,7 @@ func RebalanceBench(s Scale) ([]Table, error) {
 		ID: "rebalance-" + dev.Name,
 		Title: fmt.Sprintf("hotspot split, %d ops/phase 50/50 mix on 1 of %d stripes, %d threads, N=%d",
 			s.Ops, shards, threads, s.InitialEntries),
-		Header:  []string{"phase", "elapsed_s", "kops_per_s", "flushes", "gang_submits", "migrated_keys"},
-		Metrics: map[string]float64{},
+		Header: []string{"phase", "elapsed_s", "kops_per_s", "flushes", "gang_submits", "migrated_keys"},
 	}
 	// The three phases share one continuous virtual timeline (the shard
 	// vlocks carry their horizons across phases); each phase's threads
@@ -110,7 +109,6 @@ func RebalanceBench(s Scale) ([]Table, error) {
 			fmt.Sprintf("%d", post.Tree.Flushes-pre.Tree.Flushes),
 			fmt.Sprintf("%d", post.GangSubmits-pre.GangSubmits),
 			fmt.Sprintf("%d", post.MigratedKeys-pre.MigratedKeys))
-		t.Metrics[name+"_kops_per_s"] = kops
 		return end, nil
 	}
 
@@ -139,11 +137,6 @@ func RebalanceBench(s Scale) ([]Table, error) {
 	st := fr.Stats()
 	if err := fr.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("bench: forest invalid after rebalance: %w", err)
-	}
-	before := t.Metrics["before_kops_per_s"]
-	after := t.Metrics["after_kops_per_s"]
-	if before > 0 {
-		t.Metrics["after_speedup"] = after / before
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("split moved %d keys in bounded chunks while serving; routing epoch %d, %d committed migrations",

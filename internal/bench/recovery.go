@@ -95,7 +95,6 @@ func RecoveryBench(s Scale) ([]Table, error) {
 				s.Ops, threads, s.InitialEntries, dev.Channels),
 			Header: []string{"mode", "shards", "elapsed_s", "log_submits",
 				"log_gangs", "log_forces", "flushes", "redone", "recover_ms"},
-			Metrics: map[string]float64{},
 		}
 		for _, shards := range shardLadder {
 			pp := forestTune(dev, s.InitialEntries, s.MemBytes, shards, insertRatio)
@@ -128,8 +127,6 @@ func RecoveryBench(s Scale) ([]Table, error) {
 					fmt.Sprintf("%d", st.Tree.Flushes),
 					fmt.Sprintf("%d", rep.Total.RedoneEntries),
 					fmt.Sprintf("%.2f", (recDone-endAt).Millis()))
-				t.Metrics[fmt.Sprintf("%s_%dshards_kops_per_s", mode, shards)] =
-					float64(s.Ops) / elapsed.Seconds() / 1e3
 			}
 		}
 		t.Notes = append(t.Notes,

@@ -34,7 +34,6 @@ func ScenarioBench(sc scenario.Scenario, s Scale) ([]Table, error) {
 		Header: []string{"phase", "ops", "inserts", "kops/s", "mean(us)", "p95(us)", "p99(us)",
 			"migrations", "moved keys", "retunes", "opq pages", "gc stalls", "io retries",
 			"rejected", "probes", "heals", "evac chunks", "wd timeouts", "redone", "recover(ms)"},
-		Metrics: map[string]float64{},
 	}
 	for _, pr := range res.Phases {
 		t.AddRow(pr.Name,
@@ -58,19 +57,7 @@ func ScenarioBench(sc scenario.Scenario, s Scale) ([]Table, error) {
 			fmt.Sprintf("%d", pr.RedoneEntries),
 			fmt.Sprintf("%.2f", pr.RecoverMS),
 		)
-		t.Metrics[pr.Name+"_kops_per_s"] = pr.KopsPerSec
-		t.Metrics[pr.Name+"_p99_us"] = pr.P99US
 	}
-	t.Metrics["total_migrated_keys"] = float64(res.TotalMigratedKeys)
-	t.Metrics["final_keys"] = float64(res.FinalKeys)
-	t.Metrics["io_retries"] = float64(res.IORetries)
-	t.Metrics["heal_probes"] = float64(res.HealProbes)
-	t.Metrics["auto_heals"] = float64(res.AutoHeals)
-	t.Metrics["evacuations"] = float64(res.Evacuations)
-	t.Metrics["evacuated_chunks"] = float64(res.EvacuatedChunks)
-	t.Metrics["watchdog_timeouts"] = float64(res.WatchdogTimeouts)
-	t.Metrics["rejected_ops"] = float64(res.Rejected)
-	t.Metrics["lost_uncommitted"] = float64(res.LostUncommitted)
 	if res.FaultProgram != "" {
 		t.Notes = append(t.Notes,
 			fmt.Sprintf("fault program: %q; %d transient retries absorbed (%d budgets exhausted)",
@@ -95,7 +82,7 @@ func ScenarioBench(sc scenario.Scenario, s Scale) ([]Table, error) {
 func init() {
 	for _, sc := range scenario.All() {
 		sc := sc
-		Register("scenario_"+sc.Name, func(s Scale) ([]Table, error) {
+		registerFaulted("scenario_"+sc.Name, func(s Scale) ([]Table, error) {
 			return ScenarioBench(sc, s)
 		})
 	}

@@ -9,7 +9,7 @@ import (
 // Determinism forbids nondeterminism sources in the vtime-simulated
 // packages (internal/core, internal/bench, internal/flashsim,
 // internal/vtime), whose BENCH_*.json trajectories must be bit-for-bit
-// reproducible for the CI bench-trend gate to mean anything:
+// reproducible for the checked-in baselines to mean anything:
 //
 //   - wall-clock reads (time.Now/Since/Until): all timing must come from
 //     the virtual clock;

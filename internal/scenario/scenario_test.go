@@ -259,6 +259,41 @@ func TestRunRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestRunHealthyScenariosNeverDegrade holds every scenario but blackout
+// to the self-healing floors: no shard is evacuated, auto-healed, probed
+// or timed out by the watchdog, no op is rejected, no uncommitted insert
+// is lost, and every committed key is served at the end. Chaos injects
+// transient faults, which retry/backoff must absorb without any of that
+// machinery firing.
+func TestRunHealthyScenariosNeverDegrade(t *testing.T) {
+	for _, sc := range []Scenario{Diurnal(), SkewDrift(), BurstCrash(), Chaos()} {
+		t.Run(sc.Name, func(t *testing.T) {
+			res, err := Run(sc, tinyConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				name string
+				got  int64
+			}{
+				{"evacuations", res.Evacuations},
+				{"auto-heals", res.AutoHeals},
+				{"heal probes", res.HealProbes},
+				{"watchdog timeouts", res.WatchdogTimeouts},
+				{"rejected ops", int64(res.Rejected)},
+				{"uncommitted losses", res.LostUncommitted},
+			} {
+				if c.got != 0 {
+					t.Errorf("%s: %d, want 0", c.name, c.got)
+				}
+			}
+			if res.FinalKeys != res.ExpectedKeys {
+				t.Errorf("keys: final %d, expected %d", res.FinalKeys, res.ExpectedKeys)
+			}
+		})
+	}
+}
+
 // TestRunBlackoutEvacuates checks the self-healing gauntlet end to end:
 // the dead WAL quarantines its shard, heal probes run but cannot
 // re-admit it, the evacuation deadline trips and the adaptation loop

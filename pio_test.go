@@ -64,6 +64,59 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestIndexUpdateAndStats drives Index.Update and Index.Stats: an update
+// replaces a key's value, both while it waits in the OPQ and after the
+// flush writes it to its leaf, leaves Count alone, and counts as one
+// buffered update.
+func TestIndexUpdateAndStats(t *testing.T) {
+	dev := NewDevice(P300)
+	idx, err := Open(dev, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]Record, 10000)
+	for i := range recs {
+		recs[i] = Record{Key: uint64(i) * 2, Value: uint64(i)}
+	}
+	if err := idx.BulkLoad(recs); err != nil {
+		t.Fatal(err)
+	}
+	var clock Clock
+	count, before := idx.Count(), idx.Stats().UpdateOps
+	done, err := idx.Update(clock.Now(), Record{Key: 4000, Value: 777})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(done)
+	if got := idx.Stats().UpdateOps - before; got != 1 {
+		t.Fatalf("Stats().UpdateOps grew by %d for one update, want 1", got)
+	}
+	check := func(when string) {
+		t.Helper()
+		v, ok, done, err := idx.Search(clock.Now(), 4000)
+		if err != nil || !ok || v != 777 {
+			t.Fatalf("%s: Search(4000) = %v, %v, %v; want 777", when, v, ok, err)
+		}
+		clock.Advance(done)
+		if idx.Count() != count {
+			t.Fatalf("%s: Count = %d, want %d", when, idx.Count(), count)
+		}
+	}
+	check("buffered")
+	done, err = idx.Flush(clock.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(done)
+	if idx.Pending() != 0 {
+		t.Fatalf("pending after flush: %d", idx.Pending())
+	}
+	check("flushed")
+	if err := idx.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBulkLoadAndHeight(t *testing.T) {
 	dev := NewDevice(Iodrive)
 	idx, err := Open(dev, DefaultOptions())
