@@ -1,8 +1,8 @@
 // Rebalance: demonstrate online shard rebalancing. A range-partitioned
 // forest serves a skewed tenant whose stripe holds most of the keys and
 // absorbs all the traffic; the per-shard load stats expose the hotspot,
-// and AutoRebalance splits the hot shard at its median key toward the
-// coldest shard — streaming the key range in bounded chunks while
+// and AutoRebalance sheds the hot shard's excess load onto the least
+// loaded shard — streaming the key range in bounded chunks while
 // searches and inserts keep flowing, with every protocol step
 // (MigrationStart, per-chunk KeyMoved, MigrationEnd) committed through
 // the WAL group-commit path.
@@ -69,8 +69,9 @@ func main() {
 		fmt.Printf("  shard %d: %5d ops, %5d keys\n", i, l.Ops, l.Keys)
 	}
 
-	// The policy sees the imbalance and splits the hot shard at its
-	// median key toward the coldest shard — online.
+	// The policy sees the imbalance and moves the end of the hot shard's
+	// range that carries its excess load to the least-loaded shard —
+	// online.
 	moved, from, to, done, err := fr.AutoRebalance(clock.Now(), pio.RebalancePolicy{MinOps: 1000, HotFactor: 2})
 	if err != nil {
 		log.Fatal(err)
@@ -91,9 +92,10 @@ func main() {
 	}
 	clock.Advance(done)
 
-	// Now crash halfway through a second migration: merge the split-off
-	// range back, but stop after the first chunk and pull the plug.
-	lo, hi := pio.Key(hotN/2)*16, pio.Key(hotN)*16
+	// Now crash halfway through a second migration: move the range back,
+	// but stop after the first chunk and pull the plug.
+	rules := fr.Routing().Rules()
+	lo, hi := rules[len(rules)-1].Lo, rules[len(rules)-1].Hi
 	mig, done, err := fr.StartMigration(clock.Now(), lo, hi, to, from)
 	if err != nil {
 		log.Fatal(err)

@@ -209,8 +209,14 @@ type forestShard struct {
 	vopq  vtime.Mutex // per-shard OPQ append/sort lock
 
 	// ops counts the operations routed to this shard (guarded by mu); the
-	// per-shard load signal AutoRebalance splits hotspots on.
+	// per-shard load signal AutoRebalance triggers on.
 	ops int64
+	// sample is a uniform sample of the keys point ops routed here in the
+	// current poll window, of which there were seen (both guarded by mu):
+	// where in the shard's key range the load falls, which AutoRebalance
+	// sizes its moves from. pollLoad starts the next window.
+	sample [loadSample]kv.Key
+	seen   uint64
 
 	// health is the shard's state in the self-healing automaton; the
 	// fields after it are the data its states carry, all written only by
@@ -221,6 +227,24 @@ type forestShard struct {
 	since      vtime.Ticks // guarded by mu
 	probeFrom  vtime.Ticks // guarded by mu
 	probeFails int         // guarded by mu
+}
+
+// loadSample is the size of a shard's per-window key sample.
+const loadSample = 64
+
+// note counts one point op on key k: the op total and the key sample, a
+// reservoir over the window's keys (slot j of the first loadSample, then
+// the i-th key replaces a slot with chance loadSample/i), so a sequential
+// sweep is sampled along its whole length, not just its tail. The draw
+// hashes the op total: deterministic, and no state. Caller holds s.mu.
+func (s *forestShard) note(k kv.Key) {
+	s.ops++
+	s.seen++
+	if s.seen <= loadSample {
+		s.sample[s.seen-1] = k
+	} else if j := mix64(uint64(s.ops)) % s.seen; j < loadSample {
+		s.sample[j] = k
+	}
 }
 
 // readErr rejects reads of an offline shard, which has nothing coherent
@@ -279,7 +303,15 @@ type Forest struct {
 	migrations      atomic.Int64
 	keysMigrated    atomic.Int64
 	migChunk        int
-	autoMu          sync.Mutex
+	// moveTicks and moveKeys sum the virtual time migrateChunk spent on
+	// the chunks of moves off a writable source, waits for the locks
+	// included, and the keys they streamed: the measured cost per key a
+	// drain budget pays, which AutoRebalance sizes a budgeted move by.
+	// Evacuation chunks stay out, since they skip the source deletes and
+	// forces a hotspot move pays for.
+	moveTicks atomic.Int64
+	moveKeys  atomic.Int64
+	autoMu    sync.Mutex
 	// lastOps is the per-shard op count at the previous AutoRebalance
 	// poll (guarded by autoMu).
 	lastOps []int64
@@ -633,7 +665,7 @@ func (f *Forest) Search(at vtime.Ticks, k kv.Key) (kv.Value, bool, vtime.Ticks, 
 	if err := s.readErr(si); err != nil {
 		return 0, false, at, err
 	}
-	s.ops++
+	s.note(k)
 	start := vtime.Max(at, s.vlock.FreeAt())
 	return s.tree.Search(start, k)
 }
@@ -760,7 +792,7 @@ func (f *Forest) update(at vtime.Ticks, e kv.Entry) (vtime.Ticks, error) {
 		at = f.flushGroup(at, si)
 	}
 	//lint:ignore guardedby lockOwner returned with s.mu held for this shard
-	s.ops++
+	s.note(e.Rec.Key)
 	// The short per-shard OPQ lock covers the append (and the occasional
 	// periodic sort inside it), as in the single-tree scheme.
 	start := s.vopq.Acquire(at)

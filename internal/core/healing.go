@@ -237,7 +237,7 @@ func (f *Forest) evacuate(at vtime.Ticks, src, dst int) (*Migration, vtime.Ticks
 	if !f.rebalanceActive.CompareAndSwap(false, true) {
 		return nil, at, nil // a migration is in flight; next poll retries
 	}
-	m, done, err := f.startMigrationLocked(at, 0, MaxMigrationKey, src, dst, false)
+	m, done, err := f.startMigrationLocked(at, 0, MaxMigrationKey, src, dst, false, moveCap{})
 	if m == nil {
 		f.rebalanceActive.Store(false)
 	}
@@ -262,7 +262,7 @@ func (f *Forest) dueEvacuation(at vtime.Ticks) (src, dst int, ok bool) {
 		if !due {
 			continue
 		}
-		dst, err := f.coldestShard(si)
+		dst, err := f.coldestShard(si, nil)
 		if err != nil {
 			// No healthy destination: stay quarantined rather than fail the
 			// poll — capacity may come back (a heal) before the next tick.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -373,6 +374,19 @@ func (m *Migration) Range() (lo, hi kv.Key, src, dst int) {
 // through the ganged force, and publishes the migration into the routing
 // table with frontier = lo. At most one migration may be in flight.
 func (f *Forest) StartMigration(at vtime.Ticks, lo, hi kv.Key, src, dst int) (*Migration, vtime.Ticks, error) {
+	return f.startMove(at, lo, hi, src, dst, moveCap{})
+}
+
+// moveCap caps a move at the n planned chunks nearest one end of its
+// range — the first n, or the last n when high is set — so the committed
+// rule covers exactly what streamed. n == 0 leaves the range whole.
+type moveCap struct {
+	n    int
+	high bool
+}
+
+// startMove is StartMigration with the range cut to cut.
+func (f *Forest) startMove(at vtime.Ticks, lo, hi kv.Key, src, dst int, cut moveCap) (*Migration, vtime.Ticks, error) {
 	n := len(f.shards)
 	if src < 0 || src >= n || dst < 0 || dst >= n {
 		return nil, at, fmt.Errorf("core: migration shards %d->%d outside [0,%d)", src, dst, n)
@@ -397,7 +411,7 @@ func (f *Forest) StartMigration(at vtime.Ticks, lo, hi kv.Key, src, dst int) (*M
 	if !f.rebalanceActive.CompareAndSwap(false, true) {
 		return nil, at, fmt.Errorf("core: a migration is already in flight")
 	}
-	m, done, err := f.startMigrationLocked(at, lo, hi, src, dst, true)
+	m, done, err := f.startMigrationLocked(at, lo, hi, src, dst, true, cut)
 	if err != nil {
 		f.rebalanceActive.Store(false)
 		return nil, done, err
@@ -406,13 +420,13 @@ func (f *Forest) StartMigration(at vtime.Ticks, lo, hi kv.Key, src, dst int) (*M
 }
 
 // startMigrationLocked is the start path of migrations and evacuations:
-// plan the chunks, make the Start record durable on the record logs, and
-// publish the migration. The caller has checked its entry conditions and
-// claimed rebalanceActive. An evacuation's source is re-checked under
-// its lock — a Heal may have re-admitted it, or a failed one left it
-// dirty, since the caller's scan — and a source that no longer
-// qualifies returns a nil migration and no error.
-func (f *Forest) startMigrationLocked(at vtime.Ticks, lo, hi kv.Key, src, dst int, srcWritable bool) (*Migration, vtime.Ticks, error) {
+// plan the chunks, cut the range to cut, make the Start record durable on
+// the record logs, and publish the migration. The caller has checked its
+// entry conditions and claimed rebalanceActive. An evacuation's source is
+// re-checked under its lock — a Heal may have re-admitted it, or a failed
+// one left it dirty, since the caller's scan — and a source that no
+// longer qualifies returns a nil migration and no error.
+func (f *Forest) startMigrationLocked(at vtime.Ticks, lo, hi kv.Key, src, dst int, srcWritable bool, cut moveCap) (*Migration, vtime.Ticks, error) {
 	f.migMu.Lock()
 	defer f.migMu.Unlock()
 	// Both shards are locked (ascending index order, the same discipline
@@ -445,12 +459,26 @@ func (f *Forest) startMigrationLocked(at vtime.Ticks, lo, hi kv.Key, src, dst in
 	}
 	chunk := f.migChunk
 	bounds := []kv.Key{lo}
-	for i := chunk; i < len(recs); i += chunk {
+	// A move cut to its high end counts its chunks from the top, so the
+	// chunks it keeps are whole.
+	first := chunk
+	if cut.high && len(recs)%chunk != 0 {
+		first = len(recs) % chunk
+	}
+	for i := first; i < len(recs); i += chunk {
 		if k := recs[i].Key; k > bounds[len(bounds)-1] && k < hi {
 			bounds = append(bounds, k)
 		}
 	}
 	bounds = append(bounds, hi)
+	if c := cut.n; c > 0 && len(bounds)-1 > c {
+		if cut.high {
+			bounds = bounds[len(bounds)-1-c:]
+		} else {
+			bounds = bounds[:c+1]
+		}
+		lo, hi = bounds[0], bounds[len(bounds)-1]
+	}
 
 	m := &Migration{f: f, bounds: bounds, migSpec: migSpec{
 		id: f.nextMigrationID(), lo: lo, hi: hi, src: src, dst: dst, srcWritable: srcWritable,
@@ -678,6 +706,10 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 	f.rpart.publish(next)
 	m.moved += int64(len(recs))
 	f.keysMigrated.Add(int64(len(recs)))
+	if m.srcWritable {
+		f.moveTicks.Add(int64(now - at))
+		f.moveKeys.Add(int64(len(recs)))
+	}
 	start = now
 	return now, nil
 }
@@ -866,7 +898,7 @@ func (f *Forest) commitMigration(at vtime.Ticks, m *Migration) (vtime.Ticks, err
 // is returned. The migration runs to completion before returning; use
 // StartMigration/Step to interleave chunks with foreground work.
 func (f *Forest) SplitShard(at vtime.Ticks, i int, boundary kv.Key) (int, vtime.Ticks, error) {
-	dst, err := f.coldestShard(i)
+	dst, err := f.coldestShard(i, nil)
 	if err != nil {
 		return -1, at, err
 	}
@@ -926,10 +958,12 @@ func (m *Migration) DrainUntil(at, deadline vtime.Ticks) (bool, vtime.Ticks, err
 	}
 }
 
-// coldestShard picks the shard (other than excluded) holding the fewest
-// keys, preferring emptied merge targets as split destinations.
-func (f *Forest) coldestShard(exclude int) (int, error) {
-	best, bestKeys := -1, int64(0)
+// coldestShard picks the writable shard other than exclude with the
+// least load — ops in the poll window, or none when load is nil — ties
+// going to the one holding fewer keys, so a nil load prefers emptied merge
+// targets as split destinations.
+func (f *Forest) coldestShard(exclude int, load []int64) (int, error) {
+	best, bestOps, bestKeys := -1, int64(0), int64(0)
 	for i, s := range f.shards {
 		if i == exclude {
 			continue
@@ -938,8 +972,12 @@ func (f *Forest) coldestShard(exclude int) (int, error) {
 		s.mu.Lock()
 		n, ok := s.tree.Count(), s.health.writable()
 		s.mu.Unlock()
-		if ok && (best < 0 || n < bestKeys) {
-			best, bestKeys = i, n
+		var ops int64
+		if load != nil {
+			ops = load[i]
+		}
+		if ok && (best < 0 || ops < bestOps || ops == bestOps && n < bestKeys) {
+			best, bestOps, bestKeys = i, ops, n
 		}
 	}
 	if best < 0 {
@@ -954,13 +992,16 @@ type RebalancePolicy struct {
 	// MinOps is the minimum routed operations the hottest shard must have
 	// absorbed since the last AutoRebalance call (default 1000).
 	MinOps int64
-	// HotFactor is the hottest/mean load ratio that triggers a split
+	// HotFactor is the hottest/mean load ratio that triggers a move
 	// (default 2.0).
 	HotFactor float64
 	// DrainBudget bounds the virtual time one AutoRebalance call may
-	// spend draining its migration; 0 drains to completion. A move that
-	// exceeds the budget stays in flight and later calls resume it, so a
-	// stuck (or fault-injected) migration cannot freeze the poller.
+	// spend draining its migration; 0 drains to completion. It also sizes
+	// a hotspot move: one streams at most the chunks a budget covers at
+	// the measured streaming cost (one chunk before any has streamed). A
+	// move that still exceeds the budget stays in flight and later calls
+	// resume it, so a stuck (or fault-injected) migration cannot freeze
+	// the poller.
 	DrainBudget vtime.Ticks
 }
 
@@ -978,10 +1019,11 @@ func uncontained(err error) error {
 	return err
 }
 
-// AutoRebalance inspects the per-shard load deltas since its last call
-// and, when one shard absorbs disproportionate traffic, splits it at its
-// approximate median key toward the coldest shard. Returns whether a
-// migration ran and the shard pair.
+// AutoRebalance inspects the per-shard load since its last call and,
+// when one shard absorbs disproportionate traffic, sheds the excess onto
+// the least-loaded shard: it moves the end of the hot shard's key range
+// that its sampled keys say carries that load (see planMove). Returns
+// whether a migration ran and the shard pair.
 func (f *Forest) AutoRebalance(at vtime.Ticks, pol RebalancePolicy) (moved bool, from, to int, done vtime.Ticks, err error) {
 	if pol.MinOps <= 0 {
 		pol.MinOps = 1000
@@ -989,12 +1031,15 @@ func (f *Forest) AutoRebalance(at vtime.Ticks, pol RebalancePolicy) (moved bool,
 	if pol.HotFactor <= 1 {
 		pol.HotFactor = 2.0
 	}
+	// Every call closes the load window, also one that resumes or
+	// evacuates instead of planning: the next plan sees only new load.
+	w := f.pollLoad()
 	// Self-healing first: probe quarantined shards (a heal needs no
 	// evacuation, and a healed shard is a rebalance candidate again).
 	at = f.healTick(at)
 	// A move left in flight by an earlier budget-bounded poll is resumed
 	// before any new one is considered. Next, a shard past its evacuation
-	// deadline outranks hotspot splitting: its range is unavailable for
+	// deadline outranks hotspot moves: its range is unavailable for
 	// writes until it moves.
 	f.autoMu.Lock()
 	m := f.autoMig
@@ -1008,18 +1053,12 @@ func (f *Forest) AutoRebalance(at vtime.Ticks, pol RebalancePolicy) (moved bool,
 		}
 	}
 	if m == nil {
-		hot, boundary, ok := f.hotShard(pol)
+		p, ok := f.planMove(&w, pol)
 		if !ok {
 			return false, -1, -1, at, nil
 		}
-		dst, cerr := f.coldestShard(hot)
-		if cerr != nil {
-			// Every other shard is quarantined: there is nowhere to split to
-			// until one heals — non-fatal for the poll loop.
-			return false, hot, -1, at, nil
-		}
-		if m, done, err = f.StartMigration(at, boundary, MaxMigrationKey, hot, dst); err != nil {
-			return false, hot, dst, done, uncontained(err)
+		if m, done, err = f.startMove(at, p.lo, p.hi, p.src, p.dst, p.cut); err != nil {
+			return false, p.src, p.dst, done, uncontained(err)
 		}
 	}
 	moved, done, err = f.drainBudgeted(m, done, pol.DrainBudget)
@@ -1033,42 +1072,157 @@ func (f *Forest) AutoRebalance(at vtime.Ticks, pol RebalancePolicy) (moved bool,
 	return moved, from, to, done, uncontained(err)
 }
 
-// hotShard returns the shard that absorbed a disproportionate share of
-// the operations routed since the previous poll, and its approximate
-// median key as the split boundary.
-func (f *Forest) hotShard(pol RebalancePolicy) (int, kv.Key, bool) {
-	n := len(f.shards)
-	deltas := make([]int64, n)
-	var total int64
+// loadWindow is one closed poll window: the ops each shard absorbed,
+// the hottest shard (the first of equals) and its key sample.
+type loadWindow struct {
+	load   []int64
+	hot    int
+	sample [loadSample]kv.Key
+	n      int // keys in sample
+}
+
+// pollLoad closes the poll window and starts the next: op counts and key
+// samples begin again from nothing.
+func (f *Forest) pollLoad() loadWindow {
+	w := loadWindow{load: make([]int64, len(f.shards))}
 	f.autoMu.Lock()
-	if len(f.lastOps) != n {
-		f.lastOps = make([]int64, n)
+	defer f.autoMu.Unlock()
+	if len(f.lastOps) != len(f.shards) {
+		f.lastOps = make([]int64, len(f.shards))
 	}
 	for i, s := range f.shards {
 		s.mu.Lock()
-		ops := s.ops
+		w.load[i] = s.ops - f.lastOps[i]
+		f.lastOps[i] = s.ops
+		if i == 0 || w.load[i] > w.load[w.hot] {
+			w.hot = i
+			w.n = copy(w.sample[:], s.sample[:min(s.seen, loadSample)])
+		}
+		s.seen = 0
 		s.mu.Unlock()
-		deltas[i] = ops - f.lastOps[i]
-		f.lastOps[i] = ops
-		total += deltas[i]
 	}
-	f.autoMu.Unlock()
-	hot := 0
-	for i := 1; i < n; i++ {
-		if deltas[i] > deltas[hot] {
-			hot = i
+	return w
+}
+
+// movePlan is one hotspot move: the keys of [lo, hi) that route to src go
+// to dst, cut to the chunks one drain budget covers.
+type movePlan struct {
+	lo, hi   kv.Key
+	src, dst int
+	cut      moveCap
+}
+
+// planMove sizes a hotspot move from the window's load. The trigger: the
+// hottest shard absorbed at least MinOps and more than HotFactor times
+// the mean. The destination is the least-loaded writable shard, and the
+// load to shed is lm = min(L_hot - mean, mean - L_dst): no more than the
+// excess, and no more than the destination can take before it rises past
+// the mean. The hot shard's sample of the window's keys places that
+// load: the lowest share lm/L_hot of the sample is a low end, the highest
+// a high end, each spanning only its sampled keys, so cold keys past them
+// (a range an earlier move brought in, say) do not ride along. An end
+// carries the sampled load of its keys, every copy of its boundary key
+// included. It is out when that would leave the destination at least as
+// loaded as the hot shard was, since the move cannot lower the peak (a
+// single-key hotspot has only such ends), and when it overlaps a
+// committed move from the destination into the hot shard, which would
+// send keys straight back. Of the ends left, the one holding the smaller
+// share of the shard's keys moves. With a DrainBudget the move is cut to
+// the chunks nearest that end which one budget streams (budgetChunks).
+func (f *Forest) planMove(w *loadWindow, pol RebalancePolicy) (movePlan, bool) {
+	load, hot := w.load, w.hot
+	var total int64
+	for _, l := range load {
+		total += l
+	}
+	lHot := float64(load[hot])
+	mean := float64(total) / float64(len(load))
+	if load[hot] < pol.MinOps || lHot <= pol.HotFactor*mean {
+		return movePlan{}, false
+	}
+	dst, err := f.coldestShard(hot, load)
+	if err != nil {
+		// Every other shard is quarantined: nowhere to move to until one
+		// heals.
+		return movePlan{}, false
+	}
+	lDst := float64(load[dst])
+	lm := min(lHot-mean, mean-lDst)
+	if lm <= 0 {
+		return movePlan{}, false
+	}
+
+	// The sample, less keys a committed move has routed away since (and
+	// the one key no half-open range can hold).
+	keys := w.sample[:0]
+	rt := f.rpart.cur.Load()
+	for _, k := range w.sample[:w.n] {
+		if k < MaxMigrationKey && rt.route(k) == hot {
+			keys = append(keys, k)
 		}
 	}
-	mean := float64(total) / float64(n)
-	if deltas[hot] < pol.MinOps || float64(deltas[hot]) <= pol.HotFactor*mean {
-		return -1, 0, false
-	}
-	// A quarantined hot shard is left for Heal: StartMigration refuses it.
 	s := f.shards[hot]
 	s.mu.Lock()
-	boundary, ok := s.tree.ApproxMedianKey()
-	s.mu.Unlock()
-	return hot, boundary, ok
+	defer s.mu.Unlock()
+	slices.Sort(keys)
+	q := int(math.Round(lm / lHot * float64(len(keys))))
+	if q == 0 {
+		return movePlan{}, false
+	}
+	type end struct {
+		lo, hi  kv.Key
+		sampled int // sampled keys in [lo, hi)
+		high    bool
+	}
+	b := keys[q-1] + 1
+	j, _ := slices.BinarySearch(keys, b)
+	ends := [2]end{{lo: keys[0], hi: b, sampled: j}}
+	b = keys[len(keys)-q]
+	j, _ = slices.BinarySearch(keys, b)
+	ends[1] = end{lo: b, hi: keys[len(keys)-1] + 1, sampled: len(keys) - j, high: true}
+
+	rank := func(k kv.Key) float64 {
+		if r, ok := s.tree.approxRank(k); ok {
+			return r
+		}
+		return 0.5
+	}
+	sendsBack := func(e end) bool {
+		for _, r := range rt.rules {
+			if r.From == dst && r.To == hot && r.Lo < e.hi && e.lo < r.Hi {
+				return true
+			}
+		}
+		return false
+	}
+	p, share := movePlan{src: hot, dst: dst}, math.Inf(1)
+	for _, e := range ends {
+		if lDst+float64(e.sampled)/float64(len(keys))*lHot >= lHot || sendsBack(e) {
+			continue
+		}
+		if sh := rank(e.hi) - rank(e.lo); sh < share {
+			p.lo, p.hi, p.cut.high, share = e.lo, e.hi, e.high, sh
+		}
+	}
+	if math.IsInf(share, 1) {
+		return movePlan{}, false
+	}
+	if pol.DrainBudget > 0 {
+		p.cut.n = f.budgetChunks(pol.DrainBudget)
+	}
+	return p, true
+}
+
+// budgetChunks is the number of chunks one drain budget streams at the
+// forest's measured cost per key moved off a writable source (moveTicks);
+// one before any has streamed.
+func (f *Forest) budgetChunks(budget vtime.Ticks) int {
+	keys, ticks := f.moveKeys.Load(), f.moveTicks.Load()
+	if keys == 0 || ticks <= 0 {
+		return 1
+	}
+	perChunk := float64(ticks) / float64(keys) * float64(f.migChunk)
+	return max(1, int(float64(budget)/perChunk))
 }
 
 // drainBudgeted drains m fully when budget is zero, else for at most

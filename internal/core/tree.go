@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/bufferpool"
 	"repro/internal/kv"
@@ -262,11 +264,12 @@ func (t *Tree) Fanout() int { return maxInternalKeys(t.cfg.PageSize) + 1 }
 // LeafCapacity returns the entry capacity of one leaf.
 func (t *Tree) LeafCapacity() int { return leafCap(t.cfg.PageSize, t.cfg.LeafSegs) }
 
-// ApproxMedianKey returns a key that roughly halves the tree's key
-// population: the middle separator of the root node, or the middle live
-// record of a root leaf. AutoRebalance uses it to pick a split boundary
-// without a full scan; the planning read has no simulated cost.
-func (t *Tree) ApproxMedianKey() (kv.Key, bool) {
+// approxRank estimates the share of the tree's keys below k from the
+// root alone: the children of the root left of k's child, plus half of
+// that one, or the live records of a root leaf below k. AutoRebalance
+// uses it to pick the cheaper end of a hot shard to move; the read has
+// no simulated cost.
+func (t *Tree) approxRank(k kv.Key) (float64, bool) {
 	if t.height == 1 {
 		l, err := t.readWholeLeafNoCost(t.root)
 		if err != nil {
@@ -274,13 +277,10 @@ func (t *Tree) ApproxMedianKey() (kv.Key, bool) {
 		}
 		recs := l.liveRecords()
 		if len(recs) == 0 {
-			ents := t.opq.Entries()
-			if len(ents) == 0 {
-				return 0, false
-			}
-			return ents[len(ents)/2].Rec.Key, true
+			return 0, false
 		}
-		return recs[len(recs)/2].Key, true
+		below, _ := slices.BinarySearchFunc(recs, k, func(r kv.Record, k kv.Key) int { return cmp.Compare(r.Key, k) })
+		return float64(below) / float64(len(recs)), true
 	}
 	buf := make([]byte, t.cfg.PageSize)
 	if err := t.pf.ReadPageNoCost(t.root, buf); err != nil {
@@ -290,7 +290,7 @@ func (t *Tree) ApproxMedianKey() (kv.Key, bool) {
 	if err != nil || len(n.keys) == 0 {
 		return 0, false
 	}
-	return n.keys[len(n.keys)/2], true
+	return (float64(n.childIndex(k)) + 0.5) / float64(len(n.keys)+1), true
 }
 
 // allocLeaf allocates LeafSegs consecutive pages and returns the first id.

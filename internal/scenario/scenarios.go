@@ -128,10 +128,13 @@ func Blackout() Scenario {
 	sc := Diurnal()
 	sc.Name = "blackout"
 	sc.Title = "Permanent WAL loss mid-diurnal: quarantine, auto-evacuation, SLA recovery"
-	// Kill shard 2's WAL early in the run. Only the log file dies: the
-	// quarantine rollback stays in-memory (no durable FlushStart means no
-	// undo writes), so the shard keeps serving reads until evacuated.
-	sc.Faults = "readonly file=wal2 from=8ms"
+	// Kill shard 0's WAL early in the run, under the night loader's
+	// insert stream: a shard whose stripe writes only now and then can be
+	// quarantined and evacuated before a write to it is ever refused.
+	// Only the log file dies: the quarantine rollback stays in-memory (no
+	// durable FlushStart means no undo writes), so the shard keeps
+	// serving reads until evacuated.
+	sc.Faults = "readonly file=wal0 from=8ms"
 	// A short evacuation deadline (vs the 25ms core default) makes the
 	// scenario give up on the dead device while the quick CI scale still
 	// has most of the run left to measure the recovered SLA.

@@ -520,10 +520,11 @@ func (fx *Forest) StartMigration(at Ticks, lo, hi Key, src, dst int) (*Migration
 	return fx.f.StartMigration(at, lo, hi, src, dst)
 }
 
-// AutoRebalance splits the hottest shard at its approximate median key
-// when the per-shard load stats show it absorbing disproportionate
-// traffic since the last call. Returns whether a migration ran and the
-// shard pair.
+// AutoRebalance sheds load off the hottest shard when it absorbed
+// disproportionate traffic since the last call: it moves the end of the
+// shard's key range that its sampled keys say carries the excess
+// onto the least-loaded shard, sized to the policy's DrainBudget. Returns
+// whether a migration ran and the shard pair.
 func (fx *Forest) AutoRebalance(at Ticks, pol RebalancePolicy) (moved bool, from, to int, done Ticks, err error) {
 	return fx.f.AutoRebalance(at, pol)
 }
