@@ -149,13 +149,14 @@ func (t *Tree) flushBatch(at vtime.Ticks, bcnt int, g *groupIO) (vtime.Ticks, er
 	if t.log != nil {
 		t.flushID++
 		flushID = t.flushID
-		t.log.Append(wal.Record{
+		m := t.log.AppendMark(wal.Record{
 			Kind:     wal.KindFlushStart,
 			Relation: t.cfg.Relation,
 			FlushID:  flushID,
 			KeyLo:    batch[0].Rec.Key,
 			KeyHi:    batch[len(batch)-1].Rec.Key,
 		})
+		t.lowWater.startFlush(m, t.opq.Len() == 0)
 		// WAL rule: the flush-start record and all logical logs of the
 		// chosen entries must be durable before any node write.
 		at, err = t.forceWAL(at, g)
@@ -208,7 +209,7 @@ func (t *Tree) flushBatch(at vtime.Ticks, bcnt int, g *groupIO) (vtime.Ticks, er
 		// Inline commit: the FlushEnd is durable, so this is a commit
 		// point for the quarantine rollback baseline. Group commits reach
 		// theirs when the coordinator's phase-2 force lands.
-		t.commitDurableMeta()
+		t.commitFlush()
 	}
 	return at, nil
 }

@@ -414,8 +414,8 @@ type ForestStats struct {
 	LogGangSubmits int64
 	LogForceWrites int64
 	LogSubmits     int64
-	// LogTruncatedBytes sums the log bytes reclaimed by checkpoint head
-	// truncation across all attached logs.
+	// LogTruncatedBytes sums the log bytes reclaimed by head truncation
+	// (flush commits and checkpoints) across all attached logs.
 	LogTruncatedBytes int64
 	// RoutingEpoch is the routing-table version; Migrations counts
 	// committed online rebalancing moves, MigratedKeys the keys they
@@ -789,7 +789,10 @@ func (f *Forest) update(at vtime.Ticks, e kv.Entry) (vtime.Ticks, error) {
 			break
 		}
 		s.mu.Unlock()
-		at = f.flushGroup(at, si)
+		var err error
+		if at, err = f.flushGroup(at, si); err != nil {
+			return at, err
+		}
 	}
 	//lint:ignore guardedby lockOwner returned with s.mu held for this shard
 	s.note(e.Rec.Key)
@@ -821,12 +824,13 @@ func (f *Forest) update(at vtime.Ticks, e kv.Entry) (vtime.Ticks, error) {
 // are delayed. It runs in stages over one member slice — plan, then the
 // flushes and the two-phase group commit (commitGroup), then settle — and
 // a failure anywhere costs only the members attribute blames: they roll
-// back and leave write service, and the rest of the group commits.
-func (f *Forest) flushGroup(at vtime.Ticks, trigger int) vtime.Ticks {
+// back and leave write service, and the rest of the group commits. The
+// error is a committed member's failed log truncation.
+func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 	g := f.planGroup(trigger)
 	if len(g) == 0 {
 		// A racing group flush already drained the trigger shard.
-		return at
+		return at, nil
 	}
 	f.groupFlushes.Add(1)
 	f.groupedShards.Add(int64(len(g)))
@@ -968,17 +972,24 @@ func (f *Forest) commitGroup(at vtime.Ticks, g []member) vtime.Ticks {
 }
 
 // settle ends a group flush. A started member that did not fail is
-// durable end to end: a new rollback baseline, and proof the device is
-// really back, so a probation's incident ends. A failed member rolls back
-// and leaves write service, charged on the vtime clock while its flush
-// lock is still held (readers wait for the rollback exactly as they would
-// for the flush). Then every lock is released.
-func (f *Forest) settle(done vtime.Ticks, g []member) vtime.Ticks {
+// durable end to end: a new rollback baseline, proof the device is really
+// back, so a probation's incident ends, and the point its log head moves
+// to its low-water mark (lowwater.go). Such a member is writable: only
+// writable shards join a flush. A failed member rolls back and leaves
+// write service, charged on the vtime clock while its flush lock is still
+// held (readers wait for the rollback exactly as they would for the
+// flush). Then every lock is released, and the first failed truncation is
+// returned.
+func (f *Forest) settle(done vtime.Ticks, g []member) (vtime.Ticks, error) {
+	var err error
 	for _, m := range g {
 		if m.started && m.err == nil {
-			m.s.tree.commitDurableMeta()
+			m.s.tree.commitFlush()
 			//lint:ignore guardedby planGroup returned with every member's mu held
 			m.s.transition(evFlushCommit, done, done, nil)
+			if terr := m.s.tree.truncateLog(); terr != nil && err == nil {
+				err = terr
+			}
 		}
 	}
 	for _, m := range g {
@@ -992,7 +1003,7 @@ func (f *Forest) settle(done vtime.Ticks, g []member) vtime.Ticks {
 		}
 		m.s.mu.Unlock()
 	}
-	return done
+	return done, err
 }
 
 // submitGang submits the members' deferred data writes as one cross-file
@@ -1126,14 +1137,19 @@ func (f *Forest) Flush(at vtime.Ticks) (vtime.Ticks, error) {
 	if best < 0 {
 		return at, nil
 	}
-	return f.flushGroup(at, best), nil
+	return f.flushGroup(at, best)
 }
 
 // Checkpoint drains every shard's OPQ. The per-shard drains start at the
 // caller's time and proceed in parallel in virtual time. With WALs
-// attached, a checkpoint record is appended per shard and the final
-// forces are ganged into one blocking submission — the forest-wide
-// checkpoint the recovery scan cuts at.
+// attached, a checkpoint record is appended per shard, the routing table
+// is persisted as a RoutingSnapshot record on the first log, and the
+// final forces are ganged into one blocking submission. Once that round
+// is durable, each log's head is cut at its checkpoint record, past every
+// pin (lowwater.go). The logs no longer need a Checkpoint to stay
+// bounded: a committed flush that empties its shard's queue already moves
+// the head. What only a checkpoint does is pass an unpaired FlushStart,
+// and write the routing snapshot that covers finished migrations.
 func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 	// Freeze migration chunks for the sweep: the routing snapshot logged
 	// below must match the drained state, and head truncation must not
@@ -1145,12 +1161,13 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 	// operations internally.
 	done := at
 	var logs []*wal.Log
-	// cut tracks, per log, the mark of this round's checkpoint record: once
-	// the round is durable, everything before it is dead for recovery
-	// (each shard's replay starts at its last checkpoint).
-	cut := make(map[*wal.Log]wal.Mark)
+	// cut holds, per shard, the mark of this round's checkpoint record
+	// (zero when the shard logged none): once the round is durable,
+	// everything before it is dead for recovery (each shard's replay
+	// starts at its last checkpoint).
+	cut := make([]wal.Mark, len(f.shards))
 	anyQuarantined := false
-	for _, s := range f.shards {
+	for i, s := range f.shards {
 		s.mu.Lock()
 		if !s.health.writable() {
 			// A quarantined shard cannot drain (its device may still be
@@ -1170,7 +1187,7 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 			s.transition(evFlushCommit, d, d, nil)
 		}
 		if err == nil && s.tree.log != nil {
-			cut[s.tree.log] = s.tree.log.AppendMark(wal.Record{Kind: wal.KindCheckpoint, Relation: s.tree.cfg.Relation})
+			cut[i] = s.tree.log.AppendMark(wal.Record{Kind: wal.KindCheckpoint, Relation: s.tree.cfg.Relation})
 			logs = append(logs, s.tree.log)
 		}
 		s.vlock.Release(d)
@@ -1180,15 +1197,25 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 		}
 		done = vtime.Max(done, d)
 	}
+	var snap RoutingMeta
 	if len(f.logs) > 0 {
 		// Persist the routing table next to the checkpoint records (after
 		// them, so truncation keeps it): head truncation must never strand
-		// the routing reconstruction behind a dropped MigrationEnd.
-		f.logs[0].Append(wal.Record{
+		// the routing reconstruction behind a dropped MigrationEnd. It is
+		// pinned as it is appended, so a flush commit that forces it does
+		// not cut past it either, unless it is the base routing.
+		snap = f.rpart.RoutingSnapshot()
+		s := f.shards[0]
+		s.mu.Lock()
+		m := f.logs[0].AppendMark(wal.Record{
 			Kind:     wal.KindRoutingSnapshot,
-			UndoInfo: encodeRoutingMeta(f.rpart.RoutingSnapshot()),
+			UndoInfo: encodeRoutingMeta(snap),
 		})
-		if _, ok := cut[f.logs[0]]; !ok {
+		if !snap.isBase() {
+			s.tree.lowWater.snap = m
+		}
+		s.mu.Unlock()
+		if cut[0].LSN == 0 {
 			logs = append(logs, f.logs[0])
 		}
 	}
@@ -1199,17 +1226,26 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 		}
 		done = d
 	}
-	// Log head truncation (the logs otherwise grow forever): safe only
-	// once the round is durable, and skipped while a migration is in
-	// flight — its Start/KeyMoved records may predate this checkpoint and
-	// recovery still needs them to resume or roll back the move — or while
-	// any shard is quarantined: its Heal replay still reads records that
+	// The snapshot is durable: the migrations it covers need no pins.
+	// Log head truncation at the checkpoint records is safe only once the
+	// round is durable, and skipped while a migration is in flight — its
+	// Start/KeyMoved records may predate this checkpoint and recovery
+	// still needs them to resume or roll back the move — or while any
+	// shard is quarantined: its Heal replay still reads records that
 	// predate this round's checkpoint cut.
-	if !f.rebalanceActive.Load() && !anyQuarantined {
-		for l, m := range cut {
-			if _, err := l.TruncateHead(m); err != nil {
-				return done, err
+	truncate := !f.rebalanceActive.Load() && !anyQuarantined
+	for i, s := range f.shards {
+		s.mu.Lock()
+		s.tree.lowWater.cover(snap.MaxCommitted)
+		var err error
+		if truncate && cut[i].LSN != 0 {
+			if _, err = s.tree.log.TruncateHead(cut[i]); err == nil {
+				s.tree.lowWater.pass(cut[i])
 			}
+		}
+		s.mu.Unlock()
+		if err != nil {
+			return done, err
 		}
 	}
 	return done, nil
@@ -1456,7 +1492,9 @@ func (f *Forest) ApplyOPQBudget(at vtime.Ticks, globalPages int) (done vtime.Tic
 		needFlush := s.tree.OPQLen() > per*s.tree.cfg.PageSize/kv.EntrySize
 		s.mu.Unlock()
 		if needFlush {
-			done = f.flushGroup(done, i)
+			if done, err = f.flushGroup(done, i); err != nil {
+				return done, resized, skipped, err
+			}
 		}
 		s.mu.Lock()
 		if s.tree.SetOPQPages(per) != nil {

@@ -213,10 +213,17 @@ func runForestCrashScenario(t *testing.T, crashes []shardCrash) {
 	}
 
 	// Capture the pre-flush durable state, run the group flush, capture
-	// the post-flush state.
+	// the post-flush state. The flush's commit moves each log's head to
+	// its FlushStart, so the records before it are captured here.
 	preFiles := make([][]byte, crashShards)
 	for i, pf := range pfs {
 		preFiles[i] = pf.File().Snapshot()
+	}
+	fullRecs := make([][]wal.Record, crashShards)
+	for i, l := range logs {
+		if fullRecs[i], err = l.Records(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	preMeta := fr.SnapshotMeta()
 	preStats := fr.Stats()
@@ -237,10 +244,16 @@ func runForestCrashScenario(t *testing.T, crashes []shardCrash) {
 		pages[i] = pf.NumPages()
 	}
 	postMeta := fr.SnapshotMeta()
-	fullRecs := make([][]wal.Record, crashShards)
 	for i, l := range logs {
-		if fullRecs[i], err = l.Records(); err != nil {
+		recs, err := l.Records()
+		if err != nil {
 			t.Fatal(err)
+		}
+		last := fullRecs[i][len(fullRecs[i])-1].LSN
+		for _, r := range recs {
+			if r.LSN > last {
+				fullRecs[i] = append(fullRecs[i], r)
+			}
 		}
 	}
 

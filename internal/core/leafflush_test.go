@@ -17,26 +17,68 @@ import (
 	"repro/internal/wal"
 )
 
-// flushGolden holds, per case, the SHA-256 of every file a seeded op
-// sequence leaves behind: each data file's full image and each log file's,
-// which is the wire bytes of every record forced to it. The constants were
-// taken while the flush path still decoded every leaf it touched, so a
-// flush that works on the encoded pages must hand the device and the log
-// exactly the bytes the decoder's re-encoding did.
-var flushGolden = map[string]string{
-	"solo/L1/default":   "a8fb49a3e0c2eb28aa7bc0a7c52b40ad164c0171ff1fb5cac3f919512992809b",
-	"solo/L1/sorted":    "bedffa07b79f1e0e37a3f5ea9c75b9c0d6518774ccbe3a4b319025525071551d",
-	"solo/L1/nolsmap":   "a8fb49a3e0c2eb28aa7bc0a7c52b40ad164c0171ff1fb5cac3f919512992809b",
-	"solo/L4/default":   "bab9a72030ef042cd0b889f95f594ada19b2b6f9fbdd3c3ca81602fa806d873c",
-	"solo/L4/sorted":    "0e4cee2b91f204017fbdcddfeb55a5f1b188af85604089a7947e0e60a08b2959",
-	"solo/L4/nolsmap":   "bab9a72030ef042cd0b889f95f594ada19b2b6f9fbdd3c3ca81602fa806d873c",
-	"group4/L1/default": "d7c2f5de65e709ac303495f302c34c87b229014f3ae81eb076a956fc866c68d5",
-	"group4/L1/sorted":  "a331fe42dc67ed1d7e9598a7e2a11c94064eb8adfdc3285f6603d47d6712b420",
-	"group4/L1/nolsmap": "d7c2f5de65e709ac303495f302c34c87b229014f3ae81eb076a956fc866c68d5",
-	"group4/L4/default": "2dd7af5c62f201e8cc0659181c68472804151d67270e6b0f0a108a586bdc9120",
-	"group4/L4/sorted":  "187caf091960b5d676551d6132b476504916a310c7b4bf5a3821d7c0d37abb68",
-	"group4/L4/nolsmap": "2dd7af5c62f201e8cc0659181c68472804151d67270e6b0f0a108a586bdc9120",
+// flushGolden holds, per case, the SHA-256 of the files a seeded op
+// sequence leaves behind, data and log separately: each data file's full
+// image, and each log file's, which is the wire bytes of every record
+// forced to it. The data constants were taken while the flush path still
+// decoded every leaf it touched, so a flush that works on the encoded
+// pages must hand the device and the log exactly the bytes the decoder's
+// re-encoding did. The group4 log images also show head truncation: each
+// committed flush that empties its shard's queue discards the log below
+// its FlushStart, which then reads back as zeros.
+var flushGolden = map[string]filesHash{
+	"solo/L1/default": {
+		data: "612f195e3a716069fc7a03144c6b0c7f3f6c69b0769c3551c4aca7ad180597ca",
+		log:  "a666a16873dae6dc2a285427ac14a77791d32b6b6f28dbbbe0cfe5468d08f747",
+	},
+	"solo/L1/sorted": {
+		data: "c1fb5615165d268d84297c6d9b81f97c6aa1623b6d7a4992a8fd4f4443152b62",
+		log:  "98edf6bdf8e568e69cccc37f5c0d09dc238b5e220fd6cb62421ef8621aa5f368",
+	},
+	"solo/L1/nolsmap": {
+		data: "612f195e3a716069fc7a03144c6b0c7f3f6c69b0769c3551c4aca7ad180597ca",
+		log:  "a666a16873dae6dc2a285427ac14a77791d32b6b6f28dbbbe0cfe5468d08f747",
+	},
+	"solo/L4/default": {
+		data: "5a350a4f7ec29b8c42157ae28047a2be72c839cadc2d9e858acf6e87ab817aec",
+		log:  "f5facb559d627cf4b14f61048199079340f53718b77b5e33ea133582accfa1d0",
+	},
+	"solo/L4/sorted": {
+		data: "998d6d32cf6803573481da4bf3c46a0d27052ea906e152ba6e6805724636b1d6",
+		log:  "8f77687297647040ad78e6263d1cb80b3edef9176e5bfd8016f9ee53e252cd2b",
+	},
+	"solo/L4/nolsmap": {
+		data: "5a350a4f7ec29b8c42157ae28047a2be72c839cadc2d9e858acf6e87ab817aec",
+		log:  "f5facb559d627cf4b14f61048199079340f53718b77b5e33ea133582accfa1d0",
+	},
+	"group4/L1/default": {
+		data: "4fa243a811c9af3642bcafdc0e712007232b9ff79964a2e80cd3c9418d89b00d",
+		log:  "403b894e1eeb7f96132236b39cdb844d3a96dc2ab66377ba19defa3b43fe9b16",
+	},
+	"group4/L1/sorted": {
+		data: "fd67ef08a8f06c4fab4a86a35386e649451ce55533a6774fdbdee652f755921d",
+		log:  "85bf703dbd4c52556d33a994f3e948328751ac4b3f3708f2368327a00d93f312",
+	},
+	"group4/L1/nolsmap": {
+		data: "4fa243a811c9af3642bcafdc0e712007232b9ff79964a2e80cd3c9418d89b00d",
+		log:  "403b894e1eeb7f96132236b39cdb844d3a96dc2ab66377ba19defa3b43fe9b16",
+	},
+	"group4/L4/default": {
+		data: "fb7c1aeba8c58f8e14dc76ee6a0234d6b5a3df91fe4dc57ca6169baf1f0bf361",
+		log:  "de478c92b45fef5447e4267a27175328094b253311234b310542c493fa2a8de2",
+	},
+	"group4/L4/sorted": {
+		data: "f2ca167098ce7a2aab8ff9b1539b49c02419b4c6648d242968f6e6fe0cb04eac",
+		log:  "b3195859c693e031e9dacda77819ae97da30cf76431359ecc80799193729adfe",
+	},
+	"group4/L4/nolsmap": {
+		data: "fb7c1aeba8c58f8e14dc76ee6a0234d6b5a3df91fe4dc57ca6169baf1f0bf361",
+		log:  "de478c92b45fef5447e4267a27175328094b253311234b310542c493fa2a8de2",
+	},
 }
+
+// filesHash is the SHA-256 of a case's data files and of its log files.
+type filesHash struct{ data, log string }
 
 // goldenCfg is a 512 B-page tree (29 entries a segment, 30 separators a
 // node) that splits, shrinks and grows within a few thousand operations,
@@ -122,10 +164,12 @@ func TestFlushBytesGolden(t *testing.T) {
 	for _, segs := range []int{1, 4} {
 		for _, mode := range []string{"default", "sorted", "nolsmap"} {
 			cfg := goldenCfg(segs, mode)
+			// files holds the data files, then as many log files.
 			check := func(t *testing.T, name string, files []*ssdio.File) {
-				got := hashFiles(files)
+				n := len(files) / 2
+				got := filesHash{data: hashFiles(files[:n]), log: hashFiles(files[n:])}
 				if want := flushGolden[name]; got != want {
-					t.Errorf("%s: files hash %s, want %s", name, got, want)
+					t.Errorf("%s: files hash %+v, want %+v", name, got, want)
 				}
 			}
 			name := fmt.Sprintf("solo/L%d/%s", segs, mode)

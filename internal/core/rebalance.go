@@ -230,6 +230,13 @@ func (p *RebalancingPartitioner) RoutingSnapshot() RoutingMeta {
 	return RoutingMeta{Epoch: rt.epoch, MaxCommitted: rt.maxCommitted, Evacuated: rt.evac, Rules: rules}
 }
 
+// isBase reports whether m is the routing a forest starts from: no rule,
+// no evacuation, no migration ever resolved. Recovery rebuilds that
+// without a record, so no log head has to keep one.
+func (m RoutingMeta) isBase() bool {
+	return m.MaxCommitted == 0 && m.Evacuated == 0 && len(m.Rules) == 0
+}
+
 // encodeRoutingMeta serializes a routing snapshot for the
 // KindRoutingSnapshot WAL record payload: a 28-byte header (epoch,
 // max-committed, evacuated mask, rule count) followed by 32 bytes per
@@ -486,10 +493,13 @@ func (f *Forest) startMigrationLocked(at vtime.Ticks, lo, hi kv.Key, src, dst in
 	var logs []*wal.Log
 	for _, si := range m.recordShards() {
 		if t := f.shards[si].tree; t.log != nil {
-			t.log.Append(wal.Record{
+			// The Start is the migration's first record on each record log:
+			// the log head may not pass it until a durable routing snapshot
+			// covers the migration.
+			t.lowWater.pinMigration(m.id, t.log.AppendMark(wal.Record{
 				Kind: wal.KindMigrationStart, Relation: t.cfg.Relation,
 				FlushID: m.id, KeyLo: lo, KeyHi: hi, Key: uint64(src), Value: uint64(dst), Op: m.startOp(),
-			})
+			}))
 			logs = append(logs, t.log)
 		}
 	}
@@ -1262,7 +1272,13 @@ func (f *Forest) recoverRouting(at vtime.Ticks, rep *ForestRecoveryReport) (vtim
 	// source and destination logs.
 	snap := f.rpart.RoutingSnapshot()
 	events := make(map[uint64]*migrationEvent)
-	for _, l := range f.logs {
+	// The same scan re-derives the log pins (lowwater.go) a crash dropped:
+	// the first record of each migration on each log, kept for those the
+	// latest durable snapshot does not cover, and that snapshot's record.
+	var durable uint64
+	var snapAt wal.Mark
+	migs := make([][]migPin, len(f.logs))
+	for i, l := range f.logs {
 		recs, err := l.Records()
 		if err != nil {
 			return at, err
@@ -1277,7 +1293,14 @@ func (f *Forest) recoverRouting(at vtime.Ticks, rep *ForestRecoveryReport) (vtim
 				if m.MaxCommitted > snap.MaxCommitted {
 					snap = m
 				}
+				if i == 0 && m.MaxCommitted >= durable {
+					durable, snapAt = m.MaxCommitted, wal.Mark{}
+					if !m.isBase() {
+						snapAt = r.Mark()
+					}
+				}
 			case wal.KindMigrationStart, wal.KindKeyMoved, wal.KindMigrationEnd:
+				migs[i] = append(migs[i], migPin{id: r.FlushID, at: r.Mark()})
 				ev := events[r.FlushID]
 				if ev == nil {
 					ev = &migrationEvent{migSpec: migSpec{id: r.FlushID}}
@@ -1302,6 +1325,19 @@ func (f *Forest) recoverRouting(at vtime.Ticks, rep *ForestRecoveryReport) (vtim
 				}
 			}
 		}
+	}
+	for i, ms := range migs {
+		t := f.shards[i].tree
+		f.shards[i].mu.Lock()
+		for _, m := range ms {
+			if m.id > durable {
+				t.lowWater.pinMigration(m.id, m.at)
+			}
+		}
+		if i == 0 {
+			t.lowWater.snap = snapAt
+		}
+		f.shards[i].mu.Unlock()
 	}
 	if err := validateRules(snap.Rules, len(f.shards)); err != nil {
 		return at, err

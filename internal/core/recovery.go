@@ -100,6 +100,15 @@ func (t *Tree) recoverFrom(at vtime.Ticks, recs []wal.Record) (RecoveryReport, v
 		}
 	}
 
+	// An undone flush's FlushStart stays unpaired in the log: the head
+	// may not pass it until a checkpoint cut does.
+	for _, r := range mine {
+		if r.Kind == wal.KindFlushStart && started[r.FlushID] {
+			t.lowWater.pinUnpaired(r.Mark())
+			break
+		}
+	}
+
 	// Undo phase: roll back incomplete flushes (pre-images in reverse).
 	for i := len(mine) - 1; i >= 0; i-- {
 		r := mine[i]
@@ -273,11 +282,16 @@ func (t *Tree) RestoreMeta(m Meta) {
 
 // CrashVolatileState simulates a crash: the OPQ, LSMap and buffer pool
 // contents vanish; only the simulated SSD (pagefile + forced WAL) remains.
+//
+// The log's low-water state goes too: the marks may name records the
+// crash dropped, and Recover re-derives the unpaired FlushStart from the
+// durable log.
 func (t *Tree) CrashVolatileState() {
 	t.dropVolatile()
 	if t.log != nil {
 		t.log.Crash()
 	}
+	t.lowWater = lowWater{}
 }
 
 // dropVolatile discards the tree's volatile state (OPQ, LSMap, pending

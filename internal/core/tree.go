@@ -104,6 +104,8 @@ type Tree struct {
 
 	log     *wal.Log // optional
 	flushID uint64
+	// lowWater is where the log head may move (lowwater.go).
+	lowWater lowWater
 
 	stats Stats
 	buf   []byte // page scratch: bulk load's encodes, a flush's pre-images

@@ -152,7 +152,15 @@ type Record struct {
 	// Flush undo payload: the pre-image of one updated node.
 	NodeID   int64
 	UndoInfo []byte
+
+	// off is the file offset the record was decoded from (Records and
+	// RecordsTimed set it; it is not part of the wire form).
+	off int64
 }
+
+// Mark returns where a record returned by Records or RecordsTimed lies in
+// its log, the cut TruncateHead takes to keep it.
+func (r *Record) Mark() Mark { return Mark{LSN: r.LSN, Off: r.off} }
 
 const recordHeaderSize = 1 + 8 + 8 + 4 + 1 + 8 + 8 + 8 + 8 + 8 + 8 + 4 // kind..nodeid + undolen
 
@@ -279,7 +287,8 @@ func NewLog(f *ssdio.File, pageSize int) (*Log, error) {
 }
 
 // Mark locates an appended record: its LSN, and the file offset its wire
-// form starts at. A checkpoint record's mark is the cut TruncateHead takes.
+// form starts at. TruncateHead cuts the log at a mark. The zero Mark
+// locates no record (LSNs start at 1).
 type Mark struct {
 	LSN uint64
 	Off int64
@@ -469,15 +478,17 @@ func ForceGroup(at vtime.Ticks, logs []*Log) (vtime.Ticks, int, error) {
 // TruncateHead drops every record before the marked one from the log
 // head: the head moves to m.Off, with nothing read or decoded, and
 // Records() and recovery then scan only the surviving suffix. The marked
-// record must be durable. The caller must guarantee the dropped prefix is
-// dead: the relation recovering from this log has a durable checkpoint at
-// the mark, and no migration protocol still needs its control records
-// (the forest checkpoint enforces both). A mark at or below the head drops
-// nothing. Returns the bytes reclaimed.
+// record must be durable. The mark is a low-water mark the caller
+// guarantees: no recovery of this log needs a record below it — no redo
+// record of an entry still queued, no undo image of a flush that has not
+// ended, no migration or routing record recovery still reads. A mark at
+// or below the head drops nothing. Returns the bytes reclaimed.
 //
 // The device is not rewritten and its address space is not reused; the
 // host image below the new head is discarded (ssdio.File.Discard), so
-// truncated log stops holding host memory.
+// truncated log stops holding host memory. Only [head, m.Off) is walked,
+// from the start of the head's extent, whose leading bytes an earlier cut
+// cleared without releasing it.
 func (l *Log) TruncateHead(m Mark) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -487,7 +498,8 @@ func (l *Log) TruncateHead(m Mark) (int64, error) {
 	if m.Off <= l.head {
 		return 0, nil
 	}
-	if err := l.f.Discard(0, m.Off); err != nil {
+	from := l.head - l.head%ssdio.ExtentSize
+	if err := l.f.Discard(from, m.Off-from); err != nil {
 		return 0, err
 	}
 	cut := m.Off - l.head
@@ -530,15 +542,17 @@ func (l *Log) Records() ([]Record, error) {
 		}
 	}
 	var out []Record
-	for len(buf) > 0 {
+	for off := l.head; len(buf) > 0; {
 		r, n, err := unmarshal(buf)
 		if err != nil {
 			// errTruncated is the clean end of the log; any other decode
 			// failure is a torn record, cutting the durable prefix here.
 			break
 		}
+		r.off = off
 		out = append(out, r)
 		buf = buf[n:]
+		off += int64(n)
 	}
 	return out, nil
 }
@@ -569,15 +583,17 @@ func (l *Log) RecordsTimed(at vtime.Ticks) ([]Record, vtime.Ticks, error) {
 		return nil, at, err
 	}
 	var out []Record
-	for len(buf) > 0 {
+	for off := l.head; len(buf) > 0; {
 		r, rn, err := unmarshal(buf)
 		if err != nil {
 			// Torn tail: the intact prefix is the recoverable log (see
 			// Records).
 			break
 		}
+		r.off = off
 		out = append(out, r)
 		buf = buf[rn:]
+		off += int64(rn)
 	}
 	return out, at, nil
 }

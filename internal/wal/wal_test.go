@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -529,5 +530,52 @@ func TestTruncateHeadCrashSurvives(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].Kind != KindCheckpoint {
 		t.Fatalf("post-crash scan: %d records, head %v", len(recs), recs[0].Kind)
+	}
+}
+
+// TestTruncateHeadStepwise: cutting the head in many small steps, at the
+// marks Records reports, leaves the same file image and the same resident
+// extents as one cut at the last mark, across several extents.
+func TestTruncateHeadStepwise(t *testing.T) {
+	fill := func(l *Log) {
+		for i := 0; i < 300; i++ {
+			l.Append(Record{Kind: KindFlushUndo, NodeID: int64(i), UndoInfo: make([]byte, 1000)})
+		}
+		if _, err := l.Force(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steps, once := newLog(t), newLog(t)
+	fill(steps)
+	fill(once)
+	recs, err := steps.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last Mark
+	for i := 7; i < len(recs)-1; i += 13 {
+		last = recs[i].Mark()
+		if _, err := steps.TruncateHead(last); err != nil {
+			t.Fatal(err)
+		}
+		head, err := steps.Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if head[0].LSN != last.LSN || head[0].NodeID != int64(i) {
+			t.Fatalf("after the cut at record %d the head is LSN %d, node %d", i, head[0].LSN, head[0].NodeID)
+		}
+	}
+	if last.Off < 4*ssdio.ExtentSize {
+		t.Fatalf("cuts reach offset %d only", last.Off)
+	}
+	if _, err := once.TruncateHead(last); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(steps.f.Snapshot(), once.f.Snapshot()) {
+		t.Fatal("stepwise cuts left a different file image than one cut")
+	}
+	if a, b := steps.f.ResidentBytes(), once.f.ResidentBytes(); a != b {
+		t.Fatalf("stepwise cuts keep %d resident bytes, one cut %d", a, b)
 	}
 }

@@ -470,7 +470,9 @@ func (fx *Forest) RangeSearch(at Ticks, lo, hi Key) ([]Record, Ticks, error) {
 // Flush forces one coordinated group flush seeded by the fullest shard.
 func (fx *Forest) Flush(at Ticks) (Ticks, error) { return fx.f.Flush(at) }
 
-// Checkpoint drains every shard's OPQ.
+// Checkpoint drains every shard's OPQ, logs the routing snapshot and
+// cuts each log at its checkpoint record. Logs stay bounded without it:
+// each flush that empties a shard's queue moves that log's head.
 func (fx *Forest) Checkpoint(at Ticks) (Ticks, error) { return fx.f.Checkpoint(at) }
 
 // Count returns the number of live records across all shards.
