@@ -2,10 +2,10 @@
 //
 // A scenario is a phased traffic program played against a live forest on
 // one continuous virtual timeline: tenants with different stripes, mixes
-// and skews share the per-phase op budget, and an adaptation thread
-// periodically rebalances hot shards (Forest.AutoRebalance) and re-runs
-// the paper's eq.-(10) tuner on the observed insert ratio, applying the
-// retuned OPQ budget to the running forest (Forest.ApplyOPQBudget).
+// and skews share the per-phase op budget, the forest is built with the
+// leaf segments and OPQ budget the paper's eq.-(10) tuner picks for the
+// first phase's mix, and an adaptation thread periodically rebalances
+// hot shards (Forest.AutoRebalance).
 //
 // This example first runs a small custom scenario built from scratch —
 // a two-phase hotspot flip with a crash-restart — then replays the named
@@ -38,7 +38,6 @@ func main() {
 		Adapt: scenario.Adapt{
 			Interval: 5 * vtime.Millisecond,
 			Policy:   core.RebalancePolicy{MinOps: 100, HotFactor: 1.5},
-			Retune:   true,
 		},
 		Phases: []scenario.Phase{
 			{Name: "left-heavy", Tenants: []scenario.Tenant{

@@ -32,7 +32,7 @@ func ScenarioBench(sc scenario.Scenario, s Scale) ([]Table, error) {
 		ID:    "scenario_" + sc.Name,
 		Title: sc.Title,
 		Header: []string{"phase", "ops", "inserts", "kops/s", "mean(us)", "p95(us)", "p99(us)",
-			"migrations", "moved keys", "retunes", "opq pages", "gc stalls", "io retries",
+			"migrations", "moved keys", "gc stalls", "io retries",
 			"rejected", "probes", "heals", "evac chunks", "wd timeouts", "redone", "recover(ms)"},
 	}
 	for _, pr := range res.Phases {
@@ -45,8 +45,6 @@ func ScenarioBench(sc scenario.Scenario, s Scale) ([]Table, error) {
 			fmt.Sprintf("%.1f", pr.P99US),
 			fmt.Sprintf("%d", pr.Migrations),
 			fmt.Sprintf("%d", pr.MigratedKeys),
-			fmt.Sprintf("%d", pr.Retunes),
-			fmt.Sprintf("%d", pr.OPQBudgetPages),
 			fmt.Sprintf("%d", pr.GCStalls),
 			fmt.Sprintf("%d", pr.IORetries),
 			fmt.Sprintf("%d", pr.Rejected),
@@ -73,7 +71,7 @@ func ScenarioBench(sc scenario.Scenario, s Scale) ([]Table, error) {
 			res.Shards, res.Threads, cfg.InitialEntries, cfg.OpsPerPhase),
 		fmt.Sprintf("makespan %.1fms; %d migrations moved %d keys; routing epoch %d",
 			res.End.Millis(), res.TotalMigrations, res.TotalMigratedKeys, res.RoutingEpoch),
-		fmt.Sprintf("last eq.-(10) recommendation: L=%d, global O=%d", res.TunedL, res.TunedO),
+		fmt.Sprintf("eq.-(10) tune: L=%d, global O=%d", res.TunedL, res.TunedO),
 		fmt.Sprintf("durability check: %d keys expected, %d found", res.ExpectedKeys, res.FinalKeys),
 	)
 	return []Table{t}, nil

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
@@ -63,23 +61,7 @@ func TestScenarioBenchQuick(t *testing.T) {
 	if parse(t, tb.Rows[3][col["redone"]]) == 0 {
 		t.Error("restart row redid no log entries")
 	}
-	// The scenario tables must marshal to identical bytes on a second
-	// run: ci/check_baselines.sh compares them with cmp.
-	a, err := json.MarshalIndent(tables, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := Run("scenario_burstcrash", s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.MarshalIndent(again, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("scenario_burstcrash BENCH JSON not byte-stable across runs")
-	}
+	requireByteStable(t, "scenario_burstcrash", s, tables)
 	if !strings.Contains(strings.Join(tb.Notes, "\n"), "durability check") {
 		t.Errorf("notes missing durability check: %v", tb.Notes)
 	}

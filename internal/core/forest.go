@@ -470,9 +470,6 @@ type ShardLoad struct {
 	// Keys is the shard's live record count, Pending its queued updates.
 	Keys    int64
 	Pending int
-	// OPQPages is the shard's current operation-queue page budget
-	// (changes when ApplyOPQBudget installs a retuned split).
-	OPQPages int
 	// Quarantined reports read-only degraded mode; Evacuated reports that
 	// the shard's range has been migrated onto healthy shards (an
 	// evacuated shard stays quarantined but is skipped by sweeps).
@@ -1474,39 +1471,6 @@ func (f *Forest) Pending() int {
 	return n
 }
 
-// ApplyOPQBudget re-splits a new global OPQ page budget evenly across
-// the shards — the online application of an eq.-(10) retune (TuneForest's
-// GlobalO recomputed on observed loads). A shard whose queue holds more
-// entries than its new capacity is flushed through the group coordinator
-// first; a shard that still cannot shrink afterwards (e.g. one excluded
-// from the group mid-migration) keeps its old capacity and counts as
-// skipped. Returns the completion time of any flushes performed.
-func (f *Forest) ApplyOPQBudget(at vtime.Ticks, globalPages int) (done vtime.Ticks, resized, skipped int, err error) {
-	if globalPages < 1 {
-		return at, 0, 0, fmt.Errorf("core: OPQ budget must be >= 1 page, got %d", globalPages)
-	}
-	per := splitBudget(globalPages, len(f.shards))
-	done = at
-	for i, s := range f.shards {
-		s.mu.Lock()
-		needFlush := s.tree.OPQLen() > per*s.tree.cfg.PageSize/kv.EntrySize
-		s.mu.Unlock()
-		if needFlush {
-			if done, err = f.flushGroup(done, i); err != nil {
-				return done, resized, skipped, err
-			}
-		}
-		s.mu.Lock()
-		if s.tree.SetOPQPages(per) != nil {
-			skipped++
-		} else {
-			resized++
-		}
-		s.mu.Unlock()
-	}
-	return done, resized, skipped, nil
-}
-
 // Stats aggregates shard tree counters and coordinator activity.
 func (f *Forest) Stats() ForestStats {
 	out := ForestStats{
@@ -1527,7 +1491,6 @@ func (f *Forest) Stats() ForestStats {
 			Ops:         s.ops,
 			Keys:        s.tree.Count(),
 			Pending:     s.tree.OPQLen(),
-			OPQPages:    s.tree.OPQPages(),
 			Quarantined: !h.writable(),
 			Evacuated:   h == retired,
 		})

@@ -375,66 +375,3 @@ func TestForestRejectsBadLogs(t *testing.T) {
 		}
 	}
 }
-
-func TestForestApplyOPQBudget(t *testing.T) {
-	fr := newTestForest(t, 4, forestCfg(), nil)
-	var recs []kv.Record
-	for i := 0; i < 400; i++ {
-		recs = append(recs, kv.Record{Key: kv.Key(i*16 + 8), Value: kv.Value(i)})
-	}
-	if err := fr.BulkLoad(recs); err != nil {
-		t.Fatal(err)
-	}
-	perShardBefore := fr.Stats().ShardLoads[0].OPQPages
-	if perShardBefore != 1 {
-		t.Fatalf("initial per-shard OPQ pages = %d, want 1 (4 pages / 4 shards)", perShardBefore)
-	}
-	var now vtime.Ticks
-	var err error
-	// Queue some updates so a shrink has something to flush.
-	for i := 0; i < 200; i++ {
-		now, err = fr.Insert(now, kv.Record{Key: kv.Key(i*16 + 1), Value: kv.Value(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Grow: 16 global pages -> 4 per shard.
-	now, resized, skipped, err := fr.ApplyOPQBudget(now, 16)
-	if err != nil || resized != 4 || skipped != 0 {
-		t.Fatalf("grow: resized=%d skipped=%d err=%v", resized, skipped, err)
-	}
-	for i, l := range fr.Stats().ShardLoads {
-		if l.OPQPages != 4 {
-			t.Fatalf("shard %d OPQPages = %d after grow, want 4", i, l.OPQPages)
-		}
-	}
-	// More traffic fills the larger queues, then shrink back to 1 page per
-	// shard: the queues must be flushed down, not truncated.
-	for i := 200; i < 400; i++ {
-		now, err = fr.Insert(now, kv.Record{Key: kv.Key(i*16 + 1), Value: kv.Value(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	countBefore := fr.Count()
-	now, resized, skipped, err = fr.ApplyOPQBudget(now, 4)
-	if err != nil || resized != 4 || skipped != 0 {
-		t.Fatalf("shrink: resized=%d skipped=%d err=%v", resized, skipped, err)
-	}
-	_ = now
-	if got := fr.Count(); got != countBefore {
-		t.Fatalf("shrink lost keys: count %d -> %d", countBefore, got)
-	}
-	for i, l := range fr.Stats().ShardLoads {
-		if l.OPQPages != 1 {
-			t.Fatalf("shard %d OPQPages = %d after shrink, want 1", i, l.OPQPages)
-		}
-	}
-	if err := fr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Invalid budget rejected.
-	if _, _, _, err := fr.ApplyOPQBudget(now, 0); err == nil {
-		t.Fatal("zero-page budget accepted")
-	}
-}

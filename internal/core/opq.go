@@ -152,20 +152,6 @@ func (q *OPQ) Entries() []kv.Entry {
 	return out
 }
 
-// SetCapacity changes the queue's capacity. Shrinking below the current
-// entry count is rejected — flush first. Growth takes effect lazily (the
-// backing array grows on demand).
-func (q *OPQ) SetCapacity(capacity int) error {
-	if capacity < 1 {
-		return fmt.Errorf("core: OPQ capacity must be >= 1, got %d", capacity)
-	}
-	if len(q.entries) > capacity {
-		return fmt.Errorf("core: OPQ holds %d entries, cannot shrink to %d (flush first)", len(q.entries), capacity)
-	}
-	q.capacity = capacity
-	return nil
-}
-
 // Reset discards all queued entries (used after crash recovery rebuilds
 // the queue from the log).
 func (q *OPQ) Reset() {

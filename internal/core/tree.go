@@ -212,26 +212,6 @@ func (t *Tree) poolGet(at vtime.Ticks, id pagefile.PageID) ([]byte, vtime.Ticks,
 // AttachWAL enables write-ahead logging (Section 3.4) on the tree.
 func (t *Tree) AttachWAL(l *wal.Log) { t.log = l }
 
-// SetOPQPages resizes the operation queue to a new page budget — the
-// online application of an eq.-(10) retune. The queue must hold no more
-// entries than the new capacity; callers flush before shrinking. The new
-// budget is volatile: a tree rebuilt for recovery starts from its
-// configured pages again (the adaptation loop that chose the budget is
-// expected to re-apply it).
-func (t *Tree) SetOPQPages(pages int) error {
-	if pages < 1 {
-		return fmt.Errorf("core: OPQPages must be >= 1, got %d", pages)
-	}
-	if err := t.opq.SetCapacity(pages * t.cfg.PageSize / kv.EntrySize); err != nil {
-		return err
-	}
-	t.cfg.OPQPages = pages
-	return nil
-}
-
-// OPQPages returns the queue's current page budget.
-func (t *Tree) OPQPages() int { return t.cfg.OPQPages }
-
 // forceWAL makes the tree's appended log records durable. During a forest
 // group flush (g non-nil) the force is left to the coordinator, which
 // issues one ganged force for every member before any data write reaches

@@ -82,10 +82,6 @@ type PhaseResult struct {
 	// Migrations/MigratedKeys are the phase's committed AutoRebalance
 	// moves and the keys they streamed.
 	Migrations, MigratedKeys int64
-	// Retunes counts applied eq.-(10) OPQ-budget changes;
-	// OPQBudgetPages is the global budget in force at phase end.
-	Retunes        int
-	OPQBudgetPages int
 	// Flushes and GangSubmits are the phase's flush-plane activity.
 	Flushes, GangSubmits int64
 	// GCStalls counts aging-triggered garbage collections hit.
@@ -127,7 +123,8 @@ type Result struct {
 	// the forest adapted over the run.
 	RoutingEpoch                       uint64
 	TotalMigrations, TotalMigratedKeys int64
-	// TunedL/TunedO are the last eq.-(10) recommendation observed.
+	// TunedL/TunedO are the eq.-(10) tune the forest was built with: the
+	// per-shard leaf segments and the global OPQ page budget.
 	TunedL, TunedO int
 	// FaultProgram is the fault program the run installed ("" for a
 	// clean plane); IORetries/IORetriesExhausted aggregate the transient
@@ -169,13 +166,9 @@ type engine struct {
 
 	expected int64 // live keys the run has committed to
 
-	// Adaptation state.
-	dparams          *costmodel.DeviceParams
-	leafSegs         int
-	appliedO         int // global OPQ pages currently installed
-	tunedL, tunedO   int
-	insertsSinceTune int64
-	opsSinceTune     int64
+	// The eq.-(10) tune the forest was built with.
+	leafSegs int
+	globalO  int // global OPQ pages
 }
 
 // Run executes the scenario at the given scale and returns its measured
@@ -208,10 +201,7 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 	for pi, ph := range sc.Phases {
 		pr := PhaseResult{Name: ph.Name, Start: now}
 		if ph.Aging != nil {
-			// Age the live device, then recalibrate the cost model's view
-			// of it so the next retune sees the degraded write path.
 			e.dev.SetAging(*ph.Aging)
-			e.calibrate(*ph.Aging)
 		}
 		if ph.CrashRestart {
 			if now, err = e.crashRestart(now, &pr); err != nil {
@@ -221,8 +211,7 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 		ops, inserts := phaseOps(ph, e.stripes, e.recs, cfg.OpsPerPhase, cfg.Seed+int64(pi)*1_000_003)
 		preStats := e.fr.Stats()
 		preDev := e.dev.Stats()
-		preRetunes := pr.Retunes
-		end, lat, retunes, rejected, rejectedInserts, err := e.runPhase(now, ops)
+		end, lat, rejected, rejectedInserts, err := e.runPhase(now, ops)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: phase %s: %w", sc.Name, ph.Name, err)
 		}
@@ -241,8 +230,6 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 		pr.MeanUS, pr.P95US, pr.P99US = latencySummary(lat)
 		pr.Migrations = postStats.Migrations - preStats.Migrations
 		pr.MigratedKeys = postStats.MigratedKeys - preStats.MigratedKeys
-		pr.Retunes = preRetunes + retunes
-		pr.OPQBudgetPages = e.appliedO
 		pr.Flushes = postStats.Tree.Flushes - preStats.Tree.Flushes
 		pr.GangSubmits = postStats.GangSubmits - preStats.GangSubmits
 		pr.GCStalls = postDev.GCStalls - preDev.GCStalls
@@ -268,7 +255,7 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 		// crash — but the loss must stay bounded by the OPQ budget (one
 		// flush round's worth of buffered entries per incident), and no
 		// COMMITTED key may be missing.
-		maxLoss := int64((e.appliedO + e.shards) * (pageSize / kv.EntrySize))
+		maxLoss := int64((e.globalO + e.shards) * (pageSize / kv.EntrySize))
 		res.LostUncommitted = res.ExpectedKeys - res.FinalKeys
 		if res.LostUncommitted < 0 || res.LostUncommitted > maxLoss*st.Evacuations {
 			return nil, fmt.Errorf("scenario %s: lost keys beyond the uncommitted tail: forest holds %d, expected %d (tolerance %d over %d evacuations)",
@@ -280,7 +267,7 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 	res.RoutingEpoch = st.RoutingEpoch
 	res.TotalMigrations = st.Migrations
 	res.TotalMigratedKeys = st.MigratedKeys
-	res.TunedL, res.TunedO = e.tunedL, e.tunedO
+	res.TunedL, res.TunedO = e.leafSegs, e.globalO
 	res.FaultProgram = e.faults
 	res.IORetries = st.IORetries
 	res.IORetriesExhausted = st.IORetriesExhausted
@@ -297,8 +284,8 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 }
 
 // build bulk-loads a WAL-attached, range-partitioned forest on a fresh
-// simulated device and initializes the adaptation state with an initial
-// eq.-(10) tune for the first phase's traffic mix.
+// simulated device, sized by an eq.-(10) tune for the first phase's
+// traffic mix.
 func build(sc Scenario, cfg Config) (*engine, error) {
 	e := &engine{sc: sc, cfg: cfg, shards: sc.Shards, threads: sc.Threads}
 	if cfg.Shards > 0 {
@@ -315,18 +302,15 @@ func build(sc Scenario, cfg Config) (*engine, error) {
 	}
 	n := cfg.InitialEntries
 
-	// Initial tune: calibrate a throwaway device instance (probing the
-	// live one would disturb its reservation timelines), then run the
-	// eq.-(10) arg-min for the first phase's weighted insert ratio.
-	e.calibrate(flashsim.Aging{})
-	ri := phaseInsertRatio(sc.Phases[0])
-	e.leafSegs = 4
-	e.appliedO = 1
-	if res, err := costmodel.TuneForest(e.tuneParams(float64(n), ri), e.dparams, bcnt, 16, e.maxO(), e.shards); err == nil {
-		e.leafSegs = res.PerShard.L
-		e.appliedO = res.GlobalO
-		e.tunedL, e.tunedO = res.PerShard.L, res.GlobalO
+	// Tune once: calibrate a throwaway device instance (probing the live
+	// one would disturb its reservation timelines), then run the eq.-(10)
+	// arg-min for the first phase's weighted insert ratio.
+	dparams := costmodel.Calibrate(flashsim.MustDevice(cfg.Device), pageSize, 16, 64, 8)
+	tune, err := costmodel.TuneForest(e.tuneParams(float64(n), phaseInsertRatio(sc.Phases[0])), dparams, bcnt, 16, e.maxO(), e.shards)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: eq.-(10) tune: %w", sc.Name, err)
 	}
+	e.leafSegs, e.globalO = tune.PerShard.L, tune.GlobalO
 
 	e.dev = flashsim.MustDevice(cfg.Device)
 	space := ssdio.NewSpace(e.dev)
@@ -361,7 +345,7 @@ func build(sc Scenario, cfg Config) (*engine, error) {
 		bounds[i] = kv.Key((i+1)*n/e.shards) * 16
 	}
 	leaves := n / (core.Config{PageSize: pageSize, LeafSegs: e.leafSegs}).LeafEntryEstimate()
-	bufBytes := cfg.MemBytes - e.appliedO*pageSize - leaves
+	bufBytes := cfg.MemBytes - e.globalO*pageSize - leaves
 	if bufBytes < e.shards*pageSize {
 		bufBytes = e.shards * pageSize
 	}
@@ -370,7 +354,7 @@ func build(sc Scenario, cfg Config) (*engine, error) {
 		Shard: core.Config{
 			PageSize:    pageSize,
 			LeafSegs:    e.leafSegs,
-			OPQPages:    e.appliedO,
+			OPQPages:    e.globalO,
 			PioMax:      64,
 			SPeriod:     5000,
 			BCnt:        bcnt,
@@ -419,14 +403,6 @@ func build(sc Scenario, cfg Config) (*engine, error) {
 		}
 	}
 	return e, nil
-}
-
-// calibrate measures the cost model's device parameters on a throwaway
-// device instance carrying the given aging profile.
-func (e *engine) calibrate(a flashsim.Aging) {
-	probe := flashsim.MustDevice(e.cfg.Device)
-	probe.SetAging(a)
-	e.dparams = costmodel.Calibrate(probe, pageSize, 16, 64, 8)
 }
 
 func (e *engine) tuneParams(n, insertRatio float64) costmodel.TreeParams {
@@ -481,20 +457,14 @@ func (e *engine) crashRestart(now vtime.Ticks, pr *PhaseResult) (vtime.Ticks, er
 	if got := e.fr.Count(); got != e.expected {
 		return recDone, fmt.Errorf("crash-restart lost keys: forest holds %d, expected %d", got, e.expected)
 	}
-	// The crash dropped the volatile OPQ resize; reinstall the budget the
-	// adaptation loop had chosen.
-	if recDone, _, _, err = e.fr.ApplyOPQBudget(recDone, e.appliedO); err != nil {
-		return recDone, err
-	}
 	return recDone, nil
 }
 
 // runPhase replays the phase's ops round-robin over the workload threads
-// plus, when configured, one adaptation thread polling AutoRebalance and
-// the eq.-(10) retuner. Returns the phase end time, the per-op latency
-// samples, the number of applied retunes, and the degraded-mode
-// rejection counts (all ops, and the inserts among them).
-func (e *engine) runPhase(base vtime.Ticks, ops []workload.Op) (vtime.Ticks, []vtime.Ticks, int, int, int, error) {
+// plus, when configured, one adaptation thread polling AutoRebalance.
+// Returns the phase end time, the per-op latency samples, and the
+// degraded-mode rejection counts (all ops, and the inserts among them).
+func (e *engine) runPhase(base vtime.Ticks, ops []workload.Op) (vtime.Ticks, []vtime.Ticks, int, int, error) {
 	threads := e.threads
 	active := threads
 	var opErr error
@@ -540,28 +510,22 @@ func (e *engine) runPhase(base vtime.Ticks, ops []workload.Op) (vtime.Ticks, []v
 				return false
 			}
 			lat = append(lat, done-start)
-			e.opsSinceTune++
-			if op.Kind == workload.OpInsert {
-				e.insertsSinceTune++
-			}
 			t.Clock.AdvanceTo(done)
 			return true
 		}})
 	}
 	workers = append(workers, ths...)
-	retunes := 0
 	if e.sc.Adapt.Interval > 0 {
 		ths = append(ths, &vtime.Thread{ID: threads, Step: func(t *vtime.Thread) bool {
 			if active == 0 || opErr != nil {
 				return false
 			}
 			now := vtime.Max(t.Clock.Now(), base) + e.sc.Adapt.Interval
-			next, n, err := e.adaptTick(now)
+			next, err := e.adaptTick(now)
 			if err != nil {
 				opErr = err
 				return false
 			}
-			retunes += n
 			t.Clock.AdvanceTo(vtime.Max(now, next))
 			return true
 		}})
@@ -576,9 +540,9 @@ func (e *engine) runPhase(base vtime.Ticks, ops []workload.Op) (vtime.Ticks, []v
 		end = vtime.Max(end, t.Clock.Now())
 	}
 	if opErr != nil {
-		return end, nil, retunes, rejected, rejectedInserts, opErr
+		return end, nil, rejected, rejectedInserts, opErr
 	}
-	return end, lat, retunes, rejected, rejectedInserts, nil
+	return end, lat, rejected, rejectedInserts, nil
 }
 
 // defaultDrainBudget bounds the adaptation thread's per-poll migration
@@ -589,41 +553,20 @@ func (e *engine) runPhase(base vtime.Ticks, ops []workload.Op) (vtime.Ticks, []v
 const defaultDrainBudget = 20 * vtime.Millisecond
 
 // adaptTick is one adaptation poll: let AutoRebalance act on the shard
-// load deltas, then re-run the eq.-(10) tuner on the observed insert
-// ratio and live entry count and apply a changed OPQ budget to the
-// forest. Returns the time the adaptation work finished and the number
-// of applied retunes (0 or 1).
-func (e *engine) adaptTick(now vtime.Ticks) (vtime.Ticks, int, error) {
+// load deltas. Returns the time the adaptation work finished.
+func (e *engine) adaptTick(now vtime.Ticks) (vtime.Ticks, error) {
 	pol := e.sc.Adapt.Policy
 	if pol.DrainBudget == 0 {
 		pol.DrainBudget = defaultDrainBudget
 	}
 	moved, _, _, done, err := e.fr.AutoRebalance(now, pol)
 	if err != nil {
-		return done, 0, err
+		return done, err
 	}
 	if moved {
 		now = vtime.Max(now, done)
 	}
-	if !e.sc.Adapt.Retune || e.opsSinceTune < 256 {
-		return now, 0, nil
-	}
-	ri := float64(e.insertsSinceTune) / float64(e.opsSinceTune)
-	e.insertsSinceTune, e.opsSinceTune = 0, 0
-	res, err := costmodel.TuneForest(e.tuneParams(float64(e.fr.Count()), ri), e.dparams, bcnt, 16, e.maxO(), e.shards)
-	if err != nil {
-		return now, 0, nil // an unusable sweep just skips this poll
-	}
-	e.tunedL, e.tunedO = res.PerShard.L, res.GlobalO
-	if res.GlobalO == e.appliedO {
-		return now, 0, nil
-	}
-	done, _, _, err = e.fr.ApplyOPQBudget(now, res.GlobalO)
-	if err != nil {
-		return done, 0, err
-	}
-	e.appliedO = res.GlobalO
-	return vtime.Max(now, done), 1, nil
+	return now, nil
 }
 
 // latencySummary reduces latency samples to mean/p95/p99 microseconds.

@@ -6,14 +6,13 @@
 //
 // Unlike the bench package, whose experiments regenerate the paper's
 // fixed-shape figures, a scenario exercises the system's ADAPTATION
-// machinery while it serves: the engine periodically invokes
-// Forest.AutoRebalance off the observed ShardLoads and re-runs the
-// eq.-(10) tuner (costmodel.TuneForest) on the observed insert ratio,
-// applying the retuned OPQ budget to the live forest. Per-phase
-// throughput, latency, migration, retune and recovery metrics land in a
-// bench.Table-compatible result that CI gates against checked-in
-// baselines, so a regression in how the system adapts — not just how
-// fast it runs — fails the build.
+// machinery while it serves: the forest is built with the L and O that
+// the eq.-(10) tuner (costmodel.TuneForest) picks for the first phase's
+// mix, and the engine periodically invokes Forest.AutoRebalance off the
+// observed ShardLoads. Per-phase throughput, latency, migration and
+// recovery metrics land in a bench.Table-compatible result that CI
+// gates against checked-in baselines, so a regression in how the system
+// adapts — not just how fast it runs — fails the build.
 //
 // Everything is virtual time and seeded randomness: two runs of the same
 // scenario at the same scale produce bit-identical results.
@@ -64,8 +63,7 @@ type Phase struct {
 	// phase's traffic runs. The engine verifies no key was lost.
 	CrashRestart bool
 	// Aging, when non-nil, is installed on the simulated device at the
-	// phase start: programs slow down and GC stalls appear, and the
-	// adaptation loop's recalibration sees the degraded device.
+	// phase start: programs slow down and GC stalls appear.
 	Aging *flashsim.Aging
 }
 
@@ -80,10 +78,6 @@ type Adapt struct {
 	// migration cannot freeze the poll loop); a negative one drains
 	// unbounded.
 	Policy core.RebalancePolicy
-	// Retune, when set, re-runs costmodel.TuneForest at each poll on the
-	// observed insert ratio and live entry count (recalibrating when the
-	// device aged) and applies the retuned OPQ budget to the forest.
-	Retune bool
 }
 
 // Scenario is a named, phased, multi-tenant traffic program.

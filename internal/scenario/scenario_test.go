@@ -160,8 +160,11 @@ func TestRunDiurnalAdapts(t *testing.T) {
 	if res.FinalKeys != res.ExpectedKeys {
 		t.Fatalf("keys: final %d, expected %d", res.FinalKeys, res.ExpectedKeys)
 	}
-	if res.TunedO == 0 {
-		t.Fatal("retuning never produced a recommendation")
+	if res.TunedL < 1 || res.TunedL > 16 {
+		t.Fatalf("build tune L=%d outside [1,16]", res.TunedL)
+	}
+	if res.TunedO <= 0 || res.TunedO%res.Shards != 0 {
+		t.Fatalf("build tune global O=%d is not a positive multiple of %d shards", res.TunedO, res.Shards)
 	}
 }
 

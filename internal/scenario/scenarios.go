@@ -31,9 +31,8 @@ const adaptEvery = 4 * vtime.Millisecond
 // Diurnal is a day in four phases over four tenants: traffic weight
 // rotates from the batch loader (night) through the interactive apps
 // (morning, peak) to analytics (evening), and the insert-heavy mix of
-// the night flips to search-heavy at peak. The adaptation loop must
-// chase both the load rotation (AutoRebalance) and the mix flip (the
-// eq.-(10) retuner shrinks the OPQ budget as the insert ratio drops).
+// the night flips to search-heavy at peak. AutoRebalance must chase the
+// load rotation on a forest tuned once, for the night's mix.
 func Diurnal() Scenario {
 	// The four tenants; weights vary per phase, character stays fixed.
 	loader := func(w float64) Tenant {
@@ -50,12 +49,11 @@ func Diurnal() Scenario {
 	}
 	return Scenario{
 		Name:    "diurnal",
-		Title:   "Diurnal four-tenant load rotation with adaptive retuning",
+		Title:   "Diurnal four-tenant load rotation",
 		Stripes: 4,
 		Adapt: Adapt{
 			Interval: adaptEvery,
 			Policy:   core.RebalancePolicy{MinOps: 100, HotFactor: 1.5},
-			Retune:   true,
 		},
 		Phases: []Phase{
 			{Name: "night", Tenants: []Tenant{loader(8), app1(1), app2(1), analytics(2)}},
@@ -144,9 +142,9 @@ func Blackout() Scenario {
 
 // BurstCrash is the durability gauntlet: cold uniform reads, then a
 // write burst concentrated on one stripe, then the same burst on an aged
-// device (slower programs, periodic GC stalls — the retuner recalibrates
-// and re-balances the OPQ budget against the degraded write path), and
-// finally a crash-restart with mixed traffic on the recovered forest.
+// device (slower programs, periodic GC stalls on the write path the
+// burst's flushes take), and finally a crash-restart with mixed traffic
+// on the recovered forest.
 // The engine fails the scenario outright if recovery loses a key.
 func BurstCrash() Scenario {
 	reader := Tenant{Name: "reader", Stripe: 0, Weight: 1, InsertRatio: 0}
@@ -158,7 +156,6 @@ func BurstCrash() Scenario {
 		Adapt: Adapt{
 			Interval: adaptEvery,
 			Policy:   core.RebalancePolicy{MinOps: 100, HotFactor: 1.5},
-			Retune:   true,
 		},
 		Phases: []Phase{
 			{Name: "cold", Tenants: []Tenant{reader, {Name: "burster", Stripe: 1, Weight: 1, InsertRatio: 0.1}}},
