@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# The one gate on ci/baselines: regenerate the seven quick-scale BENCH
-# files and compare each, byte for byte, with its checked-in copy. The
+# The one gate on ci/baselines: regenerate the quick-scale BENCH files
+# listed in ids and compare each, byte for byte, with its checked-in copy. The
 # experiments run on simulated time, so the JSON is byte-deterministic:
 # a change that is meant to leave behaviour alone leaves every file
 # identical, and a change that moves a number must commit the
@@ -14,9 +14,10 @@ set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
+ids=(rebalance recovery scenario_diurnal scenario_skewdrift
+	scenario_burstcrash scenario_chaos scenario_blackout fig13a fig13b)
 differ=()
-for id in rebalance recovery scenario_diurnal scenario_skewdrift \
-	scenario_burstcrash scenario_chaos scenario_blackout; do
+for id in "${ids[@]}"; do
 	go run ./cmd/pioexp -exp "$id" -quick -json "$out" >/dev/null
 	if ! cmp -s "ci/baselines/BENCH_$id.json" "$out/BENCH_$id.json"; then
 		differ+=("BENCH_$id.json")
@@ -24,7 +25,7 @@ for id in rebalance recovery scenario_diurnal scenario_skewdrift \
 	fi
 done
 if ((${#differ[@]} > 0)); then
-	echo "check_baselines: ${#differ[@]} of seven BENCH files differ from ci/baselines: ${differ[*]}" >&2
+	echo "check_baselines: ${#differ[@]} of ${#ids[@]} BENCH files differ from ci/baselines: ${differ[*]}" >&2
 	exit 1
 fi
-echo "check_baselines: all seven BENCH files byte-identical to ci/baselines"
+echo "check_baselines: all ${#ids[@]} BENCH files byte-identical to ci/baselines"

@@ -189,6 +189,36 @@ func TestForestWALZeroValueOptions(t *testing.T) {
 	}
 }
 
+// TestForestZeroValueOptionsKeepRetry: defaulting the tree knobs must
+// keep the caller's retry policy. With retries disabled, a search that
+// hits a transient read fault fails at once instead of retrying.
+func TestForestZeroValueOptionsKeepRetry(t *testing.T) {
+	dev := NewDevice(P300)
+	fr, err := OpenForest(dev, ForestOptions{
+		Options: Options{Retry: RetryPolicy{Disabled: true}},
+		Shards:  1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]Record, 1000)
+	for i := range recs {
+		recs[i] = Record{Key: Key(i), Value: Value(i)}
+	}
+	if err := fr.BulkLoad(recs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dev.InjectFaults("transient p=1", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := fr.Search(0, 500); err == nil {
+		t.Fatal("search succeeded on a device that fails every read")
+	}
+	if st := fr.Stats(); st.IORetries != 0 {
+		t.Fatalf("%d I/O retries with Retry.Disabled set", st.IORetries)
+	}
+}
+
 // TestForestWALCrashRecovery drives the façade's durability path: flushed
 // work, Sync-committed buffered work, and an uncommitted tail, then
 // Crash + Recover.

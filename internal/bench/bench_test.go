@@ -360,15 +360,11 @@ func TestForestScalingShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tab := range tabs {
-		base := parse(t, tab.Rows[0][2]) // concurrent elapsed
-		oneShard := parse(t, tab.Rows[1][2])
-		if oneShard != base {
-			t.Errorf("%s: single-shard forest %.3fs != concurrent %.3fs", tab.ID, oneShard, base)
-		}
+		base := parse(t, tab.Rows[0][2]) // one-shard forest elapsed
 		// Some multi-shard configuration must beat the whole-index lock,
 		// and at least one must have merged flushes into gang submissions.
 		improved, merged := false, false
-		for _, row := range tab.Rows[2:] {
+		for _, row := range tab.Rows[1:] {
 			if parse(t, row[2]) < base {
 				improved = true
 			}
@@ -377,7 +373,7 @@ func TestForestScalingShape(t *testing.T) {
 			}
 		}
 		if !improved {
-			t.Errorf("%s: no shard count improved on the concurrent baseline", tab.ID)
+			t.Errorf("%s: no shard count improved on the one-shard baseline", tab.ID)
 		}
 		if !merged {
 			t.Errorf("%s: no gang submissions at any shard count", tab.ID)

@@ -140,10 +140,28 @@ func Fig12(s Scale) ([]Table, error) {
 }
 
 // tpccIndexes builds one index per relation on a single shared device.
+// Each PIO index is a one-shard forest: the paper's Section 4 locking.
 type tpccIndexes struct {
 	dev    *flashsim.Device
 	btrees []*btree.Tree
-	pios   []*core.Tree
+	pios   []*core.Forest
+}
+
+// pioExec runs one trace op on its relation's PIO index.
+func (x *tpccIndexes) pioExec(op workload.Op, now vtime.Ticks) (vtime.Ticks, error) {
+	pio := x.pios[op.Relation]
+	switch op.Kind {
+	case workload.OpSearch:
+		_, _, n, err := pio.Search(now, op.Rec.Key)
+		return n, err
+	case workload.OpInsert:
+		return pio.Insert(now, op.Rec)
+	case workload.OpRange:
+		_, n, err := pio.RangeSearch(now, op.Rec.Key, op.Rec.Key+op.Span)
+		return n, err
+	default:
+		return pio.Delete(now, op.Rec.Key)
+	}
 }
 
 // buildTPCC loads the per-relation initial keys into both index families
@@ -191,10 +209,12 @@ func buildTPCC(p flashsim.Config, initial [][]kv.Record, memBytes int, pioOnly, 
 			if bufBytes < pageSize {
 				bufBytes = pageSize
 			}
-			pio, err := core.New(pf, core.Config{
-				PageSize: pageSize, LeafSegs: 1, OPQPages: opqPages,
-				PioMax: 64, SPeriod: 5000, BCnt: 5000,
-				BufferBytes: bufBytes, CPUPerNode: cpuPerNode,
+			pio, err := core.NewForest([]*pagefile.PageFile{pf}, core.ForestConfig{
+				Shard: core.Config{
+					PageSize: pageSize, LeafSegs: 1, OPQPages: opqPages,
+					PioMax: 64, SPeriod: 5000, BCnt: 5000,
+					BufferBytes: bufBytes, CPUPerNode: cpuPerNode,
+				},
 			})
 			if err != nil {
 				return nil, err
@@ -251,21 +271,7 @@ func Fig13a(s Scale) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pioT, err := replayTrace(trace, func(op workload.Op, now vtime.Ticks) (vtime.Ticks, error) {
-			pio := idxPio.pios[op.Relation]
-			switch op.Kind {
-			case workload.OpSearch:
-				_, _, n, err := pio.Search(now, op.Rec.Key)
-				return n, err
-			case workload.OpInsert:
-				return pio.Insert(now, op.Rec)
-			case workload.OpRange:
-				_, n, err := pio.RangeSearch(now, op.Rec.Key, op.Rec.Key+op.Span)
-				return n, err
-			default:
-				return pio.Delete(now, op.Rec.Key)
-			}
-		})
+		pioT, err := replayTrace(trace, idxPio.pioExec)
 		if err != nil {
 			return nil, err
 		}
@@ -357,30 +363,12 @@ func Fig13b(s Scale) ([]Table, error) {
 				}
 			})
 
-			// Concurrent PIO family.
+			// PIO family, one one-shard forest per relation.
 			idx2, err := buildTPCC(dev, initial, s.MemBytes/4, true, false)
 			if err != nil {
 				return nil, err
 			}
-			cpios := make([]*core.Concurrent, len(idx2.pios))
-			for i, p := range idx2.pios {
-				cpios[i] = core.NewConcurrent(p)
-			}
-			pioTime := runTraceThreads(trace, threads, func(op workload.Op, now vtime.Ticks) (vtime.Ticks, error) {
-				c := cpios[op.Relation]
-				switch op.Kind {
-				case workload.OpSearch:
-					_, _, n, err := c.Search(now, op.Rec.Key)
-					return n, err
-				case workload.OpInsert:
-					return c.Insert(now, op.Rec)
-				case workload.OpRange:
-					_, n, err := c.RangeSearch(now, op.Rec.Key, op.Rec.Key+op.Span)
-					return n, err
-				default:
-					return c.Delete(now, op.Rec.Key)
-				}
-			})
+			pioTime := runTraceThreads(trace, threads, idx2.pioExec)
 			t.AddRow(dev.Name, fmt.Sprintf("%d", threads), fmtSeconds(blinkTime), fmtSeconds(pioTime),
 				fmt.Sprintf("%.2f", float64(blinkTime)/float64(pioTime)))
 		}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -14,9 +15,9 @@ import (
 )
 
 // buildForest bulk-loads a sharded PIO forest on a fresh device instance.
-// OPQ and buffer budgets are global (the forest splits them), mirroring
-// buildPio's memory accounting so a one-shard forest is parameter-for-
-// parameter the Concurrent baseline.
+// OPQ and buffer budgets are global (the forest splits them), with
+// buildPio's memory accounting, so a one-shard forest gets one tree's
+// budgets.
 func buildForest(p flashsim.Config, n, memBytes, shards int, pp pioParams) (*core.Forest, []kv.Record, error) {
 	dev := flashsim.MustDevice(p)
 	space := ssdio.NewSpace(dev)
@@ -119,12 +120,13 @@ func runMixedThreads(ops []workload.Op, threads int,
 }
 
 // ForestScaling is the shard-scaling experiment: a mixed workload driven
-// by simulated threads against the Concurrent single tree (the paper's
-// Section 4.2 scheme) and against forests of growing shard count, on the
-// multi-channel device profiles. Per-shard flush locks let searches on
-// other shards proceed during a flush, and ripe shards flush together
-// through one concatenated psync submission; both effects grow with the
-// shard count until the device's channels saturate.
+// by simulated threads against forests of growing shard count, on the
+// multi-channel device profiles. Row 0, the speedup base, is the
+// one-shard forest: the paper's Section 4.2 whole-index flush lock.
+// Per-shard flush locks let searches on other shards proceed during a
+// flush, and ripe shards flush together through one concatenated psync
+// submission; both effects grow with the shard count until the device's
+// channels saturate.
 func ForestScaling(s Scale) ([]Table, error) {
 	threads := s.Threads
 	if threads <= 0 {
@@ -132,7 +134,7 @@ func ForestScaling(s Scale) ([]Table, error) {
 	}
 	shardLadder := []int{1, 2, 4, 8}
 	if s.Shards > 0 {
-		shardLadder = []int{s.Shards}
+		shardLadder = slices.Compact([]int{1, s.Shards})
 	}
 	const insertRatio = 0.5
 	var out []Table
@@ -145,23 +147,7 @@ func ForestScaling(s Scale) ([]Table, error) {
 				"gang_submits", "shards_per_group", "vlock_wait_ms"},
 		}
 
-		// Baseline: the Concurrent wrapper over one PIO B-tree, with the
-		// same global budgets the forests get.
-		pp := forestTune(dev, s.InitialEntries, s.MemBytes, 1, insertRatio)
-		tr, recs, err := buildPio(dev, s.InitialEntries, s.MemBytes, pp)
-		if err != nil {
-			return nil, err
-		}
-		cc := core.NewConcurrent(tr)
-		ops := workload.Mixed(s.Ops, insertRatio, recs, s.Seed)
-		baseTime := runMixedThreads(ops, threads, cc.Insert, cc.Search)
-		waits, contended := cc.VLockStats()
-		st := cc.Tree().Stats()
-		t.AddRow("concurrent", "1", fmtSeconds(baseTime), "1.00",
-			fmt.Sprintf("%d", st.Flushes), "0", "1.00",
-			fmt.Sprintf("%.1f", contended.Millis()))
-		_ = waits
-
+		var baseTime vtime.Ticks
 		for _, shards := range shardLadder {
 			pp := forestTune(dev, s.InitialEntries, s.MemBytes, shards, insertRatio)
 			fr, recs, err := buildForest(dev, s.InitialEntries, s.MemBytes, shards, pp)
@@ -170,6 +156,9 @@ func ForestScaling(s Scale) ([]Table, error) {
 			}
 			ops := workload.Mixed(s.Ops, insertRatio, recs, s.Seed)
 			elapsed := runMixedThreads(ops, threads, fr.Insert, fr.Search)
+			if shards == 1 {
+				baseTime = elapsed
+			}
 			fst := fr.Stats()
 			perGroup := 0.0
 			if fst.GroupFlushes > 0 {

@@ -160,20 +160,6 @@ func raceLoad(t *testing.T, n int) []kv.Record {
 	return recs
 }
 
-func TestConcurrentGoroutineRace(t *testing.T) {
-	cfg := forestCfg()
-	tr := newTestTree(t, cfg)
-	recs := raceLoad(t, 2000)
-	if err := tr.BulkLoad(recs); err != nil {
-		t.Fatal(err)
-	}
-	c := NewConcurrent(tr)
-	hammer(t, c, func() { c.VLockStats() }, recs)
-	if err := c.Tree().CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestForestGoroutineRace(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		fr := newTestForest(t, shards, forestCfg(), nil)

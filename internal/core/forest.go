@@ -199,14 +199,18 @@ type ForestConfig struct {
 // forestShard pairs one PIO B-tree with its two locking planes: the real
 // mutex makes the unsynchronized Tree safe for goroutine use (plain
 // mutual exclusion — the simulator executes one operation at a time), and
-// the virtual locks model the paper's concurrency scheme per shard
-// (searches share the index; an OPQ flush excludes everything, but now
-// only within its own shard).
+// the virtual locks model the paper's concurrency scheme (Section 4) per
+// shard; a one-shard forest is that scheme over the whole index.
 type forestShard struct {
-	mu    sync.Mutex
-	tree  *Tree
-	vlock vtime.Mutex // per-shard index-exclusive lock (flushes)
-	vopq  vtime.Mutex // per-shard OPQ append/sort lock
+	mu   sync.Mutex
+	tree *Tree
+	// vlock is the index-exclusive lock every OPQ flush holds. Readers
+	// share the index without taking it but start no earlier than its
+	// FreeAt(); with no dirty buffers, that is their only wait on writes.
+	vlock vtime.Mutex
+	// vopq is the OPQ lock: an append is instant, but the periodic sort
+	// inside one holds the whole queue exclusively.
+	vopq vtime.Mutex
 
 	// ops counts the operations routed to this shard (guarded by mu); the
 	// per-shard load signal AutoRebalance triggers on.
@@ -833,8 +837,9 @@ func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 	f.groupedShards.Add(int64(len(g)))
 	done := at
 	if len(g) == 1 {
-		// Single member: flush exactly like the single-tree scheme (no
-		// gang), so a one-shard forest reproduces Concurrent's timings.
+		// Single member: flush exactly like the paper's single-tree
+		// scheme (no gang), so a one-shard forest is Section 4's
+		// whole-index flush lock.
 		m := &g[0]
 		m.started = true
 		done, m.err = m.s.tree.FlushBatch(m.s.vlock.Acquire(at), m.s.tree.cfg.BCnt)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/flashsim"
@@ -169,46 +170,113 @@ func TestForestRangeAndSearchMany(t *testing.T) {
 	}
 }
 
-// TestForestSingleShardMatchesConcurrent checks that a one-shard forest
-// reproduces the Concurrent wrapper's virtual timings exactly: the forest
-// generalizes the paper's scheme and must not change the single-partition
-// baseline.
-func TestForestSingleShardMatchesConcurrent(t *testing.T) {
+// TestForestSingleShardMatchesTree checks that a one-shard forest — the
+// paper's Section 4 scheme over the whole index — costs nothing on one
+// clock: its locks never make a single caller wait, so every op of all
+// five kinds, and the final checkpoint, completes at the bare tree's tick.
+func TestForestSingleShardMatchesTree(t *testing.T) {
 	cfg := forestCfg()
-
 	tr := newTestTree(t, cfg)
-	cc := NewConcurrent(tr)
 	fr := newTestForest(t, 1, cfg, nil)
 
 	var recs []kv.Record
 	for i := 0; i < 400; i++ {
 		recs = append(recs, kv.Record{Key: kv.Key(i*16 + 8), Value: kv.Value(i)})
 	}
-	if err := cc.Tree().BulkLoad(recs); err != nil {
+	if err := tr.BulkLoad(recs); err != nil {
 		t.Fatal(err)
 	}
 	if err := fr.BulkLoad(recs); err != nil {
 		t.Fatal(err)
 	}
 
-	var tc, tf vtime.Ticks
-	for i := 0; i < 1500; i++ {
+	var tt, tf vtime.Ticks
+	for i := 0; i < 3000; i++ {
 		var err1, err2 error
-		if i%3 == 0 {
-			_, _, tc2, e1 := cc.Search(tc, kv.Key((i%400)*16+8))
-			_, _, tf2, e2 := fr.Search(tf, kv.Key((i%400)*16+8))
-			tc, tf, err1, err2 = tc2, tf2, e1, e2
-		} else {
+		switch loaded := kv.Key((i%400)*16 + 8); i % 5 {
+		case 0:
+			v1, ok1, t1, e1 := tr.Search(tt, loaded)
+			v2, ok2, t2, e2 := fr.Search(tf, loaded)
+			if v1 != v2 || ok1 != ok2 {
+				t.Fatalf("op %d: search %d: tree (%d, %v), forest (%d, %v)", i, loaded, v1, ok1, v2, ok2)
+			}
+			tt, tf, err1, err2 = t1, t2, e1, e2
+		case 1:
+			r1, t1, e1 := tr.RangeSearch(tt, loaded, loaded+160)
+			r2, t2, e2 := fr.RangeSearch(tf, loaded, loaded+160)
+			if !slices.Equal(r1, r2) {
+				t.Fatalf("op %d: range from %d: tree %v, forest %v", i, loaded, r1, r2)
+			}
+			tt, tf, err1, err2 = t1, t2, e1, e2
+		case 2:
 			r := kv.Record{Key: kv.Key(i*16 + 1), Value: kv.Value(i)}
-			tc, err1 = cc.Insert(tc, r)
+			tt, err1 = tr.Insert(tt, r)
 			tf, err2 = fr.Insert(tf, r)
+		case 3:
+			r := kv.Record{Key: loaded, Value: kv.Value(i)}
+			tt, err1 = tr.Update(tt, r)
+			tf, err2 = fr.Update(tf, r)
+		default:
+			k := kv.Key((i-2)*16 + 1) // the insert two ops back
+			tt, err1 = tr.Delete(tt, k)
+			tf, err2 = fr.Delete(tf, k)
 		}
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
-		if tc != tf {
-			t.Fatalf("op %d: concurrent at %d, single-shard forest at %d", i, tc, tf)
+		if tt != tf {
+			t.Fatalf("op %d: tree at %d, single-shard forest at %d", i, tt, tf)
 		}
+	}
+	if tr.Stats().Flushes == 0 {
+		t.Fatal("no flushes: the flush lock was never taken")
+	}
+	tt, err1 := tr.Checkpoint(tt)
+	tf, err2 := fr.Checkpoint(tf)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if tt != tf {
+		t.Fatalf("checkpoint: tree at %d, single-shard forest at %d", tt, tf)
+	}
+	if tr.Count() != fr.Count() {
+		t.Fatalf("count: tree %d, single-shard forest %d", tr.Count(), fr.Count())
+	}
+	if err := fr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentFlushBlocksReaders: a flush holds the one-shard forest's
+// virtual index lock; a reader arriving at time 0 must start no earlier
+// than the lock frees. The reader's key sits in the OPQ, so the search
+// does no I/O and only the lock, not the busy device, can delay it.
+func TestConcurrentFlushBlocksReaders(t *testing.T) {
+	cfg := smallCfg()
+	cfg.OPQPages = 1
+	fr := newTestForest(t, 1, cfg, nil)
+	s := fr.shards[0]
+	var at vtime.Ticks
+	var err error
+	// Fill the OPQ exactly; the next insert triggers a locked flush, then
+	// queues its own key.
+	last := kv.Key(s.tree.opq.Cap())
+	for k := kv.Key(0); k <= last; k++ {
+		at, err = fr.Insert(at, kv.Record{Key: k, Value: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	free := s.vlock.FreeAt()
+	if free <= 0 {
+		t.Fatal("flush never held the index lock")
+	}
+	_, found, done, err := fr.Search(0, last)
+	if err != nil || !found {
+		t.Fatalf("search %d: found %v, err %v", last, found, err)
+	}
+	if done < free {
+		t.Fatalf("reader at 0 done at %d, before the flush lock frees at %d", done, free)
 	}
 }
 

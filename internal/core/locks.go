@@ -21,7 +21,6 @@
 //
 //lint:lockorder core.Forest.migMu < core.forestShard.mu < wal.Log.mu < ssdio.File.mu < flashsim.Device.mu
 //lint:lockorder core.Forest.autoMu < core.forestShard.mu
-//lint:lockorder core.Concurrent.mu < wal.Log.mu
 //lint:lockorder wal.Log.mu < faultio.Plane.mu
 //lint:lockorder-multi core.forestShard.mu shard pairs and flush groups lock shards in ascending shard-index order
 package core

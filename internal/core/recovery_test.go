@@ -290,76 +290,3 @@ func TestCheckpointClearsRedo(t *testing.T) {
 	}
 	_ = l
 }
-
-func TestConcurrentWrapperBasics(t *testing.T) {
-	tr := newTestTree(t, smallCfg())
-	c := NewConcurrent(tr)
-	var at vtime.Ticks
-	var err error
-	for i := 0; i < 500; i++ {
-		at, err = c.Insert(at, kv.Record{Key: uint64(i), Value: uint64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	v, found, at, err := c.Search(at, 250)
-	if err != nil || !found || v != 250 {
-		t.Fatalf("Search: %v %v %v", v, found, err)
-	}
-	recs, at, err := c.RangeSearch(at, 100, 110)
-	if err != nil || len(recs) != 10 {
-		t.Fatalf("Range: %d %v", len(recs), err)
-	}
-	at, err = c.Update(at, kv.Record{Key: 250, Value: 999})
-	if err != nil {
-		t.Fatal(err)
-	}
-	at, err = c.Delete(at, 251)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err = c.Checkpoint(at); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Tree().CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	v, found, _, err = c.Search(0, 250)
-	if err != nil || !found || v != 999 {
-		t.Fatalf("after update: %v %v %v", v, found, err)
-	}
-	_, found, _, err = c.Search(0, 251)
-	if err != nil || found {
-		t.Fatalf("deleted key found: %v %v", found, err)
-	}
-}
-
-// TestConcurrentFlushBlocksReaders: a flush holds the virtual index lock;
-// a reader arriving mid-flush must start after the lock frees.
-func TestConcurrentFlushBlocksReaders(t *testing.T) {
-	cfg := smallCfg()
-	cfg.OPQPages = 1
-	tr := newTestTree(t, cfg)
-	c := NewConcurrent(tr)
-	var at vtime.Ticks
-	var err error
-	// Fill the OPQ exactly, then the next insert triggers a locked flush.
-	capEntries := tr.opq.Cap()
-	for i := 0; i < capEntries+1; i++ {
-		at, err = c.Insert(at, kv.Record{Key: uint64(i), Value: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	waits, waited := c.VLockStats()
-	_ = waits
-	_ = waited
-	// A reader at time 0 must be pushed past the flush horizon.
-	_, _, done, err := c.Search(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done <= 0 {
-		t.Fatal("reader not delayed by flush lock")
-	}
-}

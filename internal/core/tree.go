@@ -83,8 +83,8 @@ func (c Config) LeafEntryEstimate() int {
 	return n
 }
 
-// Tree is a PIO B-tree. Not safe for concurrent use; see Concurrent for
-// the multi-thread wrapper of Section 4.2.
+// Tree is a PIO B-tree. Not safe for concurrent use; a one-shard Forest
+// is the multi-thread scheme of Section 4.2 over one tree.
 type Tree struct {
 	cfg   Config
 	pf    *pagefile.PageFile
@@ -111,9 +111,8 @@ type Tree struct {
 	buf   []byte // page scratch: bulk load's encodes, a flush's pre-images
 	// arena and scratch are the read side's buffers, flush the write
 	// side's (see scan.go). One of each per tree is enough only because a
-	// tree is never entered concurrently — callers hold forestShard.mu or
-	// Concurrent's mutex; reads under a shared lock would each need their
-	// own.
+	// tree is never entered concurrently — callers hold forestShard.mu;
+	// reads under a shared lock would each need their own.
 	arena   arena
 	scratch readScratch
 	flush   flushScratch

@@ -176,7 +176,17 @@ func DefaultOptions() Options {
 	}
 }
 
-// Index is a PIO B-tree on a simulated SSD.
+// withTreeDefaults sets o's tree knobs from DefaultOptions; WAL,
+// CapacityHint and Retry keep the caller's values.
+func (o Options) withTreeDefaults() Options {
+	d := DefaultOptions()
+	o.PageSize, o.LeafSegs, o.OPQPages, o.PioMax = d.PageSize, d.LeafSegs, d.OPQPages, d.PioMax
+	o.SPeriod, o.BCnt, o.BufferBytes = d.SPeriod, d.BCnt, d.BufferBytes
+	return o
+}
+
+// Index is a PIO B-tree on a simulated SSD, not safe for concurrent use;
+// OpenForest with Shards: 1 is, under the paper's Section 4.2 locking.
 type Index struct {
 	tree *core.Tree
 	log  *wal.Log
@@ -186,7 +196,7 @@ type Index struct {
 // Open creates a fresh PIO B-tree on dev.
 func Open(dev *Device, opts Options) (*Index, error) {
 	if opts.PageSize == 0 {
-		opts = DefaultOptions()
+		opts = opts.withTreeDefaults()
 	}
 	cap := opts.CapacityHint
 	if cap <= 0 {
@@ -291,9 +301,6 @@ func (ix *Index) Recover(at Ticks) (core.RecoveryReport, Ticks, error) {
 	return ix.tree.Recover(at)
 }
 
-// Concurrent wraps the index for simulated multi-threaded use.
-func (ix *Index) Concurrent() *core.Concurrent { return core.NewConcurrent(ix.tree) }
-
 // ForestOptions configure a sharded PIO forest (OpenForest).
 type ForestOptions struct {
 	// Options are the per-tree knobs; OPQPages and BufferBytes are GLOBAL
@@ -361,14 +368,9 @@ func OpenForest(dev *Device, opts ForestOptions) (*Forest, error) {
 		opts.Shards = 4
 	}
 	if opts.PageSize == 0 {
-		// Only the tree knobs default; caller-set forest fields
-		// (RangeBounds, RipeFraction, Shards) and the non-tuning Options
-		// (WAL, CapacityHint) are preserved. The global OPQ budget scales
-		// with the shard count so every shard keeps the single-tree queue
-		// depth.
-		useWAL, capHint := opts.WAL, opts.CapacityHint
-		opts.Options = DefaultOptions()
-		opts.WAL, opts.CapacityHint = useWAL, capHint
+		// Only the tree knobs default. The global OPQ budget scales with
+		// the shard count so every shard keeps the single-tree queue depth.
+		opts.Options = opts.Options.withTreeDefaults()
 		opts.OPQPages *= opts.Shards
 	}
 	var part core.Partitioner

@@ -189,19 +189,31 @@ func TestProfiles(t *testing.T) {
 	}
 }
 
-func TestConcurrentWrapper(t *testing.T) {
-	dev := NewDevice(P300)
-	idx, err := Open(dev, DefaultOptions())
+// TestOpenZeroValueOptionsKeepWAL: defaulting the tree knobs of a
+// zero-value Options must keep the caller's WAL, so Recover works.
+func TestOpenZeroValueOptionsKeepWAL(t *testing.T) {
+	idx, err := Open(NewDevice(P300), Options{WAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := idx.Concurrent()
-	done, err := c.Insert(0, Record{Key: 1, Value: 2})
+	var clock Clock
+	for i := uint64(0); i < 100; i++ {
+		done, err := idx.Insert(clock.Now(), Record{Key: i, Value: i + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(done)
+	}
+	done, err := idx.Checkpoint(clock.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok, _, err := c.Search(done, 1)
-	if err != nil || !ok || v != 2 {
-		t.Fatalf("concurrent search: %v %v %v", v, ok, err)
+	clock.Advance(done)
+	idx.Crash()
+	if _, _, err := idx.Recover(clock.Now()); err != nil {
+		t.Fatalf("Recover after Open(Options{WAL: true}): %v", err)
+	}
+	if got := idx.Count(); got != 100 {
+		t.Fatalf("count %d, want 100", got)
 	}
 }
