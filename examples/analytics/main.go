@@ -60,7 +60,7 @@ func main() {
 	}
 	fmt.Printf("\naggregate over [%d,%d): %d rows, sum=%d\n", lo, hi, len(out), sum)
 
-	st := idx.Stats()
+	st := idx.Stats().Tree
 	fmt.Printf("psync reads issued: %d (each carrying up to PioMax=%d leaf requests)\n",
 		st.PsyncReads, opts.PioMax)
 }

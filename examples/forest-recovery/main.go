@@ -1,8 +1,16 @@
-// Forest recovery: demonstrate crash-safe sharding. The forest attaches
-// one WAL per shard and the flush coordinator runs a two-phase group
-// commit: one ganged force makes every member's FlushStart/undo records
-// durable before the data writes, a second commits their FlushEnds — two
-// blocking log submissions per group instead of two per shard.
+// Forest recovery: demonstrate the PIO B-tree's crash-recovery scheme
+// (Section 3.4) on a sharded index. Each shard's log holds three record
+// kinds: a logical redo log per buffered update, flush event logs
+// bracketing every OPQ flush, and flush undo logs (node pre-images) that
+// roll back a flush the crash left incomplete. A crash loses the OPQ,
+// LSMap and buffer pool; recovery undoes incomplete flushes, then redoes
+// the committed updates no completed flush consumed.
+//
+// The forest attaches one WAL per shard and the flush coordinator runs a
+// two-phase group commit: one ganged force makes every member's
+// FlushStart/undo records durable before the data writes, a second
+// commits their FlushEnds — two blocking log submissions per group
+// instead of two per shard.
 //
 // The example commits three classes of work, crashes, recovers with
 // Forest.Recover, and verifies the durable prefix survived exactly:

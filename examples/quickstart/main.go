@@ -81,7 +81,7 @@ func main() {
 		log.Fatal(err)
 	}
 	clock.Advance(done)
-	st := idx.Stats()
+	st := idx.Stats().Tree
 	ds := dev.Stats()
 	fmt.Printf("totals: %.3fs simulated, %d batch flushes, %d psync reads, %d psync writes\n",
 		clock.Elapsed(), st.Flushes, st.PsyncReads, st.PsyncWrites)

@@ -32,7 +32,7 @@ func main() {
 
 	// One PIO B-tree per index relation, all on one simulated Iodrive.
 	dev := pio.NewDevice(pio.Iodrive)
-	indexes := make([]*pio.Index, relations)
+	indexes := make([]*pio.Forest, relations)
 	for r := 0; r < relations; r++ {
 		opts := pio.DefaultOptions()
 		opts.LeafSegs = 1 // the paper's Section 4.2 configuration
@@ -79,7 +79,7 @@ func main() {
 	fmt.Printf("simulated elapsed: %.3fs\n", clock.Elapsed())
 	var flushes, psyncs int64
 	for _, idx := range indexes {
-		s := idx.Stats()
+		s := idx.Stats().Tree
 		flushes += s.Flushes
 		psyncs += s.PsyncReads + s.PsyncWrites
 	}

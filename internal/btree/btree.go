@@ -76,15 +76,9 @@ func (t *Tree) Count() int64 { return t.count }
 // Height returns the number of levels (the paper's H).
 func (t *Tree) Height() int { return t.height }
 
-// Pool exposes the buffer pool for stats.
-func (t *Tree) Pool() *bufferpool.Pool { return t.pool }
-
 // Fanout returns the maximum number of child pointers per internal node
 // (the paper's F).
 func (t *Tree) Fanout() int { return maxInternalKeys(t.cfg.NodeSize) + 1 }
-
-// LeafCapacity returns the record capacity of a leaf.
-func (t *Tree) LeafCapacity() int { return maxLeafRecs(t.cfg.NodeSize) }
 
 // readNode fetches and decodes a node through the buffer pool, charging
 // per-node CPU time.

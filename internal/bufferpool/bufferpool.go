@@ -134,12 +134,6 @@ func (p *Pool) Resize(at vtime.Ticks, capacity int) (vtime.Ticks, error) {
 // Stats returns a snapshot of the counters.
 func (p *Pool) Stats() Stats { return p.stats }
 
-// ResetStats zeroes the counters.
-func (p *Pool) ResetStats() { p.stats = Stats{} }
-
-// PageSize returns the underlying page size.
-func (p *Pool) PageSize() int { return p.pf.PageSize() }
-
 // evictOne removes the least recently used unpinned frame, writing it back
 // if dirty, and returns it detached and clean for the caller to refill or
 // drop. It fails if every frame is pinned.

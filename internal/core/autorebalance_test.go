@@ -378,3 +378,60 @@ func TestAutoRebalanceDriftGuard(t *testing.T) {
 		t.Logf("seed %d: %d migrations, %d keys, %d rules, makespan %.1f ms", seed, st.Migrations, st.MigratedKeys, len(rules), at.Millis())
 	}
 }
+
+// TestAutoRebalanceScanFaultIsNoMove: an I/O fault that fails the planning
+// scan of a move, before anything is logged or routed, is "no move this
+// tick" for the poll loop: moved is false, the error is nil and the
+// routing epoch is unchanged. Once the device answers again the next
+// poll moves the hot range.
+func TestAutoRebalanceScanFaultIsNoMove(t *testing.T) {
+	fr, space := newFaultForestCfg(t, RetryPolicy{Disabled: true}, HealPolicy{}, EvacuationPolicy{})
+	at := fmBaseline(t, fr)
+	pol := RebalancePolicy{MinOps: 100, HotFactor: 1.5}
+	poll := func() bool {
+		t.Helper()
+		moved, _, _, done, err := fr.AutoRebalance(at, pol)
+		if err != nil {
+			t.Fatalf("AutoRebalance: %v", err)
+		}
+		at = vtime.Max(at, done)
+		return moved
+	}
+	hammer := func() {
+		for _, k := range append(fmShardKeys(0), fmShardKeys(0)...) {
+			var err error
+			if _, _, at, err = fr.Search(at, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	poll() // open the window
+	hammer()
+	epoch := fr.Stats().RoutingEpoch
+	pl := fmInstall(t, space, "transient file=shard0")
+	if poll() {
+		t.Fatal("a move committed through a failing scan")
+	}
+	if pl.Stats().Transient == 0 {
+		t.Fatal("the fault never fired: the poll planned no move")
+	}
+	st := fr.Stats()
+	if st.RoutingEpoch != epoch || st.Migrations != 0 || st.MigrationActive || st.MigrationAborts != 0 {
+		t.Fatalf("after the failed scan: %+v, want routing epoch %d and no migration", st, epoch)
+	}
+	if q := fr.Quarantined(); len(q) != 0 {
+		t.Fatalf("Quarantined() = %v, want none", q)
+	}
+	space.SetInjector(nil)
+	hammer()
+	if !poll() {
+		t.Fatal("no move after the device came back")
+	}
+	if fr.Stats().RoutingEpoch == epoch {
+		t.Fatal("the committed move did not advance the routing epoch")
+	}
+	fmCheckKeys(t, fr, at, append(fmShardKeys(0), fmShardKeys(1)...))
+	if err := fr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -10,18 +10,10 @@ import (
 )
 
 // hammer runs writers, readers, a checkpointer and a stats poller as real
-// goroutines against an index façade, then verifies virtual-time
-// monotonicity and that no update was lost. It is primarily a -race test:
-// the simulated timings are interleaving-dependent, the data must not be.
-type hammerIndex interface {
-	Search(at vtime.Ticks, k kv.Key) (kv.Value, bool, vtime.Ticks, error)
-	Insert(at vtime.Ticks, r kv.Record) (vtime.Ticks, error)
-	Delete(at vtime.Ticks, k kv.Key) (vtime.Ticks, error)
-	Checkpoint(at vtime.Ticks) (vtime.Ticks, error)
-	RangeSearch(at vtime.Ticks, lo, hi kv.Key) ([]kv.Record, vtime.Ticks, error)
-}
-
-func hammer(t *testing.T, idx hammerIndex, poll func(), loaded []kv.Record) {
+// goroutines against a forest, then verifies virtual-time monotonicity
+// and that no update was lost. It is primarily a -race test: the
+// simulated timings are interleaving-dependent, the data must not be.
+func hammer(t *testing.T, idx *Forest, poll func(), loaded []kv.Record) {
 	t.Helper()
 	const (
 		writers      = 4

@@ -553,7 +553,7 @@ func NewForest(pfs []*pagefile.PageFile, cfg ForestConfig) (*Forest, error) {
 			return nil, fmt.Errorf("core: shard %d: %w", i, err)
 		}
 		if len(f.logs) > 0 {
-			tr.AttachWAL(f.logs[i])
+			tr.attachWAL(f.logs[i])
 		}
 		f.shards = append(f.shards, &forestShard{tree: tr})
 	}
@@ -1305,7 +1305,7 @@ func (f *Forest) Recover(at vtime.Ticks) (ForestRecoveryReport, vtime.Ticks, err
 	done := at
 	for i, s := range f.shards {
 		s.mu.Lock()
-		r, d, err := s.tree.Recover(at)
+		r, d, err := s.tree.recover(at)
 		s.mu.Unlock()
 		if err != nil {
 			return rep, d, fmt.Errorf("core: forest shard %d: %w", i, err)
@@ -1387,7 +1387,7 @@ func (f *Forest) Quarantined() []int {
 func (f *Forest) Crash() {
 	for _, s := range f.shards {
 		s.mu.Lock()
-		s.tree.CrashVolatileState()
+		s.tree.crashVolatileState()
 		s.mu.Unlock()
 	}
 	// The in-flight migration's frontier is volatile state: Recover

@@ -173,7 +173,8 @@ func TestForestRangeAndSearchMany(t *testing.T) {
 // TestForestSingleShardMatchesTree checks that a one-shard forest — the
 // paper's Section 4 scheme over the whole index — costs nothing on one
 // clock: its locks never make a single caller wait, so every op of all
-// five kinds, and the final checkpoint, completes at the bare tree's tick.
+// five kinds, and the final checkpoint against the bare tree's drain,
+// completes at the bare tree's tick.
 func TestForestSingleShardMatchesTree(t *testing.T) {
 	cfg := forestCfg()
 	tr := newTestTree(t, cfg)
@@ -231,7 +232,7 @@ func TestForestSingleShardMatchesTree(t *testing.T) {
 	if tr.Stats().Flushes == 0 {
 		t.Fatal("no flushes: the flush lock was never taken")
 	}
-	tt, err1 := tr.Checkpoint(tt)
+	tt, err1 := tr.drain(tt)
 	tf, err2 := fr.Checkpoint(tf)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)

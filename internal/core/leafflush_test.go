@@ -175,10 +175,7 @@ func TestFlushBytesGolden(t *testing.T) {
 			name := fmt.Sprintf("solo/L%d/%s", segs, mode)
 			t.Run(name, func(t *testing.T) {
 				tr, wf := newWALTreeFile(t, cfg)
-				at := goldenOps(t, tr, 1, 6000)
-				if _, err := tr.Checkpoint(at); err != nil {
-					t.Fatal(err)
-				}
+				walCheckpoint(t, tr, goldenOps(t, tr, 1, 6000))
 				checkArms(t, mode, tr.Stats())
 				if err := tr.CheckInvariants(); err != nil {
 					t.Fatal(err)

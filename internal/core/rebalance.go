@@ -319,7 +319,6 @@ type Migration struct {
 	// [bounds[i], bounds[i+1]).
 	bounds []kv.Key
 	idx    int
-	moved  int64
 	done   bool
 }
 
@@ -366,9 +365,6 @@ func (m migSpec) commitOp() wal.OpType {
 
 // Done reports whether the migration has committed.
 func (m *Migration) Done() bool { return m.done }
-
-// Moved returns the number of keys migrated so far.
-func (m *Migration) Moved() int64 { return m.moved }
 
 // Range returns the migrating key range and the shard pair.
 func (m *Migration) Range() (lo, hi kv.Key, src, dst int) {
@@ -714,7 +710,6 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 	mig.frontier = b
 	next.mig = &mig
 	f.rpart.publish(next)
-	m.moved += int64(len(recs))
 	f.keysMigrated.Add(int64(len(recs)))
 	if m.srcWritable {
 		f.moveTicks.Add(int64(now - at))

@@ -22,7 +22,7 @@ type RecoveryReport struct {
 	SkippedEntries int
 }
 
-// Recover implements the paper's crash-recovery procedure (Section 3.4)
+// recover implements the paper's crash-recovery procedure (Section 3.4)
 // for this index relation:
 //
 //  1. scan the durable log; pair FlushStart/FlushEnd records;
@@ -37,7 +37,7 @@ type RecoveryReport struct {
 // The tree's in-memory OPQ is rebuilt; structural state (root, height) is
 // taken from meta, which the caller persists separately (the experiments
 // snapshot it; a full DBMS would keep it in the catalog).
-func (t *Tree) Recover(at vtime.Ticks) (RecoveryReport, vtime.Ticks, error) {
+func (t *Tree) recover(at vtime.Ticks) (RecoveryReport, vtime.Ticks, error) {
 	if t.log == nil {
 		return RecoveryReport{}, at, fmt.Errorf("core: Recover called without a WAL attached")
 	}
@@ -273,20 +273,20 @@ func (t *Tree) Snapshot() Meta {
 }
 
 // RestoreMeta resets the structural state (crash-recovery tests restore
-// the pre-crash durable snapshot, then call Recover).
+// the pre-crash durable snapshot, then call recover).
 func (t *Tree) RestoreMeta(m Meta) {
 	t.root = m.Root
 	t.height = m.Height
 	t.count = m.Count
 }
 
-// CrashVolatileState simulates a crash: the OPQ, LSMap and buffer pool
+// crashVolatileState simulates a crash: the OPQ, LSMap and buffer pool
 // contents vanish; only the simulated SSD (pagefile + forced WAL) remains.
 //
 // The log's low-water state goes too: the marks may name records the
-// crash dropped, and Recover re-derives the unpaired FlushStart from the
+// crash dropped, and recover re-derives the unpaired FlushStart from the
 // durable log.
-func (t *Tree) CrashVolatileState() {
+func (t *Tree) crashVolatileState() {
 	t.dropVolatile()
 	if t.log != nil {
 		t.log.Crash()

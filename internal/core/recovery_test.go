@@ -43,13 +43,28 @@ func newWALTreeFile(t *testing.T, cfg Config) (*Tree, *ssdio.File) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.AttachWAL(l)
+	tr.attachWAL(l)
 	return tr, wf
+}
+
+// walCheckpoint checkpoints a WAL-attached tree: it drains the OPQ, then
+// appends and forces one checkpoint record (Section 3.4).
+func walCheckpoint(t *testing.T, tr *Tree, at vtime.Ticks) vtime.Ticks {
+	t.Helper()
+	at, err := tr.drain(at)
+	if err == nil {
+		tr.log.Append(wal.Record{Kind: wal.KindCheckpoint, Relation: tr.cfg.Relation})
+		at, err = tr.retryIO(at, tr.log.Force)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return at
 }
 
 func TestRecoverWithoutWALFails(t *testing.T) {
 	tr := newTestTree(t, smallCfg())
-	if _, _, err := tr.Recover(0); err == nil {
+	if _, _, err := tr.recover(0); err == nil {
 		t.Fatal("Recover without WAL accepted")
 	}
 }
@@ -73,9 +88,9 @@ func TestRecoverRedoUnflushedEntries(t *testing.T) {
 	}
 	meta := tr.Snapshot()
 
-	tr.CrashVolatileState()
+	tr.crashVolatileState()
 	tr.RestoreMeta(meta)
-	rep, at, err := tr.Recover(at)
+	rep, at, err := tr.recover(at)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +139,9 @@ func TestRecoverSkipsCompletedFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta := tr.Snapshot()
-	tr.CrashVolatileState()
+	tr.crashVolatileState()
 	tr.RestoreMeta(meta)
-	rep, at, err := tr.Recover(at)
+	rep, at, err := tr.recover(at)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,9 +246,9 @@ func TestRecoverUndoIncompleteFlush(t *testing.T) {
 	if _, err := l2.Force(0); err != nil {
 		t.Fatal(err)
 	}
-	tr2.AttachWAL(l2)
+	tr2.attachWAL(l2)
 	tr2.RestoreMeta(meta) // pre-flush structural state
-	rep, at2, err := tr2.Recover(0)
+	rep, at2, err := tr2.recover(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,14 +286,11 @@ func TestCheckpointClearsRedo(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	at, err = tr.Checkpoint(at)
-	if err != nil {
-		t.Fatal(err)
-	}
+	at = walCheckpoint(t, tr, at)
 	meta := tr.Snapshot()
-	tr.CrashVolatileState()
+	tr.crashVolatileState()
 	tr.RestoreMeta(meta)
-	rep, _, err := tr.Recover(at)
+	rep, _, err := tr.recover(at)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,13 +138,6 @@ type retryStats struct {
 	WatchdogTimeouts int64
 }
 
-func (s *retryStats) add(o retryStats) {
-	s.IORetries += o.IORetries
-	s.IORetryBackoff += o.IORetryBackoff
-	s.IORetriesExhausted += o.IORetriesExhausted
-	s.WatchdogTimeouts += o.WatchdogTimeouts
-}
-
 // countWatchdog classifies one failed attempt's error onto the watchdog
 // counter.
 func countWatchdog(ctr *retryStats, err error) {

@@ -208,8 +208,8 @@ func (t *Tree) poolGet(at vtime.Ticks, id pagefile.PageID) ([]byte, vtime.Ticks,
 	return data, at, err
 }
 
-// AttachWAL enables write-ahead logging (Section 3.4) on the tree.
-func (t *Tree) AttachWAL(l *wal.Log) { t.log = l }
+// attachWAL enables write-ahead logging (Section 3.4) on the tree.
+func (t *Tree) attachWAL(l *wal.Log) { t.log = l }
 
 // forceWAL makes the tree's appended log records durable. During a forest
 // group flush (g non-nil) the force is left to the coordinator, which
@@ -238,9 +238,6 @@ func (t *Tree) Pool() *bufferpool.Pool { return t.pool }
 
 // OPQLen returns the number of queued update operations.
 func (t *Tree) OPQLen() int { return t.opq.Len() }
-
-// Fanout returns F, the max child pointers per internal node.
-func (t *Tree) Fanout() int { return maxInternalKeys(t.cfg.PageSize) + 1 }
 
 // LeafCapacity returns the entry capacity of one leaf.
 func (t *Tree) LeafCapacity() int { return leafCap(t.cfg.PageSize, t.cfg.LeafSegs) }
@@ -439,24 +436,10 @@ func (t *Tree) enqueue(at vtime.Ticks, e kv.Entry) (vtime.Ticks, error) {
 	return at + t.cfg.CPUPerNode, nil
 }
 
-// Checkpoint flushes the whole OPQ and logs a checkpoint record
-// (Section 3.4: "PIO B-tree also flushes all the OPQ entries ... when the
-// DBMS system needs to checkpoint").
-func (t *Tree) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
-	at, err := t.drain(at)
-	if err != nil {
-		return at, err
-	}
-	if t.log != nil {
-		t.log.Append(wal.Record{Kind: wal.KindCheckpoint, Relation: t.cfg.Relation})
-		at, err = t.retryIO(at, t.log.Force)
-	}
-	return at, err
-}
-
-// drain flushes the whole OPQ without logging a checkpoint record (the
+// drain flushes the whole OPQ (Section 3.4: "PIO B-tree also flushes all
+// the OPQ entries ... when the DBMS system needs to checkpoint"); the
 // forest checkpoint drains every shard this way, then gang-forces one
-// checkpoint record per shard log).
+// checkpoint record per shard log.
 func (t *Tree) drain(at vtime.Ticks) (vtime.Ticks, error) {
 	var err error
 	for t.opq.Len() > 0 {

@@ -80,7 +80,7 @@ func buildAll(t *testing.T) []adapters {
 			del:    pioT.Delete,
 			search: pioT.Search,
 			rng:    pioT.RangeSearch,
-			fini:   func(at vtime.Ticks) (vtime.Ticks, error) { return pioT.Checkpoint(at) },
+			fini:   func(at vtime.Ticks) (vtime.Ticks, error) { return pioT.FlushBatch(at, 0) },
 		},
 		{
 			name: "btree",

@@ -46,28 +46,6 @@ type Config struct {
 	FaultProgram string
 }
 
-// DefaultConfig scales like bench.DefaultScale.
-func DefaultConfig() Config {
-	return Config{
-		Device:         flashsim.Iodrive(),
-		InitialEntries: 200_000,
-		OpsPerPhase:    20_000,
-		MemBytes:       16 * 1024,
-		Seed:           42,
-	}
-}
-
-// QuickConfig scales like bench.QuickScale (CI smoke gates).
-func QuickConfig() Config {
-	return Config{
-		Device:         flashsim.Iodrive(),
-		InitialEntries: 20_000,
-		OpsPerPhase:    2_000,
-		MemBytes:       8 * 1024,
-		Seed:           42,
-	}
-}
-
 // PhaseResult is one phase's measured trajectory point.
 type PhaseResult struct {
 	Name string

@@ -82,9 +82,6 @@ func NewSpace(dev *flashsim.Device) *Space {
 	return &Space{dev: dev, files: make(map[string]*File)}
 }
 
-// Device returns the underlying simulated device.
-func (s *Space) Device() *flashsim.Device { return s.dev }
-
 // Create allocates a file of the given size (bytes). Creating an existing
 // name returns an error; use Open to retrieve it.
 func (s *Space) Create(name string, size int64) (*File, error) {

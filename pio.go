@@ -185,120 +185,12 @@ func (o Options) withTreeDefaults() Options {
 	return o
 }
 
-// Index is a PIO B-tree on a simulated SSD, not safe for concurrent use;
-// OpenForest with Shards: 1 is, under the paper's Section 4.2 locking.
-type Index struct {
-	tree *core.Tree
-	log  *wal.Log
-	opts Options
-}
-
-// Open creates a fresh PIO B-tree on dev.
-func Open(dev *Device, opts Options) (*Index, error) {
-	if opts.PageSize == 0 {
-		opts = opts.withTreeDefaults()
-	}
-	cap := opts.CapacityHint
-	if cap <= 0 {
-		cap = 64 << 20
-	}
-	dev.nextID++
-	f, err := dev.space.Create(fmt.Sprintf("pio-%d", dev.nextID), cap)
-	if err != nil {
-		return nil, err
-	}
-	pf, err := pagefile.New(f, opts.PageSize)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := core.New(pf, core.Config{
-		PageSize:    opts.PageSize,
-		LeafSegs:    opts.LeafSegs,
-		OPQPages:    opts.OPQPages,
-		PioMax:      opts.PioMax,
-		SPeriod:     opts.SPeriod,
-		BCnt:        opts.BCnt,
-		BufferBytes: opts.BufferBytes,
-		Retry:       opts.Retry,
-	})
-	if err != nil {
-		return nil, err
-	}
-	dev.space.SetStuckTimeout(opts.Retry.StuckDeadline())
-	idx := &Index{tree: tree, opts: opts}
-	if opts.WAL {
-		wf, err := dev.space.Create(fmt.Sprintf("pio-wal-%d", dev.nextID), 16<<20)
-		if err != nil {
-			return nil, err
-		}
-		idx.log, err = wal.NewLog(wf, opts.PageSize)
-		if err != nil {
-			return nil, err
-		}
-		tree.AttachWAL(idx.log)
-	}
-	return idx, nil
-}
-
-// BulkLoad populates an empty index from key-sorted records without
-// simulated cost (initial load).
-func (ix *Index) BulkLoad(recs []Record) error { return ix.tree.BulkLoad(recs) }
-
-// Insert buffers an index-insert; completion is immediate unless the OPQ
-// fills and a batch update runs.
-func (ix *Index) Insert(at Ticks, r Record) (Ticks, error) { return ix.tree.Insert(at, r) }
-
-// Delete buffers an index-delete.
-func (ix *Index) Delete(at Ticks, k Key) (Ticks, error) { return ix.tree.Delete(at, k) }
-
-// Update buffers an index-update (pointer replacement).
-func (ix *Index) Update(at Ticks, r Record) (Ticks, error) { return ix.tree.Update(at, r) }
-
-// Search performs a point search (OPQ first, then the tree).
-func (ix *Index) Search(at Ticks, k Key) (Value, bool, Ticks, error) {
-	return ix.tree.Search(at, k)
-}
-
-// SearchMany resolves a batch of keys with MPSearch (one psync call per
-// tree level).
-func (ix *Index) SearchMany(at Ticks, keys []Key) (map[Key]Value, Ticks, error) {
-	return ix.tree.SearchMany(at, keys)
-}
-
-// RangeSearch runs the parallel range search over [lo, hi).
-func (ix *Index) RangeSearch(at Ticks, lo, hi Key) ([]Record, Ticks, error) {
-	return ix.tree.RangeSearch(at, lo, hi)
-}
-
-// Flush forces one batch update of up to BCnt queued operations.
-func (ix *Index) Flush(at Ticks) (Ticks, error) { return ix.tree.FlushBatch(at, ix.opts.BCnt) }
-
-// Checkpoint flushes the whole OPQ (and logs a checkpoint when WAL is on).
-func (ix *Index) Checkpoint(at Ticks) (Ticks, error) { return ix.tree.Checkpoint(at) }
-
-// Count returns the number of live records.
-func (ix *Index) Count() int64 { return ix.tree.Count() }
-
-// Height returns the tree height in levels.
-func (ix *Index) Height() int { return ix.tree.Height() }
-
-// Pending returns the number of buffered update operations in the OPQ.
-func (ix *Index) Pending() int { return ix.tree.OPQLen() }
-
-// Stats returns PIO B-tree counters (flushes, psync calls, splits...).
-func (ix *Index) Stats() core.Stats { return ix.tree.Stats() }
-
-// CheckInvariants validates the on-disk structure (testing/debugging).
-func (ix *Index) CheckInvariants() error { return ix.tree.CheckInvariants() }
-
-// Crash simulates a crash (volatile state lost; device contents remain).
-// Only meaningful with WAL enabled; follow with Recover.
-func (ix *Index) Crash() { ix.tree.CrashVolatileState() }
-
-// Recover replays the WAL per the paper's Section 3.4 and returns a
-// report of undone flushes and redone entries.
-func (ix *Index) Recover(at Ticks) (core.RecoveryReport, Ticks, error) {
-	return ix.tree.Recover(at)
+// Open creates a fresh PIO B-tree on dev: a one-shard forest, which is
+// the paper's Section 4.2 scheme (one index under one flush lock) and is
+// safe for concurrent goroutine use. The OPQ and buffer budgets are the
+// single tree's own.
+func Open(dev *Device, opts Options) (*Forest, error) {
+	return OpenForest(dev, ForestOptions{Options: opts, Shards: 1})
 }
 
 // ForestOptions configure a sharded PIO forest (OpenForest).
@@ -355,8 +247,8 @@ func DefaultForestOptions() ForestOptions {
 // PIO trees on one device, each with its own Operation Queue and flush
 // lock, so a batch flush on one shard never stalls operations on the
 // others, and ripe shards flush together through a single concatenated
-// psync submission. Unlike Index, all Forest methods are safe for
-// concurrent goroutine use.
+// psync submission. All Forest methods are safe for concurrent goroutine
+// use.
 type Forest struct {
 	f    *core.Forest
 	opts ForestOptions

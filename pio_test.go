@@ -1,6 +1,8 @@
 package pio
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -64,7 +66,7 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
-// TestIndexUpdateAndStats drives Index.Update and Index.Stats: an update
+// TestIndexUpdateAndStats drives Open's Update and Stats: an update
 // replaces a key's value, both while it waits in the OPQ and after the
 // flush writes it to its leaf, leaves Count alone, and counts as one
 // buffered update.
@@ -82,13 +84,13 @@ func TestIndexUpdateAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	var clock Clock
-	count, before := idx.Count(), idx.Stats().UpdateOps
+	count, before := idx.Count(), idx.Stats().Tree.UpdateOps
 	done, err := idx.Update(clock.Now(), Record{Key: 4000, Value: 777})
 	if err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(done)
-	if got := idx.Stats().UpdateOps - before; got != 1 {
+	if got := idx.Stats().Tree.UpdateOps - before; got != 1 {
 		t.Fatalf("Stats().UpdateOps grew by %d for one update, want 1", got)
 	}
 	check := func(when string) {
@@ -215,5 +217,131 @@ func TestOpenZeroValueOptionsKeepWAL(t *testing.T) {
 	}
 	if got := idx.Count(); got != 100 {
 		t.Fatalf("count %d, want 100", got)
+	}
+}
+
+// TestOpenWALLogBounded: Open's index is a one-shard forest, so the flush
+// commits that empty its queue cut its log, and a crash still recovers
+// every committed key.
+func TestOpenWALLogBounded(t *testing.T) {
+	opts := DefaultOptions()
+	opts.WAL = true
+	idx, err := Open(NewDevice(P300), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5000
+	var clock Clock
+	for i := uint64(0); i < n; i++ {
+		done, err := idx.Insert(clock.Now(), Record{Key: i * 3, Value: i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(done)
+	}
+	done, err := idx.Sync(clock.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(done)
+	st := idx.Stats()
+	if st.Tree.Flushes < 3 {
+		t.Fatalf("%d flushes, want the OPQ filled several times", st.Tree.Flushes)
+	}
+	if st.LogTruncatedBytes <= 0 {
+		t.Fatalf("log truncated %d B after %d flushes, want > 0", st.LogTruncatedBytes, st.Tree.Flushes)
+	}
+	idx.Crash()
+	if _, done, err = idx.Recover(clock.Now()); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(done)
+	for i := uint64(0); i < n; i++ {
+		v, ok, d, err := idx.Search(clock.Now(), i*3)
+		if err != nil || !ok || v != i {
+			t.Fatalf("after recovery Search(%d) = %v, %v, %v; want %d", i*3, v, ok, err, i)
+		}
+		clock.Advance(d)
+	}
+	if idx.Count() != n {
+		t.Fatalf("count %d, want %d", idx.Count(), n)
+	}
+	if err := idx.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenGoroutines: Open's index serves writers, readers and a
+// checkpointer from separate goroutines (run under -race).
+func TestOpenGoroutines(t *testing.T) {
+	opts := DefaultOptions()
+	opts.WAL = true
+	idx, err := Open(NewDevice(P300), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const loaded, writers, perWriter = 2000, 4, 500
+	recs := make([]Record, loaded)
+	for i := range recs {
+		recs[i] = Record{Key: uint64(i) * 2, Value: uint64(i)}
+	}
+	if err := idx.BulkLoad(recs); err != nil {
+		t.Fatal(err)
+	}
+	var work, ckpt sync.WaitGroup
+	var stop atomic.Bool
+	for w := 0; w < writers; w++ {
+		work.Add(1)
+		go func(w int) {
+			defer work.Done()
+			var clock Clock
+			base := Key(w+1) * 1_000_000
+			for i := uint64(0); i < perWriter; i++ {
+				done, err := idx.Insert(clock.Now(), Record{Key: base + Key(i), Value: i})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				clock.Advance(done)
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		work.Add(1)
+		go func(r int) {
+			defer work.Done()
+			var clock Clock
+			for i := 0; i < perWriter; i++ {
+				k := recs[(r*997+i*31)%loaded]
+				v, ok, done, err := idx.Search(clock.Now(), k.Key)
+				if err != nil || !ok || v != k.Value {
+					t.Errorf("Search(%d) = %v, %v, %v; want %d", k.Key, v, ok, err, k.Value)
+					return
+				}
+				clock.Advance(done)
+			}
+		}(r)
+	}
+	ckpt.Add(1)
+	go func() {
+		defer ckpt.Done()
+		var clock Clock
+		for !stop.Load() {
+			done, err := idx.Checkpoint(clock.Now())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			clock.Advance(done)
+		}
+	}()
+	work.Wait()
+	stop.Store(true)
+	ckpt.Wait()
+	if got, want := idx.Count(), int64(loaded+writers*perWriter); got != want {
+		t.Fatalf("count %d, want %d", got, want)
+	}
+	if err := idx.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
