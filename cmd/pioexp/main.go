@@ -95,7 +95,7 @@ func main() {
 // writeJSON dumps an experiment's tables (header, rows and notes, all
 // strings) as BENCH_<id>.json. Fields marshal in declaration order, so
 // two runs of a deterministic experiment write byte-identical files:
-// ci/check_baselines.sh compares the seven checked-in ones with cmp.
+// ci/check_baselines.sh compares the nine checked-in ones with cmp.
 func writeJSON(dir, id string, tables []bench.Table) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

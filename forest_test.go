@@ -469,7 +469,7 @@ func TestForestFacadeSurface(t *testing.T) {
 	// checkpoint empties every queue, so the flush picks shard 2.
 	const victim = 2
 	advance(fr.Checkpoint(clock.Now()))
-	if _, err := dev.InjectFaults("readonly file=pio-1-wal-2", 1); err != nil {
+	if _, err := dev.InjectFaults("readonly file=pio-1-wal2", 1); err != nil {
 		t.Fatal(err)
 	}
 	var accepted []Key

@@ -196,25 +196,20 @@ func buildTPCC(p flashsim.Config, initial [][]kv.Record, memBytes int, pioOnly, 
 			out.btrees = append(out.btrees, bt)
 		}
 		if !btreeOnly {
-			f, err := space.Create(fmt.Sprintf("pio%d", r), int64(len(recs))*64+1<<20)
-			if err != nil {
-				return nil, err
-			}
-			pf, err := pagefile.New(f, pageSize)
-			if err != nil {
-				return nil, err
-			}
 			opqPages := 4 // scaled from the paper's 20 x 4KB
 			bufBytes := perRelMem - opqPages*pageSize
 			if bufBytes < pageSize {
 				bufBytes = pageSize
 			}
-			pio, err := core.NewForest([]*pagefile.PageFile{pf}, core.ForestConfig{
-				Shard: core.Config{
+			pio, _, _, err := core.Build(space, core.Spec{
+				Prefix:   fmt.Sprintf("pio%d-", r),
+				Shards:   1,
+				Capacity: int64(len(recs)) * 64,
+				Forest: core.ForestConfig{Shard: core.Config{
 					PageSize: pageSize, LeafSegs: 1, OPQPages: opqPages,
 					PioMax: 64, SPeriod: 5000, BCnt: 5000,
 					BufferBytes: bufBytes, CPUPerNode: cpuPerNode,
-				},
+				}},
 			})
 			if err != nil {
 				return nil, err

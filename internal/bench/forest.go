@@ -8,56 +8,44 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/flashsim"
 	"repro/internal/kv"
-	"repro/internal/pagefile"
 	"repro/internal/ssdio"
 	"repro/internal/vtime"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
-// buildForest bulk-loads a sharded PIO forest on a fresh device instance.
-// OPQ and buffer budgets are global (the forest splits them), with
+// buildForest bulk-loads a sharded PIO forest on a fresh device instance,
+// laid out by core.Build from s (its Shards, WAL and any forest options
+// set). OPQ and buffer budgets are global (the forest splits them), with
 // buildPio's memory accounting, so a one-shard forest gets one tree's
-// budgets.
-func buildForest(p flashsim.Config, n, memBytes, shards int, pp pioParams) (*core.Forest, []kv.Record, error) {
-	dev := flashsim.MustDevice(p)
-	space := ssdio.NewSpace(dev)
-	pfs := make([]*pagefile.PageFile, shards)
-	perShardBytes := int64(n)*64/int64(shards) + 1<<20
-	for i := range pfs {
-		f, err := space.Create(fmt.Sprintf("forest%d", i), perShardBytes)
-		if err != nil {
-			return nil, nil, err
-		}
-		pfs[i], err = pagefile.New(f, pageSize)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
+// budgets. With s.WAL every shard logs to its own file on the same
+// device, so ganged log forces share it with the ganged data writes.
+func buildForest(p flashsim.Config, n, memBytes int, pp pioParams, s core.Spec) (*core.Forest, []*wal.Log, []kv.Record, error) {
 	leaves := n / (core.Config{PageSize: pageSize, LeafSegs: pp.LeafSegs}).LeafEntryEstimate()
 	bufBytes := memBytes - pp.OPQPages*pageSize - leaves
-	if bufBytes < shards*pageSize {
-		bufBytes = shards * pageSize
+	if bufBytes < s.Shards*pageSize {
+		bufBytes = s.Shards * pageSize
 	}
-	fr, err := core.NewForest(pfs, core.ForestConfig{
-		Shard: core.Config{
-			PageSize:    pageSize,
-			LeafSegs:    pp.LeafSegs,
-			OPQPages:    pp.OPQPages, // global budget, split by the forest
-			PioMax:      64,
-			SPeriod:     5000,
-			BCnt:        pp.BCnt,
-			BufferBytes: bufBytes, // global budget, split by the forest
-			CPUPerNode:  cpuPerNode,
-		},
-	})
+	s.Capacity = int64(n) * 64
+	s.Forest.Shard = core.Config{
+		PageSize:    pageSize,
+		LeafSegs:    pp.LeafSegs,
+		OPQPages:    pp.OPQPages, // global budget, split by the forest
+		PioMax:      64,
+		SPeriod:     5000,
+		BCnt:        pp.BCnt,
+		BufferBytes: bufBytes, // global budget, split by the forest
+		CPUPerNode:  cpuPerNode,
+	}
+	fr, _, logs, err := core.Build(ssdio.NewSpace(flashsim.MustDevice(p)), s)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	recs := initialRecords(n)
 	if err := fr.BulkLoad(recs); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return fr, recs, nil
+	return fr, logs, recs, nil
 }
 
 // forestTune picks the forest parameters: the per-shard (L, O) optimum of
@@ -150,7 +138,7 @@ func ForestScaling(s Scale) ([]Table, error) {
 		var baseTime vtime.Ticks
 		for _, shards := range shardLadder {
 			pp := forestTune(dev, s.InitialEntries, s.MemBytes, shards, insertRatio)
-			fr, recs, err := buildForest(dev, s.InitialEntries, s.MemBytes, shards, pp)
+			fr, _, recs, err := buildForest(dev, s.InitialEntries, s.MemBytes, pp, core.Spec{Shards: shards})
 			if err != nil {
 				return nil, err
 			}

@@ -22,8 +22,10 @@ func buildRebalanceForest(p flashsim.Config, n, memBytes, shards int, pp pioPara
 	for i := range bounds {
 		bounds[i] = kv.Key(hotN+i*(n-hotN)/(shards-1)) * 16
 	}
-	fr, _, recs, err := buildWALForest(p, n, memBytes, shards, pp,
-		core.RangePartitioner{Bounds: bounds}, false)
+	fr, _, recs, err := buildForest(p, n, memBytes, pp, core.Spec{
+		Shards: shards, WAL: true,
+		Forest: core.ForestConfig{Partitioner: core.RangePartitioner{Bounds: bounds}},
+	})
 	return fr, recs, err
 }
 

@@ -5,70 +5,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flashsim"
-	"repro/internal/kv"
-	"repro/internal/pagefile"
-	"repro/internal/ssdio"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
-
-// buildWALForest is buildForest plus one write-ahead log per shard on the
-// same simulated device, so ganged log forces share the device with the
-// ganged data writes. A nil partitioner hash-partitions; the rebalance
-// bench passes skewed range bounds.
-func buildWALForest(p flashsim.Config, n, memBytes, shards int, pp pioParams, part core.Partitioner, disableGang bool) (*core.Forest, []*wal.Log, []kv.Record, error) {
-	dev := flashsim.MustDevice(p)
-	space := ssdio.NewSpace(dev)
-	pfs := make([]*pagefile.PageFile, shards)
-	logs := make([]*wal.Log, shards)
-	perShardBytes := int64(n)*64/int64(shards) + 1<<20
-	for i := range pfs {
-		f, err := space.Create(fmt.Sprintf("forest%d", i), perShardBytes)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		pfs[i], err = pagefile.New(f, pageSize)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		wf, err := space.Create(fmt.Sprintf("wal%d", i), 16<<20)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		logs[i], err = wal.NewLog(wf, pageSize)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	leaves := n / (core.Config{PageSize: pageSize, LeafSegs: pp.LeafSegs}).LeafEntryEstimate()
-	bufBytes := memBytes - pp.OPQPages*pageSize - leaves
-	if bufBytes < shards*pageSize {
-		bufBytes = shards * pageSize
-	}
-	fr, err := core.NewForest(pfs, core.ForestConfig{
-		Partitioner: part,
-		Shard: core.Config{
-			PageSize:    pageSize,
-			LeafSegs:    pp.LeafSegs,
-			OPQPages:    pp.OPQPages,
-			PioMax:      64,
-			SPeriod:     5000,
-			BCnt:        pp.BCnt,
-			BufferBytes: bufBytes,
-			CPUPerNode:  cpuPerNode,
-		},
-		Logs:           logs,
-		DisableLogGang: disableGang,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	recs := initialRecords(n)
-	if err := fr.BulkLoad(recs); err != nil {
-		return nil, nil, nil, err
-	}
-	return fr, logs, recs, nil
-}
 
 // RecoveryBench measures the log plane of the sharded forest: an
 // insert-only workload against WAL-attached forests of growing shard
@@ -99,7 +38,10 @@ func RecoveryBench(s Scale) ([]Table, error) {
 		for _, shards := range shardLadder {
 			pp := forestTune(dev, s.InitialEntries, s.MemBytes, shards, insertRatio)
 			for _, mode := range []string{"ganged", "per-shard"} {
-				fr, logs, recs, err := buildWALForest(dev, s.InitialEntries, s.MemBytes, shards, pp, nil, mode == "per-shard")
+				fr, logs, recs, err := buildForest(dev, s.InitialEntries, s.MemBytes, pp, core.Spec{
+					Shards: shards, WAL: true,
+					Forest: core.ForestConfig{DisableLogGang: mode == "per-shard"},
+				})
 				if err != nil {
 					return nil, err
 				}

@@ -308,7 +308,7 @@ func TestAutoRebalanceDriftGuard(t *testing.T) {
 		slotGap = 10  // slot s holds key s*slotGap; fresh inserts fill the gap
 	)
 	for seed := int64(1); seed <= 8; seed++ {
-		fr, _, _, _ := newFaultForestOf(t, shards, shards, func(*ForestConfig) {})
+		fr, _, _, _ := newFaultForestOf(t, shards, shards, func(*Spec) {})
 		var at vtime.Ticks
 		var err error
 		for s := 0; s < slots; s++ {

@@ -131,7 +131,7 @@ func (t *Tree) FlushBatch(at vtime.Ticks, bcnt int) (vtime.Ticks, error) {
 // and the FlushEnd record waits in g for its commit force. Every buffer
 // the flush reads or writes is in the flush arena, reset here.
 func (t *Tree) flushBatch(at vtime.Ticks, bcnt int, g *groupIO) (vtime.Ticks, error) {
-	batch := t.opq.TakeBatch(bcnt)
+	batch := t.opq.takeBatch(bcnt)
 	if len(batch) == 0 {
 		return at, nil
 	}

@@ -48,14 +48,14 @@ func (p plainFault) Decide(file, _ string, _ vtime.Ticks, reqs []ssdio.Req) ssdi
 }
 
 // newContainForest is the fault-matrix forest with three shards, one OPQ
-// page each; mod adjusts its configuration.
-func newContainForest(t *testing.T, mod func(*ForestConfig)) (*Forest, *ssdio.Space) {
+// page each; mod adjusts its spec.
+func newContainForest(t *testing.T, mod func(*Spec)) (*Forest, *ssdio.Space) {
 	t.Helper()
 	fr, space, _, _ := newFaultForestOf(t, 3, 3, mod)
 	return fr, space
 }
 
-func noWAL(c *ForestConfig) { c.Logs = nil }
+func noWAL(s *Spec) { s.WAL = false }
 
 // checkServes asserts that shard si serves its committed keys and takes a
 // fresh write.
@@ -138,7 +138,7 @@ func TestAttribute(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			fr, space := newContainForest(t, func(fc *ForestConfig) { fc.DisableLogGang = c.serial })
+			fr, space := newContainForest(t, func(s *Spec) { s.Forest.DisableLogGang = c.serial })
 			logs := make([]*wal.Log, len(fr.shards))
 			for i, s := range fr.shards {
 				logs[i] = s.tree.log
@@ -223,7 +223,7 @@ func TestContainNoWALSoloFlush(t *testing.T) {
 // memory and disk may disagree: the member goes offline, and a Heal after
 // the fault clears restores it with every accepted key.
 func TestContainRollbackReplayFailure(t *testing.T) {
-	fr, space := newContainForest(t, func(*ForestConfig) {})
+	fr, space := newContainForest(t, func(*Spec) {})
 	at := fmBaseline(t, fr)
 	space.SetInjector(plainFault{writes: []string{"shard0"}, reads: []string{"wal0"}})
 	accepted, _, at := fmTriggerFlush(t, fr, at)
@@ -240,7 +240,7 @@ func TestContainRollbackReplayFailure(t *testing.T) {
 // the flush records its log carries are still forced, so a Heal brings
 // back every accepted key.
 func TestContainGroupFlushFailure(t *testing.T) {
-	fr, space := newContainForest(t, func(*ForestConfig) {})
+	fr, space := newContainForest(t, func(*Spec) {})
 	at := fmBaseline(t, fr)
 	space.SetInjector(plainFault{reads: []string{"shard0"}})
 	accepted, werr, at := fmTriggerFlush(t, fr, at)
@@ -298,7 +298,7 @@ func checkPollAndRerun(t *testing.T, fr *Forest, at vtime.Ticks, space *ssdio.Sp
 // fails with a plain error aborts the migration with the pair
 // quarantined, and the rest of the forest keeps serving.
 func TestContainMigrationChunkFailure(t *testing.T) {
-	fr, space := newContainForest(t, func(*ForestConfig) {})
+	fr, space := newContainForest(t, func(*Spec) {})
 	at := fmBaseline(t, fr)
 	m, at := startMove(t, fr, at)
 	space.SetInjector(plainFault{writes: []string{"wal1"}})
@@ -333,7 +333,7 @@ func (p *purgeFault) Decide(file, _ string, _ vtime.Ticks, reqs []ssdio.Req) ssd
 // offline and the rest of the purge waits in its log tail; a Heal applies
 // it, and no key is served twice.
 func TestContainAbortPurgeFailure(t *testing.T) {
-	fr, space := newContainForest(t, func(*ForestConfig) {})
+	fr, space := newContainForest(t, func(*Spec) {})
 	at := fmBaseline(t, fr)
 	// Fill the destination's queue so that the purge has to flush it.
 	var err error
@@ -363,7 +363,7 @@ func TestContainAbortPurgeFailure(t *testing.T) {
 // chunk committed. The move still commits, the destination is quarantined
 // until a Heal forces its End, and the rest of the forest keeps serving.
 func TestContainMigrationCommitFailure(t *testing.T) {
-	fr, space := newContainForest(t, func(c *ForestConfig) { c.DisableLogGang = true })
+	fr, space := newContainForest(t, func(s *Spec) { s.Forest.DisableLogGang = true })
 	at := fmBaseline(t, fr)
 	m, at := startMove(t, fr, at)
 	for m.idx < len(m.bounds)-1 {
@@ -407,7 +407,7 @@ func TestContainMigrationCommitFailure(t *testing.T) {
 // every acknowledged key reads back. One incident per run: a second
 // rollback before a checkpoint would re-apply an undone flush's images.
 func TestContainPlainFaultHammerRace(t *testing.T) {
-	fr, space := newContainForest(t, func(c *ForestConfig) { c.Shard.Retry = RetryPolicy{Disabled: true} })
+	fr, space := newContainForest(t, func(s *Spec) { s.Forest.Shard.Retry = RetryPolicy{Disabled: true} })
 	at := fmBaseline(t, fr)
 	var (
 		stop    atomic.Bool

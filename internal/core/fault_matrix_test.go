@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/faultio"
-	"repro/internal/flashsim"
 	"repro/internal/kv"
 	"repro/internal/pagefile"
 	"repro/internal/ssdio"
@@ -55,59 +54,32 @@ func newFaultForestCfg(t *testing.T, retry RetryPolicy, heal HealPolicy, evac Ev
 // tests raise it so no flush interleaves with the records they cut).
 func newFaultForestFull(t *testing.T, retry RetryPolicy, heal HealPolicy, evac EvacuationPolicy, opqPages int) (*Forest, *ssdio.Space, []*pagefile.PageFile, []*wal.Log) {
 	t.Helper()
-	return newFaultForestOf(t, fmShards, opqPages, func(c *ForestConfig) {
-		c.Shard.Retry, c.Heal, c.Evacuation = retry, heal, evac
+	return newFaultForestOf(t, fmShards, opqPages, func(s *Spec) {
+		s.Forest.Shard.Retry, s.Forest.Heal, s.Forest.Evacuation = retry, heal, evac
 	})
 }
 
 // newFaultForestOf builds the fault-matrix forest with n shards, shard i
 // covering [i*fmStride, (i+1)*fmStride) (the last one open above), and
-// lets mod adjust the configuration before the forest is built — for
-// instance dropping the logs, which are created either way.
-func newFaultForestOf(t *testing.T, n, opqPages int, mod func(*ForestConfig)) (*Forest, *ssdio.Space, []*pagefile.PageFile, []*wal.Log) {
+// lets mod adjust the spec before the forest is built — for instance
+// dropping the logs.
+func newFaultForestOf(t *testing.T, n, opqPages int, mod func(*Spec)) (*Forest, *ssdio.Space, []*pagefile.PageFile, []*wal.Log) {
 	t.Helper()
-	dev := flashsim.MustDevice(flashsim.P300())
-	space := ssdio.NewSpace(dev)
 	cfg := smallCfg()
 	cfg.OPQPages = opqPages
 	cfg.BufferBytes = 32 * 1024
-	pfs := make([]*pagefile.PageFile, n)
-	logs := make([]*wal.Log, n)
 	bounds := make([]kv.Key, n-1)
-	for i := range pfs {
-		df, err := space.Create(fmt.Sprintf("shard%d", i), 4<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pfs[i], err = pagefile.New(df, cfg.PageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wf, err := space.Create(fmt.Sprintf("wal%d", i), 1<<22)
-		if err != nil {
-			t.Fatal(err)
-		}
-		logs[i], err = wal.NewLog(wf, cfg.PageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i > 0 {
-			bounds[i-1] = kv.Key(i) * fmStride
-		}
+	for i := range bounds {
+		bounds[i] = kv.Key(i+1) * fmStride
 	}
-	fcfg := ForestConfig{
+	s := Spec{Shards: n, WAL: true, Forest: ForestConfig{
 		Partitioner:    RangePartitioner{Bounds: bounds},
 		RipeFraction:   0.05,
 		Shard:          cfg,
-		Logs:           logs,
 		MigrationChunk: fmChunkSize,
-	}
-	mod(&fcfg)
-	fr, err := NewForest(pfs, fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fr, space, pfs, logs
+	}}
+	mod(&s)
+	return buildTestForest(t, s)
 }
 
 // fmBaseline loads fmPerShard keys per shard and checkpoints: everything

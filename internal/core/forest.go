@@ -483,8 +483,9 @@ type ShardLoad struct {
 
 // NewForest builds a forest of len(pfs) shards, one tree per page file.
 // The page files must live on files of one ssdio.Space (one device) for
-// group flushes to merge their submissions. cfg.Shard.OPQPages and
-// cfg.Shard.BufferBytes are global budgets split evenly across shards.
+// group flushes to merge their submissions; Build lays them out so.
+// cfg.Shard.OPQPages and cfg.Shard.BufferBytes are global budgets split
+// evenly across shards. A forest rejects cfg.Shard.DisablePsync.
 func NewForest(pfs []*pagefile.PageFile, cfg ForestConfig) (*Forest, error) {
 	n := len(pfs)
 	if n < 1 {
@@ -493,11 +494,14 @@ func NewForest(pfs []*pagefile.PageFile, cfg ForestConfig) (*Forest, error) {
 	if cfg.Shard.PageSize <= 0 {
 		return nil, fmt.Errorf("core: forest shard config needs a positive PageSize, got %d", cfg.Shard.PageSize)
 	}
+	if cfg.Shard.DisablePsync {
+		return nil, fmt.Errorf("core: a forest's group flush needs psync; DisablePsync is a single-tree ablation")
+	}
 	part := cfg.Partitioner
 	if part == nil {
 		part = HashPartitioner{N: n}
 	}
-	if err := ValidatePartitioner(part, n); err != nil {
+	if err := validatePartitioner(part, n); err != nil {
 		return nil, err
 	}
 	if len(cfg.Logs) != 0 && len(cfg.Logs) != n {
@@ -524,7 +528,7 @@ func NewForest(pfs []*pagefile.PageFile, cfg ForestConfig) (*Forest, error) {
 	rpart, isWrapped := part.(*RebalancingPartitioner)
 	if !isWrapped {
 		var err error
-		rpart, err = NewRebalancingPartitioner(part, n)
+		rpart, err = newRebalancingPartitioner(part, n)
 		if err != nil {
 			return nil, err
 		}
@@ -560,18 +564,18 @@ func NewForest(pfs []*pagefile.PageFile, cfg ForestConfig) (*Forest, error) {
 	return f, nil
 }
 
-// ValidatePartitioner rejects misconfigured partitioners before they can
+// validatePartitioner rejects misconfigured partitioners before they can
 // misroute or crash the forest: a HashPartitioner with N <= 0 divides by
 // zero on its first Shard call, and a RangePartitioner with unsorted or
 // duplicate bounds silently sends keys to the wrong shards.
-func ValidatePartitioner(p Partitioner, shards int) error {
+func validatePartitioner(p Partitioner, shards int) error {
 	if p.Shards() != shards {
 		return fmt.Errorf("core: partitioner has %d shards, %d page files given", p.Shards(), shards)
 	}
 	switch pt := p.(type) {
 	case *RebalancingPartitioner:
 		rt := pt.cur.Load()
-		if err := ValidatePartitioner(rt.base, shards); err != nil {
+		if err := validatePartitioner(rt.base, shards); err != nil {
 			return err
 		}
 		if err := validateRules(rt.rules, shards); err != nil {
@@ -891,21 +895,15 @@ func (f *Forest) planGroup(trigger int) []member {
 // returning the completion time; the members' outcomes are left in g.
 func (f *Forest) commitGroup(at vtime.Ticks, g []member) vtime.Ticks {
 	// Flush: every member from the same instant, its data writes and
-	// FlushEnd held back in its slot. Under the psync ablation the data
-	// writes are NOT deferred, so neither are the log forces. A failed
-	// flush stops new ones from starting; its log appends stay in the tail
-	// — FlushStart without FlushEnd, which any replay undoes — and members
-	// that already flushed still commit: their deferred writes must reach
-	// the device.
+	// FlushEnd held back in its slot. A failed flush stops new ones from
+	// starting; its log appends stay in the tail — FlushStart without
+	// FlushEnd, which any replay undoes — and members that already flushed
+	// still commit: their deferred writes must reach the device.
 	front := at
 	for i := range g {
 		m := &g[i]
 		m.started = true
-		var io *groupIO
-		if !m.s.tree.cfg.DisablePsync {
-			io = &m.groupIO
-		}
-		done, err := m.s.tree.flushBatch(m.s.vlock.Acquire(at), m.s.tree.cfg.BCnt, io)
+		done, err := m.s.tree.flushBatch(m.s.vlock.Acquire(at), m.s.tree.cfg.BCnt, &m.groupIO)
 		front = vtime.Max(front, done)
 		if err != nil {
 			m.err, m.reqs = err, nil
@@ -922,7 +920,7 @@ func (f *Forest) commitGroup(at vtime.Ticks, g []member) vtime.Ticks {
 	// writes. A member whose records did not land is failed; the rest carry
 	// on, and the data gang goes out unless the force spared nobody.
 	for i := range g {
-		if m := &g[i]; m.started && m.s.tree.log != nil && !m.s.tree.cfg.DisablePsync {
+		if m := &g[i]; m.started && m.s.tree.log != nil {
 			ms, logs = append(ms, m), append(logs, m.s.tree.log)
 		}
 	}
@@ -1329,7 +1327,7 @@ func (f *Forest) Recover(at vtime.Ticks) (ForestRecoveryReport, vtime.Ticks, err
 	// ones the recovered routing marks evacuated: those retire.
 	for i, s := range f.shards {
 		ev := evRecover
-		if f.rpart.IsEvacuated(i) {
+		if f.rpart.isEvacuated(i) {
 			ev = evRetire
 		}
 		s.mu.Lock()

@@ -78,33 +78,7 @@ func crashForestCfg() ForestConfig {
 // one simulated device) from cfg.
 func newCrashForest(t *testing.T, cfg ForestConfig) (*Forest, []*wal.Log, []*pagefile.PageFile) {
 	t.Helper()
-	dev := flashsim.MustDevice(flashsim.P300())
-	space := ssdio.NewSpace(dev)
-	pfs := make([]*pagefile.PageFile, crashShards)
-	logs := make([]*wal.Log, crashShards)
-	for i := range pfs {
-		f, err := space.Create(fmt.Sprintf("shard%d", i), 4<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pfs[i], err = pagefile.New(f, cfg.Shard.PageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wf, err := space.Create(fmt.Sprintf("wal%d", i), 1<<22)
-		if err != nil {
-			t.Fatal(err)
-		}
-		logs[i], err = wal.NewLog(wf, cfg.Shard.PageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	cfg.Logs = logs
-	fr, err := NewForest(pfs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr, _, pfs, logs := buildTestForest(t, Spec{Shards: crashShards, WAL: true, Forest: cfg})
 	return fr, logs, pfs
 }
 
@@ -416,51 +390,6 @@ func TestForestGroupCommitFewerSubmissions(t *testing.T) {
 		t.Fatalf("ganged log submissions %d not fewer than per-shard baseline %d",
 			ganged.LogSubmits, baseline.LogSubmits)
 	}
-}
-
-// TestForestWALWithPsyncAblation: under DisablePsync the data writes are
-// not deferred into the coordinator's gang, so the log forces must stay
-// inline with them (no group-commit deferral); crash recovery must still
-// restore the committed state.
-func TestForestWALWithPsyncAblation(t *testing.T) {
-	cfg := crashForestCfg()
-	cfg.Shard.DisablePsync = true
-	fr, logs, _ := newCrashForest(t, cfg)
-	var at vtime.Ticks
-	var err error
-	for j := 0; j < phase1PerShard; j++ {
-		for s := 0; s < crashShards; s++ {
-			k := phase1Key(s, j)
-			at, err = fr.Insert(at, kv.Record{Key: k, Value: crashVal(k)})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if at, err = fr.Sync(at); err != nil {
-		t.Fatal(err)
-	}
-	// Every force so far must have been issued serially by the trees (the
-	// coordinator defers nothing under the ablation) except the Sync gang.
-	st := fr.Stats()
-	if st.LogGangSubmits != 1 {
-		t.Fatalf("psync-ablated forest issued %d deferred gang forces, want only Sync's 1", st.LogGangSubmits)
-	}
-	if st.LogForceWrites == 0 {
-		t.Fatal("no serial log forces under the ablation")
-	}
-	pre := fr.Count()
-	fr.Crash()
-	if _, _, err := fr.Recover(at); err != nil {
-		t.Fatal(err)
-	}
-	if got := fr.Count(); got != pre {
-		t.Fatalf("count %d after recovery, want %d", got, pre)
-	}
-	if err := fr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	_ = logs
 }
 
 // TestForestWALHammerRace drives a WAL-attached forest from many real

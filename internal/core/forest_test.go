@@ -13,26 +13,26 @@ import (
 	"repro/internal/wal"
 )
 
-// newTestForest builds a forest of n shards on a fresh simulated device.
-func newTestForest(t *testing.T, n int, cfg Config, part Partitioner) *Forest {
+// buildTestForest builds s on a fresh simulated device with 3 MiB of
+// capacity per shard (4 MiB data files) and the stuck-I/O watchdog
+// disarmed: hangs a test injects run their course as latency unless the
+// test arms the watchdog itself.
+func buildTestForest(t *testing.T, s Spec) (*Forest, *ssdio.Space, []*pagefile.PageFile, []*wal.Log) {
 	t.Helper()
-	dev := flashsim.MustDevice(flashsim.P300())
-	space := ssdio.NewSpace(dev)
-	pfs := make([]*pagefile.PageFile, n)
-	for i := range pfs {
-		f, err := space.Create(fmt.Sprintf("shard%d", i), 4<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pfs[i], err = pagefile.New(f, cfg.PageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	fr, err := NewForest(pfs, ForestConfig{Partitioner: part, Shard: cfg})
+	space := ssdio.NewSpace(flashsim.MustDevice(flashsim.P300()))
+	s.Capacity = int64(s.Shards) * (3 << 20)
+	fr, pfs, logs, err := Build(space, s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	space.SetStuckTimeout(0)
+	return fr, space, pfs, logs
+}
+
+// newTestForest builds a forest of n shards on a fresh simulated device.
+func newTestForest(t *testing.T, n int, cfg Config, part Partitioner) *Forest {
+	t.Helper()
+	fr, _, _, _ := buildTestForest(t, Spec{Shards: n, Forest: ForestConfig{Partitioner: part, Shard: cfg}})
 	return fr
 }
 
@@ -362,28 +362,33 @@ func TestForestRejectsBadConfig(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("single-shard range partitioner rejected: %v", err)
 	}
+	ablated := cfg
+	ablated.DisablePsync = true
+	if _, err := NewForest([]*pagefile.PageFile{pf}, ForestConfig{Shard: ablated}); err == nil {
+		t.Fatal("accepted DisablePsync")
+	}
 }
 
 // TestValidatePartitioner covers the shard-configuration validation: a
 // HashPartitioner with N <= 0 would divide by zero on the first Shard
 // call, and RangePartitioner bounds must be strictly ascending.
 func TestValidatePartitioner(t *testing.T) {
-	if err := ValidatePartitioner(HashPartitioner{N: 0}, 0); err == nil {
+	if err := validatePartitioner(HashPartitioner{N: 0}, 0); err == nil {
 		t.Fatal("HashPartitioner{N:0} accepted")
 	}
-	if err := ValidatePartitioner(HashPartitioner{N: -3}, -3); err == nil {
+	if err := validatePartitioner(HashPartitioner{N: -3}, -3); err == nil {
 		t.Fatal("HashPartitioner{N:-3} accepted")
 	}
-	if err := ValidatePartitioner(HashPartitioner{N: 4}, 4); err != nil {
+	if err := validatePartitioner(HashPartitioner{N: 4}, 4); err != nil {
 		t.Fatalf("valid hash partitioner rejected: %v", err)
 	}
-	if err := ValidatePartitioner(RangePartitioner{Bounds: []kv.Key{10, 10}}, 3); err == nil {
+	if err := validatePartitioner(RangePartitioner{Bounds: []kv.Key{10, 10}}, 3); err == nil {
 		t.Fatal("duplicate range bounds accepted")
 	}
-	if err := ValidatePartitioner(RangePartitioner{Bounds: []kv.Key{20, 10}}, 3); err == nil {
+	if err := validatePartitioner(RangePartitioner{Bounds: []kv.Key{20, 10}}, 3); err == nil {
 		t.Fatal("descending range bounds accepted")
 	}
-	if err := ValidatePartitioner(RangePartitioner{Bounds: []kv.Key{10, 20}}, 3); err != nil {
+	if err := validatePartitioner(RangePartitioner{Bounds: []kv.Key{10, 20}}, 3); err != nil {
 		t.Fatalf("valid range partitioner rejected: %v", err)
 	}
 }
@@ -441,6 +446,55 @@ func TestForestRejectsBadLogs(t *testing.T) {
 	for _, good := range [][]*wal.Log{nil, logs} {
 		if _, err := NewForest(pfs, ForestConfig{Shard: cfg, Logs: good}); err != nil {
 			t.Errorf("%d logs for 3 shards rejected: %v", len(good), err)
+		}
+	}
+}
+
+// TestBuildLayout: Build names and sizes every file from the Spec, creates
+// a log per shard only with a WAL, and arms the watchdog at the shard
+// retry policy's deadline.
+func TestBuildLayout(t *testing.T) {
+	const capacity = 6 << 20
+	cfg := forestCfg()
+	cfg.Retry.StuckTimeout = 3 * vtime.Millisecond
+	for _, withWAL := range []bool{true, false} {
+		space := ssdio.NewSpace(flashsim.MustDevice(flashsim.P300()))
+		fr, pfs, logs, err := Build(space, Spec{
+			Prefix: "p-", Shards: 3, Capacity: capacity, WAL: withWAL,
+			Forest: ForestConfig{Shard: cfg},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.ShardCount() != 3 || len(pfs) != 3 {
+			t.Fatalf("WAL=%v: %d shards, %d page files, want 3", withWAL, fr.ShardCount(), len(pfs))
+		}
+		for i := range 3 {
+			f, err := space.Open(fmt.Sprintf("p-shard%d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Size() != capacity/3+1<<20 {
+				t.Errorf("p-shard%d is %d bytes, want %d", i, f.Size(), capacity/3+1<<20)
+			}
+			w, err := space.Open(fmt.Sprintf("p-wal%d", i))
+			switch {
+			case !withWAL && err == nil:
+				t.Errorf("p-wal%d exists without a WAL", i)
+			case withWAL && err != nil:
+				t.Error(err)
+			case withWAL && w.Size() != 16<<20:
+				t.Errorf("p-wal%d is %d bytes, want %d", i, w.Size(), 16<<20)
+			}
+		}
+		if withWAL && (len(logs) != 3 || len(fr.logs) != 3) {
+			t.Errorf("%d logs returned, %d attached, want 3 each", len(logs), len(fr.logs))
+		}
+		if !withWAL && (logs != nil || len(fr.logs) != 0) {
+			t.Errorf("no WAL: %d logs returned, %d attached", len(logs), len(fr.logs))
+		}
+		if got := space.StuckTimeout(); got != 3*vtime.Millisecond {
+			t.Errorf("watchdog armed at %v, want 3ms", got)
 		}
 	}
 }

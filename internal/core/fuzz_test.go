@@ -53,9 +53,9 @@ func FuzzRoute(f *testing.F) {
 			HashPartitioner{N: slots},
 			rangePartitionerFor(slots),
 		} {
-			p, err := NewRebalancingPartitioner(base, slots)
+			p, err := newRebalancingPartitioner(base, slots)
 			if err != nil {
-				t.Fatalf("NewRebalancingPartitioner: %v", err)
+				t.Fatalf("newRebalancingPartitioner: %v", err)
 			}
 			rules := fuzzRules(raw, slots)
 			if err := validateRules(rules, slots); err != nil {

@@ -472,7 +472,7 @@ func TestEvacuationAbortDestinationFails(t *testing.T) {
 	if rules := fr.Routing().Rules(); len(rules) != 0 {
 		t.Fatalf("aborted evacuation added rules %v", rules)
 	}
-	if fr.Routing().IsEvacuated(1) || st.EvacuatedShards != 0 {
+	if fr.Routing().isEvacuated(1) || st.EvacuatedShards != 0 {
 		t.Fatal("aborted evacuation marked the source evacuated")
 	}
 	if q := fr.Quarantined(); len(q) != 2 {
@@ -682,7 +682,7 @@ func TestEvacuationAbortLeavesHealedSource(t *testing.T) {
 	if q := fr.Quarantined(); len(q) != 1 || q[0] != 0 {
 		t.Fatalf("Quarantined() = %v, want [0]", q)
 	}
-	if fr.Routing().IsEvacuated(1) {
+	if fr.Routing().isEvacuated(1) {
 		t.Fatal("aborted evacuation marked the source evacuated")
 	}
 	now = fmCheckKeys(t, fr, now, []kv.Key{k})

@@ -152,7 +152,7 @@ func (t *Tree) flushLeaves(at vtime.Ticks, work []childWork, g *groupIO) (vtime.
 // for n more: it would overflow, or the sorted-leaves ablation rewrites
 // every leaf it updates.
 func (t *Tree) shrinks(total, n int) bool {
-	return t.cfg.SortedLeaves || total+n > t.LeafCapacity()
+	return t.cfg.SortedLeaves || total+n > t.leafCapacity()
 }
 
 // wholeLeaf decodes, for the shrink arm, the leaf whose segments lf holds
@@ -184,11 +184,11 @@ func (t *Tree) shrinkAndSplit(l *leafNode, entries []kv.Entry, writes []pagefile
 	l.shrink()
 	t.stats.Shrinks++
 
-	half := t.LeafCapacity() / 2
+	half := t.leafCapacity() / 2
 	if half < 1 {
 		half = 1
 	}
-	if len(l.entries) <= t.LeafCapacity() {
+	if len(l.entries) <= t.leafCapacity() {
 		t.lsmap.Set(int64(l.id), l.lastSeg(ps))
 		return nil, append(writes, t.wholeLeafWrite(l))
 	}

@@ -35,7 +35,7 @@ func wireSize(t *testing.T, r wal.Record) int64 {
 func TestLogBoundedWithoutCheckpoint(t *testing.T) {
 	// Keys stay within the shards' ranges and at most keys of them live.
 	const shards, writes, crashEvery, keys = 4, 50000, 10000, 3000
-	fr, _, _, logs := newFaultForestOf(t, shards, shards, func(*ForestConfig) {})
+	fr, _, _, logs := newFaultForestOf(t, shards, shards, func(*Spec) {})
 	cfg := fr.shards[0].tree.cfg
 	queue := int64(fr.shards[0].tree.opq.Cap())
 	redo := wireSize(t, wal.Record{Kind: wal.KindLogicalRedo})
@@ -218,7 +218,7 @@ func flushCommits(t *testing.T, fr *Forest, at vtime.Ticks, si int) vtime.Ticks 
 // queue, so no flush commit moves the head, and the redo record of every
 // entry still queued stays in the log.
 func pinPartialBatch(t *testing.T) ([]*wal.Log, []pinnedRec) {
-	fr, _, _, logs := newFaultForestOf(t, 1, 4, func(c *ForestConfig) { c.Shard.BCnt = 10 })
+	fr, _, _, logs := newFaultForestOf(t, 1, 4, func(s *Spec) { s.Forest.Shard.BCnt = 10 })
 	var at vtime.Ticks
 	var err error
 	for k := kv.Key(0); k < 600; k++ {
@@ -246,7 +246,7 @@ func pinPartialBatch(t *testing.T) ([]*wal.Log, []pinnedRec) {
 // undone by the quarantine rollback and its FlushStart stays unpaired.
 // After a Heal, the shard's next committed flush must not cut past it.
 func pinUndoneFlush(t *testing.T) ([]*wal.Log, []pinnedRec) {
-	fr, space, _, logs := newFaultForestOf(t, 3, 3, func(*ForestConfig) {})
+	fr, space, _, logs := newFaultForestOf(t, 3, 3, func(*Spec) {})
 	at := fmBaseline(t, fr)
 	space.SetInjector(plainFault{writes: []string{"shard0"}})
 	_, _, at = fmTriggerFlush(t, fr, at)
@@ -285,7 +285,7 @@ func pinUndoneFlush(t *testing.T) ([]*wal.Log, []pinnedRec) {
 // migration id.
 func migrate(t *testing.T) (*Forest, []*wal.Log, vtime.Ticks, uint64) {
 	t.Helper()
-	fr, _, _, logs := newFaultForestOf(t, 2, 2, func(*ForestConfig) {})
+	fr, _, _, logs := newFaultForestOf(t, 2, 2, func(*Spec) {})
 	at := fmBaseline(t, fr)
 	dst, at, err := fr.SplitShard(at, 0, 50)
 	if err != nil || dst != 1 {

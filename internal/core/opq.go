@@ -20,7 +20,7 @@ type OPQ struct {
 	speriod      int
 	sinceSort    int
 
-	// spare is the second buffer Sort and TakeBatch swap with entries.
+	// spare is the second buffer Sort and takeBatch swap with entries.
 	spare []kv.Entry
 
 	// Sorts counts merge passes, Appends total appends (stats).
@@ -28,10 +28,10 @@ type OPQ struct {
 	Appends int64
 }
 
-// NewOPQ creates a queue holding at most capacity entries, sorting every
+// newOPQ creates a queue holding at most capacity entries, sorting every
 // speriod appends. speriod <= 0 disables periodic sorting (always linear
 // tail).
-func NewOPQ(capacity, speriod int) (*OPQ, error) {
+func newOPQ(capacity, speriod int) (*OPQ, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("core: OPQ capacity must be >= 1, got %d", capacity)
 	}
@@ -127,12 +127,12 @@ func (q *OPQ) Range(dst []kv.Entry, lo, hi kv.Key) []kv.Entry {
 	return dst
 }
 
-// TakeBatch removes and returns up to bcnt entries, key-sorted, for one
+// takeBatch removes and returns up to bcnt entries, key-sorted, for one
 // batch-update pass (the paper's bcnt latency bound). bcnt <= 0 takes
 // everything. The removed entries preserve per-key arrival order. The
 // batch stays in the queue's buffer the remaining entries move out of:
-// it is valid until the queue's next Append or TakeBatch.
-func (q *OPQ) TakeBatch(bcnt int) []kv.Entry {
+// it is valid until the queue's next Append or takeBatch.
+func (q *OPQ) takeBatch(bcnt int) []kv.Entry {
 	q.Sort()
 	n := len(q.entries)
 	if bcnt > 0 && bcnt < n {
@@ -174,8 +174,8 @@ type LSMap struct {
 	misses int64
 }
 
-// NewLSMap creates an LSMap for leaves of L segments.
-func NewLSMap(segs int) *LSMap {
+// newLSMap creates an LSMap for leaves of L segments.
+func newLSMap(segs int) *LSMap {
 	return &LSMap{segs: segs, m: make(map[int64]uint8)}
 }
 

@@ -9,13 +9,13 @@ import (
 )
 
 func TestOPQValidation(t *testing.T) {
-	if _, err := NewOPQ(0, 10); err == nil {
+	if _, err := newOPQ(0, 10); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
 }
 
 func TestOPQAppendLookup(t *testing.T) {
-	q, err := NewOPQ(100, 8)
+	q, err := newOPQ(100, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestOPQAppendLookup(t *testing.T) {
 }
 
 func TestOPQFullRejectsAppend(t *testing.T) {
-	q, _ := NewOPQ(2, 0)
+	q, _ := newOPQ(2, 0)
 	q.Append(kv.Entry{Rec: kv.Record{Key: 1}})
 	q.Append(kv.Entry{Rec: kv.Record{Key: 2}})
 	if !q.Full() {
@@ -55,7 +55,7 @@ func TestOPQFullRejectsAppend(t *testing.T) {
 // TestOPQLookupNewestWins: for the same key, the most recent append must
 // win, whether it sits in the tail or the sorted region.
 func TestOPQLookupNewestWins(t *testing.T) {
-	q, _ := NewOPQ(100, 4)
+	q, _ := newOPQ(100, 4)
 	q.Append(kv.Entry{Rec: kv.Record{Key: 7, Value: 1}, Op: kv.OpInsert})
 	q.Append(kv.Entry{Rec: kv.Record{Key: 7}, Op: kv.OpDelete})
 	e, ok := q.Lookup(7)
@@ -77,7 +77,7 @@ func TestOPQLookupNewestWins(t *testing.T) {
 }
 
 func TestOPQRange(t *testing.T) {
-	q, _ := NewOPQ(100, 0)
+	q, _ := newOPQ(100, 0)
 	for _, k := range []uint64{5, 15, 25, 35} {
 		q.Append(kv.Entry{Rec: kv.Record{Key: k, Value: k}, Op: kv.OpInsert})
 	}
@@ -90,7 +90,7 @@ func TestOPQRange(t *testing.T) {
 	// sorted region, the newer in the tail, a smaller key sits between
 	// them in the tail. Range is key-sorted, and a key's entries keep
 	// their arrival order, so its newest operation comes last.
-	q, _ = NewOPQ(100, 0)
+	q, _ = newOPQ(100, 0)
 	ops := []kv.Entry{
 		{Rec: kv.Record{Key: 20, Value: 1}, Op: kv.OpInsert},
 		{Rec: kv.Record{Key: 12, Value: 2}, Op: kv.OpInsert},
@@ -123,12 +123,12 @@ func TestOPQRange(t *testing.T) {
 }
 
 func TestOPQTakeBatch(t *testing.T) {
-	q, _ := NewOPQ(100, 0)
+	q, _ := newOPQ(100, 0)
 	keys := []uint64{30, 10, 20, 10, 40}
 	for i, k := range keys {
 		q.Append(kv.Entry{Rec: kv.Record{Key: k, Value: uint64(i)}, Op: kv.OpInsert})
 	}
-	batch := q.TakeBatch(3)
+	batch := q.takeBatch(3)
 	if len(batch) != 3 {
 		t.Fatalf("batch len %d", len(batch))
 	}
@@ -142,7 +142,7 @@ func TestOPQTakeBatch(t *testing.T) {
 	if q.Len() != 2 {
 		t.Fatalf("remaining %d", q.Len())
 	}
-	rest := q.TakeBatch(0)
+	rest := q.takeBatch(0)
 	if len(rest) != 2 || rest[0].Rec.Key != 30 || rest[1].Rec.Key != 40 {
 		t.Fatalf("rest = %+v", rest)
 	}
@@ -151,20 +151,20 @@ func TestOPQTakeBatch(t *testing.T) {
 	}
 }
 
-// Property: after any append sequence, TakeBatch(0) returns all entries
+// Property: after any append sequence, takeBatch(0) returns all entries
 // key-sorted with per-key arrival order preserved.
 func TestQuickOPQTakeBatchSorted(t *testing.T) {
 	f := func(keys []uint8) bool {
 		if len(keys) > 200 {
 			keys = keys[:200]
 		}
-		q, _ := NewOPQ(256, 16)
+		q, _ := newOPQ(256, 16)
 		for i, k := range keys {
 			if err := q.Append(kv.Entry{Rec: kv.Record{Key: uint64(k), Value: uint64(i)}, Op: kv.OpInsert}); err != nil {
 				return false
 			}
 		}
-		batch := q.TakeBatch(0)
+		batch := q.takeBatch(0)
 		if len(batch) != len(keys) {
 			return false
 		}
@@ -187,7 +187,7 @@ func TestQuickOPQTakeBatchSorted(t *testing.T) {
 // Property: OPQ.Lookup always agrees with a naive scan-from-the-end model.
 func TestQuickOPQLookupModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	q, _ := NewOPQ(512, 7)
+	q, _ := newOPQ(512, 7)
 	var history []kv.Entry
 	for i := 0; i < 500; i++ {
 		e := kv.Entry{
@@ -216,7 +216,7 @@ func TestQuickOPQLookupModel(t *testing.T) {
 }
 
 func TestLSMap(t *testing.T) {
-	ls := NewLSMap(8)
+	ls := newLSMap(8)
 	if _, ok := ls.Get(1); ok {
 		t.Fatal("hit on empty map")
 	}

@@ -122,9 +122,9 @@ type RebalancingPartitioner struct {
 	cur atomic.Pointer[routing]
 }
 
-// NewRebalancingPartitioner wraps base, which must cover exactly slots
+// newRebalancingPartitioner wraps base, which must cover exactly slots
 // shards and must not itself be a rebalancing wrapper.
-func NewRebalancingPartitioner(base Partitioner, slots int) (*RebalancingPartitioner, error) {
+func newRebalancingPartitioner(base Partitioner, slots int) (*RebalancingPartitioner, error) {
 	if base == nil {
 		return nil, fmt.Errorf("core: rebalancing partitioner needs a base partitioner")
 	}
@@ -190,9 +190,9 @@ func (p *RebalancingPartitioner) Rules() []MoveRule {
 	return out
 }
 
-// IsEvacuated reports whether shard i's range has been evacuated onto
+// isEvacuated reports whether shard i's range has been evacuated onto
 // healthy shards (see routing.evac).
-func (p *RebalancingPartitioner) IsEvacuated(i int) bool {
+func (p *RebalancingPartitioner) isEvacuated(i int) bool {
 	return i >= 0 && i < 64 && p.cur.Load().evac&(1<<uint(i)) != 0
 }
 
@@ -943,11 +943,11 @@ func (m *Migration) Drain(at vtime.Ticks) (vtime.Ticks, error) {
 	}
 }
 
-// DrainUntil steps the migration until it commits or the virtual clock
+// drainUntil steps the migration until it commits or the virtual clock
 // reaches deadline, whichever comes first. Chunks are atomic: the last
 // one may overshoot the deadline, but no new chunk starts past it. The
 // bool reports whether the migration committed.
-func (m *Migration) DrainUntil(at, deadline vtime.Ticks) (bool, vtime.Ticks, error) {
+func (m *Migration) drainUntil(at, deadline vtime.Ticks) (bool, vtime.Ticks, error) {
 	for {
 		done, next, err := m.Step(at)
 		if err != nil {
@@ -1237,7 +1237,7 @@ func (f *Forest) drainBudgeted(m *Migration, at, budget vtime.Ticks) (bool, vtim
 		done, err := m.Drain(at)
 		return err == nil, done, err
 	}
-	return m.DrainUntil(at, at+budget)
+	return m.drainUntil(at, at+budget)
 }
 
 // migrationEvent accumulates one migration's durable records during the

@@ -514,7 +514,7 @@ func TestMigrationRecoverInPlace(t *testing.T) {
 // boundary-equal keys, and rule/migration widening.
 func TestRebalancingPartitionerRangeShards(t *testing.T) {
 	rng := RangePartitioner{Bounds: []kv.Key{100, 200}}
-	p, err := NewRebalancingPartitioner(rng, 3)
+	p, err := newRebalancingPartitioner(rng, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +559,7 @@ func TestRebalancingPartitionerRangeShards(t *testing.T) {
 	}
 
 	// Hash base: a range never prunes, and the wrapper passes it through.
-	hp, err := NewRebalancingPartitioner(HashPartitioner{N: 3}, 3)
+	hp, err := newRebalancingPartitioner(HashPartitioner{N: 3}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,39 +571,39 @@ func TestRebalancingPartitionerRangeShards(t *testing.T) {
 	}
 }
 
-// TestValidateRebalancingPartitioner covers ValidatePartitioner on the
+// TestValidateRebalancingPartitioner covers validatePartitioner on the
 // wrapper: base validation still applies and bad rules are rejected.
 func TestValidateRebalancingPartitioner(t *testing.T) {
-	good, err := NewRebalancingPartitioner(RangePartitioner{Bounds: []kv.Key{10}}, 2)
+	good, err := newRebalancingPartitioner(RangePartitioner{Bounds: []kv.Key{10}}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidatePartitioner(good, 2); err != nil {
+	if err := validatePartitioner(good, 2); err != nil {
 		t.Fatalf("valid wrapper rejected: %v", err)
 	}
-	if err := ValidatePartitioner(good, 3); err == nil {
+	if err := validatePartitioner(good, 3); err == nil {
 		t.Fatal("shard-count mismatch accepted")
 	}
-	if _, err := NewRebalancingPartitioner(HashPartitioner{N: 2}, 3); err == nil {
+	if _, err := newRebalancingPartitioner(HashPartitioner{N: 2}, 3); err == nil {
 		t.Fatal("base/slot mismatch accepted")
 	}
-	if _, err := NewRebalancingPartitioner(good, 2); err == nil {
+	if _, err := newRebalancingPartitioner(good, 2); err == nil {
 		t.Fatal("nested wrapper accepted")
 	}
-	bad, _ := NewRebalancingPartitioner(RangePartitioner{Bounds: []kv.Key{10}}, 2)
+	bad, _ := newRebalancingPartitioner(RangePartitioner{Bounds: []kv.Key{10}}, 2)
 	bad.cur.Store(&routing{base: RangePartitioner{Bounds: []kv.Key{10}}, slots: 2,
 		rules: []MoveRule{{Lo: 5, Hi: 5, From: 0, To: 1}}})
-	if err := ValidatePartitioner(bad, 2); err == nil {
+	if err := validatePartitioner(bad, 2); err == nil {
 		t.Fatal("empty-range rule accepted")
 	}
 	bad.cur.Store(&routing{base: RangePartitioner{Bounds: []kv.Key{10}}, slots: 2,
 		rules: []MoveRule{{Lo: 0, Hi: 5, From: 0, To: 7}}})
-	if err := ValidatePartitioner(bad, 2); err == nil {
+	if err := validatePartitioner(bad, 2); err == nil {
 		t.Fatal("out-of-range rule target accepted")
 	}
 	// The unsorted-bounds check still fires through the wrapper.
-	wrapped, _ := NewRebalancingPartitioner(RangePartitioner{Bounds: []kv.Key{20, 10}}, 3)
-	if err := ValidatePartitioner(wrapped, 3); err == nil {
+	wrapped, _ := newRebalancingPartitioner(RangePartitioner{Bounds: []kv.Key{20, 10}}, 3)
+	if err := validatePartitioner(wrapped, 3); err == nil {
 		t.Fatal("unsorted base bounds accepted through the wrapper")
 	}
 }

@@ -178,7 +178,7 @@ func (t *Tree) recoverFrom(at vtime.Ticks, recs []wal.Record) (RecoveryReport, v
 			// range cover not-yet-replayed records and lose them on the
 			// NEXT recovery, so grow the queue instead and drain it with a
 			// regular flush once the replay is complete.
-			grown, gerr := NewOPQ(t.opq.Cap()*2, t.cfg.SPeriod)
+			grown, gerr := newOPQ(t.opq.Cap()*2, t.cfg.SPeriod)
 			if gerr != nil {
 				return rep, at, gerr
 			}
@@ -300,12 +300,12 @@ func (t *Tree) crashVolatileState() {
 // aborted migration's purges) that a heal must still force, so only a
 // real crash may drop it.
 func (t *Tree) dropVolatile() {
-	if fresh, err := NewOPQ(t.opq.Cap(), t.cfg.SPeriod); err == nil {
+	if fresh, err := newOPQ(t.opq.Cap(), t.cfg.SPeriod); err == nil {
 		t.opq = fresh
 	} else {
 		t.opq.Reset()
 	}
-	t.lsmap = NewLSMap(t.cfg.LeafSegs)
+	t.lsmap = newLSMap(t.cfg.LeafSegs)
 	t.pendingInternal = nil
 	if pool, err := bufferpool.New(t.pf, t.pool.Capacity(), bufferpool.WriteThrough); err == nil {
 		t.pool = pool

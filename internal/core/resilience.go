@@ -67,9 +67,8 @@ type RetryPolicy struct {
 	// this is abandoned at the deadline with a transient timeout error and
 	// fed into the same retry/quarantine state machine as any other
 	// transient fault. Zero means the default (5ms); negative disarms the
-	// watchdog, letting hangs run their course as latency. The deadline is
-	// armed on the I/O plane via ssdio.Space.SetStuckTimeout by whoever
-	// assembles the stack (the pio facade, the scenario engine, tests) —
+	// watchdog, letting hangs run their course as latency. Build arms the
+	// deadline on the I/O plane (ssdio.Space.SetStuckTimeout);
 	// StuckDeadline resolves the effective value.
 	StuckTimeout vtime.Ticks
 }

@@ -41,7 +41,8 @@ type Config struct {
 	// then covers the whole leaf, segments [0, L-1], as an LSMap miss does.
 	DisableLSMap bool
 	// DisablePsync makes every batched read/write a sequence of sync I/Os
-	// (ablation isolating the psync contribution).
+	// (ablation isolating the psync contribution). Single trees only:
+	// NewForest rejects it, since a group flush gangs psync writes.
 	DisablePsync bool
 	// SortedLeaves disables the append-only leaf optimization (ablation):
 	// every leaf update reads the whole leaf, applies the operations into
@@ -162,7 +163,7 @@ func New(pf *pagefile.PageFile, cfg Config) (*Tree, error) {
 		return nil, err
 	}
 	opqCap := cfg.OPQPages * cfg.PageSize / kv.EntrySize
-	opq, err := NewOPQ(opqCap, cfg.SPeriod)
+	opq, err := newOPQ(opqCap, cfg.SPeriod)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +172,7 @@ func New(pf *pagefile.PageFile, cfg Config) (*Tree, error) {
 		pf:    pf,
 		pool:  pool,
 		opq:   opq,
-		lsmap: NewLSMap(cfg.LeafSegs),
+		lsmap: newLSMap(cfg.LeafSegs),
 		buf:   make([]byte, cfg.PageSize),
 	}
 	// Empty tree: one empty leaf as root.
@@ -239,8 +240,8 @@ func (t *Tree) Pool() *bufferpool.Pool { return t.pool }
 // OPQLen returns the number of queued update operations.
 func (t *Tree) OPQLen() int { return t.opq.Len() }
 
-// LeafCapacity returns the entry capacity of one leaf.
-func (t *Tree) LeafCapacity() int { return leafCap(t.cfg.PageSize, t.cfg.LeafSegs) }
+// leafCapacity returns the entry capacity of one leaf.
+func (t *Tree) leafCapacity() int { return leafCap(t.cfg.PageSize, t.cfg.LeafSegs) }
 
 // approxRank estimates the share of the tree's keys below k from the
 // root alone: the children of the root left of k's child, plus half of
@@ -465,7 +466,7 @@ func (t *Tree) BulkLoad(recs []kv.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	perLeaf := int(float64(t.LeafCapacity()) * t.cfg.fill())
+	perLeaf := int(float64(t.leafCapacity()) * t.cfg.fill())
 	if perLeaf < 1 {
 		perLeaf = 1
 	}

@@ -14,12 +14,12 @@ import (
 // (newlines or ';' separate clauses, '#' starts a comment):
 //
 //	seed=42
-//	transient file=pio-1-wal-* call=gang p=0.2 from=10ms until=50ms
+//	transient file=pio-1-wal* call=gang p=0.2 from=10ms until=50ms
 //	latency delay=200us p=0.1
-//	permanent file=pio-1-shard-2 from=30ms
+//	permanent file=pio-1-shard2 from=30ms
 //	stuck call=psync delay=5ms p=0.01
 //	stall from=5ms delay=2ms every=20ms
-//	readonly file=pio-1-wal-2 from=30ms
+//	readonly file=pio-1-wal2 from=30ms
 //
 // The first word of a clause is the fault kind (or the seed setting);
 // the remaining key=value fields fill the Rule. Durations accept ns, us,

@@ -10,10 +10,8 @@ import (
 	"repro/internal/faultio"
 	"repro/internal/flashsim"
 	"repro/internal/kv"
-	"repro/internal/pagefile"
 	"repro/internal/ssdio"
 	"repro/internal/vtime"
-	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -292,29 +290,6 @@ func build(sc Scenario, cfg Config) (*engine, error) {
 
 	e.dev = flashsim.MustDevice(cfg.Device)
 	space := ssdio.NewSpace(e.dev)
-	// Arm the stuck-I/O watchdog at the forest's (default) retry-policy
-	// deadline, so a hanging device trips a transient timeout into the
-	// retry/quarantine machine instead of stretching an op's latency.
-	space.SetStuckTimeout(core.RetryPolicy{}.StuckDeadline())
-	pfs := make([]*pagefile.PageFile, e.shards)
-	logs := make([]*wal.Log, e.shards)
-	perShardBytes := int64(n)*64/int64(e.shards) + 1<<20
-	for i := range pfs {
-		f, err := space.Create(fmt.Sprintf("shard%d", i), perShardBytes)
-		if err != nil {
-			return nil, err
-		}
-		if pfs[i], err = pagefile.New(f, pageSize); err != nil {
-			return nil, err
-		}
-		wf, err := space.Create(fmt.Sprintf("wal%d", i), 16<<20)
-		if err != nil {
-			return nil, err
-		}
-		if logs[i], err = wal.NewLog(wf, pageSize); err != nil {
-			return nil, err
-		}
-	}
 	// Even range bounds over the loaded key domain: tenants address
 	// stripes of it, shards each own an equal slice initially, and the
 	// rebalancer reshapes ownership as the scenario's skew emerges.
@@ -327,21 +302,28 @@ func build(sc Scenario, cfg Config) (*engine, error) {
 	if bufBytes < e.shards*pageSize {
 		bufBytes = e.shards * pageSize
 	}
-	fr, err := core.NewForest(pfs, core.ForestConfig{
-		Partitioner: core.RangePartitioner{Bounds: bounds},
-		Shard: core.Config{
-			PageSize:    pageSize,
-			LeafSegs:    e.leafSegs,
-			OPQPages:    e.globalO,
-			PioMax:      64,
-			SPeriod:     5000,
-			BCnt:        bcnt,
-			BufferBytes: bufBytes,
-			CPUPerNode:  cpuPerNode,
+	// Build arms the stuck-I/O watchdog at the default retry policy's
+	// deadline, so a hanging device trips a transient timeout into the
+	// retry/quarantine machine instead of stretching an op's latency.
+	fr, _, _, err := core.Build(space, core.Spec{
+		Shards:   e.shards,
+		Capacity: int64(n) * 64,
+		WAL:      true,
+		Forest: core.ForestConfig{
+			Partitioner: core.RangePartitioner{Bounds: bounds},
+			Shard: core.Config{
+				PageSize:    pageSize,
+				LeafSegs:    e.leafSegs,
+				OPQPages:    e.globalO,
+				PioMax:      64,
+				SPeriod:     5000,
+				BCnt:        bcnt,
+				BufferBytes: bufBytes,
+				CPUPerNode:  cpuPerNode,
+			},
+			Heal:       sc.Heal,
+			Evacuation: sc.Evacuation,
 		},
-		Logs:       logs,
-		Heal:       sc.Heal,
-		Evacuation: sc.Evacuation,
 	})
 	if err != nil {
 		return nil, err

@@ -34,10 +34,8 @@ import (
 	"repro/internal/faultio"
 	"repro/internal/flashsim"
 	"repro/internal/kv"
-	"repro/internal/pagefile"
 	"repro/internal/ssdio"
 	"repro/internal/vtime"
-	"repro/internal/wal"
 )
 
 // Ticks is simulated time in nanoseconds.
@@ -105,7 +103,7 @@ type FaultPlane = faultio.Plane
 
 // InjectFaults compiles a declarative fault program (see faultio.Parse
 // for the grammar, e.g. "transient call=gang p=0.01; permanent
-// file=pio-1-shard-2 from=5ms") and installs it on the device's I/O
+// file=pio-1-shard2 from=5ms") and installs it on the device's I/O
 // plane. Failed submission units never touch file contents, so the
 // durable state equals a crash-before-write and WAL recovery reasoning
 // applies unchanged. Decisions are deterministic in (seed, file, call,
@@ -277,55 +275,33 @@ func OpenForest(dev *Device, opts ForestOptions) (*Forest, error) {
 	if cap <= 0 {
 		cap = 64 << 20
 	}
-	perShard := cap/int64(opts.Shards) + 1<<20
 	dev.nextID++
-	pfs := make([]*pagefile.PageFile, opts.Shards)
-	for i := range pfs {
-		f, err := dev.space.Create(fmt.Sprintf("pio-%d-shard-%d", dev.nextID, i), perShard)
-		if err != nil {
-			return nil, err
-		}
-		pfs[i], err = pagefile.New(f, opts.PageSize)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var logs []*wal.Log
-	if opts.WAL {
-		logs = make([]*wal.Log, opts.Shards)
-		for i := range logs {
-			wf, err := dev.space.Create(fmt.Sprintf("pio-%d-wal-%d", dev.nextID, i), 16<<20)
-			if err != nil {
-				return nil, err
-			}
-			logs[i], err = wal.NewLog(wf, opts.PageSize)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	fr, err := core.NewForest(pfs, core.ForestConfig{
-		Partitioner:  part,
-		RipeFraction: opts.RipeFraction,
-		Shard: core.Config{
-			PageSize:    opts.PageSize,
-			LeafSegs:    opts.LeafSegs,
-			OPQPages:    opts.OPQPages,
-			PioMax:      opts.PioMax,
-			SPeriod:     opts.SPeriod,
-			BCnt:        opts.BCnt,
-			BufferBytes: opts.BufferBytes,
-			Retry:       opts.Retry,
+	fr, _, _, err := core.Build(dev.space, core.Spec{
+		Prefix:   fmt.Sprintf("pio-%d-", dev.nextID),
+		Shards:   opts.Shards,
+		Capacity: cap,
+		WAL:      opts.WAL,
+		Forest: core.ForestConfig{
+			Partitioner:  part,
+			RipeFraction: opts.RipeFraction,
+			Shard: core.Config{
+				PageSize:    opts.PageSize,
+				LeafSegs:    opts.LeafSegs,
+				OPQPages:    opts.OPQPages,
+				PioMax:      opts.PioMax,
+				SPeriod:     opts.SPeriod,
+				BCnt:        opts.BCnt,
+				BufferBytes: opts.BufferBytes,
+				Retry:       opts.Retry,
+			},
+			MigrationChunk: opts.MigrationChunk,
+			Heal:           opts.Heal,
+			Evacuation:     opts.Evacuation,
 		},
-		Logs:           logs,
-		MigrationChunk: opts.MigrationChunk,
-		Heal:           opts.Heal,
-		Evacuation:     opts.Evacuation,
 	})
 	if err != nil {
 		return nil, err
 	}
-	dev.space.SetStuckTimeout(opts.Retry.StuckDeadline())
 	return &Forest{f: fr, opts: opts}, nil
 }
 
