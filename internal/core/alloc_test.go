@@ -229,11 +229,11 @@ func flushAllocs(t *testing.T, n, size, round int, update func(vtime.Ticks, kv.R
 // TestFlushAllocs gates the write path. On a warm height-3, L = 4 tree
 // with a WAL, a flush whose every leaf takes the append arm edits the
 // pages where it read them, in the tree's flush arena, and reuses the
-// OPQ's batch: in steady state it allocates nothing, for 50, 200 or 400
-// entries (the gate leaves two objects of slack). A 4-shard forest's group
-// flush passes the same gate over a small constant, the bookkeeping of
-// its group commit (member, log and gang slices), which does not grow
-// with the entries either.
+// OPQ's batch; the group commit around it, a group of one on a one-shard
+// forest or four members on a 4-shard forest, keeps its bookkeeping in
+// the shards' member slots and on the stack. So in steady state a flush
+// allocates a small constant, at most 2 objects, the same for 50, 200 or
+// 400 entries.
 func TestFlushAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -260,26 +260,32 @@ func TestFlushAllocs(t *testing.T) {
 				}
 			}
 		}
+		t.Logf("flushes allocated %d to %d objects", lo, hi)
 		if hi > lo+2 {
 			t.Errorf("flushes allocated from %d to %d objects, want one constant", lo, hi)
 		}
 	}
 
 	t.Run("Tree", func(t *testing.T) {
-		tr, wf := newWALTreeFile(t, flushAllocCfg())
-		preallocLog(t, wf, 32<<20)
-		if err := tr.BulkLoad(allocRecs(n)); err != nil {
+		// A one-shard forest: a logged tree flushes as a group of one.
+		fr, space, _, _ := buildTestForest(t, Spec{Shards: 1, WAL: true, Forest: ForestConfig{Shard: flushAllocCfg()}})
+		wf, err := space.Open("wal0")
+		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.Height() != 3 {
-			t.Fatalf("height %d, want 3", tr.Height())
+		preallocLog(t, wf, 16<<20)
+		if err := fr.BulkLoad(allocRecs(n)); err != nil {
+			t.Fatal(err)
+		}
+		if h := fr.Height(); h != 3 {
+			t.Fatalf("height %d, want 3", h)
 		}
 		var at vtime.Ticks
-		check(t, n, 2, tr.Update, func() (err error) {
-			at, err = tr.FlushBatch(at, 0)
+		check(t, n, 2, fr.Update, func() (err error) {
+			at, err = fr.Flush(at)
 			return err
 		})
-		if st := tr.Stats(); st.Shrinks != 0 || st.LeafAppends == 0 {
+		if st := fr.ShardTree(0).Stats(); st.Shrinks != 0 || st.LeafAppends == 0 {
 			t.Fatalf("not append-only: %+v", st)
 		}
 	})
@@ -301,7 +307,7 @@ func TestFlushAllocs(t *testing.T) {
 		var at vtime.Ticks
 		// Updates spread over the whole key space fill every shard's queue
 		// alike; Flush runs one group flush over all of them.
-		check(t, 4*n, 20, fr.Update, func() (err error) {
+		check(t, 4*n, 2, fr.Update, func() (err error) {
 			at, err = fr.Flush(at)
 			return err
 		})

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+
 	"repro/internal/kv"
 	"repro/internal/pagefile"
 	"repro/internal/vtime"
@@ -119,17 +121,23 @@ type fenceRec struct {
 }
 
 // FlushBatch runs one batch update (Algorithm 2/3) over up to bcnt OPQ
-// entries (<= 0 processes the whole queue). It is the paper's OPQ flush
-// operation, bracketed by flush event logs when a WAL is attached.
+// entries (<= 0 processes the whole queue): the paper's OPQ flush, with
+// every write submitted as it is planned. Only a tree without a WAL
+// flushes this way. A logged tree's flush is a group commit, and its
+// forest runs it, a group of one included; FlushBatch rejects such a tree.
 func (t *Tree) FlushBatch(at vtime.Ticks, bcnt int) (vtime.Ticks, error) {
+	if t.log != nil {
+		return at, errors.New("core: a logged tree flushes only as a member of its forest's group commit")
+	}
 	return t.flushBatch(at, bcnt, nil)
 }
 
-// flushBatch is FlushBatch, run inline when g is nil and as a member of a
-// forest group flush otherwise: the data writes wait in g for the group's
-// data gang, the log forces are left to the coordinator's prepare force,
-// and the FlushEnd record waits in g for its commit force. Every buffer
-// the flush reads or writes is in the flush arena, reset here.
+// flushBatch is FlushBatch, run inline when g is nil (a tree without a
+// WAL) and as a member of a forest group flush otherwise: the data writes
+// wait in g for the group's data gang, the log records wait in the tail
+// for the coordinator's prepare force, and the FlushEnd record waits in g
+// for its commit force. Every buffer the flush reads or writes is in the
+// flush arena, reset here.
 func (t *Tree) flushBatch(at vtime.Ticks, bcnt int, g *groupIO) (vtime.Ticks, error) {
 	batch := t.opq.takeBatch(bcnt)
 	if len(batch) == 0 {
@@ -144,7 +152,6 @@ func (t *Tree) flushBatch(at vtime.Ticks, bcnt int, g *groupIO) (vtime.Ticks, er
 	if g != nil {
 		g.reqs = fs.reqs[:0]
 	}
-	var err error
 	var flushID uint64
 	if t.log != nil {
 		t.flushID++
@@ -157,14 +164,9 @@ func (t *Tree) flushBatch(at vtime.Ticks, bcnt int, g *groupIO) (vtime.Ticks, er
 			KeyHi:    batch[len(batch)-1].Rec.Key,
 		})
 		t.lowWater.startFlush(m, t.opq.Len() == 0)
-		// WAL rule: the flush-start record and all logical logs of the
-		// chosen entries must be durable before any node write.
-		at, err = t.forceWAL(at, g)
-		if err != nil {
-			return at, err
-		}
 	}
 	var fences []fenceRec
+	var err error
 	if t.height == 1 {
 		// Root is a leaf.
 		work := append(fs.levels[0].work[:0], childWork{id: t.root, entries: batch})
@@ -182,34 +184,16 @@ func (t *Tree) flushBatch(at vtime.Ticks, bcnt int, g *groupIO) (vtime.Ticks, er
 		return at, err
 	}
 	if t.log != nil {
-		end := wal.Record{
+		// The FlushEnd must not become durable before the group's data
+		// writes, which wait in the coordinator's gang: the coordinator
+		// appends and forces it after the data submission.
+		g.end = wal.Record{
 			Kind:     wal.KindFlushEnd,
 			Relation: t.cfg.Relation,
 			FlushID:  flushID,
 			KeyLo:    batch[0].Rec.Key,
 			KeyHi:    batch[len(batch)-1].Rec.Key,
 		}
-		if g != nil {
-			// Group commit: the FlushEnd must not become durable before the
-			// group's data writes, which are themselves deferred into the
-			// coordinator's gang. Hand the record to the coordinator, which
-			// appends and gang-forces it after the data submission.
-			g.end = end
-		} else {
-			t.log.Append(end)
-			// A retried force resubmits the whole unforced tail, so the
-			// FlushEnd still reaches the device after the data writes.
-			at, err = t.retryIO(at, t.log.Force)
-			if err != nil {
-				return at, err
-			}
-		}
-	}
-	if g == nil {
-		// Inline commit: the FlushEnd is durable, so this is a commit
-		// point for the quarantine rollback baseline. Group commits reach
-		// theirs when the coordinator's phase-2 force lands.
-		t.commitFlush()
 	}
 	return at, nil
 }
@@ -394,8 +378,9 @@ func (t *Tree) splitInternalMulti(n *internalNode) (*internalNode, []fenceRec, e
 }
 
 // writeInternal writes internal node n plus any pending split siblings in
-// one psync call, logging undo images first when a WAL is attached, and
-// refreshes the buffer pool copies.
+// one psync call (or defers them into the group's data gang), logging undo
+// images first when a WAL is attached, and refreshes the buffer pool
+// copies.
 func (t *Tree) writeInternal(at vtime.Ticks, n *internalNode, g *groupIO) (vtime.Ticks, error) {
 	buf := t.flush.arena.take(t.cfg.PageSize)
 	if err := n.encode(buf); err != nil {
@@ -408,7 +393,7 @@ func (t *Tree) writeInternal(at vtime.Ticks, n *internalNode, g *groupIO) (vtime
 
 	var err error
 	if t.log != nil {
-		if at, err = t.logUndo(at, writes, g); err != nil {
+		if err = t.logUndo(writes); err != nil {
 			return at, err
 		}
 	}

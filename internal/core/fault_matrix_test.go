@@ -686,3 +686,183 @@ func TestFaultMatrixDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultMatrixCheckpointDrainFails: a Checkpoint whose drain of a
+// shard fails is a failed flush like any other. With five keys queued on
+// shard1 and forced, a read-only shard1 fails the drain's data gang: the
+// Checkpoint fails, shard1 leaves write service with its memory rolled
+// back to what its log says, and once the fault clears a crash recovery
+// reads all five keys back.
+func TestFaultMatrixCheckpointDrainFails(t *testing.T) {
+	fr, space := newFaultForest(t, RetryPolicy{})
+	at := fmBaseline(t, fr)
+	keys := make([]kv.Key, 5)
+	var err error
+	for j := range keys {
+		keys[j] = fmStride + 500 + kv.Key(j)
+		if at, err = fr.Insert(at, kv.Record{Key: keys[j], Value: fmVal(keys[j])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if at, err = fr.Sync(at); err != nil {
+		t.Fatal(err)
+	}
+	fmInstall(t, space, "readonly file=shard1")
+	if at, err = fr.Checkpoint(at); err == nil {
+		t.Fatal("Checkpoint succeeded with shard1 read-only")
+	}
+	if q := fr.Quarantined(); len(q) != 1 || q[0] != 1 {
+		t.Fatalf("Quarantined() = %v, want [1]", q)
+	}
+	if _, err := fr.Insert(at, kv.Record{Key: fmStride + 900, Value: 1}); !errors.Is(err, ErrShardQuarantined) {
+		t.Fatalf("insert into shard1 after the failed drain: %v, want ErrShardQuarantined", err)
+	}
+	if err := fr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	space.SetInjector(nil)
+	fr.Crash()
+	if _, at, err = fr.Recover(at); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	at = fmCheckKeys(t, fr, at, append(fmShardKeys(1), keys...))
+	fmCheckKeys(t, fr, at, fmShardKeys(0))
+	if err := fr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFaultMatrixFullQueueMigrationAbort: a migration chunk whose copies
+// fill the destination's queue flushes it as a group of one. With the
+// destination's log read-only that flush fails and rolls the destination
+// back, and the abort that follows purges the copies queued so far into
+// a queue that is full again, without flushing it: both shards are
+// quarantined but not offline, and every count still adds up. Once the
+// fault clears, heals bring both back with every key.
+func TestFaultMatrixFullQueueMigrationAbort(t *testing.T) {
+	fr, space := newFaultForestCfg(t, RetryPolicy{Disabled: true}, HealPolicy{}, EvacuationPolicy{})
+	at := fmBaseline(t, fr)
+	dst := fr.ShardTree(1)
+	var filled []kv.Key
+	var err error
+	for j := 0; dst.OPQLen() < dst.opq.Cap()-4; j++ {
+		k := fmStride + 200 + kv.Key(j)
+		if at, err = fr.Insert(at, kv.Record{Key: k, Value: fmVal(k)}); err != nil {
+			t.Fatal(err)
+		}
+		filled = append(filled, k)
+	}
+	m, at, err := fr.StartMigration(at, 0, fmStride, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmInstall(t, space, "readonly file=wal1")
+	flushes := dst.Stats().Flushes
+	if _, at, err = m.Step(at); !errors.Is(err, ErrShardQuarantined) {
+		t.Fatalf("Step: %v, want a contained abort", err)
+	}
+	if q := fr.Quarantined(); len(q) != 2 {
+		t.Fatalf("Quarantined() = %v, want both shards", q)
+	}
+	if n := dst.Stats().Flushes - flushes; n != 1 || dst.OPQLen() != dst.opq.Cap() {
+		t.Fatalf("destination ran %d flushes and queues %d of %d entries, want the one failed flush and a full queue", n, dst.OPQLen(), dst.opq.Cap())
+	}
+	if err := fr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	at = fmCheckKeys(t, fr, at, fmShardKeys(0))
+	at = fmCheckKeys(t, fr, at, append(fmShardKeys(1), filled...))
+
+	space.SetInjector(nil)
+	at = healAll(t, fr, at, append(append(fmShardKeys(0), fmShardKeys(1)...), filled...), 0, 1)
+	if n, want := fr.Count(), int64(2*fmPerShard+len(filled)); n != want {
+		t.Fatalf("Count() = %d, want %d", n, want)
+	}
+	_ = at
+}
+
+// TestFaultMatrixRecoverFlushKeepsMigrationRecords: a queue that the
+// replay leaves over its budget is flushed by Recover only once routing
+// recovery has pinned the migration records again, so that flush cannot
+// cut them from the log. An aborted migration keeps its first chunk
+// ([0, F)) and purges the second chunk's copies past the destination's
+// budget. A Heal forces that purge and the abort's MigrationEnd to the
+// destination's log, and its flush of the queue fails on the data file.
+// The source's log never gets the End. After a crash, a forest rebuilt
+// over the durable files recovers the move from the destination's End:
+// [0, F) on shard 1, the rest of the range still on shard 0, every key
+// readable once.
+func TestFaultMatrixRecoverFlushKeepsMigrationRecords(t *testing.T) {
+	var spec Spec
+	fr, space, pfs, logs := newFaultForestOf(t, 3, 3, func(s *Spec) { spec = *s })
+	at := fmBaseline(t, fr)
+	var filled []kv.Key
+	var err error
+	for j := 0; j < 20; j++ {
+		k := fmStride + 200 + kv.Key(j)
+		if at, err = fr.Insert(at, kv.Record{Key: k, Value: fmVal(k)}); err != nil {
+			t.Fatal(err)
+		}
+		filled = append(filled, k)
+	}
+	if at, err = fr.Sync(at); err != nil {
+		t.Fatal(err)
+	}
+	m, at := startMove(t, fr, at)
+	if _, at, err = m.Step(at); err != nil {
+		t.Fatal(err)
+	}
+	frontier := m.bounds[1]
+	space.SetInjector(&purgeFault{})
+	if _, at, err = m.Step(at); !errors.Is(err, ErrShardQuarantined) {
+		t.Fatalf("second Step: %v, want a contained abort", err)
+	}
+	if dst := fr.ShardTree(1); dst.OPQLen() <= dst.opq.Cap() {
+		t.Fatalf("destination queues %d entries, want the purge past its budget of %d", dst.OPQLen(), dst.opq.Cap())
+	}
+	space.SetInjector(plainFault{writes: []string{"shard1"}})
+	if at, err = fr.Heal(at, 1); err == nil {
+		t.Fatal("Heal(1) succeeded with shard1's data file failing")
+	}
+	meta := fr.SnapshotMeta()
+	fr.Crash()
+	space.SetInjector(nil)
+
+	cfg := spec.Forest
+	cfg.Logs = logs
+	fr2, err := NewForest(pfs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fr2.RestoreMeta(meta); err != nil {
+		t.Fatal(err)
+	}
+	rep, at, err := fr2.Recover(at)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if rep.ResumedMigrations != 0 || rep.RolledBackMigrations != 0 {
+		t.Fatalf("Recover resolved the aborted move again: %+v", rep)
+	}
+	if s := fr2.Routing().Shard(0); s != 1 {
+		t.Fatalf("key 0 routes to shard %d, want 1: the abort kept [0, %d)", s, frontier)
+	}
+	if s := fr2.Routing().Shard(frontier); s != 0 {
+		t.Fatalf("key %d routes to shard %d, want 0: the abort kept only [0, %d)", frontier, s, frontier)
+	}
+	keys := append(append(fmShardKeys(0), fmShardKeys(1)...), filled...)
+	at = fmCheckKeys(t, fr2, at, keys)
+	recs, _, err := fr2.RangeSearch(at, 0, fmPerShard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != fmPerShard {
+		t.Fatalf("moved range holds %d keys, want %d", len(recs), fmPerShard)
+	}
+	if err := fr2.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if n, want := fr2.Count(), int64(3*fmPerShard+len(filled)); n != want {
+		t.Fatalf("Count() = %d, want %d", n, want)
+	}
+}

@@ -94,7 +94,8 @@ type groupIO struct {
 }
 
 // member is one shard's slot in a group flush: what its flush deferred,
-// and its outcome.
+// and its outcome. Each shard owns its slot (forestShard.slot), which a
+// flush uses while it holds the shard's mu.
 type member struct {
 	groupIO
 	s *forestShard
@@ -104,6 +105,10 @@ type member struct {
 	// err is the fault that failed the member; nil while it carries on.
 	err error
 }
+
+// groupStack is how many members a group flush keeps its bookkeeping for
+// on the stack; a larger group spills to the heap.
+const groupStack = 8
 
 // blame charges a failed submission over ms to the members attribute
 // blames; each keeps its first fault, and a failed member's deferred
@@ -211,6 +216,8 @@ type forestShard struct {
 	// vopq is the OPQ lock: an append is instant, but the periodic sort
 	// inside one holds the whole queue exclusively.
 	vopq vtime.Mutex
+	// slot is the shard's member slot in the flush that holds mu.
+	slot member
 
 	// ops counts the operations routed to this shard (guarded by mu); the
 	// per-shard load signal AutoRebalance triggers on.
@@ -231,6 +238,13 @@ type forestShard struct {
 	since      vtime.Ticks // guarded by mu
 	probeFrom  vtime.Ticks // guarded by mu
 	probeFails int         // guarded by mu
+}
+
+// member resets the shard's slot for a flush and returns it. Caller holds
+// s.mu.
+func (s *forestShard) member() *member {
+	s.slot = member{s: s}
+	return &s.slot
 }
 
 // loadSample is the size of a shard's per-window key sample.
@@ -803,17 +817,7 @@ func (f *Forest) update(at vtime.Ticks, e kv.Entry) (vtime.Ticks, error) {
 	s.note(e.Rec.Key)
 	// The short per-shard OPQ lock covers the append (and the occasional
 	// periodic sort inside it), as in the single-tree scheme.
-	start := s.vopq.Acquire(at)
-	var done vtime.Ticks
-	var err error
-	switch e.Op {
-	case kv.OpInsert:
-		done, err = s.tree.Insert(start, e.Rec)
-	case kv.OpDelete:
-		done, err = s.tree.Delete(start, e.Rec.Key)
-	default:
-		done, err = s.tree.Update(start, e.Rec)
-	}
+	done, err := s.tree.enqueue(s.vopq.Acquire(at), e)
 	s.vopq.Release(done)
 	s.mu.Unlock()
 	return done, err
@@ -826,34 +830,80 @@ func (f *Forest) update(at vtime.Ticks, e kv.Entry) (vtime.Ticks, error) {
 // would), and submits every member's batch writes as ONE concatenated
 // psync call. Each member's virtual flush lock is held from the group
 // start to the merged-write completion, so only member shards' readers
-// are delayed. It runs in stages over one member slice — plan, then the
-// flushes and the two-phase group commit (commitGroup), then settle — and
-// a failure anywhere costs only the members attribute blames: they roll
-// back and leave write service, and the rest of the group commits. The
-// error is a committed member's failed log truncation.
+// are delayed. It runs in stages over one member slice — plan, then
+// runGroup's flushes, two-phase group commit and resolve, then unlock —
+// and a failure anywhere costs only the members attribute blames: they
+// roll back and leave write service, and the rest of the group commits.
+// The error is a committed member's failed log truncation.
 func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
-	g := f.planGroup(trigger)
+	var buf [groupStack]*member
+	g := f.planGroup(trigger, buf[:0])
 	if len(g) == 0 {
 		// A racing group flush already drained the trigger shard.
 		return at, nil
 	}
-	f.groupFlushes.Add(1)
-	f.groupedShards.Add(int64(len(g)))
-	done := at
-	if len(g) == 1 {
-		// Single member: flush exactly like the paper's single-tree
-		// scheme (no gang), so a one-shard forest is Section 4's
-		// whole-index flush lock.
-		m := &g[0]
-		m.started = true
-		done, m.err = m.s.tree.FlushBatch(m.s.vlock.Acquire(at), m.s.tree.cfg.BCnt)
-	} else {
-		done = f.commitGroup(at, g)
+	done, err := f.runGroup(at, g, g[0].s.tree.cfg.BCnt)
+	for _, m := range g {
+		if m.started {
+			m.s.vlock.Release(done)
+		}
+		m.s.mu.Unlock()
 	}
-	return f.settle(done, g)
+	return done, err
 }
 
-// planGroup locks and returns the members of a group flush. Candidates
+// flushLocked flushes shard s, whose lock the caller holds, as a group of
+// one: bcnt entries, or its whole queue when bcnt <= 0. It returns the
+// fault that failed the flush — the shard is then rolled back and out of
+// write service — or else a failed log truncation. The shard must be in
+// write service, as every member of a group is: a shard out of it holds
+// replayed, already durable entries, and its device may still be failing.
+func (f *Forest) flushLocked(at vtime.Ticks, s *forestShard, bcnt int) (vtime.Ticks, error) {
+	m := s.member()
+	done, err := f.runGroup(at, []*member{m}, bcnt)
+	s.vlock.Release(done)
+	if m.err != nil {
+		return done, m.err
+	}
+	return done, err
+}
+
+// enqueue queues e on shard s, whose lock the caller holds and which is in
+// write service. A full queue is first flushed as a group of one: a
+// logged tree never flushes itself.
+func (f *Forest) enqueue(at vtime.Ticks, s *forestShard, e kv.Entry) (vtime.Ticks, error) {
+	for {
+		done, err := s.tree.enqueue(at, e)
+		if !errors.Is(err, errOPQFull) {
+			return done, err
+		}
+		if at, err = f.flushLocked(at, s, s.tree.cfg.BCnt); err != nil {
+			return at, err
+		}
+	}
+}
+
+// runGroup flushes the locked members of g, bcnt entries each (<= 0: the
+// whole queue), and resolves them; every flush of the forest runs here.
+// A member with a WAL is always flushed through commitGroup's two-phase
+// protocol, a group of one included. Only a single member without a WAL
+// flushes inline, as the paper's single-tree scheme does (no gang), so a
+// one-shard forest is Section 4's whole-index flush lock.
+func (f *Forest) runGroup(at vtime.Ticks, g []*member, bcnt int) (vtime.Ticks, error) {
+	f.groupFlushes.Add(1)
+	f.groupedShards.Add(int64(len(g)))
+	var done vtime.Ticks
+	if m := g[0]; len(g) == 1 && m.s.tree.log == nil {
+		m.started = true
+		done, m.err = m.s.tree.flushBatch(m.s.vlock.Acquire(at), bcnt, nil)
+	} else {
+		done = f.commitGroup(at, g, bcnt)
+	}
+	return f.resolve(done, g)
+}
+
+// planGroup locks the members of a group flush and returns them appended
+// to g. Candidates
 // are locked in ascending shard order (deadlock-free against concurrent
 // group flushes) and only the members stay locked: every shard appends to
 // its own log, so a non-member's enqueue path never touches a log the
@@ -864,11 +914,11 @@ func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 // them would stall every member behind the chunk), and keeping a
 // half-migrated range out of the group's deferred FlushEnd commit keeps
 // the migration's chunk commit points and the group's flush commit points
-// independent. A migrating shard whose own OPQ fills still flushes — solo.
-func (f *Forest) planGroup(trigger int) []member {
+// independent. A migrating shard whose own OPQ fills still flushes, as a
+// group of one.
+func (f *Forest) planGroup(trigger int, g []*member) []*member {
 	msrc, mdst, mact := f.rpart.Migrating()
 	migrating := func(i int) bool { return mact && (i == msrc || i == mdst) }
-	var g []member
 	for i, s := range f.shards {
 		s.mu.Lock()
 		// Quarantined shards never join a flush: their OPQ holds replayed
@@ -883,35 +933,33 @@ func (f *Forest) planGroup(trigger int) []member {
 			s.mu.Unlock()
 			continue
 		}
-		if g == nil {
-			g = make([]member, 0, len(f.shards)-i)
-		}
-		g = append(g, member{s: s})
+		g = append(g, s.member())
 	}
 	return g
 }
 
-// commitGroup flushes a group's members and commits them in two phases,
-// returning the completion time; the members' outcomes are left in g.
-func (f *Forest) commitGroup(at vtime.Ticks, g []member) vtime.Ticks {
+// commitGroup flushes a group's members, bcnt entries each, and commits
+// them in two phases, returning the completion time; the members'
+// outcomes are left in g.
+func (f *Forest) commitGroup(at vtime.Ticks, g []*member, bcnt int) vtime.Ticks {
 	// Flush: every member from the same instant, its data writes and
 	// FlushEnd held back in its slot. A failed flush stops new ones from
 	// starting; its log appends stay in the tail — FlushStart without
 	// FlushEnd, which any replay undoes — and members that already flushed
 	// still commit: their deferred writes must reach the device.
 	front := at
-	for i := range g {
-		m := &g[i]
+	for _, m := range g {
 		m.started = true
-		done, err := m.s.tree.flushBatch(m.s.vlock.Acquire(at), m.s.tree.cfg.BCnt, &m.groupIO)
+		done, err := m.s.tree.flushBatch(m.s.vlock.Acquire(at), bcnt, &m.groupIO)
 		front = vtime.Max(front, done)
 		if err != nil {
 			m.err, m.reqs = err, nil
 			break
 		}
 	}
-	ms := make([]*member, 0, len(g))
-	logs := make([]*wal.Log, 0, len(g))
+	var msBuf [groupStack]*member
+	var logBuf [groupStack]*wal.Log
+	ms, logs := msBuf[:0], logBuf[:0]
 	// Prepare (group commit phase 1): force every started member's
 	// FlushStart, logical redo and flush undo records BEFORE any data write
 	// reaches the device — the WAL rule, paid as one ganged submission (or
@@ -919,8 +967,8 @@ func (f *Forest) commitGroup(at vtime.Ticks, g []member) vtime.Ticks {
 	// member failed: the others' undo records must cover their deferred
 	// writes. A member whose records did not land is failed; the rest carry
 	// on, and the data gang goes out unless the force spared nobody.
-	for i := range g {
-		if m := &g[i]; m.started && m.s.tree.log != nil {
+	for _, m := range g {
+		if m.started && m.s.tree.log != nil {
 			ms, logs = append(ms, m), append(logs, m.s.tree.log)
 		}
 	}
@@ -936,8 +984,8 @@ func (f *Forest) commitGroup(at vtime.Ticks, g []member) vtime.Ticks {
 	done := front
 	if prepared {
 		ms = ms[:0]
-		for i := range g {
-			if m := &g[i]; m.started && m.err == nil {
+		for _, m := range g {
+			if m.started && m.err == nil {
 				ms = append(ms, m)
 			}
 		}
@@ -956,8 +1004,8 @@ func (f *Forest) commitGroup(at vtime.Ticks, g []member) vtime.Ticks {
 	// memory that says flushed and a log that says undo: it fails, and its
 	// rollback brings memory to what the log describes.
 	ms, logs = ms[:0], logs[:0]
-	for i := range g {
-		if m := &g[i]; m.err == nil && m.end.Kind == wal.KindFlushEnd {
+	for _, m := range g {
+		if m.err == nil && m.end.Kind == wal.KindFlushEnd {
 			m.s.tree.log.Append(m.end)
 			ms, logs = append(ms, m), append(logs, m.s.tree.log)
 		}
@@ -971,21 +1019,21 @@ func (f *Forest) commitGroup(at vtime.Ticks, g []member) vtime.Ticks {
 	return done
 }
 
-// settle ends a group flush. A started member that did not fail is
-// durable end to end: a new rollback baseline, proof the device is really
-// back, so a probation's incident ends, and the point its log head moves
-// to its low-water mark (lowwater.go). Such a member is writable: only
-// writable shards join a flush. A failed member rolls back and leaves
-// write service, charged on the vtime clock while its flush lock is still
-// held (readers wait for the rollback exactly as they would for the
-// flush). Then every lock is released, and the first failed truncation is
-// returned.
-func (f *Forest) settle(done vtime.Ticks, g []member) (vtime.Ticks, error) {
+// resolve decides a group flush's outcome, the forest's one failure rule.
+// A started member that did not fail is durable end to end: a new
+// rollback baseline, proof the device is really back, so a probation's
+// incident ends, and the point its log head moves to its low-water mark
+// (lowwater.go). Such a member is writable: only writable shards join a
+// flush. A failed member rolls back and leaves write service, charged on
+// the vtime clock while its flush lock is still held (readers wait for the
+// rollback exactly as they would for the flush). It returns the completion
+// time and the first failed truncation; the caller releases the locks.
+func (f *Forest) resolve(done vtime.Ticks, g []*member) (vtime.Ticks, error) {
 	var err error
 	for _, m := range g {
 		if m.started && m.err == nil {
 			m.s.tree.commitFlush()
-			//lint:ignore guardedby planGroup returned with every member's mu held
+			//lint:ignore guardedby every member's mu is held by the caller
 			m.s.transition(evFlushCommit, done, done, nil)
 			if terr := m.s.tree.truncateLog(); terr != nil && err == nil {
 				err = terr
@@ -997,12 +1045,6 @@ func (f *Forest) settle(done vtime.Ticks, g []member) (vtime.Ticks, error) {
 			done = f.quarantineShard(done, m.s, m.err)
 		}
 	}
-	for _, m := range g {
-		if m.started {
-			m.s.vlock.Release(done)
-		}
-		m.s.mu.Unlock()
-	}
 	return done, err
 }
 
@@ -1013,7 +1055,9 @@ func (f *Forest) settle(done vtime.Ticks, g []member) (vtime.Ticks, error) {
 // when every batch landed); a whole-gang failure loses every batch still
 // pending.
 func (f *Forest) submitGang(at vtime.Ticks, ms []*member) (vtime.Ticks, []error) {
-	pending := make([]int, 0, len(ms))
+	var pendBuf [groupStack]int
+	var batchBuf [groupStack]ssdio.GangBatch
+	pending := pendBuf[:0]
 	for i, m := range ms {
 		if len(m.reqs) > 0 {
 			pending = append(pending, i)
@@ -1028,9 +1072,9 @@ func (f *Forest) submitGang(at vtime.Ticks, ms []*member) (vtime.Ticks, []error)
 	}
 	pol := f.retry.norm()
 	for attempt := 0; ; attempt++ {
-		batches := make([]ssdio.GangBatch, len(pending))
-		for i, j := range pending {
-			batches[i] = ssdio.GangBatch{F: ms[j].s.tree.pf.File(), Reqs: ms[j].reqs}
+		batches := batchBuf[:0]
+		for _, j := range pending {
+			batches = append(batches, ssdio.GangBatch{F: ms[j].s.tree.pf.File(), Reqs: ms[j].reqs})
 		}
 		done, err := ssdio.PsyncGang(at, batches)
 		f.gangSubmits.Add(1)
@@ -1140,7 +1184,10 @@ func (f *Forest) Flush(at vtime.Ticks) (vtime.Ticks, error) {
 	return f.flushGroup(at, best)
 }
 
-// Checkpoint drains every shard's OPQ. The per-shard drains start at the
+// Checkpoint drains every shard's OPQ, each shard's whole queue as one
+// group of one, so a drain commits, fails and is attributed like any
+// other flush: a shard whose drain fails is rolled back, leaves write
+// service, and fails the Checkpoint. The per-shard drains start at the
 // caller's time and proceed in parallel in virtual time. With WALs
 // attached, a checkpoint record is appended per shard, the routing table
 // is persisted as a RoutingSnapshot record on the first log, and the
@@ -1181,10 +1228,10 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 			continue
 		}
 		start := s.vlock.Acquire(at)
-		flushes := s.tree.opq.Len() > 0
-		d, err := s.tree.drain(start)
-		if err == nil && flushes {
-			s.transition(evFlushCommit, d, d, nil)
+		d := start
+		var err error
+		if s.tree.opq.Len() > 0 {
+			d, err = f.flushLocked(start, s, 0)
 		}
 		if err == nil && s.tree.log != nil {
 			cut[i] = s.tree.log.AppendMark(wal.Record{Kind: wal.KindCheckpoint, Relation: s.tree.cfg.Relation})
@@ -1193,7 +1240,7 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 		s.vlock.Release(d)
 		s.mu.Unlock()
 		if err != nil {
-			return d, err
+			return d, fmt.Errorf("core: Checkpoint: shard %d: %w", i, err)
 		}
 		done = vtime.Max(done, d)
 	}
@@ -1304,6 +1351,10 @@ func (f *Forest) Recover(at vtime.Ticks) (ForestRecoveryReport, vtime.Ticks, err
 	for i, s := range f.shards {
 		s.mu.Lock()
 		r, d, err := s.tree.recover(at)
+		if err == nil {
+			// The replay re-admits the shard in its durable state.
+			s.transition(evRecover, d, d, nil)
+		}
 		s.mu.Unlock()
 		if err != nil {
 			return rep, d, fmt.Errorf("core: forest shard %d: %w", i, err)
@@ -1323,18 +1374,28 @@ func (f *Forest) Recover(at vtime.Ticks) (ForestRecoveryReport, vtime.Ticks, err
 	if err != nil {
 		return rep, done, err
 	}
-	// The replay re-admits every shard in its durable state, except the
-	// ones the recovered routing marks evacuated: those retire.
+	// The shards the recovered routing marks evacuated retire. A queue
+	// the replay left over its budget is flushed back under it, only now:
+	// a flush that empties it cuts the log head, and until routing
+	// recovery pinned them again nothing held the migration records and
+	// the routing snapshot it just read.
+	end := done
 	for i, s := range f.shards {
-		ev := evRecover
-		if f.rpart.isEvacuated(i) {
-			ev = evRetire
-		}
 		s.mu.Lock()
-		s.transition(ev, done, done, nil)
+		var err error
+		d := done
+		if f.rpart.isEvacuated(i) {
+			s.transition(evRetire, done, done, nil)
+		} else if s.health.writable() && s.tree.opq.Len() > s.tree.opq.Cap() {
+			d, err = f.flushLocked(done, s, 0)
+		}
 		s.mu.Unlock()
+		if err != nil {
+			return rep, d, fmt.Errorf("core: forest shard %d: %w", i, err)
+		}
+		end = vtime.Max(end, d)
 	}
-	return rep, done, nil
+	return rep, end, nil
 }
 
 // Heal attempts to re-admit a quarantined shard: it re-runs the
@@ -1357,7 +1418,7 @@ func (f *Forest) Heal(at vtime.Ticks, shard int) (vtime.Ticks, error) {
 	case s.health == retired:
 		return at, fmt.Errorf("core: Heal: shard %d was evacuated; its range is served by healthy shards", shard)
 	case s.health.probing():
-		return s.heal(at, shard)
+		return s.heal(f, at, shard)
 	}
 	return at, nil
 }

@@ -232,7 +232,7 @@ func TestForestSingleShardMatchesTree(t *testing.T) {
 	if tr.Stats().Flushes == 0 {
 		t.Fatal("no flushes: the flush lock was never taken")
 	}
-	tt, err1 := tr.drain(tt)
+	tt, err1 := tr.FlushBatch(tt, 0)
 	tf, err2 := fr.Checkpoint(tf)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)

@@ -175,7 +175,7 @@ func (f *Forest) healTick(at vtime.Ticks) vtime.Ticks {
 			// The device answered the probe; the Heal replay (force the log
 			// tail, roll back to durable, replay) is the real re-admission
 			// test — a read-only device passes probes but fails here.
-			pd, err = s.heal(pd, si)
+			pd, err = s.heal(f, pd, si)
 			if err == nil {
 				f.autoHeals.Add(1)
 			}
@@ -191,7 +191,7 @@ func (f *Forest) healTick(at vtime.Ticks) vtime.Ticks {
 
 // heal is the body of Forest.Heal and the prober's re-admission test.
 // Caller holds s.mu; the shard is quarantined or offline.
-func (s *forestShard) heal(at vtime.Ticks, shard int) (vtime.Ticks, error) {
+func (s *forestShard) heal(f *Forest, at vtime.Ticks, shard int) (vtime.Ticks, error) {
 	// Force the shard's log tail first: an aborted migration leaves its
 	// compensation records (and any stranded appends) in the unforced
 	// tail, and the rollback replay below reads only durable records. If
@@ -224,6 +224,14 @@ func (s *forestShard) heal(at vtime.Ticks, shard int) (vtime.Ticks, error) {
 	// device is back, so a device that heals and re-fails keeps its
 	// incident clock and the evacuation deadline stays bounded.
 	s.transition(evHeal, done, done, nil)
+	// A queue the replay left over its budget (the purges of an aborted
+	// migration) is flushed back under it; a failed flush quarantines the
+	// shard again.
+	if s.tree.opq.Len() > s.tree.opq.Cap() {
+		if done, err = f.flushLocked(done, s, 0); err != nil {
+			return done, fmt.Errorf("core: Heal shard %d: %w", shard, err)
+		}
+	}
 	return done, nil
 }
 

@@ -131,7 +131,7 @@ func (t *Tree) flushLeaves(at vtime.Ticks, work []childWork, g *groupIO) (vtime.
 	fs.writes = writes
 
 	if t.log != nil {
-		if at, err = t.logUndo(at, writes, g); err != nil {
+		if err = t.logUndo(writes); err != nil {
 			return at, err
 		}
 	}
@@ -233,15 +233,16 @@ func (t *Tree) wholeLeafWrite(l *leafNode) pagefile.RunReq {
 }
 
 // logUndo appends a flush undo record — the page's pre-image — for every
-// page the runs are about to overwrite, then forces the WAL (the
-// write-ahead rule). The pre-images pass through one page: Append copies
-// each record into the log's tail.
-func (t *Tree) logUndo(at vtime.Ticks, runs []pagefile.RunReq, g *groupIO) (vtime.Ticks, error) {
+// page the runs are about to overwrite. The group's prepare force makes
+// them durable before its data gang writes any page (the write-ahead
+// rule). The pre-images pass through one page: Append copies each record
+// into the log's tail.
+func (t *Tree) logUndo(runs []pagefile.RunReq) error {
 	for _, r := range runs {
 		for s := 0; s < r.N; s++ {
 			id := r.First + pagefile.PageID(s)
 			if err := t.pf.ReadPageNoCost(id, t.buf); err != nil {
-				return at, err
+				return err
 			}
 			t.log.Append(wal.Record{
 				Kind:     wal.KindFlushUndo,
@@ -252,5 +253,5 @@ func (t *Tree) logUndo(at vtime.Ticks, runs []pagefile.RunReq, g *groupIO) (vtim
 			})
 		}
 	}
-	return t.forceWAL(at, g)
+	return nil
 }

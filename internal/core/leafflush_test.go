@@ -23,33 +23,37 @@ import (
 // forced to it. The data constants were taken while the flush path still
 // decoded every leaf it touched, so a flush that works on the encoded
 // pages must hand the device and the log exactly the bytes the decoder's
-// re-encoding did. The group4 log images also show head truncation: each
+// re-encoding did. The log images also show head truncation: each
 // committed flush that empties its shard's queue discards the log below
-// its FlushStart, which then reads back as zeros.
+// its FlushStart, which then reads back as zeros. A solo case ends with a
+// Checkpoint, whose cut would leave only its checkpoint and routing
+// snapshot records, so its log is hashed just before it, after a Sync:
+// the last drained flush's FlushStart, undo images and FlushEnd, and the
+// redo records of the entries queued since.
 var flushGolden = map[string]filesHash{
 	"solo/L1/default": {
 		data: "612f195e3a716069fc7a03144c6b0c7f3f6c69b0769c3551c4aca7ad180597ca",
-		log:  "a666a16873dae6dc2a285427ac14a77791d32b6b6f28dbbbe0cfe5468d08f747",
+		log:  "0d78d5c23da37beafaffbed334020700fc9ebef769c94845f7619986531c7a7a",
 	},
 	"solo/L1/sorted": {
 		data: "c1fb5615165d268d84297c6d9b81f97c6aa1623b6d7a4992a8fd4f4443152b62",
-		log:  "98edf6bdf8e568e69cccc37f5c0d09dc238b5e220fd6cb62421ef8621aa5f368",
+		log:  "b2b05f04c1bc47716edf9dd10cfd72bd8511fbdc184bb7edce94b4f91bca7afe",
 	},
 	"solo/L1/nolsmap": {
 		data: "612f195e3a716069fc7a03144c6b0c7f3f6c69b0769c3551c4aca7ad180597ca",
-		log:  "a666a16873dae6dc2a285427ac14a77791d32b6b6f28dbbbe0cfe5468d08f747",
+		log:  "0d78d5c23da37beafaffbed334020700fc9ebef769c94845f7619986531c7a7a",
 	},
 	"solo/L4/default": {
 		data: "5a350a4f7ec29b8c42157ae28047a2be72c839cadc2d9e858acf6e87ab817aec",
-		log:  "f5facb559d627cf4b14f61048199079340f53718b77b5e33ea133582accfa1d0",
+		log:  "9421eb2eb714124f9b0fad4d74136eee6058104b477ecb58afa1fdc92f13a832",
 	},
 	"solo/L4/sorted": {
 		data: "998d6d32cf6803573481da4bf3c46a0d27052ea906e152ba6e6805724636b1d6",
-		log:  "8f77687297647040ad78e6263d1cb80b3edef9176e5bfd8016f9ee53e252cd2b",
+		log:  "5b09e92c0defcc0cae43be61fe7d025f413cff2956992e0f5400096959d9e501",
 	},
 	"solo/L4/nolsmap": {
 		data: "5a350a4f7ec29b8c42157ae28047a2be72c839cadc2d9e858acf6e87ab817aec",
-		log:  "f5facb559d627cf4b14f61048199079340f53718b77b5e33ea133582accfa1d0",
+		log:  "9421eb2eb714124f9b0fad4d74136eee6058104b477ecb58afa1fdc92f13a832",
 	},
 	"group4/L1/default": {
 		data: "4fa243a811c9af3642bcafdc0e712007232b9ff79964a2e80cd3c9418d89b00d",
@@ -157,30 +161,34 @@ func checkArms(t *testing.T, mode string, st Stats) {
 }
 
 // TestFlushBytesGolden runs goldenOps over L ∈ {1, 4} × {default,
-// SortedLeaves, DisableLSMap}, on one WAL-attached tree (solo flushes) and
-// on a 4-shard forest whose flushes run as group commits, and compares
-// the hash of every file with flushGolden.
+// SortedLeaves, DisableLSMap}, on a one-shard logged forest (every flush a
+// group of one) and on a 4-shard forest whose groups have several
+// members, and compares the hash of every file with flushGolden.
 func TestFlushBytesGolden(t *testing.T) {
 	for _, segs := range []int{1, 4} {
 		for _, mode := range []string{"default", "sorted", "nolsmap"} {
 			cfg := goldenCfg(segs, mode)
-			// files holds the data files, then as many log files.
-			check := func(t *testing.T, name string, files []*ssdio.File) {
-				n := len(files) / 2
-				got := filesHash{data: hashFiles(files[:n]), log: hashFiles(files[n:])}
+			check := func(t *testing.T, name string, got filesHash) {
 				if want := flushGolden[name]; got != want {
 					t.Errorf("%s: files hash %+v, want %+v", name, got, want)
 				}
 			}
 			name := fmt.Sprintf("solo/L%d/%s", segs, mode)
 			t.Run(name, func(t *testing.T) {
-				tr, wf := newWALTreeFile(t, cfg)
-				walCheckpoint(t, tr, goldenOps(t, tr, 1, 6000))
-				checkArms(t, mode, tr.Stats())
-				if err := tr.CheckInvariants(); err != nil {
+				fr, files := newSoloForest(t, cfg)
+				at, err := fr.Sync(goldenOps(t, fr, 1, 6000))
+				if err != nil {
 					t.Fatal(err)
 				}
-				check(t, name, []*ssdio.File{tr.pf.File(), wf})
+				log := hashFiles(files[1:])
+				if _, err := fr.Checkpoint(at); err != nil {
+					t.Fatal(err)
+				}
+				checkArms(t, mode, fr.ShardTree(0).Stats())
+				if err := fr.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				check(t, name, filesHash{data: hashFiles(files[:1]), log: log})
 			})
 			name = fmt.Sprintf("group4/L%d/%s", segs, mode)
 			t.Run(name, func(t *testing.T) {
@@ -203,7 +211,7 @@ func TestFlushBytesGolden(t *testing.T) {
 				if fs := fr.Stats(); fs.GroupedShards <= fs.GroupFlushes {
 					t.Fatalf("no group flush had two members: %+v", fs)
 				}
-				check(t, name, files)
+				check(t, name, filesHash{data: hashFiles(files[:4]), log: hashFiles(files[4:])})
 			})
 		}
 	}
@@ -315,6 +323,34 @@ func FuzzLeafAppend(f *testing.F) {
 			}
 		}
 	})
+}
+
+// newSoloForest builds a one-shard forest over a 1 MiB data file "idx"
+// and a 4 MiB log "wal", the layout of the solo cases' golden files.
+func newSoloForest(t *testing.T, cfg Config) (*Forest, []*ssdio.File) {
+	t.Helper()
+	space := ssdio.NewSpace(flashsim.MustDevice(flashsim.P300()))
+	f, err := space.Create("idx", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := pagefile.New(f, cfg.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf, err := space.Create("wal", 1<<22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := wal.NewLog(wf, cfg.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := NewForest([]*pagefile.PageFile{pf}, ForestConfig{Shard: cfg, Logs: []*wal.Log{l}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fr, []*ssdio.File{f, wf}
 }
 
 // newWALForest builds an n-shard forest with one log per shard and

@@ -458,69 +458,49 @@ func (v leafView) appendLive(dst []kv.Record, lo, hi kv.Key, tail *[]kv.Entry) [
 }
 
 // liveRecords resolves the leaf's log into the current sorted set of live
-// records (base region plus tail, deletes and updates applied). It is the
-// read half of the shrink operation; range scans resolve the same set from
-// the encoded leaf (leafView.appendLive).
+// records (base region plus tail, deletes and updates applied): the
+// records a shrink keeps, on a copy of the entries. Range scans resolve
+// the same set from the encoded leaf (leafView.appendLive).
 func (l *leafNode) liveRecords() []kv.Record {
-	if len(l.entries) == l.sorted {
-		// Fast path: base region only, already sorted, all inserts; the
-		// last entry of a key wins, as in the replay below.
-		out := make([]kv.Record, 0, l.sorted)
-		for _, e := range l.entries[:l.sorted] {
-			if n := len(out); n > 0 && out[n-1].Key == e.Rec.Key {
-				out[n-1] = e.Rec
-				continue
-			}
-			out = append(out, e.Rec)
-		}
-		return out
+	c := leafNode{entries: slices.Clone(l.entries), sorted: l.sorted}
+	c.shrink()
+	out := make([]kv.Record, len(c.entries))
+	for i, e := range c.entries {
+		out[i] = e.Rec
 	}
-	// Replay the log in arrival order onto the base region. Order tracking
-	// is separate from liveness: a delete followed by a re-insert of the
-	// same key must not list the key twice.
-	m := make(map[kv.Key]kv.Value, len(l.entries))
-	inOrder := make(map[kv.Key]bool, len(l.entries))
-	order := make([]kv.Key, 0, len(l.entries))
-	note := func(k kv.Key) {
-		if !inOrder[k] {
-			inOrder[k] = true
-			order = append(order, k)
-		}
-	}
-	for _, e := range l.entries[:l.sorted] {
-		note(e.Rec.Key)
-		m[e.Rec.Key] = e.Rec.Value
-	}
-	for _, e := range l.entries[l.sorted:] {
-		switch e.Op {
-		case kv.OpInsert, kv.OpUpdate:
-			note(e.Rec.Key)
-			m[e.Rec.Key] = e.Rec.Value
-		case kv.OpDelete:
-			delete(m, e.Rec.Key)
-		}
-	}
-	out := make([]kv.Record, 0, len(m))
-	for _, k := range order {
-		if v, ok := m[k]; ok {
-			out = append(out, kv.Record{Key: k, Value: v})
-		}
-	}
-	kv.SortRecords(out)
 	return out
 }
 
 // shrink rebuilds the leaf from its live records: the paper's shrink
 // operation (Section 3.2.2) — index-delete operations cancel index-insert
 // operations with the same records, then the survivors are sorted into a
-// fresh base region.
+// fresh base region. It works in place: base entries count as inserts, a
+// tail entry with none of the three ops is dropped, a stable sort by key
+// keeps each key's operations in arrival order, and the newest one
+// decides — a delete drops the key, an insert or update keeps it with its
+// value.
 func (l *leafNode) shrink() {
-	recs := l.liveRecords()
-	l.entries = l.entries[:0]
-	for _, r := range recs {
-		l.entries = append(l.entries, kv.Entry{Rec: r, Op: kv.OpInsert})
+	es := l.entries[:l.sorted]
+	for i := range es {
+		es[i].Op = kv.OpInsert
 	}
-	l.sorted = len(l.entries)
+	for _, e := range l.entries[l.sorted:] {
+		if e.Op == kv.OpInsert || e.Op == kv.OpUpdate || e.Op == kv.OpDelete {
+			es = append(es, e)
+		}
+	}
+	kv.SortEntries(es)
+	out := es[:0]
+	for i, e := range es {
+		if i+1 < len(es) && es[i+1].Rec.Key == e.Rec.Key {
+			continue // a newer operation on the key follows
+		}
+		if e.Op != kv.OpDelete {
+			out = append(out, kv.Entry{Rec: e.Rec, Op: kv.OpInsert})
+		}
+	}
+	l.entries = out
+	l.sorted = len(out)
 }
 
 // minKey returns the smallest live key (only valid for a shrunk leaf with

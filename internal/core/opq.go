@@ -58,13 +58,19 @@ func (q *OPQ) Append(e kv.Entry) error {
 	if q.Full() {
 		return fmt.Errorf("core: OPQ full (%d entries)", len(q.entries))
 	}
+	q.push(e)
+	return nil
+}
+
+// push is Append past the capacity: a replay, or a shard out of write
+// service, may queue more than the budget until its forest flushes it.
+func (q *OPQ) push(e kv.Entry) {
 	q.entries = append(q.entries, e)
 	q.Appends++
 	q.sinceSort++
 	if q.speriod > 0 && q.sinceSort >= q.speriod {
 		q.Sort()
 	}
-	return nil
 }
 
 // Sort merges the unsorted tail into the sorted region, preserving arrival
@@ -168,10 +174,8 @@ func (q *OPQ) Reset() {
 // initial root, lazily deleted leaves). On a miss the caller falls back
 // to reading the whole leaf.
 type LSMap struct {
-	segs   int // L
-	m      map[int64]uint8
-	hits   int64
-	misses int64
+	segs int // L
+	m    map[int64]uint8
 }
 
 // newLSMap creates an LSMap for leaves of L segments.
@@ -193,24 +197,8 @@ func (ls *LSMap) Set(leaf int64, lastLS int) {
 // Get returns the cached last LS id for a leaf; ok is false on a miss
 // (the caller then reads the whole leaf, segments [0, L-1]).
 func (ls *LSMap) Get(leaf int64) (int, bool) {
-	v, ok := ls.m[leaf]
-	if ok {
-		ls.hits++
+	if v, ok := ls.m[leaf]; ok {
 		return int(v), true
 	}
-	ls.misses++
 	return ls.segs - 1, false
 }
-
-// Delete forgets a leaf (after merges/frees).
-func (ls *LSMap) Delete(leaf int64) { delete(ls.m, leaf) }
-
-// Len returns the number of tracked leaves.
-func (ls *LSMap) Len() int { return len(ls.m) }
-
-// SizeBytes estimates the in-memory footprint charged against the buffer
-// budget (1 byte per leaf in this representation).
-func (ls *LSMap) SizeBytes() int { return len(ls.m) }
-
-// Stats returns (hits, misses).
-func (ls *LSMap) Stats() (int64, int64) { return ls.hits, ls.misses }

@@ -49,7 +49,7 @@ func TestQuickRandomOpSequences(t *testing.T) {
 				return false
 			}
 		}
-		if _, err := tr.drain(at); err != nil {
+		if _, err := tr.FlushBatch(at, 0); err != nil {
 			return false
 		}
 		if err := tr.CheckInvariants(); err != nil {

@@ -639,18 +639,18 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 	recs, now, err := src.tree.RangeSearch(start, a, b)
 	if err != nil {
 		start = now
-		now, err = f.abortMigration(now, m, nil, false, err)
+		now, err = f.abortMigration(now, m, nil, nil, err)
 		start = vtime.Max(start, now)
 		return now, err
 	}
 	// Copy to the destination: redo records append to dst's log; a full
-	// destination OPQ flushes through the ordinary tree path.
+	// destination OPQ flushes as a group of one.
 	opq := dst.vopq.Acquire(now)
-	for _, r := range recs {
-		opq, err = dst.tree.Insert(opq, r)
+	for i, r := range recs {
+		opq, err = f.enqueue(opq, dst, kv.Entry{Rec: r, Op: kv.OpInsert})
 		if err != nil {
 			dst.vopq.Release(opq)
-			now, err = f.abortMigration(opq, m, recs, false, err)
+			now, err = f.abortMigration(opq, m, recs[:i], nil, err)
 			start = vtime.Max(opq, now)
 			return now, err
 		}
@@ -663,7 +663,7 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 	if dst.tree.log != nil {
 		now, err = dst.tree.retryIO(now, dst.tree.log.Force)
 		if err != nil {
-			now, err = f.abortMigration(now, m, recs, false, err)
+			now, err = f.abortMigration(now, m, recs, nil, err)
 			start = vtime.Max(start, now)
 			return now, err
 		}
@@ -686,10 +686,10 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 	if !m.srcWritable {
 		f.evacChunks.Add(1)
 	} else {
-		for _, r := range recs {
-			now, err = src.tree.Delete(now, r.Key)
+		for i, r := range recs {
+			now, err = f.enqueue(now, src, kv.Entry{Rec: kv.Record{Key: r.Key}, Op: kv.OpDelete})
 			if err != nil {
-				now, err = f.abortMigration(now, m, recs, true, err)
+				now, err = f.abortMigration(now, m, recs, recs[:i], err)
 				start = vtime.Max(start, now)
 				return now, err
 			}
@@ -697,7 +697,7 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 		if src.tree.log != nil {
 			now, err = src.tree.retryIO(now, src.tree.log.Force)
 			if err != nil {
-				now, err = f.abortMigration(now, m, recs, true, err)
+				now, err = f.abortMigration(now, m, recs, recs, err)
 				start = vtime.Max(start, now)
 				return now, err
 			}
@@ -720,12 +720,14 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 }
 
 // abortMigration aborts the in-flight migration after a failure
-// mid-chunk, whatever the error's class. Caller holds migMu and both shard locks. The resolution
-// must stay consistent under BOTH durable outcomes of the shards' log
-// tails — a tail that is never forced (the durable log shows the last
-// published frontier F and an open migration, which crash recovery
-// resolves), and a tail a later Heal forces in full (the failing chunk's
-// copies, KeyMoved and deletes become durable in order). So:
+// mid-chunk, whatever the error's class: copied holds the chunk records
+// whose copies were queued on the destination, deleted those whose
+// deletes were queued on the source. Caller holds migMu and both shard
+// locks. The resolution must stay consistent under BOTH durable outcomes
+// of the shards' log tails — a tail that is never forced (the durable log
+// shows the last published frontier F and an open migration, which crash
+// recovery resolves), and a tail a later Heal forces in full (the failing
+// chunk's copies, KeyMoved and deletes become durable in order). So:
 //
 //  1. the destination and a writable source roll back to their
 //     committed state and quarantine, or go offline when that fails (see
@@ -739,15 +741,17 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 //  3. compensation records are appended BEHIND the chunk's records:
 //     redo-deletes on dst purge the copies above the kept prefix (and, in
 //     memory, the durable copies the rollback just resurrected), and
-//     redo-inserts on src revive the chunk keys when its deletes were
+//     redo-inserts on src revive the chunk keys whose deletes were
 //     already appended — whenever the tails do become durable, the chunk
-//     nets to zero;
+//     nets to zero, and no key gets a delete or insert it never had the
+//     other half of, which would leave the tracked count off after a
+//     flush;
 //  4. a MigrationEnd commits exactly the kept prefix ('a' aborts
 //     outright when it is empty), and recoverRouting takes a 'c' rule's
 //     range from the End record, so a durable-but-superseded KeyMoved
 //     cannot widen it;
 //  5. the routing publishes the partial rule and drops the migration.
-func (f *Forest) abortMigration(at vtime.Ticks, m *Migration, recs []kv.Record, undoSrc bool, cause error) (vtime.Ticks, error) {
+func (f *Forest) abortMigration(at vtime.Ticks, m *Migration, copied, deleted []kv.Record, cause error) (vtime.Ticks, error) {
 	src, dst := f.shards[m.src], f.shards[m.dst]
 	rt := f.rpart.cur.Load()
 	frontier := m.lo
@@ -763,10 +767,13 @@ func (f *Forest) abortMigration(at vtime.Ticks, m *Migration, recs []kv.Record, 
 	// Purge the copies above the kept prefix from the destination: those
 	// below the frontier that the committed routing assigns to the source
 	// (the rest is the destination's own data), then the in-flight
-	// chunk's. tree.Delete both removes any durable copy the rollback
-	// resurrected from memory and appends the covering redo-delete to
-	// dst's tail; keys whose copy never landed get a harmless tombstone.
-	stale := recs
+	// chunk's. Each purge delete both removes any durable copy the
+	// rollback resurrected from memory and appends the covering
+	// redo-delete to dst's tail; keys whose copy never landed get a
+	// harmless tombstone. The purge never flushes: the destination is out
+	// of write service, so a full queue holds the deletes past its budget
+	// until a Heal re-admits it and flushes them.
+	stale := copied
 	var err error
 	if kept < frontier {
 		var copies []kv.Record
@@ -778,35 +785,35 @@ func (f *Forest) abortMigration(at vtime.Ticks, m *Migration, recs []kv.Record, 
 				stale = append(stale, r)
 			}
 		}
-		stale = append(stale, recs...)
+		stale = append(stale, copied...)
 	}
-	purged := 0
-	for err == nil && purged < len(stale) {
-		if done, err = dst.tree.Delete(done, stale[purged].Key); err == nil {
-			purged++
+	if err == nil {
+		for _, r := range stale {
+			done = dst.tree.queue(done, kv.Entry{Rec: kv.Record{Key: r.Key}, Op: kv.OpDelete})
 		}
-	}
-	if err != nil {
-		// A failed purge leaves stale copies in the destination's memory, so
-		// it goes offline; the rest of the purge is appended to its tail as
-		// redo-deletes, which the replay of a Heal (it forces the tail
-		// first) applies. A failed copy scan cannot name an evacuation's
-		// copies below the frontier: those survive such a Heal.
+	} else {
+		// A failed copy scan leaves stale copies in the destination's
+		// memory, so it goes offline; the chunk's purge is appended to its
+		// tail as redo-deletes, which the replay of a Heal (it forces the
+		// tail first) applies. The scan cannot name an evacuation's copies
+		// below the frontier: those survive such a Heal.
 		//lint:ignore guardedby the caller holds both shard locks
 		dst.transition(evReplayFail, done, done, err)
-		for i := purged; dst.tree.log != nil && i < len(stale); i++ {
-			dst.tree.log.Append(wal.Record{
-				Kind: wal.KindLogicalRedo, Relation: dst.tree.cfg.Relation,
-				Key: stale[i].Key, Op: wal.OpType(kv.OpDelete),
-			})
+		for _, r := range stale {
+			if dst.tree.log != nil {
+				dst.tree.log.Append(wal.Record{
+					Kind: wal.KindLogicalRedo, Relation: dst.tree.cfg.Relation,
+					Key: r.Key, Op: wal.OpType(kv.OpDelete),
+				})
+			}
 		}
 	}
 	// The source's chunk deletes (appended, never durable — a durable
 	// delete would have published the frontier) are compensated with
 	// plain redo-inserts behind them; in memory the rollback already
 	// restored the keys.
-	if undoSrc && src.tree.log != nil {
-		for _, r := range recs {
+	if src.tree.log != nil {
+		for _, r := range deleted {
 			src.tree.log.Append(wal.Record{
 				Kind: wal.KindLogicalRedo, Relation: src.tree.cfg.Relation,
 				Key: r.Key, Value: r.Value, Op: wal.OpType(kv.OpInsert),
@@ -1431,7 +1438,7 @@ func (f *Forest) resolveMigration(at vtime.Ticks, ev *migrationEvent, rules []Mo
 			return rules, false, done, err
 		}
 		for _, r := range recs {
-			done, err = src.tree.Delete(done, r.Key)
+			done, err = f.enqueue(done, src, kv.Entry{Rec: kv.Record{Key: r.Key}, Op: kv.OpDelete})
 			if err != nil {
 				return rules, false, done, err
 			}
@@ -1450,7 +1457,7 @@ func (f *Forest) resolveMigration(at vtime.Ticks, ev *migrationEvent, rules []Mo
 		if routeSoFar(r.Key) != ev.src {
 			continue
 		}
-		done, err = dst.tree.Delete(done, r.Key)
+		done, err = f.enqueue(done, dst, kv.Entry{Rec: kv.Record{Key: r.Key}, Op: kv.OpDelete})
 		if err != nil {
 			return rules, false, done, err
 		}
@@ -1474,7 +1481,7 @@ func (f *Forest) resolveMigration(at vtime.Ticks, ev *migrationEvent, rules []Mo
 		return rules, false, done, err
 	}
 	for _, r := range recs {
-		done, err = dst.tree.Insert(done, r)
+		done, err = f.enqueue(done, dst, kv.Entry{Rec: r, Op: kv.OpInsert})
 		if err != nil {
 			return rules, false, done, err
 		}
@@ -1495,7 +1502,7 @@ func (f *Forest) resolveMigration(at vtime.Ticks, ev *migrationEvent, rules []Mo
 	}
 	if ev.srcWritable {
 		for _, r := range recs {
-			done, err = src.tree.Delete(done, r.Key)
+			done, err = f.enqueue(done, src, kv.Entry{Rec: kv.Record{Key: r.Key}, Op: kv.OpDelete})
 			if err != nil {
 				return rules, false, done, err
 			}

@@ -66,9 +66,6 @@ func (t *Tree) readDurableRecords(at vtime.Ticks) ([]wal.Record, vtime.Ticks, er
 // rollbackToDurable.
 func (t *Tree) recoverFrom(at vtime.Ticks, recs []wal.Record) (RecoveryReport, vtime.Ticks, error) {
 	var rep RecoveryReport
-	if t.log == nil {
-		return rep, at, fmt.Errorf("core: Recover called without a WAL attached")
-	}
 	// Only this relation's records matter.
 	var mine []wal.Record
 	for _, r := range recs {
@@ -158,7 +155,6 @@ func (t *Tree) recoverFrom(at vtime.Ticks, recs []wal.Record) (RecoveryReport, v
 			}
 		}
 	}
-	budget := t.opq.Cap()
 	t.opq.Reset()
 	t.count = 0
 	for i, r := range mine {
@@ -169,46 +165,19 @@ func (t *Tree) recoverFrom(at vtime.Ticks, recs []wal.Record) (RecoveryReport, v
 			rep.SkippedEntries++
 			continue
 		}
-		e := kv.Entry{Rec: kv.Record{Key: r.Key, Value: r.Value}, Op: kv.Op(r.Op)}
-		if t.opq.Full() {
-			// A quarantined shard appends compensation records (migration
-			// purges, stranded copies) to its tail but can never flush, so
-			// the durable redo stream may legitimately exceed the OPQ
-			// budget. Flushing mid-replay would let the new flush's key
-			// range cover not-yet-replayed records and lose them on the
-			// NEXT recovery, so grow the queue instead and drain it with a
-			// regular flush once the replay is complete.
-			grown, gerr := newOPQ(t.opq.Cap()*2, t.cfg.SPeriod)
-			if gerr != nil {
-				return rep, at, gerr
-			}
-			for _, pe := range t.opq.Entries() {
-				if gerr := grown.Append(pe); gerr != nil {
-					return rep, at, gerr
-				}
-			}
-			t.opq = grown
-		}
-		if err := t.opq.Append(e); err != nil {
-			return rep, at, err
-		}
+		// A quarantined shard appends compensation records (migration
+		// purges, stranded copies) to its tail but can never flush, so the
+		// durable redo stream may exceed the OPQ budget. A flush mid-replay
+		// would let its key range cover not-yet-replayed records and lose
+		// them on the NEXT recovery, so the queue holds them all; the
+		// forest flushes it back under the budget when it puts the shard
+		// back into service.
+		t.opq.push(kv.Entry{Rec: kv.Record{Key: r.Key, Value: r.Value}, Op: kv.Op(r.Op)})
 		rep.RedoneEntries++
 	}
 	// Recompute the logical count from disk plus the rebuilt OPQ.
 	if err := t.recountNoCost(); err != nil {
 		return rep, at, err
-	}
-	if t.opq.Len() > budget {
-		// Bring the queue back under its configured budget. This flush
-		// consumes every replayed entry in its range, so the covered-skip
-		// rule holds for it like for any foreground flush; on a failure
-		// (the device is still faulty) the whole replay fails and the
-		// caller keeps the shard offline.
-		var ferr error
-		at, ferr = t.FlushBatch(at, 0)
-		if ferr != nil {
-			return rep, at, ferr
-		}
 	}
 	// The tree now reflects exactly the durable log: a new rollback
 	// baseline for quarantine recovery.

@@ -3,61 +3,44 @@ package core
 import (
 	"testing"
 
-	"repro/internal/flashsim"
 	"repro/internal/kv"
-	"repro/internal/pagefile"
-	"repro/internal/ssdio"
 	"repro/internal/vtime"
 	"repro/internal/wal"
 )
 
-// newWALTree builds a PIO B-tree with a WAL on the same simulated device.
-func newWALTree(t *testing.T, cfg Config) (*Tree, *wal.Log) {
+// newLoggedIndex builds a one-shard forest with a WAL, the paper's single
+// logged index: its flushes are group commits of one member.
+func newLoggedIndex(t *testing.T, cfg Config) (*Forest, *wal.Log) {
 	t.Helper()
-	tr, _ := newWALTreeFile(t, cfg)
-	return tr, tr.log
+	fr, _, _, logs := buildTestForest(t, Spec{Shards: 1, WAL: true, Forest: ForestConfig{Shard: cfg}})
+	return fr, logs[0]
 }
 
-// newWALTreeFile builds a WAL-attached tree and returns it with its log
-// file.
-func newWALTreeFile(t *testing.T, cfg Config) (*Tree, *ssdio.File) {
+// crashRecover crashes fr, restores the structural state captured before
+// the crash, and recovers, failing the test on an error.
+func crashRecover(t *testing.T, fr *Forest, at vtime.Ticks) (RecoveryReport, vtime.Ticks) {
 	t.Helper()
-	space := ssdio.NewSpace(flashsim.MustDevice(flashsim.P300()))
-	f, err := space.Create("idx", 1<<20)
+	meta := fr.SnapshotMeta()
+	fr.Crash()
+	if err := fr.RestoreMeta(meta); err != nil {
+		t.Fatal(err)
+	}
+	rep, at, err := fr.Recover(at)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := pagefile.New(f, cfg.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := New(pf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wf, err := space.Create("wal", 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := wal.NewLog(wf, cfg.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.attachWAL(l)
-	return tr, wf
+	return rep.Total, at
 }
 
-// walCheckpoint checkpoints a WAL-attached tree: it drains the OPQ, then
-// appends and forces one checkpoint record (Section 3.4).
-func walCheckpoint(t *testing.T, tr *Tree, at vtime.Ticks) vtime.Ticks {
+// insertKeys inserts key(i) with value val(i) for i < n, failing the test
+// on an error, and returns the final time.
+func insertKeys(t *testing.T, fr *Forest, at vtime.Ticks, n int, key, val func(int) uint64) vtime.Ticks {
 	t.Helper()
-	at, err := tr.drain(at)
-	if err == nil {
-		tr.log.Append(wal.Record{Kind: wal.KindCheckpoint, Relation: tr.cfg.Relation})
-		at, err = tr.retryIO(at, tr.log.Force)
-	}
-	if err != nil {
-		t.Fatal(err)
+	var err error
+	for i := 0; i < n; i++ {
+		if at, err = fr.Insert(at, kv.Record{Key: key(i), Value: val(i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return at
 }
@@ -69,93 +52,92 @@ func TestRecoverWithoutWALFails(t *testing.T) {
 	}
 }
 
-// TestRecoverRedoUnflushedEntries: ops buffered in the OPQ (never flushed)
-// must survive a crash via logical redo.
-func TestRecoverRedoUnflushedEntries(t *testing.T) {
-	cfg := smallCfg()
-	tr, l := newWALTree(t, cfg)
-	var at vtime.Ticks
-	var err error
-	for i := 0; i < 20; i++ {
-		at, err = tr.Insert(at, kv.Record{Key: uint64(i), Value: uint64(i * 10)})
-		if err != nil {
+// TestLoggedTreeNeverFlushesItself: a logged tree leaves every flush to
+// its forest's group commit. FlushBatch rejects it, and an update into a
+// full queue returns errOPQFull with nothing logged or queued.
+func TestLoggedTreeNeverFlushesItself(t *testing.T) {
+	fr, l := newLoggedIndex(t, smallCfg())
+	tr := fr.ShardTree(0)
+	if _, err := tr.FlushBatch(0, 0); err == nil {
+		t.Fatal("FlushBatch of a logged tree accepted")
+	}
+	for i := 0; i < tr.opq.Cap(); i++ {
+		if _, err := tr.Insert(0, kv.Record{Key: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Commit point: the logical logs are forced.
-	if at, err = l.Force(at); err != nil {
+	if _, err := l.Force(0); err != nil {
 		t.Fatal(err)
 	}
-	meta := tr.Snapshot()
+	if _, err := tr.Insert(0, kv.Record{Key: 1 << 20}); err != errOPQFull {
+		t.Fatalf("insert into a full queue: %v, want errOPQFull", err)
+	}
+	if tr.OPQLen() != tr.opq.Cap() || tr.Count() != int64(tr.opq.Cap()) || l.Unforced() || tr.Stats().Flushes != 0 {
+		t.Fatalf("rejected insert left a trace: %d queued, count %d, log tail unforced %v, %d flushes",
+			tr.OPQLen(), tr.Count(), l.Unforced(), tr.Stats().Flushes)
+	}
+}
 
-	tr.crashVolatileState()
-	tr.RestoreMeta(meta)
-	rep, at, err := tr.recover(at)
+// TestRecoverRedoUnflushedEntries: ops buffered in the OPQ (never flushed)
+// must survive a crash via logical redo.
+func TestRecoverRedoUnflushedEntries(t *testing.T) {
+	fr, _ := newLoggedIndex(t, smallCfg())
+	at := insertKeys(t, fr, 0, 20, func(i int) uint64 { return uint64(i) }, func(i int) uint64 { return uint64(i * 10) })
+	// Commit point: the logical logs are forced.
+	at, err := fr.Sync(at)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep, at := crashRecover(t, fr, at)
 	if rep.RedoneEntries != 20 || rep.UndoneFlushes != 0 {
 		t.Fatalf("report %+v, want 20 redone", rep)
 	}
 	for i := 0; i < 20; i++ {
-		v, found, at2, err := tr.Search(at, uint64(i))
+		v, found, at2, err := fr.Search(at, uint64(i))
 		if err != nil || !found || v != uint64(i*10) {
 			t.Fatalf("after recovery Search(%d) = %d,%v,%v", i, v, found, err)
 		}
 		at = at2
 	}
-	if err := tr.CheckInvariants(); err != nil {
+	if err := fr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestRecoverSkipsCompletedFlush: entries consumed by a completed flush
 // must NOT be redone (logical redo is not idempotent) — verified by count
-// consistency.
+// consistency. The flush takes 50 of the 60 queued entries, so it leaves
+// the queue non-empty and its commit keeps the log head, redo records and
+// all.
 func TestRecoverSkipsCompletedFlush(t *testing.T) {
 	cfg := smallCfg()
-	tr, l := newWALTree(t, cfg)
-	var at vtime.Ticks
-	var err error
-	for i := 0; i < 50; i++ {
-		at, err = tr.Insert(at, kv.Record{Key: uint64(i), Value: uint64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Flush everything (completed flush bracketed in the WAL).
-	at, err = tr.FlushBatch(at, 0)
+	cfg.BCnt = 50
+	fr, _ := newLoggedIndex(t, cfg)
+	id := func(i int) uint64 { return uint64(i) }
+	at := insertKeys(t, fr, 0, 60, id, id)
+	// Flush keys 0..49 (a completed flush bracketed in the WAL).
+	at, err := fr.Flush(at)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A few more unflushed ops.
-	for i := 50; i < 60; i++ {
-		at, err = tr.Insert(at, kv.Record{Key: uint64(i), Value: uint64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
+	if fr.Pending() != 10 {
+		t.Fatalf("%d entries queued after the flush, want 10", fr.Pending())
 	}
-	if at, err = l.Force(at); err != nil {
+	if at, err = fr.Sync(at); err != nil {
 		t.Fatal(err)
 	}
-	meta := tr.Snapshot()
-	tr.crashVolatileState()
-	tr.RestoreMeta(meta)
-	rep, at, err := tr.recover(at)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, at := crashRecover(t, fr, at)
 	if rep.SkippedEntries != 50 {
 		t.Fatalf("skipped %d, want 50", rep.SkippedEntries)
 	}
 	if rep.RedoneEntries != 10 {
 		t.Fatalf("redone %d, want 10", rep.RedoneEntries)
 	}
-	if tr.Count() != 60 {
-		t.Fatalf("count after recovery %d, want 60", tr.Count())
+	if fr.Count() != 60 {
+		t.Fatalf("count after recovery %d, want 60", fr.Count())
 	}
 	for i := 0; i < 60; i++ {
-		_, found, at2, err := tr.Search(at, uint64(i))
+		_, found, at2, err := fr.Search(at, uint64(i))
 		if err != nil || !found {
 			t.Fatalf("Search(%d) after recovery: %v %v", i, found, err)
 		}
@@ -168,90 +150,58 @@ func TestRecoverSkipsCompletedFlush(t *testing.T) {
 // logs, then the entries redone into the OPQ.
 func TestRecoverUndoIncompleteFlush(t *testing.T) {
 	cfg := smallCfg()
-	tr, l := newWALTree(t, cfg)
-	var at vtime.Ticks
-	var err error
-	for i := 0; i < 30; i++ {
-		at, err = tr.Insert(at, kv.Record{Key: uint64(i * 2), Value: uint64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if at, err = l.Force(at); err != nil {
+	fr, l := newLoggedIndex(t, cfg)
+	at := insertKeys(t, fr, 0, 30, func(i int) uint64 { return uint64(i * 2) }, func(i int) uint64 { return uint64(i) })
+	at, err := fr.Sync(at)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Capture durable index state BEFORE the flush.
-	preImage := tr.pf.File().Snapshot()
-	meta := tr.Snapshot()
+	// The durable log and structural state BEFORE the flush.
+	before, err := l.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := fr.SnapshotMeta()
 
-	// Run the flush fully (it logs FlushStart, undo images, FlushEnd)...
-	if at, err = tr.FlushBatch(at, 0); err != nil {
+	// Run the flush fully (it logs FlushStart, undo images, FlushEnd). It
+	// empties the queue, so its commit cuts the log head at its
+	// FlushStart: the log now starts there.
+	if _, err = fr.Flush(at); err != nil {
 		t.Fatal(err)
 	}
-	// ...then simulate the crash having hit BEFORE the FlushEnd became
-	// durable: rebuild a log view without the trailing FlushEnd record.
-	recs, err := l.Records()
+	after, err := l.Records()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hasEnd := false
-	for _, r := range recs {
-		if r.Kind == wal.KindFlushEnd {
-			hasEnd = true
-		}
+	if len(after) == 0 || after[0].Kind != wal.KindFlushStart || after[len(after)-1].Kind != wal.KindFlushEnd {
+		t.Fatalf("log after the flush is not FlushStart ... FlushEnd: %d records", len(after))
 	}
-	if !hasEnd {
-		t.Fatal("flush end record missing from durable log")
-	}
-	// Reconstruct: restore the index file to mid-flush state is not
-	// possible (the flush wrote pages), so emulate the incomplete flush by
-	// replaying the log WITHOUT the FlushEnd onto the post-flush disk:
-	// recovery must restore the pre-images, returning the tree to the
+	// The disk holds the flush's writes. Emulate the crash having hit
+	// BEFORE the FlushEnd became durable: a second index over the
+	// post-flush disk whose log holds everything but the FlushEnd.
+	// Recovery must restore the pre-images, returning the tree to the
 	// pre-flush content, then redo the 30 inserts into the OPQ.
-	dev2 := flashsim.MustDevice(flashsim.P300())
-	space2 := ssdio.NewSpace(dev2)
-	f2, err := space2.Create("idx", 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Post-flush disk contents.
-	f2.Restore(tr.pf.File().Snapshot())
-	_ = preImage
-	pf2, err := pagefile.New(f2, cfg.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr2, _, pfs2, logs2 := buildTestForest(t, Spec{Shards: 1, WAL: true, Forest: ForestConfig{Shard: cfg}})
+	pf := fr.ShardTree(0).pf
+	pfs2[0].File().Restore(pf.File().Snapshot())
 	// Mirror the allocator state by re-allocating the same page count.
-	for pf2.NumPages() < tr.pf.NumPages() {
-		pf2.Alloc()
+	for pfs2[0].NumPages() < pf.NumPages() {
+		pfs2[0].Alloc()
 	}
-	tr2, err := New(pf2, cfg)
+	for _, r := range append(before, after[:len(after)-1]...) {
+		logs2[0].Append(r)
+	}
+	if _, err := logs2[0].Force(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fr2.RestoreMeta(meta); err != nil { // pre-flush structural state
+		t.Fatal(err)
+	}
+	frep, at2, err := fr2.Recover(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wf2, err := space2.Create("wal", 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := wal.NewLog(wf2, cfg.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if r.Kind == wal.KindFlushEnd {
-			continue // the crash ate the flush-end record
-		}
-		l2.Append(r)
-	}
-	if _, err := l2.Force(0); err != nil {
-		t.Fatal(err)
-	}
-	tr2.attachWAL(l2)
-	tr2.RestoreMeta(meta) // pre-flush structural state
-	rep, at2, err := tr2.recover(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := frep.Total
 	if rep.UndoneFlushes != 1 {
 		t.Fatalf("undone flushes = %d, want 1", rep.UndoneFlushes)
 	}
@@ -263,42 +213,31 @@ func TestRecoverUndoIncompleteFlush(t *testing.T) {
 	}
 	// All 30 keys must be visible (from the rebuilt OPQ).
 	for i := 0; i < 30; i++ {
-		v, found, at3, err := tr2.Search(at2, uint64(i*2))
+		v, found, at3, err := fr2.Search(at2, uint64(i*2))
 		if err != nil || !found || v != uint64(i) {
 			t.Fatalf("Search(%d) after undo+redo: %d,%v,%v", i*2, v, found, err)
 		}
 		at2 = at3
 	}
-	if tr2.Count() != 30 {
-		t.Fatalf("count = %d, want 30", tr2.Count())
+	if fr2.Count() != 30 {
+		t.Fatalf("count = %d, want 30", fr2.Count())
 	}
 }
 
 // TestCheckpointClearsRedo: after a checkpoint, recovery has nothing to do.
 func TestCheckpointClearsRedo(t *testing.T) {
-	cfg := smallCfg()
-	tr, l := newWALTree(t, cfg)
-	var at vtime.Ticks
-	var err error
-	for i := 0; i < 40; i++ {
-		at, err = tr.Insert(at, kv.Record{Key: uint64(i), Value: uint64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	at = walCheckpoint(t, tr, at)
-	meta := tr.Snapshot()
-	tr.crashVolatileState()
-	tr.RestoreMeta(meta)
-	rep, _, err := tr.recover(at)
+	fr, _ := newLoggedIndex(t, smallCfg())
+	id := func(i int) uint64 { return uint64(i) }
+	at := insertKeys(t, fr, 0, 40, id, id)
+	at, err := fr.Checkpoint(at)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep, _ := crashRecover(t, fr, at)
 	if rep.RedoneEntries != 0 || rep.UndoneFlushes != 0 || rep.SkippedEntries != 0 {
 		t.Fatalf("post-checkpoint recovery did work: %+v", rep)
 	}
-	if tr.Count() != 40 {
-		t.Fatalf("count %d", tr.Count())
+	if fr.Count() != 40 {
+		t.Fatalf("count %d", fr.Count())
 	}
-	_ = l
 }

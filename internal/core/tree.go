@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -98,9 +99,8 @@ type Tree struct {
 	count  int64
 
 	// durableMeta is the structural state as of the last durable commit
-	// point (creation, bulk load, inline flush commit, group-commit
-	// phase 2, recovery). Quarantine rollback restores it before
-	// replaying the durable log.
+	// point (creation, bulk load, a flush commit, recovery). Quarantine
+	// rollback restores it before replaying the durable log.
 	durableMeta Meta
 
 	log     *wal.Log // optional
@@ -211,19 +211,6 @@ func (t *Tree) poolGet(at vtime.Ticks, id pagefile.PageID) ([]byte, vtime.Ticks,
 
 // attachWAL enables write-ahead logging (Section 3.4) on the tree.
 func (t *Tree) attachWAL(l *wal.Log) { t.log = l }
-
-// forceWAL makes the tree's appended log records durable. During a forest
-// group flush (g non-nil) the force is left to the coordinator, which
-// issues one ganged force for every member before any data write reaches
-// the device. Inline forces retry transient faults; a retried force
-// resubmits the whole unforced tail (pendingReq takes it wholesale),
-// preserving WAL protocol order.
-func (t *Tree) forceWAL(at vtime.Ticks, g *groupIO) (vtime.Ticks, error) {
-	if g != nil {
-		return at, nil
-	}
-	return t.retryIO(at, t.log.Force)
-}
 
 // Count returns the number of live records (OPQ included).
 func (t *Tree) Count() int64 { return t.count }
@@ -390,8 +377,10 @@ func (t *Tree) Search(at vtime.Ticks, k kv.Key) (kv.Value, bool, vtime.Ticks, er
 }
 
 // Insert buffers an index-insert in the OPQ; the operation completes
-// immediately unless the queue is full, in which case it pays for one
-// batch update (the paper's lengthened-latency compromise).
+// immediately unless the queue is full. Then a tree without a WAL pays for
+// one batch update (the paper's lengthened-latency compromise), and a
+// logged tree returns errOPQFull: its flushes are group commits, which only
+// its forest runs.
 func (t *Tree) Insert(at vtime.Ticks, r kv.Record) (vtime.Ticks, error) {
 	return t.enqueue(at, kv.Entry{Rec: r, Op: kv.OpInsert})
 }
@@ -406,15 +395,29 @@ func (t *Tree) Update(at vtime.Ticks, r kv.Record) (vtime.Ticks, error) {
 	return t.enqueue(at, kv.Entry{Rec: r, Op: kv.OpUpdate})
 }
 
+// errOPQFull is a logged tree's answer to an update into a full OPQ: the
+// caller flushes the shard through its forest and tries again.
+var errOPQFull = errors.New("core: OPQ full; a logged tree is flushed by its forest")
+
 func (t *Tree) enqueue(at vtime.Ticks, e kv.Entry) (vtime.Ticks, error) {
-	t.stats.UpdateOps++
-	var err error
 	if t.opq.Full() {
-		at, err = t.FlushBatch(at, t.cfg.BCnt)
-		if err != nil {
+		if t.log != nil {
+			return at, errOPQFull
+		}
+		var err error
+		if at, err = t.flushBatch(at, t.cfg.BCnt, nil); err != nil {
 			return at, err
 		}
 	}
+	return t.queue(at, e), nil
+}
+
+// queue logs e and appends it to the OPQ, past the queue's budget when it
+// is full. Only a shard out of write service queues past the budget (an
+// aborted migration's purge); its forest flushes the queue back under the
+// budget when it re-admits the shard.
+func (t *Tree) queue(at vtime.Ticks, e kv.Entry) vtime.Ticks {
+	t.stats.UpdateOps++
 	if t.log != nil {
 		t.log.Append(wal.Record{
 			Kind:     wal.KindLogicalRedo,
@@ -424,9 +427,7 @@ func (t *Tree) enqueue(at vtime.Ticks, e kv.Entry) (vtime.Ticks, error) {
 			Value:    e.Rec.Value,
 		})
 	}
-	if err := t.opq.Append(e); err != nil {
-		return at, err
-	}
+	t.opq.push(e)
 	switch e.Op {
 	case kv.OpInsert:
 		t.count++
@@ -434,22 +435,7 @@ func (t *Tree) enqueue(at vtime.Ticks, e kv.Entry) (vtime.Ticks, error) {
 		t.count--
 	}
 	// The OPQ append cost is one main-memory page access.
-	return at + t.cfg.CPUPerNode, nil
-}
-
-// drain flushes the whole OPQ (Section 3.4: "PIO B-tree also flushes all
-// the OPQ entries ... when the DBMS system needs to checkpoint"); the
-// forest checkpoint drains every shard this way, then gang-forces one
-// checkpoint record per shard log.
-func (t *Tree) drain(at vtime.Ticks) (vtime.Ticks, error) {
-	var err error
-	for t.opq.Len() > 0 {
-		at, err = t.FlushBatch(at, 0)
-		if err != nil {
-			return at, err
-		}
-	}
-	return at, nil
+	return at + t.cfg.CPUPerNode
 }
 
 // BulkLoad builds the tree from key-sorted records at the configured fill

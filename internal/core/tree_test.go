@@ -128,7 +128,7 @@ func TestManyInsertsWithFlushes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err = tr.drain(at); err != nil {
+	if _, err = tr.FlushBatch(at, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.CheckInvariants(); err != nil {
@@ -375,7 +375,7 @@ func TestMixedWorkloadAgainstModel(t *testing.T) {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
-	if _, err := tr.drain(at); err != nil {
+	if _, err := tr.FlushBatch(at, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.CheckInvariants(); err != nil {
@@ -558,7 +558,7 @@ func TestDisablePsyncStillCorrect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tr.drain(at); err != nil {
+	if _, err := tr.FlushBatch(at, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.CheckInvariants(); err != nil {
@@ -578,7 +578,7 @@ func TestDisableLSMapStillCorrect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tr.drain(at); err != nil {
+	if _, err := tr.FlushBatch(at, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.CheckInvariants(); err != nil {
@@ -619,7 +619,7 @@ func TestSortedLeavesAblationCorrect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tr.drain(at); err != nil {
+	if _, err := tr.FlushBatch(at, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.CheckInvariants(); err != nil {
@@ -649,7 +649,7 @@ func TestSortedLeavesSlowerInserts(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		at, err = tr.drain(at)
+		at, err = tr.FlushBatch(at, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -674,7 +674,7 @@ func TestLeafSegsOneIsValid(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tr.drain(at); err != nil {
+	if _, err := tr.FlushBatch(at, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.CheckInvariants(); err != nil {

@@ -290,6 +290,11 @@ func (f *File) writeImage(buf []byte, off int64) {
 	}
 }
 
+// stackReqs is how many requests a psync or a gang describes to the device
+// from the stack, PioMax, the paper's psync bound: such a call allocates
+// nothing.
+const stackReqs = 64
+
 // Psync submits the whole batch at virtual time at and returns the time at
 // which every request has completed. This is the paper's psync I/O: one
 // blocking call, outstanding level = len(reqs).
@@ -314,9 +319,7 @@ func (f *File) Psync(at vtime.Ticks, reqs []Req) (vtime.Ticks, error) {
 		}
 		subAt += d.Delay
 	}
-	// A batch of up to PioMax requests, the paper's psync bound, is
-	// described to the device from the stack: a psync allocates nothing.
-	var small [64]flashsim.Request
+	var small [stackReqs]flashsim.Request
 	devReqs := small[:0]
 	if len(reqs) > len(small) {
 		devReqs = make([]flashsim.Request, 0, len(reqs))
@@ -403,7 +406,11 @@ func PsyncGang(at vtime.Ticks, batches []GangBatch) (vtime.Ticks, error) {
 
 	// Validate every surviving batch before touching any file contents,
 	// so a bad request leaves the whole gang un-applied (all-or-nothing).
-	devReqs := make([]flashsim.Request, 0, total)
+	var small [stackReqs]flashsim.Request
+	devReqs := small[:0]
+	if total > len(small) {
+		devReqs = make([]flashsim.Request, 0, total)
+	}
 	landed := 0
 	for i, b := range batches {
 		f := b.F

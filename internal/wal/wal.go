@@ -257,6 +257,10 @@ type Log struct {
 	// here: nothing keeps a request's buffer past its submission.
 	buf     []byte // guarded by mu
 	carried int    // guarded by mu
+	// gangReq is the write this log contributes to a ForceGroup gang, kept
+	// here so the gang's batch can point at it without an allocation
+	// (guarded by mu).
+	gangReq [1]ssdio.Req
 
 	// truncated accumulates the bytes dropped by TruncateHead (guarded by mu).
 	truncated int64
@@ -397,6 +401,10 @@ func (l *Log) Unforced() bool {
 	return len(l.buf) > l.carried
 }
 
+// gangStack is how many logs a ForceGroup keeps its bookkeeping for on the
+// stack; a larger gang spills to the heap.
+const gangStack = 8
+
 // ForceGroup makes the tails of several logs durable in ONE blocking
 // device submission, via ssdio.PsyncGang: the group-commit primitive.
 // Where N per-shard Force calls cost N serial blocking writes, the gang
@@ -412,8 +420,10 @@ func ForceGroup(at vtime.Ticks, logs []*Log) (vtime.Ticks, int, error) {
 	// Hold every member's mutex across the whole gang so racing appends
 	// land wholly before or after it (callers already serialize gangs that
 	// share logs, so the acquisition order cannot deadlock).
-	members := make([]*Log, 0, len(logs))
-	reqs := make([]ssdio.Req, 0, len(logs))
+	// Each member's request sits in its own gangReq.
+	var memberBuf [gangStack]*Log
+	var batchBuf [gangStack]ssdio.GangBatch
+	members, batches := memberBuf[:0], batchBuf[:0]
 	unlock := func() {
 		for _, l := range members {
 			l.mu.Unlock()
@@ -430,17 +440,14 @@ func ForceGroup(at vtime.Ticks, logs []*Log) (vtime.Ticks, int, error) {
 			l.mu.Unlock()
 			continue
 		}
+		l.gangReq[0] = req
 		members = append(members, l)
-		reqs = append(reqs, req)
+		batches = append(batches, ssdio.GangBatch{F: l.f, Reqs: l.gangReq[:]})
 	}
 	if len(members) == 0 {
 		return at, 0, nil
 	}
 	defer unlock()
-	batches := make([]ssdio.GangBatch, len(members))
-	for i, l := range members {
-		batches[i] = ssdio.GangBatch{F: l.f, Reqs: reqs[i : i+1]}
-	}
 	done, err := ssdio.PsyncGang(at, batches)
 	if err != nil {
 		// A partial gang (injected faults) landed some member writes:
@@ -461,16 +468,16 @@ func ForceGroup(at vtime.Ticks, logs []*Log) (vtime.Ticks, int, error) {
 				n++
 				l.GangForces++
 				//lint:ignore guardedby every member's mu was acquired in the collection loop and is released by the deferred unlock
-				l.commitForce(reqs[i])
+				l.commitForce(l.gangReq[0])
 			}
 			return done, n, err
 		}
 		return at, 0, err
 	}
-	for i, l := range members {
+	for _, l := range members {
 		l.GangForces++
 		//lint:ignore guardedby every member's mu was acquired in the collection loop and is released by the deferred unlock
-		l.commitForce(reqs[i])
+		l.commitForce(l.gangReq[0])
 	}
 	return done, len(members), nil
 }

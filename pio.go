@@ -341,7 +341,9 @@ func (fx *Forest) RangeSearch(at Ticks, lo, hi Key) ([]Record, Ticks, error) {
 func (fx *Forest) Flush(at Ticks) (Ticks, error) { return fx.f.Flush(at) }
 
 // Checkpoint drains every shard's OPQ, logs the routing snapshot and
-// cuts each log at its checkpoint record. Logs stay bounded without it:
+// cuts each log at its checkpoint record. Each drain is a flush like any
+// other: a shard whose drain fails leaves write service (ErrShardQuarantined
+// on its writes) and fails the Checkpoint. Logs stay bounded without it:
 // each flush that empties a shard's queue moves that log's head.
 func (fx *Forest) Checkpoint(at Ticks) (Ticks, error) { return fx.f.Checkpoint(at) }
 
