@@ -144,6 +144,7 @@ func (t *Tree) flushBatch(at vtime.Ticks, bcnt int, g *groupIO) (vtime.Ticks, er
 		return at, nil
 	}
 	t.stats.Flushes++
+	t.applied += netOps(batch)
 	fs := &t.flush
 	fs.arena.reset()
 	if n := t.height - len(fs.levels); n > 0 {

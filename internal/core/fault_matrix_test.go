@@ -793,6 +793,17 @@ func TestFaultMatrixFullQueueMigrationAbort(t *testing.T) {
 // [0, F) on shard 1, the rest of the range still on shard 0, every key
 // readable once.
 func TestFaultMatrixRecoverFlushKeepsMigrationRecords(t *testing.T) {
+	recoverFlushKeepsMigrationRecords(t, false)
+}
+
+// TestFaultMatrixRecoverFlushKeepsMigrationRecordsInPlace is the same
+// crash recovered in place, by Crash and Recover on the one forest:
+// recovery reads routing from the logs alone, whatever the memory kept.
+func TestFaultMatrixRecoverFlushKeepsMigrationRecordsInPlace(t *testing.T) {
+	recoverFlushKeepsMigrationRecords(t, true)
+}
+
+func recoverFlushKeepsMigrationRecords(t *testing.T, inPlace bool) {
 	var spec Spec
 	fr, space, pfs, logs := newFaultForestOf(t, 3, 3, func(s *Spec) { spec = *s })
 	at := fmBaseline(t, fr)
@@ -828,11 +839,13 @@ func TestFaultMatrixRecoverFlushKeepsMigrationRecords(t *testing.T) {
 	fr.Crash()
 	space.SetInjector(nil)
 
-	cfg := spec.Forest
-	cfg.Logs = logs
-	fr2, err := NewForest(pfs, cfg)
-	if err != nil {
-		t.Fatal(err)
+	fr2 := fr
+	if !inPlace {
+		cfg := spec.Forest
+		cfg.Logs = logs
+		if fr2, err = NewForest(pfs, cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := fr2.RestoreMeta(meta); err != nil {
 		t.Fatal(err)

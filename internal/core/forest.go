@@ -485,7 +485,8 @@ type ForestStats struct {
 type ShardLoad struct {
 	// Ops counts the operations routed to the shard since open.
 	Ops int64
-	// Keys is the shard's live record count, Pending its queued updates.
+	// Keys estimates the shard's live records (Tree.keyEstimate; Count is
+	// exact), Pending is its queued updates.
 	Keys    int64
 	Pending int
 	// Quarantined reports read-only degraded mode; Evacuated reports that
@@ -1492,7 +1493,9 @@ func (f *Forest) RestoreMeta(ms []Meta) error {
 	return nil
 }
 
-// Count returns the number of live records across all shards.
+// Count returns the live records across all shards (Tree.Count): a
+// validation query that walks every shard, one shard lock at a time. A
+// shard whose walk fails makes it -1.
 func (f *Forest) Count() int64 {
 	// A migration chunk moves keys between two shards atomically under
 	// migMu; freeze it so the sweep neither double- nor under-counts.
@@ -1503,10 +1506,15 @@ func (f *Forest) Count() int64 {
 		s.mu.Lock()
 		// A retired shard holds stale physical copies; the live records are
 		// counted on their destination.
+		var c int64
 		if s.health != retired {
-			n += s.tree.Count()
+			c = s.tree.Count()
 		}
 		s.mu.Unlock()
+		if c < 0 {
+			return -1
+		}
+		n += c
 	}
 	return n
 }
@@ -1553,7 +1561,7 @@ func (f *Forest) Stats() ForestStats {
 		h := s.health
 		out.ShardLoads = append(out.ShardLoads, ShardLoad{
 			Ops:         s.ops,
-			Keys:        s.tree.Count(),
+			Keys:        s.tree.keyEstimate(),
 			Pending:     s.tree.OPQLen(),
 			Quarantined: !h.writable(),
 			Evacuated:   h == retired,

@@ -58,8 +58,7 @@ func TestForestMatchesModel(t *testing.T) {
 	}
 	var now vtime.Ticks
 	var err error
-	// Mixed inserts, updates and deletes driven from one timeline. The
-	// workload is disciplined as the tree's count tracking requires:
+	// Mixed inserts, updates and deletes driven from one timeline:
 	// inserts are fresh keys, updates target live never-deleted keys, and
 	// each deleted key is deleted exactly once.
 	deleted := 0

@@ -106,8 +106,7 @@ type goldenIndex interface {
 }
 
 // goldenOps applies n seeded operations — 60 % inserts of absent keys, 20 %
-// updates and 20 % deletes of present ones, as the count tracking requires
-// — and returns the final time.
+// updates and 20 % deletes of present ones — and returns the final time.
 func goldenOps(t *testing.T, ix goldenIndex, seed int64, n int) vtime.Ticks {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

@@ -135,19 +135,46 @@ func (q *OPQ) Range(dst []kv.Entry, lo, hi kv.Key) []kv.Entry {
 
 // takeBatch removes and returns up to bcnt entries, key-sorted, for one
 // batch-update pass (the paper's bcnt latency bound). bcnt <= 0 takes
-// everything. The removed entries preserve per-key arrival order. The
-// batch stays in the queue's buffer the remaining entries move out of:
-// it is valid until the queue's next Append or takeBatch.
+// everything. A flush consumes whole keys, which recovery's skip rule
+// relies on: the cut falls before the first entry of the key it would
+// split, or after its last when that would empty the batch. The removed
+// entries preserve per-key arrival order. The batch stays in the queue's
+// buffer the remaining entries move out of: it is valid until the
+// queue's next Append or takeBatch.
 func (q *OPQ) takeBatch(bcnt int) []kv.Entry {
 	q.Sort()
 	n := len(q.entries)
 	if bcnt > 0 && bcnt < n {
+		cut := q.entries[bcnt].Rec.Key // the first key left queued
 		n = bcnt
+		for n > 0 && q.entries[n-1].Rec.Key == cut {
+			n--
+		}
+		if n == 0 {
+			for n < len(q.entries) && q.entries[n].Rec.Key == cut {
+				n++
+			}
+		}
 	}
 	batch := q.entries[:n]
 	q.entries, q.spare = append(q.spare[:0], q.entries[n:]...), q.entries
 	q.sortedOffset = len(q.entries)
 	return batch
+}
+
+// netOps is the blind sum of es: +1 per insert, -1 per delete, whether or
+// not the key exists.
+func netOps(es []kv.Entry) int64 {
+	var n int64
+	for _, e := range es {
+		switch e.Op {
+		case kv.OpInsert:
+			n++
+		case kv.OpDelete:
+			n--
+		}
+	}
+	return n
 }
 
 // Entries returns the queued entries in arrival-consistent order (sorted

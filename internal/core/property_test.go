@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -16,7 +17,10 @@ import (
 // operation sequences derived from quick-generated seeds and verifies
 // structural invariants and model agreement after each run. This is the
 // repository's broadest property test: any seed that breaks an invariant
-// is a one-line reproducer.
+// is a one-line reproducer. The ops are blind, as the paper's index ops
+// state no precondition: deletes of absent keys, inserts of present keys
+// and updates of absent keys all occur, and the model resolves them as
+// the leaves do, as upserts.
 func TestQuickRandomOpSequences(t *testing.T) {
 	f := func(seed int64, opqPages, leafSegs, bcnt uint8) bool {
 		cfg := smallCfg()
@@ -33,12 +37,11 @@ func TestQuickRandomOpSequences(t *testing.T) {
 		var err error
 		for i := 0; i < 1500; i++ {
 			k := uint64(rng.Intn(400))
-			_, exists := model[k]
-			switch {
-			case rng.Intn(5) == 0 && exists:
+			switch r := rng.Intn(10); {
+			case r < 2:
 				at, err = tr.Delete(at, k)
 				delete(model, k)
-			case exists:
+			case r < 5:
 				at, err = tr.Update(at, kv.Record{Key: k, Value: uint64(i)})
 				model[k] = uint64(i)
 			default:
@@ -49,14 +52,15 @@ func TestQuickRandomOpSequences(t *testing.T) {
 				return false
 			}
 		}
+		if err := quickMatches(tr, model, 400); err != nil {
+			t.Logf("seed %d cfg %+v, queued: %v", seed, cfg, err)
+			return false
+		}
 		if _, err := tr.FlushBatch(at, 0); err != nil {
 			return false
 		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Logf("seed %d cfg %+v: %v", seed, cfg, err)
-			return false
-		}
-		if tr.Count() != int64(len(model)) {
+		if err := quickMatches(tr, model, 400); err != nil {
+			t.Logf("seed %d cfg %+v, flushed: %v", seed, cfg, err)
 			return false
 		}
 		// Spot-verify a sample of model keys plus an absent key.
@@ -78,6 +82,30 @@ func TestQuickRandomOpSequences(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// quickMatches checks tr's invariants, its Count and its content over
+// keys [0, keys) against an upsert model.
+func quickMatches(tr *Tree, model map[kv.Key]kv.Value, keys kv.Key) error {
+	if err := tr.CheckInvariants(); err != nil {
+		return err
+	}
+	if n := tr.Count(); n != int64(len(model)) {
+		return fmt.Errorf("Count() = %d, model holds %d", n, len(model))
+	}
+	got, _, err := tr.RangeSearch(0, 0, keys)
+	if err != nil {
+		return err
+	}
+	if len(got) != len(model) {
+		return fmt.Errorf("content holds %d keys, model %d", len(got), len(model))
+	}
+	for _, r := range got {
+		if v, ok := model[r.Key]; !ok || v != r.Value {
+			return fmt.Errorf("content has (%d, %d), model (%d, %v)", r.Key, r.Value, v, ok)
+		}
+	}
+	return nil
 }
 
 // newQuickTree builds a tree swallowing setup errors (reported as a
@@ -115,18 +143,24 @@ func TestQuickRangeMatchesModel(t *testing.T) {
 		var err error
 		for i := 0; i < 800; i++ {
 			k := uint64(rng.Intn(300))
-			if rng.Intn(4) == 0 {
-				if _, ok := model[k]; ok {
-					at, err = tr.Delete(at, k)
-					delete(model, k)
-				}
-			} else {
+			switch r := rng.Intn(8); {
+			case r < 2:
+				at, err = tr.Delete(at, k)
+				delete(model, k)
+			case r < 3:
+				at, err = tr.Update(at, kv.Record{Key: k, Value: uint64(i)})
+				model[k] = uint64(i)
+			default:
 				at, err = tr.Insert(at, kv.Record{Key: k, Value: uint64(i)})
 				model[k] = uint64(i)
 			}
 			if err != nil {
 				return false
 			}
+		}
+		if err := quickMatches(tr, model, 300); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
 		}
 		lo := uint64(rng.Intn(150))
 		hi := lo + uint64(rng.Intn(150)) + 1

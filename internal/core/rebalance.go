@@ -744,8 +744,8 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 //     redo-inserts on src revive the chunk keys whose deletes were
 //     already appended — whenever the tails do become durable, the chunk
 //     nets to zero, and no key gets a delete or insert it never had the
-//     other half of, which would leave the tracked count off after a
-//     flush;
+//     other half of, which would leave the planner's blind key estimate
+//     (Tree.keyEstimate) off the content after a flush;
 //  4. a MigrationEnd commits exactly the kept prefix ('a' aborts
 //     outright when it is empty), and recoverRouting takes a 'c' rule's
 //     range from the End record, so a durable-but-superseded KeyMoved
@@ -972,8 +972,8 @@ func (m *Migration) drainUntil(at, deadline vtime.Ticks) (bool, vtime.Ticks, err
 
 // coldestShard picks the writable shard other than exclude with the
 // least load — ops in the poll window, or none when load is nil — ties
-// going to the one holding fewer keys, so a nil load prefers emptied merge
-// targets as split destinations.
+// going to the one with the lower key estimate (Tree.keyEstimate), so a
+// nil load prefers emptied merge targets as split destinations.
 func (f *Forest) coldestShard(exclude int, load []int64) (int, error) {
 	best, bestOps, bestKeys := -1, int64(0), int64(0)
 	for i, s := range f.shards {
@@ -982,7 +982,7 @@ func (f *Forest) coldestShard(exclude int, load []int64) (int, error) {
 		}
 		// A quarantined shard rejects the migration's inserts.
 		s.mu.Lock()
-		n, ok := s.tree.Count(), s.health.writable()
+		n, ok := s.tree.keyEstimate(), s.health.writable()
 		s.mu.Unlock()
 		var ops int64
 		if load != nil {
@@ -1271,8 +1271,10 @@ type migrationEvent struct {
 // their redo records.
 func (f *Forest) recoverRouting(at vtime.Ticks, rep *ForestRecoveryReport) (vtime.Ticks, error) {
 	// Scan every shard's log once; dedupe records that land in both the
-	// source and destination logs.
-	snap := f.rpart.RoutingSnapshot()
+	// source and destination logs. Routing comes from the logs alone,
+	// starting from the base partition: whatever the memory still holds
+	// is not what a restart would find.
+	var snap RoutingMeta
 	events := make(map[uint64]*migrationEvent)
 	// The same scan re-derives the log pins (lowwater.go) a crash dropped:
 	// the first record of each migration on each log, kept for those the
@@ -1347,15 +1349,6 @@ func (f *Forest) recoverRouting(at vtime.Ticks, rep *ForestRecoveryReport) (vtim
 	rules := snap.Rules
 	maxCommitted := snap.MaxCommitted
 	evacMask := snap.Evacuated
-	// The in-memory routing may already be ahead of the durable snapshot
-	// (in-place recovery): committed rules are only ever published after
-	// their MigrationEnd was forced, so preferring the higher
-	// maxCommitted source is safe either way.
-	if cur := f.rpart.cur.Load(); cur.maxCommitted > maxCommitted {
-		rules = append([]MoveRule(nil), cur.rules...)
-		maxCommitted = cur.maxCommitted
-		evacMask = cur.evac
-	}
 	ids := make([]uint64, 0, len(events))
 	for id := range events {
 		if id > maxCommitted {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/flashsim"
@@ -210,6 +211,67 @@ func TestOnlineSplitUnderTraffic(t *testing.T) {
 			}
 			now = d
 		}
+	}
+}
+
+// TestCountHammerRace calls Forest.Count while writers insert fresh keys
+// (their full queues flush) and a mover splits shard 0 chunk by chunk.
+// Each sweep counts one shard at a time under the migration lock, so a
+// key is counted once wherever it lives, and inserts only add: every
+// count lies between the loaded and the final content and never falls.
+func TestCountHammerRace(t *testing.T) {
+	fr, _, _ := newCrashForest(t, rebalForestCfg())
+	at := loadRebalForest(t, fr)
+	const workers, opsPerWorker = 4, 200
+	loaded := int64(crashShards * rebalPerShard)
+	final := loaded + workers*opsPerWorker
+	var writers, counter sync.WaitGroup
+	var stop atomic.Bool
+	counter.Add(1)
+	go func() {
+		defer counter.Done()
+		for last := loaded; ; {
+			n := fr.Count()
+			if n < last || n > final {
+				t.Errorf("Count() = %d after %d, want it in [%d, %d] and never falling", n, last, last, final)
+				return
+			}
+			if last = n; stop.Load() {
+				return
+			}
+		}
+	}()
+	before := fr.Stats().Tree.Flushes
+	for w := 0; w < workers; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			var now vtime.Ticks
+			for i := 0; i < opsPerWorker; i++ {
+				k := kv.Key(w%crashShards)*crashStride + 5000 + kv.Key(w*opsPerWorker+i)
+				var err error
+				if now, err = fr.Insert(now, kv.Record{Key: k, Value: crashVal(k)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	_, _, err := fr.SplitShard(at, 0, kv.Key(30))
+	writers.Wait()
+	stop.Store(true)
+	counter.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Stats().Tree.Flushes == before {
+		t.Fatal("no writer's queue flushed")
+	}
+	if err := fr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if n := fr.Count(); n != final {
+		t.Fatalf("Count() = %d at the end, want %d", n, final)
 	}
 }
 

@@ -34,58 +34,39 @@ type RecoveryReport struct {
 //     them (logical redo is not idempotent);
 //  4. checkpoint records clear everything before them.
 //
-// The tree's in-memory OPQ is rebuilt; structural state (root, height) is
-// taken from meta, which the caller persists separately (the experiments
-// snapshot it; a full DBMS would keep it in the catalog).
+// The log is read with its I/O charged on the vtime clock, retrying
+// transient faults like any other read. The tree's in-memory OPQ is
+// rebuilt; the Meta state (root, height, applied) is the caller's, which
+// it persists separately (the experiments snapshot it; a full DBMS would
+// keep it in the catalog). Recovery reads the log alone: it never walks
+// the tree.
 func (t *Tree) recover(at vtime.Ticks) (RecoveryReport, vtime.Ticks, error) {
+	var rep RecoveryReport
 	if t.log == nil {
-		return RecoveryReport{}, at, fmt.Errorf("core: Recover called without a WAL attached")
+		return rep, at, fmt.Errorf("core: Recover called without a WAL attached")
 	}
-	recs, at, err := t.readDurableRecords(at)
-	if err != nil {
-		return RecoveryReport{}, at, err
-	}
-	return t.recoverFrom(at, recs)
-}
-
-// readDurableRecords scans the durable WAL with the read I/O charged on
-// the vtime clock (recovery used to replay for free), retrying transient
-// faults like any other read.
-func (t *Tree) readDurableRecords(at vtime.Ticks) ([]wal.Record, vtime.Ticks, error) {
 	var recs []wal.Record
 	at, err := t.retryIO(at, func(at vtime.Ticks) (vtime.Ticks, error) {
 		var rerr error
 		recs, at, rerr = t.log.RecordsTimed(at)
 		return at, rerr
 	})
-	return recs, at, err
-}
-
-// recoverFrom replays durable log records already scanned by
-// readDurableRecords: the replay half of both Recover and
-// rollbackToDurable.
-func (t *Tree) recoverFrom(at vtime.Ticks, recs []wal.Record) (RecoveryReport, vtime.Ticks, error) {
-	var rep RecoveryReport
-	// Only this relation's records matter.
-	var mine []wal.Record
-	for _, r := range recs {
-		if r.Relation == t.cfg.Relation {
-			mine = append(mine, r)
+	if err != nil {
+		return rep, at, err
+	}
+	// Cut at the last checkpoint: everything before is fully flushed. The
+	// log is this tree's alone, so every record after it is the tree's.
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].Kind == wal.KindCheckpoint {
+			recs = recs[i+1:]
+			break
 		}
 	}
-	// Cut at the last checkpoint: everything before is fully flushed.
-	start := 0
-	for i, r := range mine {
-		if r.Kind == wal.KindCheckpoint {
-			start = i + 1
-		}
-	}
-	mine = mine[start:]
 
 	// Pair flushes.
 	completed := map[uint64][2]kv.Key{} // flushID -> [lo,hi]
 	started := map[uint64]bool{}
-	for _, r := range mine {
+	for _, r := range recs {
 		switch r.Kind {
 		case wal.KindFlushStart:
 			started[r.FlushID] = true
@@ -99,7 +80,7 @@ func (t *Tree) recoverFrom(at vtime.Ticks, recs []wal.Record) (RecoveryReport, v
 
 	// An undone flush's FlushStart stays unpaired in the log: the head
 	// may not pass it until a checkpoint cut does.
-	for _, r := range mine {
+	for _, r := range recs {
 		if r.Kind == wal.KindFlushStart && started[r.FlushID] {
 			t.lowWater.pinUnpaired(r.Mark())
 			break
@@ -107,8 +88,8 @@ func (t *Tree) recoverFrom(at vtime.Ticks, recs []wal.Record) (RecoveryReport, v
 	}
 
 	// Undo phase: roll back incomplete flushes (pre-images in reverse).
-	for i := len(mine) - 1; i >= 0; i-- {
-		r := mine[i]
+	for i := len(recs) - 1; i >= 0; i-- {
+		r := recs[i]
 		if r.Kind != wal.KindFlushUndo || !started[r.FlushID] {
 			continue
 		}
@@ -125,22 +106,22 @@ func (t *Tree) recoverFrom(at vtime.Ticks, recs []wal.Record) (RecoveryReport, v
 		if werr != nil {
 			return rep, at, werr
 		}
-		t.pool.Invalidate(pagefile.PageID(r.NodeID))
 		rep.UndoPagesApplied++
 	}
 	rep.UndoneFlushes = len(started)
 
 	// Redo phase: rebuild the OPQ from logical redo logs. A record is
 	// skipped when a completed flush that STARTED AFTER the record was
-	// logged covers its key (the flush consumed it). A single backward
+	// logged covers its key: a flush consumes whole keys (OPQ.takeBatch),
+	// so it consumed every queued op on a key in its range. A single backward
 	// sweep accumulates the completed-flush key ranges lying ahead of
 	// each position, so replay costs O(records x completed flushes)
 	// instead of rescanning the log tail per redo record.
 	type keyRange struct{ lo, hi kv.Key }
-	skip := make([]bool, len(mine))
+	skip := make([]bool, len(recs))
 	var ahead []keyRange
-	for i := len(mine) - 1; i >= 0; i-- {
-		r := mine[i]
+	for i := len(recs) - 1; i >= 0; i-- {
+		r := recs[i]
 		switch r.Kind {
 		case wal.KindLogicalRedo:
 			for _, kr := range ahead {
@@ -156,8 +137,7 @@ func (t *Tree) recoverFrom(at vtime.Ticks, recs []wal.Record) (RecoveryReport, v
 		}
 	}
 	t.opq.Reset()
-	t.count = 0
-	for i, r := range mine {
+	for i, r := range recs {
 		if r.Kind != wal.KindLogicalRedo {
 			continue
 		}
@@ -175,70 +155,23 @@ func (t *Tree) recoverFrom(at vtime.Ticks, recs []wal.Record) (RecoveryReport, v
 		t.opq.push(kv.Entry{Rec: kv.Record{Key: r.Key, Value: r.Value}, Op: kv.Op(r.Op)})
 		rep.RedoneEntries++
 	}
-	// Recompute the logical count from disk plus the rebuilt OPQ.
-	if err := t.recountNoCost(); err != nil {
-		return rep, at, err
-	}
 	// The tree now reflects exactly the durable log: a new rollback
 	// baseline for quarantine recovery.
 	t.commitDurableMeta()
 	return rep, at, nil
 }
 
-// recountNoCost recomputes t.count by walking the tree and overlaying the
-// OPQ (recovery bookkeeping; no simulated I/O).
-func (t *Tree) recountNoCost() error {
-	var total int64
-	var walk func(id pagefile.PageID, level int) error
-	walk = func(id pagefile.PageID, level int) error {
-		if level == 0 {
-			l, err := t.readWholeLeafNoCost(id)
-			if err != nil {
-				return err
-			}
-			total += int64(len(l.liveRecords()))
-			return nil
-		}
-		buf := make([]byte, t.cfg.PageSize)
-		if err := t.pf.ReadPageNoCost(id, buf); err != nil {
-			return err
-		}
-		n, err := decodeInternal(id, buf)
-		if err != nil {
-			return err
-		}
-		for _, c := range n.children {
-			if err := walk(c, level-1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root, t.height-1); err != nil {
-		return err
-	}
-	for _, e := range t.opq.Entries() {
-		switch e.Op {
-		case kv.OpInsert:
-			total++
-		case kv.OpDelete:
-			total--
-		}
-	}
-	t.count = total
-	return nil
-}
-
-// Meta captures the structural state that a DBMS catalog would persist.
+// Meta captures the structural state that a DBMS catalog would persist,
+// and the flushes' blind op sum the planner's key estimate starts from.
 type Meta struct {
-	Root   pagefile.PageID
-	Height int
-	Count  int64
+	Root    pagefile.PageID
+	Height  int
+	Applied int64
 }
 
 // Snapshot returns the current structural state.
 func (t *Tree) Snapshot() Meta {
-	return Meta{Root: t.root, Height: t.height, Count: t.count}
+	return Meta{Root: t.root, Height: t.height, Applied: t.applied}
 }
 
 // RestoreMeta resets the structural state (crash-recovery tests restore
@@ -246,7 +179,7 @@ func (t *Tree) Snapshot() Meta {
 func (t *Tree) RestoreMeta(m Meta) {
 	t.root = m.Root
 	t.height = m.Height
-	t.count = m.Count
+	t.applied = m.Applied
 }
 
 // crashVolatileState simulates a crash: the OPQ, LSMap and buffer pool
@@ -293,10 +226,6 @@ func (t *Tree) rollbackToDurable(at vtime.Ticks) (vtime.Ticks, error) {
 	}
 	t.RestoreMeta(t.durableMeta)
 	t.dropVolatile()
-	recs, at, err := t.readDurableRecords(at)
-	if err != nil {
-		return at, err
-	}
-	_, at, err = t.recoverFrom(at, recs)
+	_, at, err := t.recover(at)
 	return at, err
 }

@@ -94,9 +94,9 @@ type Tree struct {
 	opq   *OPQ
 	lsmap *LSMap
 
-	root   pagefile.PageID
-	height int // levels including the leaf level; 1 = root is a leaf
-	count  int64
+	root    pagefile.PageID
+	height  int   // levels including the leaf level; 1 = root is a leaf
+	applied int64 // the blind sum of the ops flushes applied (netOps)
 
 	// durableMeta is the structural state as of the last durable commit
 	// point (creation, bulk load, a flush commit, recovery). Quarantine
@@ -212,8 +212,24 @@ func (t *Tree) poolGet(at vtime.Ticks, id pagefile.PageID) ([]byte, vtime.Ticks,
 // attachWAL enables write-ahead logging (Section 3.4) on the tree.
 func (t *Tree) attachWAL(l *wal.Log) { t.log = l }
 
-// Count returns the number of live records (OPQ included).
-func (t *Tree) Count() int64 { return t.count }
+// Count returns the index's content: the leaves' live records with the
+// queued ops applied per key as a flush would apply them. It is a
+// validation query, an uncharged walk of every node (walkNoCost), so
+// harnesses and tools call it, never a measured path. A corrupt node,
+// which CheckInvariants names, makes it -1.
+func (t *Tree) Count() int64 {
+	n, err := t.walkNoCost()
+	if err != nil {
+		return -1
+	}
+	return n
+}
+
+// keyEstimate is the planner's key count, read without touching a page:
+// the blind sum of the applied and the queued ops. It equals Count until
+// an op on a key it presumes absent or present (a delete of an absent
+// key, an insert of a present one, an update of an absent one) arrives.
+func (t *Tree) keyEstimate() int64 { return t.applied + netOps(t.opq.entries) }
 
 // Height returns the number of levels (the paper's H).
 func (t *Tree) Height() int { return t.height }
@@ -428,20 +444,15 @@ func (t *Tree) queue(at vtime.Ticks, e kv.Entry) vtime.Ticks {
 		})
 	}
 	t.opq.push(e)
-	switch e.Op {
-	case kv.OpInsert:
-		t.count++
-	case kv.OpDelete:
-		t.count--
-	}
 	// The OPQ append cost is one main-memory page access.
 	return at + t.cfg.CPUPerNode
 }
 
 // BulkLoad builds the tree from key-sorted records at the configured fill
-// factor without simulated cost (experiment setup).
+// factor without simulated cost (experiment setup). The tree must hold
+// nothing: no queued op and no content.
 func (t *Tree) BulkLoad(recs []kv.Record) error {
-	if t.count != 0 || t.opq.Len() != 0 {
+	if t.opq.Len() != 0 || t.Count() != 0 {
 		return fmt.Errorf("core: bulk load into non-empty tree")
 	}
 	for i := 1; i < len(recs); i++ {
@@ -521,17 +532,44 @@ func (t *Tree) BulkLoad(recs []kv.Record) error {
 	}
 	t.root = level[0].id
 	t.height = height
-	t.count = int64(len(recs))
+	t.applied = int64(len(recs))
 	t.commitDurableMeta()
 	return nil
 }
 
-// CheckInvariants walks the whole tree without timing and verifies
-// structural invariants: internal keys sorted, children in range, leaf
-// base regions sorted, leaf chain ordered, live count consistent with the
-// tracked count.
+// CheckInvariants walks the whole tree without timing and verifies its
+// structure (see walkNoCost).
 func (t *Tree) CheckInvariants() error {
-	var liveTotal int64
+	_, err := t.walkNoCost()
+	return err
+}
+
+// walkNoCost walks the whole tree without timing, verifies structural
+// invariants — internal keys sorted, levels consistent, every key inside
+// its parent's bounds, leaf base regions sorted — and returns the content:
+// the leaves' live records with the queue merged over them in key order,
+// the newest op on a key deciding as a flush's shrink would. It grows no
+// buffer the tree keeps.
+func (t *Tree) walkNoCost() (int64, error) {
+	q := t.opq.Entries()
+	kv.SortEntries(q) // stable: each key's ops stay in arrival order
+	var live int64
+	// overlay consumes the queued keys up to k, counting each whose newest
+	// op leaves it present, and reports whether k itself was queued.
+	overlay := func(k kv.Key) (queued bool) {
+		for len(q) > 0 && q[0].Rec.Key <= k {
+			i := 1
+			for i < len(q) && q[i].Rec.Key == q[0].Rec.Key {
+				i++
+			}
+			if q[i-1].Op != kv.OpDelete {
+				live++
+			}
+			queued = q[0].Rec.Key == k
+			q = q[i:]
+		}
+		return queued
+	}
 	var walk func(id pagefile.PageID, level int, lo, hi kv.Key, hasLo, hasHi bool) error
 	walk = func(id pagefile.PageID, level int, lo, hi kv.Key, hasLo, hasHi bool) error {
 		if level == 0 {
@@ -551,7 +589,9 @@ func (t *Tree) CheckInvariants() error {
 				if hasHi && r.Key >= hi {
 					return fmt.Errorf("core: leaf %d key %d above bound %d", id, r.Key, hi)
 				}
-				liveTotal++
+				if !overlay(r.Key) {
+					live++
+				}
 			}
 			return nil
 		}
@@ -587,20 +627,8 @@ func (t *Tree) CheckInvariants() error {
 		return nil
 	}
 	if err := walk(t.root, t.height-1, 0, 0, false, false); err != nil {
-		return err
+		return 0, err
 	}
-	// Overlay the OPQ to compute the logical count.
-	logical := liveTotal
-	for _, e := range t.opq.Entries() {
-		switch e.Op {
-		case kv.OpInsert:
-			logical++
-		case kv.OpDelete:
-			logical--
-		}
-	}
-	if logical != t.count {
-		return fmt.Errorf("core: count mismatch: logical %d, tracked %d", logical, t.count)
-	}
-	return nil
+	overlay(^kv.Key(0))
+	return live, nil
 }

@@ -310,13 +310,17 @@ func OpenForest(dev *Device, opts ForestOptions) (*Forest, error) {
 func (fx *Forest) BulkLoad(recs []Record) error { return fx.f.BulkLoad(recs) }
 
 // Insert buffers an index-insert on the owning shard; a full shard OPQ
-// triggers a coordinated group flush.
+// triggers a coordinated group flush. Inserting a present key replaces its
+// value.
 func (fx *Forest) Insert(at Ticks, r Record) (Ticks, error) { return fx.f.Insert(at, r) }
 
-// Delete buffers an index-delete.
+// Delete buffers an index-delete. Deleting an absent key changes nothing.
 func (fx *Forest) Delete(at Ticks, k Key) (Ticks, error) { return fx.f.Delete(at, k) }
 
-// Update buffers an index-update.
+// Update buffers an index-update. Writes are upserts: the queue takes
+// them without reading the index, and the newest op on a key decides its
+// content, so updating an absent key inserts it (where a classic B+-tree
+// update of an absent key fails and changes nothing).
 func (fx *Forest) Update(at Ticks, r Record) (Ticks, error) { return fx.f.Update(at, r) }
 
 // Search performs a point search on the owning shard; flushes on other
@@ -347,7 +351,10 @@ func (fx *Forest) Flush(at Ticks) (Ticks, error) { return fx.f.Flush(at) }
 // each flush that empties a shard's queue moves that log's head.
 func (fx *Forest) Checkpoint(at Ticks) (Ticks, error) { return fx.f.Checkpoint(at) }
 
-// Count returns the number of live records across all shards.
+// Count returns the number of live records across all shards, queued
+// writes resolved as upserts. It walks every node of every shard with
+// reads no simulated clock charges, so it costs host time linear in the
+// index size: a check for tests and tools, not an operation to measure.
 func (fx *Forest) Count() int64 { return fx.f.Count() }
 
 // Height returns the tallest shard height.
