@@ -1033,7 +1033,7 @@ func (f *Forest) resolve(done vtime.Ticks, g []*member) (vtime.Ticks, error) {
 	var err error
 	for _, m := range g {
 		if m.started && m.err == nil {
-			m.s.tree.commitFlush()
+			m.s.tree.commitDurableMeta()
 			//lint:ignore guardedby every member's mu is held by the caller
 			m.s.transition(evFlushCommit, done, done, nil)
 			if terr := m.s.tree.truncateLog(); terr != nil && err == nil {
@@ -1196,8 +1196,8 @@ func (f *Forest) Flush(at vtime.Ticks) (vtime.Ticks, error) {
 // is durable, each log's head is cut at its checkpoint record, past every
 // pin (lowwater.go). The logs no longer need a Checkpoint to stay
 // bounded: a committed flush that empties its shard's queue already moves
-// the head. What only a checkpoint does is pass an unpaired FlushStart,
-// and write the routing snapshot that covers finished migrations.
+// the head. What only a checkpoint does is write the routing snapshot
+// that covers finished migrations.
 func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 	// Freeze migration chunks for the sweep: the routing snapshot logged
 	// below must match the drained state, and head truncation must not

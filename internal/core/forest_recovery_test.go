@@ -147,11 +147,38 @@ func TestForestCrashRecoveryMatrix(t *testing.T) {
 			}
 			name += c.String()
 		}
-		t.Run(name, func(t *testing.T) { runForestCrashScenario(t, sc) })
+		t.Run(name, func(t *testing.T) { runForestCrashScenario(t, sc, 0) })
 	}
 }
 
-func runForestCrashScenario(t *testing.T, crashes []shardCrash) {
+// TestForestUndoneMemberStaysUndone: a group flush whose FlushEnd reached
+// every member's log but one is recovered, undoing that member's flush
+// alone. Half of the member's queue then flushes again and commits, so
+// its log head stays below the undone flush, and a second crash follows
+// with no checkpoint in between: the second recovery must not undo the
+// first flush again over the pages the second one wrote.
+func TestForestUndoneMemberStaysUndone(t *testing.T) {
+	crashes := []shardCrash{crashComplete, crashNoEnd, crashComplete, crashComplete}
+	fr, at := runForestCrashScenario(t, crashes, phase2PerShard/2)
+	at, err := fr.Flush(at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at, err = fr.Sync(at); err != nil {
+		t.Fatal(err)
+	}
+	rep, at := crashRecover(t, fr, at)
+	if rep.UndoneFlushes != 0 || rep.UndoPagesApplied != 0 || rep.RedoneEntries != phase2PerShard/2 {
+		t.Fatalf("second recovery: %+v, want no undo and %d entries redone", rep, phase2PerShard/2)
+	}
+	checkCrashPrefix(t, fr, at, crashes)
+}
+
+// runForestCrashScenario crashes a 4-shard group flush as crashes
+// prescribes, recovers a forest rebuilt over the durable state, checks
+// its report and content, and returns it. The rebuilt forest flushes at
+// most bcnt entries at a time (<= 0: the whole queue).
+func runForestCrashScenario(t *testing.T, crashes []shardCrash, bcnt int) (*Forest, vtime.Ticks) {
 	cfg := crashForestCfg()
 	fr, logs, pfs := newCrashForest(t, cfg)
 
@@ -277,6 +304,7 @@ func runForestCrashScenario(t *testing.T, crashes []shardCrash) {
 		meta2[i] = meta
 	}
 	cfg2 := crashForestCfg()
+	cfg2.Shard.BCnt = bcnt
 	cfg2.Logs = logs2
 	fr2, err := NewForest(pfs2, cfg2)
 	if err != nil {
@@ -314,8 +342,14 @@ func runForestCrashScenario(t *testing.T, crashes []shardCrash) {
 		}
 	}
 
-	// The recovered forest must hold exactly the durable prefix: every
-	// phase-1 key, the phase-2 keys of every shard except lostTail ones.
+	return fr2, checkCrashPrefix(t, fr2, at2, crashes)
+}
+
+// checkCrashPrefix asserts that the recovered forest holds exactly the
+// durable prefix: every phase-1 key, the phase-2 keys of every shard
+// except lostTail ones.
+func checkCrashPrefix(t *testing.T, fr2 *Forest, at2 vtime.Ticks, crashes []shardCrash) vtime.Ticks {
+	t.Helper()
 	expected := int64(0)
 	for s := 0; s < crashShards; s++ {
 		for j := 0; j < phase1PerShard; j++ {
@@ -352,6 +386,7 @@ func runForestCrashScenario(t *testing.T, crashes []shardCrash) {
 	if err := fr2.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	return at2
 }
 
 // TestForestGroupCommitFewerSubmissions: at 4 shards the ganged log force

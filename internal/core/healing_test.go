@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -1122,7 +1123,9 @@ func TestEvacuationDeadlineFromVtimeZero(t *testing.T) {
 // TestSoloFlushCommitEndsIncident heals a quarantined shard and commits
 // one solo flush of it, which proves its device is back and ends the
 // incident. When the device dies again 50ms later, a new incident opens:
-// the next poll must not evacuate against the old incident's start.
+// the next poll must not evacuate against the old incident's start. The
+// keys synced after the heal survive that second rollback, which undoes
+// only the flush the read-only log failed, and a Heal after it.
 func TestSoloFlushCommitEndsIncident(t *testing.T) {
 	fr, space := newFaultForest(t, RetryPolicy{Disabled: true})
 	at := fmBaseline(t, fr)
@@ -1140,36 +1143,127 @@ func TestSoloFlushCommitEndsIncident(t *testing.T) {
 		t.Fatalf("Heal: %v", err)
 	}
 
-	// insertUntil inserts fresh shard-1 keys from base until stop holds.
-	insertUntil := func(base kv.Key, stop func(error) bool) {
+	// insertUntil inserts fresh shard-1 keys from base until stop holds,
+	// and returns the keys it inserted.
+	insertUntil := func(base kv.Key, stop func(error) bool) (keys []kv.Key) {
 		t.Helper()
 		for j := 0; j < 500; j++ {
 			k := base + kv.Key(j)
 			var err error
 			now, err = fr.Insert(now, kv.Record{Key: k, Value: fmVal(k)})
+			if err == nil {
+				keys = append(keys, k)
+			}
 			if stop(err) {
-				return
+				return keys
 			}
 			if err != nil {
 				t.Fatalf("Insert(%d): %v", k, err)
 			}
 		}
 		t.Fatal("condition never reached after 500 inserts")
+		return nil
 	}
 	before := fr.Stats()
-	insertUntil(fmStride+600, func(error) bool { return fr.Stats().GroupFlushes > before.GroupFlushes })
+	synced := insertUntil(fmStride+600, func(error) bool { return fr.Stats().GroupFlushes > before.GroupFlushes })
 	if st := fr.Stats(); st.GroupedShards-before.GroupedShards != 1 || len(fr.Quarantined()) != 0 {
 		t.Fatalf("want one committed solo flush of shard 1: %+v", st)
 	}
+	if now, err = fr.Sync(now); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	now = fmCheckKeys(t, fr, now, synced)
 
 	now += 50 * vtime.Millisecond
 	fmInstall(t, space, "readonly file=wal1")
 	insertUntil(fmStride+2000, func(err error) bool { return errors.Is(err, ErrShardQuarantined) })
+	now = fmCheckKeys(t, fr, now, synced)
 	if _, _, _, _, err := fr.AutoRebalance(now, fmDrivePolicy()); err != nil {
 		t.Fatalf("AutoRebalance: %v", err)
 	}
 	if st := fr.Stats(); st.Evacuations != 0 {
 		t.Fatalf("Evacuations = %d right after a fresh incident opened, want 0", st.Evacuations)
+	}
+	space.SetInjector(nil)
+	if now, err = fr.Heal(now, 1); err != nil {
+		t.Fatalf("Heal: %v", err)
+	}
+	fmCheckKeys(t, fr, now, synced)
+}
+
+// nthWrite fails the n-th write submission to file (counting from 1)
+// with errPlain, and nothing else.
+type nthWrite struct {
+	file string
+	n    int32
+	seen atomic.Int32
+}
+
+func (w *nthWrite) Decide(file, _ string, _ vtime.Ticks, reqs []ssdio.Req) ssdio.FaultDecision {
+	if file == w.file && reqs[0].Op == flashsim.Write && w.seen.Add(1) == w.n {
+		return ssdio.FaultDecision{Err: errPlain}
+	}
+	return ssdio.FaultDecision{}
+}
+
+// TestCommitForceFailThenHeal fails the commit force of a solo flush of
+// shard 1: its data and prepare force landed, and its FlushEnd stays in
+// the unforced tail. The rollback undoes the flush, and the Heal that
+// forces the tail puts that FlushEnd in the durable log after the undo.
+// The flush's abort record must still close it with no key range, so the
+// Heal's replay redoes its entries instead of skipping them.
+func TestCommitForceFailThenHeal(t *testing.T) {
+	fr, space := newFaultForest(t, RetryPolicy{Disabled: true})
+	at := fmBaseline(t, fr)
+	var synced, accepted []kv.Key
+	var err error
+	for j := 0; j < 20; j++ {
+		k := fmStride + 200 + kv.Key(j)
+		if at, err = fr.Insert(at, kv.Record{Key: k, Value: fmVal(k)}); err != nil {
+			t.Fatal(err)
+		}
+		synced = append(synced, k)
+	}
+	if at, err = fr.Sync(at); err != nil {
+		t.Fatal(err)
+	}
+	// The flush's first write on wal1 is its prepare force, the second
+	// its commit force.
+	space.SetInjector(&nthWrite{file: "wal1", n: 2})
+	for j := 0; ; j++ {
+		if j == 500 {
+			t.Fatal("shard 1 never flushed")
+		}
+		k := fmStride + 300 + kv.Key(j)
+		at, err = fr.Insert(at, kv.Record{Key: k, Value: fmVal(k)})
+		if errors.Is(err, ErrShardQuarantined) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("Insert(%d): %v", k, err)
+		}
+		accepted = append(accepted, k)
+	}
+	space.SetInjector(nil)
+	tr := fr.ShardTree(1)
+	undone := tr.flushID
+	keys := append(append(fmShardKeys(0), fmShardKeys(1)...), append(synced, accepted...)...)
+	healAll(t, fr, at, keys, 1)
+	if n, want := fr.Count(), int64(len(keys)); n != want {
+		t.Fatalf("Count() = %d after the Heal, want %d", n, want)
+	}
+	recs, err := tr.log.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var closing []wal.Kind
+	for _, r := range recs {
+		if r.FlushID == undone && (r.Kind == wal.KindFlushEnd || r.Kind == wal.KindFlushAbort) {
+			closing = append(closing, r.Kind)
+		}
+	}
+	if want := []wal.Kind{wal.KindFlushEnd, wal.KindFlushAbort}; !slices.Equal(closing, want) {
+		t.Fatalf("flush %d is closed by %v in the log, want %v", undone, closing, want)
 	}
 }
 
@@ -1315,15 +1409,6 @@ func TestShardHealthHammerRace(t *testing.T) {
 		quarantine()
 		space.SetInjector(nil)
 		pollUntil("heal", func() bool { return len(fr.Quarantined()) == 0 })
-		// Checkpoint before the next fault. A replay undoes a flush whose
-		// FlushStart is durable without its FlushEnd but logs nothing that
-		// closes it, so a second rollback before a checkpoint would apply
-		// its stale pre-images again, over pages a later flush wrote.
-		d, err := fr.Checkpoint(now)
-		if err != nil {
-			t.Fatalf("Checkpoint: %v", err)
-		}
-		now = d
 	}
 	// Every key acknowledged so far is made durable: none may be lost.
 	ackMu.Lock()

@@ -13,11 +13,10 @@ import (
 // migration records its routing recovery reads and the routing snapshot.
 // A flush whose batch emptied the OPQ consumed every redo record logged
 // before its FlushStart, so after it commits everything older is dead,
-// except what a pin holds:
+// except what a pin holds. A flush that never committed needs none:
+// recovery undoes it and logs its abort, which the next flush's prepare
+// force makes durable before any commit cuts the head. The pins are:
 //
-//   - an unpaired FlushStart: a flush undone by a rollback or Recover, or
-//     one that never committed. Nothing closes it in the log, so it stays
-//     until a checkpoint cut passes it;
 //   - the first record, on this log, of each migration the latest durable
 //     routing snapshot does not cover (its id is above MaxCommitted);
 //   - on the forest's first log, that routing snapshot itself, unless it
@@ -27,12 +26,9 @@ import (
 // Every mark is the zero Mark when unset. The owner serializes access
 // (forest shards hold forestShard.mu).
 type lowWater struct {
-	// open is the FlushStart of the flush in progress, cleared when it
-	// commits; drained is the FlushStart of the latest flush whose batch
+	// drained is the FlushStart of the latest flush, when its batch
 	// emptied the OPQ.
-	open, drained wal.Mark
-	// unpaired is the earliest unpaired FlushStart.
-	unpaired wal.Mark
+	drained wal.Mark
 	// migs holds the migration pins; snap is the routing snapshot pin.
 	migs []migPin
 	snap wal.Mark
@@ -45,22 +41,11 @@ type migPin struct {
 }
 
 // startFlush notes a flush's FlushStart record at m; drained reports
-// whether its batch emptied the queue. A previous flush still open never
-// committed, so its FlushStart stays unpaired.
+// whether its batch emptied the queue.
 func (w *lowWater) startFlush(m wal.Mark, drained bool) {
-	if w.open.LSN != 0 {
-		w.pinUnpaired(w.open)
-	}
-	w.open, w.drained = m, wal.Mark{}
+	w.drained = wal.Mark{}
 	if drained {
 		w.drained = m
-	}
-}
-
-// pinUnpaired holds the head at or below m, an unpaired FlushStart.
-func (w *lowWater) pinUnpaired(m wal.Mark) {
-	if w.unpaired.LSN == 0 || m.Off < w.unpaired.Off {
-		w.unpaired = m
 	}
 }
 
@@ -80,25 +65,20 @@ func (w *lowWater) cover(maxCommitted uint64) {
 
 // pass releases the pins a checkpoint cut at m passed.
 func (w *lowWater) pass(m wal.Mark) {
-	if w.unpaired.Off < m.Off {
-		w.unpaired = wal.Mark{}
-	}
 	w.migs = slices.DeleteFunc(w.migs, func(p migPin) bool { return p.at.Off < m.Off })
 }
 
 // mark returns the mark below which the log holds nothing recovery needs,
 // right after a flush committed: that flush's FlushStart when its batch
 // emptied the queue, held back at the earliest pin. ok is false when the
-// flush left entries queued, or when the latest flush never committed.
+// flush left entries queued.
 func (w *lowWater) mark() (m wal.Mark, ok bool) {
-	if w.drained.LSN == 0 || w.open.LSN != 0 {
+	if w.drained.LSN == 0 {
 		return wal.Mark{}, false
 	}
 	m = w.drained
-	for _, pin := range []wal.Mark{w.unpaired, w.snap} {
-		if pin.LSN != 0 && pin.Off < m.Off {
-			m = pin
-		}
+	if w.snap.LSN != 0 && w.snap.Off < m.Off {
+		m = w.snap
 	}
 	for _, p := range w.migs {
 		if p.at.Off < m.Off {
@@ -106,14 +86,6 @@ func (w *lowWater) mark() (m wal.Mark, ok bool) {
 		}
 	}
 	return m, true
-}
-
-// commitFlush records a flush's durable commit: its FlushEnd reached the
-// log, so its FlushStart is paired, and the tree is a new rollback
-// baseline.
-func (t *Tree) commitFlush() {
-	t.commitDurableMeta()
-	t.lowWater.open = wal.Mark{}
 }
 
 // truncateLog moves the log head to its low-water mark after a committed

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/flashsim"
@@ -146,11 +147,13 @@ type pinnedRec struct {
 
 // TestLogHeadPins covers each record the log head may not pass when a
 // flush commits: the redo records of entries a partial batch left queued,
-// an unpaired FlushStart, the records of a migration no durable routing
-// snapshot covers, and that snapshot on the first log. Each row ends with
-// a committed flush on the pinned shard after the pinned records, and the
-// records must still be in the log. Where a checkpoint record precedes
-// the pin, the commit must have cut the head up to the pin, past it.
+// the records of a migration no durable routing snapshot covers, and that
+// snapshot on the first log. An undone flush is not among them: its abort
+// closes it, so the head stops at the next draining flush's FlushStart.
+// Each row ends with a committed flush on the pinned shard after the
+// pinned records, and the records must still be in the log. Where a
+// checkpoint record precedes the pin, the commit must have cut the head
+// up to the pin, past it.
 func TestLogHeadPins(t *testing.T) {
 	rows := []struct {
 		name string
@@ -158,7 +161,7 @@ func TestLogHeadPins(t *testing.T) {
 		cut  bool
 	}{
 		{"partial-batch", pinPartialBatch, false},
-		{"undone-flush", pinUndoneFlush, true},
+		{"undone-flush", cutUndoneFlush, true},
 		{"uncovered-migration", pinUncoveredMigration, true},
 		{"routing-snapshot", pinRoutingSnapshot, true},
 	}
@@ -242,42 +245,53 @@ func pinPartialBatch(t *testing.T) ([]*wal.Log, []pinnedRec) {
 	return logs, want
 }
 
-// pinUndoneFlush: a group member's data write fails, so its flush is
-// undone by the quarantine rollback and its FlushStart stays unpaired.
-// After a Heal, the shard's next committed flush must not cut past it.
-func pinUndoneFlush(t *testing.T) ([]*wal.Log, []pinnedRec) {
+// cutUndoneFlush: a group member's data write fails, so its FlushStart
+// is durable without a FlushEnd. The Heal's replay undoes the flush and
+// logs its abort, which the next flush's prepare force makes durable. No
+// pin holds the undone flush: that flush's commit drains the queue and
+// cuts the head past it, to its own FlushStart, and a crash after that
+// undoes nothing and loses no key.
+func cutUndoneFlush(t *testing.T) ([]*wal.Log, []pinnedRec) {
 	fr, space, _, logs := newFaultForestOf(t, 3, 3, func(*Spec) {})
 	at := fmBaseline(t, fr)
 	space.SetInjector(plainFault{writes: []string{"shard0"}})
-	_, _, at = fmTriggerFlush(t, fr, at)
+	accepted, _, at := fmTriggerFlush(t, fr, at)
 	space.SetInjector(nil)
+	tr := fr.ShardTree(0)
+	undone := tr.flushID
 	recs, err := logs[0].Records()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ended := map[uint64]bool{}
-	for _, r := range recs {
-		if r.Kind == wal.KindFlushEnd {
-			ended[r.FlushID] = true
-		}
-	}
-	var undone uint64
-	for _, r := range recs {
-		if r.Kind == wal.KindFlushStart && !ended[r.FlushID] {
-			undone = r.FlushID
-		}
-	}
-	if undone == 0 {
-		t.Fatal("the failed flush left no unpaired FlushStart")
+	if !slices.ContainsFunc(recs, func(r wal.Record) bool { return r.Kind == wal.KindFlushStart && r.FlushID == undone }) ||
+		slices.ContainsFunc(recs, func(r wal.Record) bool { return r.Kind == wal.KindFlushEnd && r.FlushID == undone }) {
+		t.Fatalf("the failed flush %d left no unpaired FlushStart", undone)
 	}
 	if at, err = fr.Heal(at, 0); err != nil {
 		t.Fatal(err)
 	}
-	flushCommits(t, fr, at, 0)
-	return logs, []pinnedRec{
-		{shard: 0, kind: wal.KindFlushStart, id: undone},
-		{shard: 0, kind: wal.KindFlushUndo, id: undone},
+	at = flushCommits(t, fr, at, 0)
+	if recs, err = logs[0].Records(); err != nil {
+		t.Fatal(err)
 	}
+	for _, r := range recs {
+		if r.FlushID == undone {
+			t.Fatalf("the head kept the undone flush's %v record", r.Kind)
+		}
+	}
+	drained := tr.flushID
+	if at, err = fr.Sync(at); err != nil {
+		t.Fatal(err)
+	}
+	rep, at := crashRecover(t, fr, at)
+	if rep.UndoneFlushes != 0 {
+		t.Fatalf("recovery after the cut undid %d flushes", rep.UndoneFlushes)
+	}
+	for si := 0; si < 3; si++ {
+		at = fmCheckKeys(t, fr, at, fmShardKeys(si))
+	}
+	fmCheckKeys(t, fr, at, accepted)
+	return logs, []pinnedRec{{shard: 0, kind: wal.KindFlushStart, id: drained}}
 }
 
 // migrate splits shard 0 at key 50 onto shard 1 of a 2-shard forest

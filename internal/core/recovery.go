@@ -28,7 +28,8 @@ type RecoveryReport struct {
 //  1. scan the durable log; pair FlushStart/FlushEnd records;
 //  2. undo phase (before redo, as the paper specifies): for every
 //     incomplete flush, restore the pre-images from its flush undo logs in
-//     reverse order;
+//     reverse order, then close it with a FlushAbort record, so no later
+//     replay undoes it again over pages a later flush wrote;
 //  3. redo phase: replay logical redo logs into the OPQ, skipping records
 //     that fall inside the key range of a completed flush that followed
 //     them (logical redo is not idempotent);
@@ -56,12 +57,19 @@ func (t *Tree) recover(at vtime.Ticks) (RecoveryReport, vtime.Ticks, error) {
 	}
 	// Cut at the last checkpoint: everything before is fully flushed. The
 	// log is this tree's alone, so every record after it is the tree's.
-	for i := len(recs) - 1; i >= 0; i-- {
-		if recs[i].Kind == wal.KindCheckpoint {
-			recs = recs[i+1:]
-			break
+	// Aborts name flushes by id, so the flush counter continues past every
+	// id in the log, below the cut too: a tree rebuilt over these files
+	// never reuses one.
+	cut := 0
+	for i, r := range recs {
+		switch r.Kind {
+		case wal.KindCheckpoint:
+			cut = i + 1
+		case wal.KindFlushStart:
+			t.flushID = max(t.flushID, r.FlushID)
 		}
 	}
+	recs = recs[cut:]
 
 	// Pair flushes.
 	completed := map[uint64][2]kv.Key{} // flushID -> [lo,hi]
@@ -75,15 +83,12 @@ func (t *Tree) recover(at vtime.Ticks) (RecoveryReport, vtime.Ticks, error) {
 				completed[r.FlushID] = [2]kv.Key{r.KeyLo, r.KeyHi}
 				delete(started, r.FlushID)
 			}
-		}
-	}
-
-	// An undone flush's FlushStart stays unpaired in the log: the head
-	// may not pass it until a checkpoint cut does.
-	for _, r := range recs {
-		if r.Kind == wal.KindFlushStart && started[r.FlushID] {
-			t.lowWater.pinUnpaired(r.Mark())
-			break
+		case wal.KindFlushAbort:
+			// An undone flush is closed with no key range, even after a
+			// FlushEnd of it: one that sat in the unforced tail when its
+			// commit force failed, and a Heal forced after the undo.
+			delete(started, r.FlushID)
+			delete(completed, r.FlushID)
 		}
 	}
 
@@ -107,6 +112,15 @@ func (t *Tree) recover(at vtime.Ticks) (RecoveryReport, vtime.Ticks, error) {
 			return rep, at, werr
 		}
 		rep.UndoPagesApplied++
+	}
+	// Close each undone flush, in FlushStart order. The abort needs no
+	// force: a later flush's data writes and every head cut follow a force
+	// that covers it, and a crash before then only applies the same
+	// pre-images again.
+	for _, r := range recs {
+		if r.Kind == wal.KindFlushStart && started[r.FlushID] {
+			t.log.Append(wal.Record{Kind: wal.KindFlushAbort, FlushID: r.FlushID})
+		}
 	}
 	rep.UndoneFlushes = len(started)
 
@@ -185,9 +199,8 @@ func (t *Tree) RestoreMeta(m Meta) {
 // crashVolatileState simulates a crash: the OPQ, LSMap and buffer pool
 // contents vanish; only the simulated SSD (pagefile + forced WAL) remains.
 //
-// The log's low-water state goes too: the marks may name records the
-// crash dropped, and recover re-derives the unpaired FlushStart from the
-// durable log.
+// The log's low-water state goes too: its marks may name records the
+// crash dropped, and routing recovery pins the migration records again.
 func (t *Tree) crashVolatileState() {
 	t.dropVolatile()
 	if t.log != nil {

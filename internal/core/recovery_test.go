@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/kv"
@@ -145,10 +147,14 @@ func TestRecoverSkipsCompletedFlush(t *testing.T) {
 	}
 }
 
-// TestRecoverUndoIncompleteFlush: a crash mid-flush (after FlushStart and
-// some node writes, before FlushEnd) must be rolled back by the flush undo
-// logs, then the entries redone into the OPQ.
-func TestRecoverUndoIncompleteFlush(t *testing.T) {
+// recoverUndoneFlush flushes 30 synced keys on a one-shard forest, then
+// recovers a second forest over the post-flush disk whose log holds
+// everything but that flush's FlushEnd: a crash just before the FlushEnd
+// became durable. It returns the recovered forest and its report. The
+// second forest flushes at most 10 entries at a time, so a flush of the
+// 30 redone entries leaves the queue non-empty and keeps the log head.
+func recoverUndoneFlush(t *testing.T) (*Forest, RecoveryReport, vtime.Ticks) {
+	t.Helper()
 	cfg := smallCfg()
 	fr, l := newLoggedIndex(t, cfg)
 	at := insertKeys(t, fr, 0, 30, func(i int) uint64 { return uint64(i * 2) }, func(i int) uint64 { return uint64(i) })
@@ -181,6 +187,7 @@ func TestRecoverUndoIncompleteFlush(t *testing.T) {
 	// post-flush disk whose log holds everything but the FlushEnd.
 	// Recovery must restore the pre-images, returning the tree to the
 	// pre-flush content, then redo the 30 inserts into the OPQ.
+	cfg.BCnt = 10
 	fr2, _, pfs2, logs2 := buildTestForest(t, Spec{Shards: 1, WAL: true, Forest: ForestConfig{Shard: cfg}})
 	pf := fr.ShardTree(0).pf
 	pfs2[0].File().Restore(pf.File().Snapshot())
@@ -197,11 +204,20 @@ func TestRecoverUndoIncompleteFlush(t *testing.T) {
 	if err := fr2.RestoreMeta(meta); err != nil { // pre-flush structural state
 		t.Fatal(err)
 	}
+	// The flush counter survives, as it does across Forest.Crash.
+	fr2.ShardTree(0).flushID = fr.ShardTree(0).flushID
 	frep, at2, err := fr2.Recover(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := frep.Total
+	return fr2, frep.Total, at2
+}
+
+// TestRecoverUndoIncompleteFlush: a crash mid-flush (after FlushStart and
+// some node writes, before FlushEnd) must be rolled back by the flush undo
+// logs, then the entries redone into the OPQ.
+func TestRecoverUndoIncompleteFlush(t *testing.T) {
+	fr2, rep, at2 := recoverUndoneFlush(t)
 	if rep.UndoneFlushes != 1 {
 		t.Fatalf("undone flushes = %d, want 1", rep.UndoneFlushes)
 	}
@@ -224,6 +240,37 @@ func TestRecoverUndoIncompleteFlush(t *testing.T) {
 	}
 }
 
+// TestRecoverUndoneFlushStaysUndone: after the recovery that undid a
+// flush, a second flush writes a third of the same keys and commits, and
+// a second crash follows with no checkpoint in between. The log head
+// stays below the first flush, since the queue is not empty. The second
+// recovery must not undo the first flush again over the second one's
+// pages: the first recovery closed it in the log.
+func TestRecoverUndoneFlushStaysUndone(t *testing.T) {
+	fr, _, at := recoverUndoneFlush(t)
+	at, err := fr.Flush(at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at, err = fr.Sync(at); err != nil {
+		t.Fatal(err)
+	}
+	rep, at := crashRecover(t, fr, at)
+	if want := (RecoveryReport{SkippedEntries: 10, RedoneEntries: 20}); rep != want {
+		t.Fatalf("second recovery: %+v, want %+v", rep, want)
+	}
+	for i := 0; i < 30; i++ {
+		v, found, next, err := fr.Search(at, uint64(i*2))
+		if err != nil || !found || v != uint64(i) {
+			t.Fatalf("Search(%d) after the second recovery: %d,%v,%v", i*2, v, found, err)
+		}
+		at = next
+	}
+	if fr.Count() != 30 {
+		t.Fatalf("count = %d, want 30", fr.Count())
+	}
+}
+
 // TestCheckpointClearsRedo: after a checkpoint, recovery has nothing to do.
 func TestCheckpointClearsRedo(t *testing.T) {
 	fr, _ := newLoggedIndex(t, smallCfg())
@@ -239,5 +286,72 @@ func TestCheckpointClearsRedo(t *testing.T) {
 	}
 	if fr.Count() != 40 {
 		t.Fatalf("count %d", fr.Count())
+	}
+}
+
+// TestRecoverRestoresFlushID: a forest rebuilt over the same files
+// continues the flush ids its logs hold, those below the checkpoint cut
+// included, so an abort or a FlushEnd never names two flushes. Shard 1
+// is quarantined while shard 0 drains in a checkpoint, so no log head
+// moves and shard 0's flush records stay below its checkpoint record.
+func TestRecoverRestoresFlushID(t *testing.T) {
+	var spec Spec
+	fr, space, pfs, logs := newFaultForestOf(t, fmShards, fmShards, func(s *Spec) { spec = *s })
+	at := fmBaseline(t, fr)
+	fmInstall(t, space, "readonly file=wal1")
+	var err error
+	for j := 0; len(fr.Quarantined()) == 0; j++ {
+		if j == 500 {
+			t.Fatal("shard 1 never quarantined")
+		}
+		k := fmStride + 200 + kv.Key(j)
+		if at, err = fr.Insert(at, kv.Record{Key: k, Value: fmVal(k)}); err != nil && !errors.Is(err, ErrShardQuarantined) {
+			t.Fatal(err)
+		}
+	}
+	id := func(i int) uint64 { return 200 + uint64(i) }
+	if at, err = fr.Checkpoint(insertKeys(t, fr, at, 20, id, id)); err != nil {
+		t.Fatal(err)
+	}
+	flushIDs := func() (ids []uint64) {
+		recs, err := logs[0].Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if r.Kind == wal.KindFlushStart {
+				ids = append(ids, r.FlushID)
+			}
+		}
+		return ids
+	}
+	before := flushIDs()
+	if len(before) == 0 {
+		t.Fatal("shard 0's log holds no flush")
+	}
+	meta := fr.SnapshotMeta()
+	fr.Crash()
+	space.SetInjector(nil)
+	cfg := spec.Forest
+	cfg.Logs = logs
+	fr2, err := NewForest(pfs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fr2.RestoreMeta(meta); err != nil {
+		t.Fatal(err)
+	}
+	if _, at, err = fr2.Recover(at); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = fr2.Insert(at, kv.Record{Key: 300, Value: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err = fr2.Flush(at); err != nil {
+		t.Fatal(err)
+	}
+	after := flushIDs()
+	if next := after[len(after)-1]; next <= slices.Max(before) {
+		t.Fatalf("the rebuilt forest's flush has id %d; the log already held %v", next, before)
 	}
 }

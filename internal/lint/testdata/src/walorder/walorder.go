@@ -10,7 +10,7 @@ const (
 	KindFlushEnd Kind = iota + 1
 	KindKeyMoved
 	KindMigrationEnd
-	KindCommit
+	KindFlushAbort
 )
 
 type Record struct {
@@ -56,9 +56,9 @@ func unforcedAtReturn(l *log, at int64) {
 }
 
 // untrackedKindsAreFree: only commit-point kinds participate in the
-// protocol; plain commits need no trailing force here.
+// protocol; a flush abort needs no trailing force here.
 func untrackedKindsAreFree(l *log) {
-	l.Append(Record{Kind: KindCommit})
+	l.Append(Record{Kind: KindFlushAbort})
 }
 
 func boundRecordResolved(l *log, p *part, at int64) {

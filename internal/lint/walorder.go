@@ -42,7 +42,12 @@ var WALOrder = &Analyzer{
 var walorderScope = scopedTo("walorder", "repro/internal/core")
 
 // trackedKinds are the WAL record kinds whose append is a protocol
-// commit point.
+// commit point. A FlushAbort is not one: recovery appends it after
+// undoing a flush, and the log's prefix order makes it durable in time
+// without a force of its own. Every write that could make a second undo
+// of that flush unsafe (a later flush's data) follows a prepare force,
+// and the log head moves only after a force; both forces cover the
+// abort. A crash before them only re-applies the same pre-images.
 var trackedKinds = map[string]bool{
 	"KindKeyMoved":     true,
 	"KindFlushEnd":     true,

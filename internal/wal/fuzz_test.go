@@ -18,6 +18,7 @@ func fuzzSeedLog() []byte {
 		{Kind: KindFlushUndo, LSN: 3, FlushID: 3, NodeID: 42, UndoInfo: []byte{1, 2, 3, 4}},
 		{Kind: KindKeyMoved, LSN: 4, FlushID: 9, KeyLo: 5, KeyHi: 9},
 		{Kind: KindFlushEnd, LSN: 5, Relation: 1, FlushID: 3, KeyLo: 0, KeyHi: 100},
+		{Kind: KindFlushAbort, LSN: 6, FlushID: 3},
 	}
 	for i := range recs {
 		buf = recs[i].marshal(buf)

@@ -11,7 +11,8 @@
 //     logs must be skipped — logical redo is not idempotent) from
 //     incomplete ones (which must be undone);
 //   - flush undo log    <Ri, node id, undo info>: one per node updated by a
-//     flush, replayed backwards to roll an incomplete flush off the tree.
+//     flush, replayed backwards to roll an incomplete flush off the tree;
+//     recovery then closes that flush with a flush abort record.
 //
 // Records are length-prefixed, CRC-checked, and appended to a simulated
 // SSD file; Force writes the in-memory tail with sequential page writes
@@ -31,8 +32,9 @@ import (
 	"repro/internal/vtime"
 )
 
-// Kind enumerates the log record types of Table 2 plus the generic
-// transaction-control records every WAL needs.
+// Kind enumerates the log record types of Table 2 plus the records this
+// log adds: the flush abort, the checkpoint, and the forest's migration,
+// routing and heal records.
 type Kind uint8
 
 const (
@@ -45,8 +47,11 @@ const (
 	// KindFlushUndo records physical undo info for one node updated during
 	// a flush.
 	KindFlushUndo
-	// KindCommit marks a transaction committed.
-	KindCommit
+	// KindFlushAbort closes a flush that recovery undid (FlushID only):
+	// pairing treats the flush as ended with an empty key range, so no
+	// later replay applies its pre-images again or skips a redo record
+	// for it, whatever FlushEnd of it the log also holds.
+	KindFlushAbort
 	// KindCheckpoint marks a checkpoint (OPQ fully flushed).
 	KindCheckpoint
 	// KindMigrationStart opens an online shard migration: keys in
@@ -91,8 +96,8 @@ func (k Kind) String() string {
 		return "flush-end"
 	case KindFlushUndo:
 		return "flush-undo"
-	case KindCommit:
-		return "commit"
+	case KindFlushAbort:
+		return "flush-abort"
 	case KindCheckpoint:
 		return "checkpoint"
 	case KindMigrationStart:

@@ -26,11 +26,14 @@ func newLog(t *testing.T) *Log {
 }
 
 func TestKindString(t *testing.T) {
-	kinds := []Kind{KindLogicalRedo, KindFlushStart, KindFlushEnd, KindFlushUndo, KindCommit, KindCheckpoint, Kind(99)}
+	kinds := []Kind{KindLogicalRedo, KindFlushStart, KindFlushEnd, KindFlushUndo, KindFlushAbort, KindCheckpoint, Kind(99)}
 	for _, k := range kinds {
 		if k.String() == "" {
 			t.Errorf("empty string for kind %d", k)
 		}
+	}
+	if s := KindFlushAbort.String(); s != "flush-abort" {
+		t.Errorf("KindFlushAbort.String() = %q, want flush-abort", s)
 	}
 }
 
@@ -161,7 +164,7 @@ func TestQuickMarshalRoundTrip(t *testing.T) {
 }
 
 func TestCorruptCRCDetected(t *testing.T) {
-	r := Record{LSN: 1, Kind: KindCommit}
+	r := Record{LSN: 1, Kind: KindFlushAbort, FlushID: 3}
 	wire := r.marshal(nil)
 	wire[9] ^= 0xFF // flip a body byte
 	if _, _, err := unmarshal(wire); err == nil {
@@ -170,7 +173,7 @@ func TestCorruptCRCDetected(t *testing.T) {
 }
 
 func TestTruncatedRecord(t *testing.T) {
-	r := Record{LSN: 1, Kind: KindCommit}
+	r := Record{LSN: 1, Kind: KindFlushAbort, FlushID: 3}
 	wire := r.marshal(nil)
 	if _, _, err := unmarshal(wire[:5]); err == nil {
 		t.Fatal("truncated record accepted")
