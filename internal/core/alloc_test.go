@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/bufferpool"
@@ -145,9 +146,11 @@ func TestMissPathAllocs(t *testing.T) {
 
 // TestLogAllocs gates the log under the write path: an append marshals
 // into the log buffer's spare capacity, and a force pads that buffer to
-// whole pages and writes it from there. The log file's image allocates one
-// extent per ssdio.ExtentSize bytes of log, which AllocsPerRun's per-call
-// average rounds to zero, where a per-force buffer would count one a call.
+// whole pages and writes it from there. A head cut hands the extents below
+// the new head to the log file's spare list, and the next force's writes
+// take them back, so a warm append, force and truncate cycle allocates
+// nothing either. Each cycle spans at least 4 extents: one that took a
+// new extent instead of a spare would count at least 4 a call.
 func TestLogAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -183,6 +186,30 @@ func TestLogAllocs(t *testing.T) {
 	if got, want := l.DurableLSN(), uint64(600+501+501); got != want {
 		t.Fatalf("durable LSN %d, want %d", got, want)
 	}
+
+	undo := wal.Record{Kind: wal.KindFlushUndo, NodeID: 7, UndoInfo: make([]byte, 1000)}
+	var cut int64
+	cycle := func() {
+		var last wal.Mark
+		for i := 0; i < 300; i++ {
+			last = l.AppendMark(undo)
+		}
+		if at, err = l.Force(at); err != nil {
+			panic(err)
+		}
+		if cut, err = l.TruncateHead(last); err != nil {
+			panic(err)
+		}
+		if cut < 4*ssdio.ExtentSize {
+			panic("a cycle spans fewer than 4 extents")
+		}
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("an append, force and truncate cycle allocates %.2f objects, want 0", allocs)
+	}
 }
 
 // flushAllocCfg is allocCfg with an OPQ that holds 420 entries, so one
@@ -191,17 +218,6 @@ func flushAllocCfg() Config {
 	c := allocCfg(64)
 	c.OPQPages = 14
 	return c
-}
-
-// preallocLog writes size zero bytes over the head of a log file, so its
-// sparse image already holds the extents the test's forces will write:
-// those belong to the log, one per ssdio.ExtentSize bytes of it, not to
-// the flush being measured.
-func preallocLog(t *testing.T, f *ssdio.File, size int) {
-	t.Helper()
-	if err := f.WriteAt(make([]byte, size), 0); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // flushAllocs queues size updates of loaded keys, spread evenly over the n
@@ -231,7 +247,10 @@ func flushAllocs(t *testing.T, n, size, round int, update func(vtime.Ticks, kv.R
 // pages where it read them, in the tree's flush arena, and reuses the
 // OPQ's batch; the group commit around it, a group of one on a one-shard
 // forest or four members on a 4-shard forest, keeps its bookkeeping in
-// the shards' member slots and on the stack. So in steady state a flush
+// the shards' member slots and on the stack, and a data gang above the
+// stack's 64 requests describes itself to the device in the Space's kept
+// request array. Each commit cuts the log head, and the extents it
+// releases take the next flush's log writes. So in steady state a flush
 // allocates a small constant, at most 2 objects, the same for 50, 200 or
 // 400 entries.
 func TestFlushAllocs(t *testing.T) {
@@ -268,12 +287,7 @@ func TestFlushAllocs(t *testing.T) {
 
 	t.Run("Tree", func(t *testing.T) {
 		// A one-shard forest: a logged tree flushes as a group of one.
-		fr, space, _, _ := buildTestForest(t, Spec{Shards: 1, WAL: true, Forest: ForestConfig{Shard: flushAllocCfg()}})
-		wf, err := space.Open("wal0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		preallocLog(t, wf, 16<<20)
+		fr, _, _, _ := buildTestForest(t, Spec{Shards: 1, WAL: true, Forest: ForestConfig{Shard: flushAllocCfg()}})
 		if err := fr.BulkLoad(allocRecs(n)); err != nil {
 			t.Fatal(err)
 		}
@@ -293,10 +307,7 @@ func TestFlushAllocs(t *testing.T) {
 		cfg := flushAllocCfg()
 		cfg.OPQPages *= 4
 		cfg.BufferBytes *= 4
-		fr, files, _ := newWALForest(t, ForestConfig{RipeFraction: 0.01, Shard: cfg}, 4)
-		for _, f := range files[4:] {
-			preallocLog(t, f, 16<<20)
-		}
+		fr, _, space := newWALForest(t, ForestConfig{RipeFraction: 0.01, Shard: cfg}, 4)
 		if err := fr.BulkLoad(allocRecs(4 * n)); err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +331,32 @@ func TestFlushAllocs(t *testing.T) {
 				t.Fatalf("not append-only: %+v", ts)
 			}
 		}
+		// One more flush of the largest batch, watched by an injector that
+		// faults nothing: its data gang spans the four shards with more
+		// requests than the stack's 64, the case the Space's array serves.
+		var gang gangCounter
+		space.SetInjector(&gang)
+		before = fr.Stats()
+		flushAllocs(t, 4*n, 400, 100, fr.Update, func() (err error) {
+			at, err = fr.Flush(at)
+			return err
+		})
+		space.SetInjector(nil)
+		if gangs := fr.Stats().GangSubmits - before.GangSubmits; gangs != 1 || gang.dataReqs <= 64 {
+			t.Fatalf("%d data gangs of %d requests in all, want one of more than 64", gangs, gang.dataReqs)
+		}
 	})
+}
+
+// gangCounter is an Injector that faults nothing and counts the requests
+// of the gang members on data files (the shards, not their logs).
+type gangCounter struct{ dataReqs int }
+
+func (g *gangCounter) Decide(file, call string, _ vtime.Ticks, reqs []ssdio.Req) ssdio.FaultDecision {
+	if call == ssdio.CallGang && strings.HasPrefix(file, "shard") {
+		g.dataReqs += len(reqs)
+	}
+	return ssdio.FaultDecision{}
 }
 
 // mapSink keeps TestScanAllocs' reference map on the heap, where a

@@ -1310,8 +1310,9 @@ func (f *Forest) Sync(at vtime.Ticks) (vtime.Ticks, error) {
 	// Skip quarantined shards' logs: forcing a tail onto a dead device
 	// would fail the whole Sync for healthy shards' sake. The forces need
 	// no shard locks: each wal.Log serializes its force operations
-	// internally.
-	logs := make([]*wal.Log, 0, len(f.logs))
+	// internally. Up to groupStack logs stay on the stack.
+	var logBuf [groupStack]*wal.Log
+	logs := logBuf[:0]
 	for _, s := range f.shards {
 		s.mu.Lock()
 		if s.health.writable() {

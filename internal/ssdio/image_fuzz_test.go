@@ -14,7 +14,11 @@ import (
 // device: one executes every Discard, the other skips them. Each file is
 // checked against a flat []byte model (the image the extents replaced),
 // and the two are checked against each other, since a Discard must move
-// no returned vtime, no device counter and no file counter.
+// no returned vtime, no device counter and no file counter. The extents a
+// Discard releases are reused by later writes (and by Restore), so the
+// model check also catches a recycled extent that keeps stale bytes, and
+// each side checks that its image and spares together never hold more
+// than the image did at its largest.
 
 // Instruction layout: opcode, offset/5 (uint16), two length bytes, fill.
 const insnSize = 6
@@ -44,6 +48,8 @@ type imageSide struct {
 	f     *File
 	model []byte
 	saved []byte // the last Snapshot, for Restore
+	// highWater is the most ResidentBytes the file has reported.
+	highWater int64
 }
 
 func newImageSide(t *testing.T) *imageSide {
@@ -186,6 +192,11 @@ func (s *imageSide) step(t *testing.T, at vtime.Ticks, insn []byte, discard bool
 	}
 	if got := s.f.Size(); got != int64(len(s.model)) {
 		t.Fatalf("size %d, model %d", got, len(s.model))
+	}
+	res, spare := s.f.ResidentBytes(), s.f.SpareBytes()
+	s.highWater = max(s.highWater, res)
+	if res+spare > s.highWater {
+		t.Fatalf("opcode %d leaves %d image and %d spare bytes, past the high-water image of %d", op, res, spare, s.highWater)
 	}
 	return done
 }

@@ -16,14 +16,18 @@
 // and time-faithful. A file's host image is sparse: fixed-size extents
 // (ExtentSize bytes) allocated on their first write, with never-written
 // ranges reading as zeros, so creating or growing a file costs no host
-// memory. Discard is a host-side TRIM that releases the extents of a dead
-// range (the WAL calls it on the head it truncates); like growth, it is
-// invisible to the simulated device.
+// memory. Discard is a host-side TRIM of a dead range (the WAL calls it on
+// the head it truncates): the extents wholly inside it go to the file's
+// spare list, and the next write that needs a new extent takes one from
+// there, cleared, before it allocates. A log's image is thus a ring of
+// extents that stops growing once its live window does. Like growth, this
+// is invisible to the simulated device.
 package ssdio
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -75,6 +79,13 @@ type Space struct {
 	mu    sync.Mutex
 	next  int64            // guarded by mu
 	files map[string]*File // guarded by mu
+
+	// reqMu serializes the psync calls and gangs too large for a stack
+	// request array over reqs, the one array they describe themselves to
+	// the device in: it grows as append does to hold the largest such
+	// call, and is kept.
+	reqMu sync.Mutex
+	reqs  []flashsim.Request // guarded by reqMu
 }
 
 // NewSpace creates an empty space on dev.
@@ -131,7 +142,8 @@ func (s *Space) Remove(name string) error {
 }
 
 // ExtentSize is the granularity of a file's host image: an extent is
-// allocated on its first write and released by Discard.
+// allocated on its first write and released by Discard to the file's spare
+// list, which later writes take from.
 const ExtentSize = 64 << 10
 
 // extent is one allocated ExtentSize slice of a file's image.
@@ -145,10 +157,18 @@ type File struct {
 
 	mu   sync.Mutex
 	size int64 // guarded by mu
-	// image holds the file's contents: entry i covers bytes
-	// [i*ExtentSize, (i+1)*ExtentSize), and a nil entry (or one past the
-	// end) reads as zeros.
+	// image holds the file's contents: entry j covers extent first+j,
+	// bytes [(first+j)*ExtentSize, (first+j+1)*ExtentSize), and a nil
+	// entry, or an extent outside the index, reads as zeros.
 	image []*extent // guarded by mu
+	first int64     // guarded by mu
+	// spare holds the extents Discard released, cleared by writeImage
+	// when it takes one. It has no cap: image and spare together never
+	// hold more extents than the image did at its largest.
+	spare []*extent // guarded by mu
+	// held counts the extents the file has allocated: those in the image
+	// and on the spare list, since it frees none.
+	held int // guarded by mu
 
 	// writeOrder models the per-file reader-writer lock POSIX-compliant
 	// file systems use to satisfy write ordering for synchronous writes
@@ -171,7 +191,7 @@ func (f *File) Size() int64 {
 }
 
 // ResidentBytes returns the host memory the file's image holds: its
-// allocated extents.
+// allocated extents, without the spares (see SpareBytes).
 func (f *File) ResidentBytes() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -182,6 +202,14 @@ func (f *File) ResidentBytes() int64 {
 		}
 	}
 	return n
+}
+
+// SpareBytes returns the host memory the file keeps in extents Discard
+// released and no write has taken back yet.
+func (f *File) SpareBytes() int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return int64(len(f.spare)) * ExtentSize
 }
 
 // Stats returns a snapshot of the file's submitter counters.
@@ -210,7 +238,8 @@ func (f *File) EnsureSize(size int64) {
 }
 
 // Discard is a host-side TRIM of [off, off+n): the range reads back as
-// zeros, and the extents wholly inside it are released. It issues no
+// zeros, and the extents wholly inside it move from the image to the
+// file's spare list (see writeImage). It issues no
 // device request, costs no simulated time, changes no stats and leaves the
 // file size alone.
 func (f *File) Discard(off, n int64) error {
@@ -219,15 +248,20 @@ func (f *File) Discard(off, n int64) error {
 	if off < 0 || n < 0 || off+n > f.size {
 		return fmt.Errorf("%w: %s discard off=%d len=%d size=%d", ErrOutOfRange, f.name, off, n, f.size)
 	}
-	for end := off + n; off < end; {
+	f.roomForSpares()
+	end := off + n
+	off = max(off, f.first*ExtentSize) // nothing below the index to drop
+	for off < end {
 		i, o := off/ExtentSize, off%ExtentSize
 		k := min(end-off, ExtentSize-o)
-		if i >= int64(len(f.image)) {
-			break // nothing past here was ever written
+		p := f.entry(i)
+		if p == nil {
+			break // nothing past the index was ever written
 		}
-		if k == ExtentSize {
-			f.image[i] = nil
-		} else if e := f.image[i]; e != nil {
+		if e := *p; e != nil && k == ExtentSize {
+			f.spare = append(f.spare, e)
+			*p = nil
+		} else if e != nil {
 			clear(e[o : o+k])
 		}
 		off += k
@@ -262,8 +296,8 @@ func (f *File) readImage(buf []byte, off int64) {
 	for len(buf) > 0 {
 		i, o := off/ExtentSize, off%ExtentSize
 		var n int
-		if i < int64(len(f.image)) && f.image[i] != nil {
-			n = copy(buf, f.image[i][o:])
+		if p := f.entry(i); p != nil && *p != nil {
+			n = copy(buf, (*p)[o:])
 		} else {
 			n = int(min(int64(len(buf)), ExtentSize-o))
 			clear(buf[:n])
@@ -273,26 +307,89 @@ func (f *File) readImage(buf []byte, off int64) {
 	}
 }
 
-// writeImage stores buf into the image at off, allocating extents on
-// first write. Caller holds f.mu and has checked the range.
+// writeImage stores buf into the image at off. An extent's first write
+// takes a spare, cleared so the rest of it reads as zeros, or allocates
+// one when there is none. Caller holds f.mu and has checked the range.
 func (f *File) writeImage(buf []byte, off int64) {
 	for len(buf) > 0 {
 		i, o := off/ExtentSize, off%ExtentSize
-		if i >= int64(len(f.image)) {
-			f.image = append(f.image, make([]*extent, i+1-int64(len(f.image)))...)
+		p := f.slot(i)
+		if *p == nil {
+			*p = f.takeExtent()
 		}
-		if f.image[i] == nil {
-			f.image[i] = new(extent)
-		}
-		n := copy(f.image[i][o:], buf)
+		n := copy((*p)[o:], buf)
 		buf = buf[n:]
 		off += int64(n)
 	}
 }
 
+// entry returns the index entry of extent i, or nil when i lies outside
+// the index. Caller holds f.mu.
+func (f *File) entry(i int64) **extent {
+	if j := i - f.first; j >= 0 && j < int64(len(f.image)) {
+		return &f.image[j]
+	}
+	return nil
+}
+
+// slot returns the index entry of extent i, widening the index to cover
+// it. Before the index outgrows its array it drops its leading holes, so
+// a log whose head Discard keeps cutting slides along one array instead
+// of growing it. Caller holds f.mu.
+func (f *File) slot(i int64) **extent {
+	if i-f.first >= int64(cap(f.image)) {
+		k := 0
+		for k < len(f.image) && f.image[k] == nil {
+			k++
+		}
+		n := copy(f.image, f.image[k:])
+		clear(f.image[n:])
+		f.image = f.image[:n]
+		f.first += int64(k)
+	}
+	if len(f.image) == 0 {
+		f.first = i
+	} else if i < f.first {
+		f.image = append(make([]*extent, f.first-i, f.first-i+int64(len(f.image))), f.image...)
+		f.first = i
+	}
+	if j := i - f.first; j >= int64(len(f.image)) {
+		if j >= int64(cap(f.image)) {
+			// Room for every extent the file holds and one more, the most
+			// a log's window spans: its index grows only with its image.
+			f.image = slices.Grow(f.image, int(max(j, int64(f.held))+1)-len(f.image))
+		}
+		f.image = append(f.image, make([]*extent, j+1-int64(len(f.image)))...)
+	}
+	return &f.image[i-f.first]
+}
+
+// roomForSpares lets the spare list hold every extent the file has, so
+// it grows only after the image has grown past its high-water mark, and
+// only in a file that releases extents. Caller holds f.mu.
+func (f *File) roomForSpares() {
+	f.spare = slices.Grow(f.spare, f.held-len(f.spare))
+}
+
+// takeExtent returns a zeroed extent: the last spare, or a new one.
+// Caller holds f.mu.
+func (f *File) takeExtent() *extent {
+	n := len(f.spare)
+	if n == 0 {
+		f.held++
+		return new(extent)
+	}
+	e := f.spare[n-1]
+	f.spare[n-1] = nil
+	f.spare = f.spare[:n-1]
+	clear(e[:])
+	return e
+}
+
 // stackReqs is how many requests a psync or a gang describes to the device
-// from the stack, PioMax, the paper's psync bound: such a call allocates
-// nothing.
+// from the stack, PioMax, the paper's psync bound. A larger call uses the
+// Space's request array under reqMu instead, so neither allocates once
+// that array has grown to the largest call.
 const stackReqs = 64
 
 // Psync submits the whole batch at virtual time at and returns the time at
@@ -322,7 +419,11 @@ func (f *File) Psync(at vtime.Ticks, reqs []Req) (vtime.Ticks, error) {
 	var small [stackReqs]flashsim.Request
 	devReqs := small[:0]
 	if len(reqs) > len(small) {
-		devReqs = make([]flashsim.Request, 0, len(reqs))
+		s := f.space
+		s.reqMu.Lock()
+		defer s.reqMu.Unlock()
+		s.reqs = slices.Grow(s.reqs[:0], len(reqs))
+		devReqs = s.reqs
 	}
 	f.mu.Lock()
 	for _, r := range reqs {
@@ -409,7 +510,10 @@ func PsyncGang(at vtime.Ticks, batches []GangBatch) (vtime.Ticks, error) {
 	var small [stackReqs]flashsim.Request
 	devReqs := small[:0]
 	if total > len(small) {
-		devReqs = make([]flashsim.Request, 0, total)
+		space.reqMu.Lock()
+		defer space.reqMu.Unlock()
+		space.reqs = slices.Grow(space.reqs[:0], total)
+		devReqs = space.reqs
 	}
 	landed := 0
 	for i, b := range batches {
@@ -544,11 +648,19 @@ func (f *File) Snapshot() []byte {
 	return out
 }
 
-// Restore replaces the file contents (and size) from a snapshot.
+// Restore replaces the file contents (and size) from a snapshot. The old
+// image's extents go to the spare list, which the new image takes from.
 func (f *File) Restore(data []byte) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.size = int64(len(data))
-	f.image = nil
+	f.roomForSpares()
+	for _, e := range f.image {
+		if e != nil {
+			f.spare = append(f.spare, e)
+		}
+	}
+	clear(f.image)
+	f.image = f.image[:0]
 	f.writeImage(data, 0)
 }

@@ -2,6 +2,7 @@ package ssdio
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/flashsim"
@@ -258,5 +259,89 @@ func TestPsyncEmptyBatch(t *testing.T) {
 	done, err := f.Psync(55, nil)
 	if err != nil || done != 55 {
 		t.Fatalf("empty psync: %v %v", done, err)
+	}
+}
+
+// TestLargeGangHammerRace: two goroutines issue gangs of more than 64
+// requests on one Space, each writing its own pattern and reading it back,
+// while a third discards and rewrites whole extents of a member file. The
+// large gangs share the Space's request array and the discards feed the
+// member's spare list, so the race detector watches both; every read
+// sees its own writer's bytes, and the device serves every request.
+func TestLargeGangHammerRace(t *testing.T) {
+	const rounds, perFile, size = 60, 45, 512
+	s := newSpace()
+	files := make([]*File, 3)
+	for i := range files {
+		files[i], _ = s.Create(fmt.Sprintf("f%d", i), 4*ExtentSize)
+	}
+	shared := files[2]
+	// gang writes perFile requests to each of own and shared (its region
+	// of shared starts at base), then reads them all back in a second gang.
+	gang := func(own *File, base int64, seed byte) error {
+		var at vtime.Ticks
+		for r := 0; r < rounds; r++ {
+			var w, rd [2][]Req
+			for j := 0; j < perFile; j++ {
+				for k, off := range [2]int64{int64(j) * size, base + int64(j)*size} {
+					buf := make([]byte, size)
+					pattern(buf, seed+byte(r+j+k))
+					w[k] = append(w[k], Req{Op: flashsim.Write, Off: off, Buf: buf})
+					rd[k] = append(rd[k], Req{Op: flashsim.Read, Off: off, Buf: make([]byte, size)})
+				}
+			}
+			var err error
+			if at, err = PsyncGang(at, []GangBatch{{F: own, Reqs: w[0]}, {F: shared, Reqs: w[1]}}); err != nil {
+				return err
+			}
+			if at, err = PsyncGang(at, []GangBatch{{F: own, Reqs: rd[0]}, {F: shared, Reqs: rd[1]}}); err != nil {
+				return err
+			}
+			for k := range rd {
+				for j := range rd[k] {
+					if !bytes.Equal(rd[k][j].Buf, w[k][j].Buf) {
+						return fmt.Errorf("round %d: request %d of batch %d read back wrong", r, j, k)
+					}
+				}
+			}
+		}
+		return nil
+	}
+	// churn owns shared's last two extents: it writes them, checks them,
+	// discards them whole and checks they read as zeros.
+	churn := func() error {
+		base := int64(2 * ExtentSize)
+		data, got := make([]byte, 2*ExtentSize), make([]byte, 2*ExtentSize)
+		for r := 0; r < rounds; r++ {
+			pattern(data, byte(r))
+			if err := shared.WriteAt(data, base); err != nil {
+				return err
+			}
+			if err := shared.ReadAt(got, base); err != nil || !bytes.Equal(got, data) {
+				return fmt.Errorf("round %d: churned extents read back wrong (%v)", r, err)
+			}
+			if err := shared.Discard(base, 2*ExtentSize); err != nil {
+				return err
+			}
+			if err := shared.ReadAt(got, base); err != nil || !bytes.Equal(got, make([]byte, len(got))) {
+				return fmt.Errorf("round %d: discarded extents do not read as zeros (%v)", r, err)
+			}
+		}
+		return nil
+	}
+	errs := make(chan error, 3)
+	go func() { errs <- gang(files[0], 0, 1) }()
+	go func() { errs <- gang(files[1], ExtentSize, 101) }()
+	go func() { errs <- churn() }()
+	for i := 0; i < 3; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := s.dev.Stats().TotalOps(), int64(2*rounds*2*2*perFile); got != want {
+		t.Fatalf("device served %d requests, want %d", got, want)
+	}
+	if st := s.dev.Stats(); st.MaxBatch != 2*perFile {
+		t.Fatalf("largest batch %d requests, want %d", st.MaxBatch, 2*perFile)
 	}
 }

@@ -497,10 +497,12 @@ func ForceGroup(at vtime.Ticks, logs []*Log) (vtime.Ticks, int, error) {
 // or below the head drops nothing. Returns the bytes reclaimed.
 //
 // The device is not rewritten and its address space is not reused; the
-// host image below the new head is discarded (ssdio.File.Discard), so
-// truncated log stops holding host memory. Only [head, m.Off) is walked,
-// from the start of the head's extent, whose leading bytes an earlier cut
-// cleared without releasing it.
+// host image below the new head is discarded (ssdio.File.Discard). Its
+// whole extents go to the log file's spare list and take the log's later
+// writes, so truncated log is not held twice: the log's host memory stays
+// at the high-water mark of its live window, and a warm log allocates no
+// new extent. Only [head, m.Off) is walked, from the start of the head's
+// extent, whose leading bytes an earlier cut cleared without releasing it.
 func (l *Log) TruncateHead(m Mark) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

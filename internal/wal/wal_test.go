@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -580,5 +581,68 @@ func TestTruncateHeadStepwise(t *testing.T) {
 	}
 	if a, b := steps.f.ResidentBytes(), once.f.ResidentBytes(); a != b {
 		t.Fatalf("stepwise cuts keep %d resident bytes, one cut %d", a, b)
+	}
+}
+
+// TestTruncateHeadRecyclesExtents: over a long run of appends, forces and
+// head cuts whose live window grows and shrinks, the extents each cut
+// releases take later forces' writes. The log file's image and its spare
+// extents together never hold more than the image did at its largest, and
+// the records of the live window read back intact from recycled extents.
+func TestTruncateHeadRecyclesExtents(t *testing.T) {
+	f, err := ssdio.NewSpace(flashsim.MustDevice(flashsim.P300())).Create("wal", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLog(f, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var at vtime.Ticks
+	var live []Mark // the marks of the records above the head
+	var highWater, maxLive, spared int64
+	var step int
+	check := func(after string) {
+		t.Helper()
+		res, spare := f.ResidentBytes(), f.SpareBytes()
+		highWater = max(highWater, res)
+		spared = max(spared, spare)
+		if res+spare > highWater {
+			t.Fatalf("step %d, after the %s: %d image and %d spare bytes, past the high-water image of %d", step, after, res, spare, highWater)
+		}
+	}
+	for ; step < 400; step++ {
+		// The window breathes: up to 150 records of about 1 KB a step.
+		for i := rng.Intn(150); i >= 0; i-- {
+			live = append(live, l.AppendMark(Record{Kind: KindFlushUndo, NodeID: int64(step), UndoInfo: make([]byte, 1000)}))
+		}
+		// The image is at its largest right after a force's write.
+		if at, err = l.Force(at); err != nil {
+			t.Fatal(err)
+		}
+		maxLive = max(maxLive, l.LiveBytes())
+		check("force")
+		keep := rng.Intn(len(live))
+		if _, err := l.TruncateHead(live[len(live)-1-keep]); err != nil {
+			t.Fatal(err)
+		}
+		live = live[len(live)-1-keep:]
+		check("cut")
+		if step%50 == 0 {
+			recs, err := l.Records()
+			if err != nil || len(recs) != len(live) || recs[0].LSN != live[0].LSN {
+				t.Fatalf("step %d: %d records (%v), want %d from LSN %d", step, len(recs), err, len(live), live[0].LSN)
+			}
+		}
+	}
+	if spared == 0 {
+		t.Fatal("no cut left a spare extent")
+	}
+	if bound := maxLive + 2*ssdio.ExtentSize; highWater > bound {
+		t.Fatalf("high-water image %d bytes, want <= %d for a live window of at most %d", highWater, bound, maxLive)
+	}
+	if written := l.TruncatedBytes() + l.LiveBytes(); written < 20*highWater {
+		t.Fatalf("the run wrote %d bytes, too few to recycle a %d-byte image many times", written, highWater)
 	}
 }
